@@ -1,15 +1,15 @@
 # Tier-1 verification targets. `make ci` is the gate every change must
 # pass: vet, the full test suite under the race detector, a one-shot
 # smoke of the derivation benchmarks (exercising the streaming engine end
-# to end), an end-to-end serving smoke of cmd/mrslserve over HTTP, and a
-# one-shot publish of the concurrent-serving benchmark into
-# BENCH_engine.json.
+# to end), an end-to-end serving smoke of cmd/mrslserve over HTTP, the
+# served-path benchmark's own test, and a one-shot publish of the
+# concurrent-serving benchmark into BENCH_engine.json.
 
 GO ?= go
 
-.PHONY: ci vet test race metrics-lint bench-smoke serve-smoke chaos-smoke bench-serve bench-planner bench-watch bench-check bench-baseline bench-publish fuzz-smoke build
+.PHONY: ci vet test race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-planner bench-watch bench-check bench-baseline bench-publish fuzz-smoke build
 
-ci: vet race metrics-lint bench-smoke serve-smoke chaos-smoke bench-serve bench-check
+ci: vet race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-check
 
 # Assert every EngineStats counter is exported on GET /metrics and named
 # in README.md's metric table, so the docs and the exposition surface
@@ -48,6 +48,13 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .
 	$(GO) test -race -count=1 -run 'TestPanicBecomesTypedError|TestPrefetchPanicKeepsStreamExact|TestSinkPanicBecomesEmitError' ./internal/derive
 
+# The served-path benchmark's own test (TestWorkloadsTiny): builds
+# mrslserve from this checkout and runs every BENCHMARK.json workload at
+# scale 0.2 with its output checks. perfbench/ is a separate module, so
+# the root ./... targets never compile it.
+perfbench-smoke:
+	cd perfbench && $(GO) test -count=1 .
+
 # Publish the concurrent serving benchmark (1/4/16 overlapping streams on
 # one engine) as go-test JSON events, so serving throughput is tracked
 # run over run. The benchmark warms the engine caches before its timer
@@ -61,9 +68,11 @@ bench-serve:
 # Publish the query benchmarks — planning (classification, selectivity
 # ordering, memoized dissociation intervals) plus the per-statement SPJ
 # paths (safe hierarchical join, dissociated exists) — so query serving
-# latency is tracked run over run. The adaptive pair runs full
-# evaluations (chains included) on the adversarial workloads, so it gets
-# a smaller iteration count appended to the same log.
+# latency is tracked run over run. BenchmarkQueryAdaptive (the topk wave
+# cut) and BenchmarkQueryAdversarial (a thresholded count over the full
+# adversarial mix) run full evaluations, chains included, on fresh
+# engines, so they get a smaller iteration count appended to the same
+# log.
 bench-planner:
 	$(GO) test -run=NONE -bench='BenchmarkQueryPlanner|BenchmarkQuerySafeJoin|BenchmarkQueryDissociated' -benchtime=1000x -json . > BENCH_planner.json
 	$(GO) test -run=NONE -bench='BenchmarkQueryAdaptive|BenchmarkQueryAdversarial' -benchtime=100x -json . >> BENCH_planner.json

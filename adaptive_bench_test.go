@@ -5,13 +5,14 @@ package repro
 // The workloads come from internal/experiment's adversarial generator:
 // skewed duplicate damage (shared-envelope traffic), correlated missing
 // pairs (informative envelopes, so mid-query re-planning has candidates
-// to cut), and over-budget blocks (cost-model skips). Benchmarks run
-// adaptive and static execution over fresh engines and assert
-// bit-identity before the timer; the difference is scheduling work —
-// blocks never derived — not answer drift.
+// to cut), and tuples missing all but one attribute (the widest
+// envelopes the schema allows). Benchmarks run the served query path on
+// fresh engines; TestAdaptiveTopKCutsDerivations pins its answer to a
+// full derivation and its win to blocks never derived.
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"repro/internal/experiment"
@@ -86,18 +87,55 @@ func requireSameRows(tb testing.TB, got, want []QueryRow) {
 	}
 	for i := range got {
 		if got[i].Index != want[i].Index || got[i].Prob != want[i].Prob {
-			tb.Fatalf("row %d: adaptive (%d, %v) != static (%d, %v)",
+			tb.Fatalf("row %d: query (%d, %v) != full derivation (%d, %v)",
 				i, got[i].Index, got[i].Prob, want[i].Index, want[i].Prob)
 		}
 	}
 }
 
-// TestAdaptiveTopKCutsDerivations is the adaptive layer's measurable
-// win, pinned deterministically: on a correlated-damage workload whose
-// cheap tiers cannot fill rank k, the static executor prefetches every
-// surviving bound-tier candidate while the adaptive executor resolves in
-// waves and cuts the tail once rank k is unbeatable — same rows, bit
-// for bit, with at least 25% fewer blocks derived.
+// deriveTopK is the derive-everything oracle of an unthresholded TopK
+// spec: every satisfying row of a full derivation on a fresh engine, in
+// stream order, stable-sorted by descending probability and cut to k.
+func deriveTopK(tb testing.TB, m *Model, rel *Relation, opt DeriveOptions, spec QuerySpec) []QueryRow {
+	tb.Helper()
+	eng, err := NewEngine(m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var rows []QueryRow
+	i := 0
+	err = eng.DeriveStream(rel, func(it DeriveItem) error {
+		if it.Certain() {
+			if eqPredsHold(spec.Preds, it.Tuple) {
+				rows = append(rows, QueryRow{Index: i, Tuple: it.Tuple, Prob: 1})
+			}
+		} else {
+			for _, a := range it.Block.Alts {
+				if eqPredsHold(spec.Preds, a.Tuple) {
+					rows = append(rows, QueryRow{Index: i, Tuple: a.Tuple, Prob: a.Prob})
+				}
+			}
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sort.SliceStable(rows, func(a, b int) bool { return rows[a].Prob > rows[b].Prob })
+	if len(rows) > spec.K {
+		rows = rows[:spec.K]
+	}
+	return rows
+}
+
+// TestAdaptiveTopKCutsDerivations is the wave cut's measurable win,
+// pinned deterministically: on a correlated-damage workload whose cheap
+// tiers cannot fill rank k, the executor resolves the multi-missing
+// candidates in waves and cuts the tail once rank k is unbeatable. The
+// rows equal a full derivation's bit for bit, and at least 25% fewer
+// distinct blocks are derived than the plan leaves open — every one of
+// which a blanket prefetch of the candidates would have derived.
 func TestAdaptiveTopKCutsDerivations(t *testing.T) {
 	cfg := experiment.AdversarialConfig{
 		Seed: 5, Size: 360, Patterns: 24, SkewExp: 1.1,
@@ -109,47 +147,48 @@ func TestAdaptiveTopKCutsDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Static = true
-	qs, err := CompileQuery(env.model.Schema, spec)
+	opt := DeriveOptions{Method: BestAveraged(), Workers: 4, Gibbs: benchGibbs()}
+	eng, err := NewEngine(env.model, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DeriveOptions{Method: BestAveraged(), Workers: 4, Gibbs: benchGibbs()}
-	ctx := context.Background()
+	res, err := eng.Query(context.Background(), rel, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows(t, res.Rows, deriveTopK(t, env.model, rel, opt, spec))
 
-	run := func(q *CompiledQuery) (*QueryResult, EngineStats) {
-		eng, err := NewEngine(env.model, opt)
-		if err != nil {
-			t.Fatal(err)
+	// The open candidates: multi-missing tuples the predicate does not
+	// refute from their known values.
+	pred := spec.Preds[0]
+	open, distinct := 0, make(map[string]bool)
+	for _, tu := range rel.Tuples {
+		if tu.NumMissing() > 1 && (tu[pred.Attr] == relation.Missing || tu[pred.Attr] == pred.Value) {
+			open++
+			distinct[tu.Key()] = true
 		}
-		res, err := eng.Query(ctx, rel, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, eng.Stats()
 	}
-	adaptive, aStats := run(q)
-	static, sStats := run(qs)
-
-	requireSameRows(t, adaptive.Rows, static.Rows)
-	if adaptive.Plan.Adaptive == nil || adaptive.Plan.Adaptive.Replans == 0 {
-		t.Fatalf("adaptive run recorded no re-plan rounds: %+v", adaptive.Plan.Adaptive)
+	if open != res.Plan.Bounded+res.Plan.Derive {
+		t.Fatalf("%d open multi-missing tuples, plan has %d bounded + %d derive",
+			open, res.Plan.Bounded, res.Plan.Derive)
 	}
-	if sStats.GibbsComputed == 0 {
-		t.Fatal("static run derived nothing; workload is degenerate")
+	a := res.Plan.Adaptive
+	if a == nil || a.Replans == 0 {
+		t.Fatalf("run recorded no re-plan rounds: %+v", a)
 	}
-	t.Logf("derived blocks: adaptive %d, static %d (%d re-plan rounds, cut %v)",
-		aStats.GibbsComputed, sStats.GibbsComputed,
-		adaptive.Plan.Adaptive.Replans, adaptive.Plan.Adaptive.ReplanCut)
-	if 4*aStats.GibbsComputed > 3*sStats.GibbsComputed {
-		t.Fatalf("adaptive derived %d blocks, static %d: less than 25%% saved",
-			aStats.GibbsComputed, sStats.GibbsComputed)
+	derived := eng.Stats().GibbsComputed
+	t.Logf("derived blocks: %d of %d distinct open candidates (%d re-plan rounds, cut %v)",
+		derived, len(distinct), a.Replans, a.ReplanCut)
+	if 4*derived > 3*int64(len(distinct)) {
+		t.Fatalf("derived %d blocks of %d distinct open candidates: less than 25%% saved",
+			derived, len(distinct))
 	}
 }
 
-// BenchmarkQueryAdaptive measures adaptive vs static execution of the
-// rank-k workload above on fresh engines: the adaptive savings are
-// blocks never derived, so wall time follows the derivation drop.
+// BenchmarkQueryAdaptive measures the rank-k workload above on fresh
+// engines: the wave cut's savings are blocks never derived, so wall time
+// follows the derivation drop. The sub-benchmark keeps the name its
+// committed baseline figure is recorded under.
 func BenchmarkQueryAdaptive(b *testing.B) {
 	cfg := experiment.AdversarialConfig{
 		Seed: 5, Size: 360, Patterns: 24, SkewExp: 1.1,
@@ -161,14 +200,9 @@ func BenchmarkQueryAdaptive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec.Static = true
-	qs, err := CompileQuery(env.model.Schema, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
 	opt := DeriveOptions{Method: BestAveraged(), Workers: 4, Gibbs: benchGibbs()}
 	ctx := context.Background()
-	run := func(b *testing.B, q *CompiledQuery) *QueryResult {
+	run := func(b *testing.B) *QueryResult {
 		eng, err := NewEngine(env.model, opt)
 		if err != nil {
 			b.Fatal(err)
@@ -179,23 +213,19 @@ func BenchmarkQueryAdaptive(b *testing.B) {
 		}
 		return res
 	}
-	requireSameRows(b, run(b, q).Rows, run(b, qs).Rows) // sanity outside the timer
+	requireSameRows(b, run(b).Rows, deriveTopK(b, env.model, rel, opt, spec)) // sanity outside the timer
 
 	b.Run("adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run(b, q)
-		}
-	})
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, qs)
+			run(b)
 		}
 	})
 }
 
 // BenchmarkQueryAdversarial runs the full adversarial mix — skew,
-// correlation, and over-budget blocks — through a thresholded count,
-// adaptive vs static, on fresh engines per iteration.
+// correlation, and all-but-one-missing blocks — through a thresholded
+// count on fresh engines per iteration. The sub-benchmark keeps the name
+// its committed baseline figure is recorded under.
 func BenchmarkQueryAdversarial(b *testing.B) {
 	env, rel := adversarialEnv(b, experiment.DefaultAdversarial(9, 360))
 	spec := adversarialTopK(env, rel, 0)
@@ -204,37 +234,17 @@ func BenchmarkQueryAdversarial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec.Static = true
-	qs, err := CompileQuery(env.model.Schema, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
 	opt := DeriveOptions{Method: BestAveraged(), Workers: 4, Gibbs: benchGibbs()}
 	ctx := context.Background()
-	run := func(b *testing.B, q *CompiledQuery) *QueryResult {
-		eng, err := NewEngine(env.model, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := eng.Query(ctx, rel, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	ra, rs := run(b, q), run(b, qs) // sanity outside the timer
-	if ra.Expected != rs.Expected || ra.Count != rs.Count {
-		b.Fatalf("adaptive count (%v, %d) != static (%v, %d)", ra.Expected, ra.Count, rs.Expected, rs.Count)
-	}
-
 	b.Run("adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run(b, q)
-		}
-	})
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, qs)
+			eng, err := NewEngine(env.model, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Query(ctx, rel, q); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

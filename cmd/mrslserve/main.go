@@ -1451,11 +1451,9 @@ func (s *server) writeSummary(enc *json.Encoder, r *http.Request, res *repro.Que
 		}
 		if a := p.Adaptive; a != nil {
 			adaptive := map[string]any{
-				"cost_model":        a.CostModel,
-				"envelope_hits":     a.EnvelopeHits,
-				"envelope_misses":   a.EnvelopeMisses,
-				"envelopes_skipped": a.EnvelopesSkipped,
-				"replans":           a.Replans,
+				"envelope_hits":   a.EnvelopeHits,
+				"envelope_misses": a.EnvelopeMisses,
+				"replans":         a.Replans,
 			}
 			if len(a.ReplanCut) > 0 {
 				adaptive["replan_cut"] = a.ReplanCut

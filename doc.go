@@ -151,14 +151,12 @@
 // that can answer no without deriving anything. The combined per-tuple
 // envelope intervals bounded plans compute are content-keyed and
 // shared across queries through the engine's CPD cache
-// (EngineStats.EnvelopeHits/EnvelopeMisses), and a cost model
-// calibrated from live vote/chain latencies and the engine's observed
-// bound-decide rate skips envelope enumerations that cannot pay for
-// themselves. All of it is scheduling only: answers are bit-identical
-// to the static pipeline, which QuerySpec.Static preserves as the
-// experiment control. Re-plan rounds and envelope-cache traffic
-// surface on the plan's Adaptive block (QueryAdaptiveInfo), in
-// mrslquery -explain, the /query summary, /stats, and /metrics.
+// (EngineStats.EnvelopeHits/EnvelopeMisses). All of it is scheduling
+// only: answers are bit-identical to the derive-everything oracle, and
+// a plan depends on nothing outside its own engine. Re-plan rounds and
+// envelope-cache traffic surface on the plan's Adaptive block
+// (QueryAdaptiveInfo), in mrslquery -explain, the /query summary,
+// /stats, and /metrics.
 //
 // # Intensional SPJ queries
 //

@@ -1,11 +1,14 @@
 // The lazyquery example demonstrates the paper's future-work proposal
 // (Section VIII): lazy, query-targeted inference with partial
-// materialization. A large incomplete relation is wrapped in a LazyDB;
-// structured queries are answered by classifying tuples against the
-// query's conditions — most tuples are decided by their known values and
-// cost nothing, single-open-condition tuples cost one voted CPD lookup,
-// and only multi-open tuples pay for Gibbs sampling. The example contrasts
-// the work counters with eagerly deriving the full probabilistic database.
+// materialization. Engine.Query answers a structured query over a large
+// incomplete relation without deriving it: the planner classifies every
+// tuple against the query's predicates — tuples whose known values
+// refute (or, when complete, satisfy) them cost nothing, single-missing
+// tuples cost one voted CPD lookup, and only open multi-missing tuples
+// run a Gibbs chain — and the engine's caches keep what was inferred for
+// later queries. On a chains-mode engine (Workers > 1) the answer is
+// bit-identical to deriving the full probabilistic database with the
+// same options, which the example checks.
 package main
 
 import (
@@ -23,6 +26,19 @@ import (
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// options are the engine options of both the lazy and the eager path:
+// parallel content-seeded chains (Workers > 1), the mode in which query
+// answers equal a full derivation's.
+func options() repro.DeriveOptions {
+	return repro.DeriveOptions{
+		Method:  repro.BestAveraged(),
+		Workers: 2,
+		Gibbs: repro.GibbsOptions{
+			Samples: 500, BurnIn: 50, Seed: 9, Method: repro.BestAveraged(),
+		},
 	}
 }
 
@@ -62,63 +78,107 @@ func run() error {
 	fmt.Printf("relation: %d tuples, model: %d meta-rules\n", rel.Len(), model.Size())
 
 	// Query: expected number of tuples with a0 = v1 AND a4 = v0.
-	q := repro.ConjQuery{{Attr: 0, Value: 1}, {Attr: 4, Value: 0}}
-
-	// Lazy path.
-	lazyDB, err := repro.NewLazyDB(model, rel, repro.GibbsOptions{
-		Samples: 500, BurnIn: 50, Seed: 9, Method: repro.BestAveraged(),
-	})
+	preds := []repro.QueryPred{{Attr: 0, Cmp: repro.QueryEq, Value: 1}, {Attr: 4, Cmp: repro.QueryEq, Value: 0}}
+	q, err := repro.CompileQuery(model.Schema, repro.QuerySpec{Op: repro.QueryCount, Preds: preds})
 	if err != nil {
 		return err
 	}
+
+	// Lazy path: Engine.Query infers only what the query needs.
+	eng, err := repro.NewEngine(model, options())
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
 	start := time.Now()
-	lazyCount, err := lazyDB.ExpectedCount(q)
+	res, err := eng.Query(ctx, rel, q)
 	if err != nil {
 		return err
 	}
 	lazyTime := time.Since(start)
-	st := lazyDB.Stats()
-	fmt.Printf("\nlazy:  E[count] = %.1f in %v\n", lazyCount, lazyTime.Round(time.Millisecond))
-	fmt.Printf("       decided from known values: %d refuted + %d entailed\n", st.Refuted, st.Entailed)
-	fmt.Printf("       inference performed: %d CPD lookups, %d Gibbs runs\n",
-		st.SingleLookups, st.GibbsRuns)
+	plan, st := res.Plan, eng.Stats()
+	fmt.Printf("\nlazy:  E[count] = %.4f in %v\n", res.Expected, lazyTime.Round(time.Millisecond))
+	fmt.Printf("       decided from known values: %d refuted + %d certain\n", plan.Refuted, plan.Certain)
+	fmt.Printf("       open: %d single-missing, %d multi-missing\n", plan.SingleMissing, plan.Bounded+plan.Derive)
+	fmt.Printf("       inference performed: %d votes, %d Gibbs chains\n", st.VotesComputed, st.GibbsComputed)
 
-	// Re-running the same query hits the materialized cache.
+	// Re-running the same query is served from the engine's caches.
 	start = time.Now()
-	if _, err := lazyDB.ExpectedCount(q); err != nil {
+	if _, err := eng.Query(ctx, rel, q); err != nil {
 		return err
 	}
-	fmt.Printf("       repeat query: %v (%d cache hits)\n",
-		time.Since(start).Round(time.Microsecond), lazyDB.Stats().CacheHits)
+	again := eng.Stats()
+	fmt.Printf("       repeat query: %v (%d new votes, %d new chains)\n",
+		time.Since(start).Round(time.Microsecond),
+		again.VotesComputed-st.VotesComputed, again.GibbsComputed-st.GibbsComputed)
 
-	// Eager path: derive every block up front, then evaluate.
+	// Eager path: derive every block up front with the same options, then
+	// fold each tuple's satisfying mass in input order.
 	start = time.Now()
-	eager, err := repro.Derive(model, rel, repro.DeriveOptions{
-		Method: repro.BestAveraged(),
-		Gibbs: repro.GibbsOptions{
-			Samples: 500, BurnIn: 50, Seed: 9, Method: repro.BestAveraged(),
-		},
+	eager, err := repro.NewEngine(model, options())
+	if err != nil {
+		return err
+	}
+	var eagerCount float64
+	blocks := 0
+	err = eager.DeriveStream(rel, func(it repro.DeriveItem) error {
+		if it.Certain() {
+			if satisfies(preds, it.Tuple) {
+				eagerCount++
+			}
+			return nil
+		}
+		blocks++
+		var p float64
+		for _, a := range it.Block.Alts {
+			if satisfies(preds, a.Tuple) {
+				p += a.Prob
+			}
+		}
+		eagerCount += p
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	eagerCount := eager.ExpectedCount(q.Predicate())
-	fmt.Printf("\neager: E[count] = %.1f in %v (%d blocks materialized)\n",
-		eagerCount, time.Since(start).Round(time.Millisecond), len(eager.Blocks))
+	est := eager.Stats()
+	fmt.Printf("\neager: E[count] = %.4f in %v (%d blocks materialized: %d votes, %d Gibbs chains)\n",
+		eagerCount, time.Since(start).Round(time.Millisecond), blocks, est.VotesComputed, est.GibbsComputed)
+	if eagerCount != res.Expected {
+		return fmt.Errorf("lazy count %v differs from the full derivation's %v", res.Expected, eagerCount)
+	}
+	fmt.Println("       equal to the lazy answer")
 
-	// A second, more selective query shows the benefit compounding: the
-	// lazy DB only infers for tuples that are open on the *new* conditions.
-	q2 := repro.ConjQuery{{Attr: 1, Value: 0}}
-	before := lazyDB.Stats()
-	c2, err := lazyDB.ExpectedCount(q2)
+	// A second query shows the benefit compounding: the engine only
+	// infers for tuples that are open on the new predicate and not
+	// already cached.
+	q2, err := repro.CompileQuery(model.Schema, repro.QuerySpec{
+		Op: repro.QueryCount, Preds: []repro.QueryPred{{Attr: 1, Cmp: repro.QueryEq, Value: 0}},
+	})
 	if err != nil {
 		return err
 	}
-	after := lazyDB.Stats()
-	fmt.Printf("\nsecond query E[a1=v0] = %.1f: %d new lookups, %d new Gibbs runs\n",
-		c2, after.SingleLookups-before.SingleLookups, after.GibbsRuns-before.GibbsRuns)
+	before := eng.Stats()
+	res2, err := eng.Query(ctx, rel, q2)
+	if err != nil {
+		return err
+	}
+	after := eng.Stats()
+	fmt.Printf("\nsecond query E[a1=v0] = %.1f: %d new votes, %d new Gibbs chains\n",
+		res2.Expected, after.VotesComputed-before.VotesComputed, after.GibbsComputed-before.GibbsComputed)
 
 	return intensional(model, rel)
+}
+
+// satisfies reports whether the complete tuple u passes every equality
+// predicate.
+func satisfies(preds []repro.QueryPred, u repro.Tuple) bool {
+	for _, p := range preds {
+		if u[p.Attr] != p.Value {
+			return false
+		}
+	}
+	return true
 }
 
 // intensional runs the multi-relation finale: the same conjunctive

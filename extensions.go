@@ -2,28 +2,17 @@ package repro
 
 import (
 	"repro/internal/gibbs"
-	"repro/internal/lazy"
-	"repro/internal/pdb"
 	"repro/internal/relation"
 )
 
 // This file exposes the reproduction's extension surfaces through the root
-// package: structured queries with lazy query-targeted inference (the
-// paper's future-work Section VIII), Gibbs convergence diagnostics, PK-FK
-// joins, and continuous-attribute discretization (both from the paper's
-// preliminaries).
+// package: Gibbs convergence diagnostics, PK-FK joins, and
+// continuous-attribute discretization (both from the paper's
+// preliminaries). Lazy, query-targeted inference (the paper's
+// future-work Section VIII) is Engine.Query, in query.go.
 
-// Structured-query types re-exported from the pdb package.
+// Extension types re-exported from the internal packages.
 type (
-	// Cond is one equality condition attr = value.
-	Cond = pdb.Cond
-	// ConjQuery is a conjunction of equality conditions.
-	ConjQuery = pdb.ConjQuery
-	// LazyDB answers structured queries over an incomplete relation,
-	// inferring probability values only where a query requires them.
-	LazyDB = lazy.DB
-	// LazyStats counts the inference work a LazyDB performed and avoided.
-	LazyStats = lazy.Stats
 	// GibbsDiagnostics reports chain-convergence evidence (split R-hat,
 	// effective sample size).
 	GibbsDiagnostics = gibbs.Diagnostics
@@ -40,19 +29,6 @@ const (
 	EqualWidth     = relation.EqualWidth
 	EqualFrequency = relation.EqualFrequency
 )
-
-// NewLazyDB wraps a learned model and an incomplete relation into a lazily
-// derived probabilistic database: queries classify tuples by their known
-// values and infer distributions only for genuinely open tuples, memoizing
-// the results ("partial materialization").
-func NewLazyDB(m *Model, rel *Relation, opt GibbsOptions) (*LazyDB, error) {
-	return lazy.New(m, rel, lazy.Config{
-		Method:  opt.Method,
-		Samples: opt.Samples,
-		BurnIn:  opt.BurnIn,
-		Seed:    opt.Seed,
-	})
-}
 
 // Diagnose runs several independent Gibbs chains for tuple t and reports
 // split R-hat and effective sample size, the "standard techniques" the

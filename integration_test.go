@@ -168,28 +168,16 @@ func TestPipelineSaveLoadInferIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelineLazyAgreesWithEagerAtScale: the two query paths agree on a
-// larger, noisier relation.
+// TestPipelineLazyAgreesWithEagerAtScale: the lazy query path and eager
+// derivation agree exactly on a larger, noisier relation.
 func TestPipelineLazyAgreesWithEagerAtScale(t *testing.T) {
 	_, rel, model := pipelineFixture(t, "BN9", 10000, 400, 105)
-	q := ConjQuery{{Attr: 0, Value: 0}, {Attr: 5, Value: 1}}
-	lazyDB, err := NewLazyDB(model, rel, GibbsOptions{Samples: 800, BurnIn: 80, Seed: 9, Method: BestAveraged()})
-	if err != nil {
-		t.Fatal(err)
+	opt := DeriveOptions{
+		Method:  BestAveraged(),
+		Workers: 2,
+		Gibbs:   GibbsOptions{Samples: 800, BurnIn: 80, Seed: 9, Method: BestAveraged()},
 	}
-	lc, err := lazyDB.ExpectedCount(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Derive(model, rel, DeriveOptions{
-		Method: BestAveraged(),
-		Gibbs:  GibbsOptions{Samples: 800, BurnIn: 80, Seed: 9, Method: BestAveraged()},
+	queryMatchesDerivation(t, model, rel, opt, []QueryPred{
+		{Attr: 0, Cmp: QueryEq, Value: 0}, {Attr: 5, Cmp: QueryEq, Value: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec := db.ExpectedCount(q.Predicate())
-	if math.Abs(lc-ec) > 2.0 {
-		t.Errorf("lazy %v vs eager %v", lc, ec)
-	}
 }

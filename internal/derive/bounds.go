@@ -61,11 +61,6 @@ func (iv Interval) Vacuous() bool { return iv.Lo <= 0 && iv.Hi >= 1 }
 // bounds the planner's worst-case planning cost per tuple.
 const maxBoundStates = 4096
 
-// MaxBoundStates is maxBoundStates, exported so the query planner's
-// cost model can mirror the enumeration guard and predict an envelope's
-// probe count without running it.
-const MaxBoundStates = maxBoundStates
-
 // boundSlack is the concentration margin added to each side of a bound
 // interval: sqrt(12.5/n) for n recorded sweeps, which sits beyond five
 // standard deviations of a Bernoulli frequency over n draws for every
@@ -336,14 +331,12 @@ var intervalKeyPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); retu
 // concurrent queries whose predicates induce the same satisfying sets
 // on the same evidence pattern reuse one combination instead of
 // re-enumerating — the cross-query analog of the per-attribute envelope
-// memo. hit reports a cache hit. compute=false turns a miss into a
-// declined probe: the caller (the query cost model) judged enumeration
-// not worth its price for this tuple, so the vacuous interval comes
-// back and nothing is computed or stored. Cached intervals are pure
-// functions of (model, config, tuple, satisfying sets), so a hit is
-// bit-identical to recomputation; eviction only costs re-enumeration.
-// Stats.EnvelopeHits / Stats.EnvelopeMisses count the probes.
-func (e *Engine) BoundCPDShared(t relation.Tuple, sat [][]bool, compute bool) (iv Interval, hit bool, err error) {
+// memo. hit reports a cache hit; a miss computes the interval and
+// stores it. Cached intervals are pure functions of (model, config,
+// tuple, satisfying sets), so a hit is bit-identical to recomputation;
+// eviction only costs re-enumeration. Stats.EnvelopeHits /
+// Stats.EnvelopeMisses count the probes.
+func (e *Engine) BoundCPDShared(t relation.Tuple, sat [][]bool) (iv Interval, hit bool, err error) {
 	if t.NumMissing() < 2 {
 		return VacuousInterval, false, fmt.Errorf("derive: BoundCPD needs a multi-missing tuple, got %v", t)
 	}
@@ -365,9 +358,6 @@ func (e *Engine) BoundCPDShared(t relation.Tuple, sat [][]bool, compute bool) (i
 	e.mu.Lock()
 	e.stats.EnvelopeMisses++
 	e.mu.Unlock()
-	if !compute {
-		return VacuousInterval, false, nil
-	}
 	iv, err = e.BoundCPD(t, sat)
 	if err != nil {
 		return iv, false, err

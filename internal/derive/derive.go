@@ -217,9 +217,8 @@ type Stats struct {
 	// EnvelopeHits and EnvelopeMisses instrument the shared combined-
 	// envelope interval cache (BoundCPDShared): probes of a finished
 	// per-tuple [lo, hi] interval served from the sharded CLOCK cache,
-	// and probes that missed — whether the miss was then enumerated or
-	// declined by the query cost model. Overlapping concurrent queries
-	// show up here as the second query's hits.
+	// and probes that missed and were enumerated. Overlapping concurrent
+	// queries show up here as the second query's hits.
 	EnvelopeHits, EnvelopeMisses int64
 
 	// Replans counts executor re-plan rounds — points where a query
@@ -529,16 +528,6 @@ type QueryRecord struct {
 
 // RecordQuery folds one query evaluation's pruning counters into the
 // engine stats. internal/query calls it once per completed evaluation.
-// QueryDecideCounts returns the engine's lifetime QueryBounded /
-// QueryDerived counters — the query cost model's observed-selectivity
-// input — without paying for a full Stats snapshot (one lock, two
-// loads, no cache-shard sweeps).
-func (e *Engine) QueryDecideCounts() (bounded, derived int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats.QueryBounded, e.stats.QueryDerived
-}
-
 func (e *Engine) RecordQuery(r QueryRecord) {
 	e.mu.Lock()
 	e.stats.Queries++

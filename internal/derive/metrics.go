@@ -24,28 +24,3 @@ var (
 	watchNotifySeconds = obs.Default.Histogram("mrsl_watch_notify_seconds", "",
 		"One observation's watch-subscription fan-out (per observe, all subscribers).")
 )
-
-// Calibration thresholds for TierLatencies: means over fewer
-// observations than this are too noisy to steer planning, so the query
-// cost model stays on the static tier order until the process has done
-// enough real inference work.
-const (
-	calibrationMinVotes  = 32
-	calibrationMinChains = 8
-)
-
-// TierLatencies reports the process-lifetime mean latencies, in
-// nanoseconds, of the two inference stages the query cost model weighs:
-// one single-missing vote (the unit cost of each CPD probe an envelope
-// enumeration performs) and one multi-missing Gibbs chain (the cost an
-// envelope-decided tuple avoids). calibrated is false until both stages
-// have enough observations to trust the means. The figures are read
-// from the same mrsl_derive_vote_seconds / mrsl_derive_chain_seconds
-// histograms GET /metrics exposes, so the chooser's inputs are always
-// externally observable; like those histograms they are process-wide,
-// not per-engine.
-func TierLatencies() (voteNS, chainNS float64, calibrated bool) {
-	vc, vm := voteSeconds.Mean()
-	cc, cm := chainSeconds.Mean()
-	return vm, cm, vc >= calibrationMinVotes && cc >= calibrationMinChains
-}

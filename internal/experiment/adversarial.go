@@ -13,11 +13,11 @@ package experiment
 //     multi-missing tuples concentrate on a few missing-attribute
 //     combinations, which is exactly when dissociation envelopes are
 //     informative and mid-query re-planning has candidates to cut.
-//   - Over-budget blocks (tuples missing all but one attribute): their
-//     envelope enumeration would exceed derive.MaxBoundStates, so a
-//     planner that blindly enumerates pays guard-work for a vacuous
-//     interval on every one of them — the case the cost model's
-//     pre-judging skip exists for.
+//   - Over-budget blocks (tuples missing all but one attribute): the
+//     widest envelopes the schema allows, each enumerating every
+//     assignment of the tuple's other missing attributes (2^4 = 16
+//     states per envelope on the 6-binary-attribute BN9 bench model,
+//     well inside the enumeration cap).
 
 import (
 	"fmt"
@@ -45,8 +45,7 @@ type AdversarialConfig struct {
 	// attribute), never a lone attribute of a pair.
 	CorrelatedPairs int
 	// OverBudgetFrac is the fraction of tuples missing every attribute
-	// but one, whose per-attribute envelopes overflow
-	// derive.MaxBoundStates.
+	// but one: the widest per-attribute envelopes the schema allows.
 	OverBudgetFrac float64
 	// CompleteFrac is the fraction of complete pass-through tuples.
 	CompleteFrac float64

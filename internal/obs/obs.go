@@ -68,18 +68,6 @@ func (h *Histogram) Count() int64 {
 	return c
 }
 
-// Mean returns the observation count and the mean observed duration in
-// nanoseconds (0 when the histogram is empty). It is the calibration
-// read-out consumers like the query cost model use: a process-lifetime
-// average over whole compute units, cheap enough to take per decision.
-func (h *Histogram) Mean() (count int64, meanNS float64) {
-	_, c, sum := h.Snapshot()
-	if c == 0 {
-		return 0, 0
-	}
-	return c, float64(sum) / float64(c)
-}
-
 // Gauge is an int64 gauge/counter on a single atomic.
 type Gauge struct{ v atomic.Int64 }
 

@@ -1,123 +1,66 @@
 package query
 
-// Tests for the adaptive execution layer: bit-identity of adaptive
-// evaluation against the static planner and the derive-everything
-// oracle, envelope sharing across queries (including on an
-// always-evicting engine), the exists collective-refute re-plan round,
-// and the pooled plan path's allocation budget.
+// Tests for the adaptive execution layer: bit-identity of evaluation
+// against the derive-everything oracle, envelope sharing across queries
+// (including on an always-evicting engine), the exists collective-refute
+// re-plan round, plans that depend on no other engine, and the pooled
+// plan path's allocation budget.
 
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/derive"
 	"repro/internal/relation"
 )
 
-// compileBoth compiles spec twice: adaptive (as given) and static.
-func compileBoth(t *testing.T, s *relation.Schema, spec Spec) (adaptive, static *Query) {
-	t.Helper()
-	q, err := Compile(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Static = true
-	qs, err := Compile(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q, qs
-}
-
-// requireSameAnswer demands the adaptive and static evaluations agree on
-// the operator's answer. Scalar answers and rows are bit-identical; the
-// one sanctioned divergence is a thresholded exists that early-stopped
-// in either mode, whose reported probability is a sound lower bound
-// rather than the exact mass (checkOracle pins the soundness side).
-func requireSameAnswer(t *testing.T, label string, q *Query, got, want *Result) {
-	t.Helper()
-	switch q.op {
-	case Count:
-		if got.Expected != want.Expected || got.Count != want.Count {
-			t.Fatalf("%s: adaptive count (%v, %d) != static (%v, %d)",
-				label, got.Expected, got.Count, want.Expected, want.Count)
-		}
-	case Exists:
-		if got.Exists != want.Exists {
-			t.Fatalf("%s: adaptive exists %v != static %v", label, got.Exists, want.Exists)
-		}
-		if !got.EarlyStop && !want.EarlyStop && got.Prob != want.Prob {
-			t.Fatalf("%s: adaptive P %v != static %v", label, got.Prob, want.Prob)
-		}
-	case TopK:
-		requireRowsEqual(t, label, got.Rows, want.Rows)
-	case GroupBy:
-		requireGroupsEqual(t, label, got.Groups, want.Groups)
-	}
-}
-
-// TestAdaptiveMatchesStaticAndOracle is the adaptive layer's core
-// property: across every operator, randomized thresholds, and worker
-// counts {1, 2, 8}, evaluation with re-planning, the cost model, and
-// shared envelopes enabled is bit-identical to the static planner and
-// to the naive full-derivation oracle — including on an always-evicting
-// CacheEntries=1 engine, where every shared-envelope entry is under
-// eviction pressure.
-func TestAdaptiveMatchesStaticAndOracle(t *testing.T) {
+// TestAdaptiveMatchesOracle is the adaptive layer's core property:
+// across every operator, randomized thresholds, and worker counts
+// {1, 2, 8}, evaluation with re-planning and shared envelopes is
+// bit-identical to the naive full-derivation oracle — including on an
+// always-evicting CacheEntries=1 engine, where every shared-envelope
+// entry is under eviction pressure.
+func TestAdaptiveMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{17, 18} {
 		model, rel := fixture(t, seed)
 		items := deriveAll(t, model, rel, engineConfig(4, 4))
 
-		type engPair struct {
-			label             string
-			adaptive, static_ *derive.Engine
+		type labeled struct {
+			label string
+			eng   *derive.Engine
 		}
-		var engines []engPair
+		var engines []labeled
 		for _, w := range [][2]int{{1, 1}, {2, 2}, {8, 8}} {
-			a, err := derive.New(model, engineConfig(w[0], w[1]))
+			eng, err := derive.New(model, engineConfig(w[0], w[1]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := derive.New(model, engineConfig(w[0], w[1]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines = append(engines, engPair{label: "workers", adaptive: a, static_: s})
+			engines = append(engines, labeled{label: "workers", eng: eng})
 		}
 		thrashCfg := engineConfig(2, 2)
 		thrashCfg.CacheEntries = 1
-		a, err := derive.New(model, thrashCfg)
+		thrash, err := derive.New(model, thrashCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := derive.New(model, thrashCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, engPair{label: "thrash", adaptive: a, static_: s})
+		engines = append(engines, labeled{label: "thrash", eng: thrash})
 
 		rng := rand.New(rand.NewSource(seed * 131))
 		for _, op := range []Op{Count, Exists, TopK, GroupBy} {
 			for round := 0; round < 3; round++ {
-				spec := randomSpec(rng, model.Schema, op)
-				q, qs := compileBoth(t, model.Schema, spec)
-				for _, pair := range engines {
-					res, err := Eval(ctx, pair.adaptive, rel, q)
+				q, err := Compile(model.Schema, randomSpec(rng, model.Schema, op))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range engines {
+					res, err := Eval(ctx, e.eng, rel, q)
 					if err != nil {
-						t.Fatalf("%s adaptive %v: %v", pair.label, op, err)
+						t.Fatalf("%s %v: %v", e.label, op, err)
 					}
-					want, err := Eval(ctx, pair.static_, rel, qs)
-					if err != nil {
-						t.Fatalf("%s static %v: %v", pair.label, op, err)
-					}
-					if want.Plan.Adaptive != nil {
-						t.Fatalf("%s: static plan carries an adaptive block", pair.label)
-					}
-					checkOracle(t, "adaptive "+q.String(), q, res, items, model.Schema)
-					checkOracle(t, "static "+q.String(), qs, want, items, model.Schema)
-					requireSameAnswer(t, pair.label+" "+q.String(), q, res, want)
+					checkOracle(t, e.label+" "+q.String(), q, res, items, model.Schema)
 				}
 			}
 		}
@@ -125,7 +68,7 @@ func TestAdaptiveMatchesStaticAndOracle(t *testing.T) {
 }
 
 // TestAdaptiveDegradedStaysSound exercises the adaptive layer under a
-// spent deadline budget: both modes answer without error, and whatever
+// spent deadline budget: evaluation answers without error, and whatever
 // the adaptive machinery decides — degrade to an interval, or decide
 // early from bounds before the budget matters — stays sound against
 // the oracle.
@@ -138,41 +81,42 @@ func TestAdaptiveDegradedStaysSound(t *testing.T) {
 		{Op: Count, Preds: []Pred{{Attr: 0, Cmp: Le, Value: 1}}, MinProb: 0.5},
 		{Op: Exists, Preds: []Pred{{Attr: 1, Cmp: Eq, Value: 0}}, MinProb: 0.97},
 	} {
-		q, qs := compileBoth(t, model.Schema, spec)
-		for _, query := range []*Query{q, qs} {
-			eng, err := derive.New(model, engineConfig(2, 2))
-			if err != nil {
-				t.Fatal(err)
+		query, err := Compile(model.Schema, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := derive.New(model, engineConfig(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Eval(expiredCtx(t), eng, rel, query)
+		if err != nil {
+			t.Fatalf("degraded %s: %v", query.String(), err)
+		}
+		if !res.Degraded {
+			// The exists refute may decide before the budget is consulted;
+			// then the answer must be exactly oracle-correct.
+			checkOracle(t, "budget-free "+query.String(), query, res, items, model.Schema)
+			continue
+		}
+		if res.Bounds == nil {
+			t.Fatalf("degraded %s without bounds", query.String())
+		}
+		switch spec.Op {
+		case Count:
+			expected, n := oracleCount(query.preds, items, spec.MinProb)
+			if spec.MinProb > 0 {
+				expected = float64(n)
 			}
-			res, err := Eval(expiredCtx(t), eng, rel, query)
-			if err != nil {
-				t.Fatalf("degraded %s: %v", query.String(), err)
+			if expected < res.Bounds.Lo-degradeEps || expected > res.Bounds.Hi+degradeEps {
+				t.Fatalf("degraded %s: oracle %v outside bounds [%v, %v]",
+					query.String(), expected, res.Bounds.Lo, res.Bounds.Hi)
 			}
-			if !res.Degraded {
-				// The adaptive exists refute may decide before the budget is
-				// consulted; then the answer must be exactly oracle-correct.
-				checkOracle(t, "budget-free "+query.String(), query, res, items, model.Schema)
-				continue
-			}
-			if res.Bounds == nil {
-				t.Fatalf("degraded %s without bounds", query.String())
-			}
-			switch spec.Op {
-			case Count:
-				expected, n := oracleCount(query.preds, items, spec.MinProb)
-				if spec.MinProb > 0 {
-					expected = float64(n)
-				}
-				if expected < res.Bounds.Lo-degradeEps || expected > res.Bounds.Hi+degradeEps {
-					t.Fatalf("degraded %s: oracle %v outside bounds [%v, %v]",
-						query.String(), expected, res.Bounds.Lo, res.Bounds.Hi)
-				}
-			case Exists:
-				prob := oracleExists(query.preds, items)
-				if prob < res.Bounds.Lo-degradeEps || prob > res.Bounds.Hi+degradeEps {
-					t.Fatalf("degraded %s: oracle %v outside bounds [%v, %v]",
-						query.String(), prob, res.Bounds.Lo, res.Bounds.Hi)
-				}
+		case Exists:
+			prob := oracleExists(query.preds, items)
+			if prob < res.Bounds.Lo-degradeEps || prob > res.Bounds.Hi+degradeEps {
+				t.Fatalf("degraded %s: oracle %v outside bounds [%v, %v]",
+					query.String(), prob, res.Bounds.Lo, res.Bounds.Hi)
 			}
 		}
 	}
@@ -228,22 +172,12 @@ func TestEnvelopeSharingAcrossQueries(t *testing.T) {
 	if r := st.EnvelopeHitRate(); r <= 0 || r >= 1 {
 		t.Fatalf("envelope hit rate %v outside (0, 1)", r)
 	}
-	// Static evaluations bypass the shared cache entirely.
-	before := st.EnvelopeHits + st.EnvelopeMisses
-	_, qs := compileBoth(t, model.Schema, spec)
-	if _, err := Eval(ctx, eng, rel, qs); err != nil {
-		t.Fatal(err)
-	}
-	st = eng.Stats()
-	if st.EnvelopeHits+st.EnvelopeMisses != before {
-		t.Fatal("static evaluation probed the shared envelope cache")
-	}
 }
 
 // TestExistsCollectiveRefute pins the exists re-plan round: a threshold
 // the derivation-free upper bound already rules out is answered without
 // deriving a single block, recorded as a re-plan, and agrees with the
-// static full scan. The micro-relation is assembled from fixture tuples
+// derive-everything oracle. The micro-relation is assembled from fixture tuples
 // so the envelopes are real: multi-missing tuples whose predicate
 // attribute is missing (informative upper bounds), plus refuted
 // complete tuples.
@@ -280,7 +214,10 @@ func TestExistsCollectiveRefute(t *testing.T) {
 				}
 			}
 			spec := Spec{Op: Exists, Preds: []Pred{{Attr: attr, Cmp: Eq, Value: v}}, MinProb: 0.999}
-			q, qs := compileBoth(t, s, spec)
+			q, err := Compile(s, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			eng, err := derive.New(model, engineConfig(2, 2))
 			if err != nil {
 				t.Fatal(err)
@@ -303,22 +240,10 @@ func TestExistsCollectiveRefute(t *testing.T) {
 			if len(a.ReplanCut) != 1 || a.ReplanCut[0] == 0 {
 				t.Fatalf("replan cut %v, want one non-empty round", a.ReplanCut)
 			}
-			// Same decision as the static exact scan, and the reported
-			// probability is a sound lower bound on its exact mass.
-			engS, err := derive.New(model, engineConfig(2, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Eval(ctx, engS, micro, qs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Exists != res.Exists {
-				t.Fatalf("adaptive refute %v, static scan %v", res.Exists, want.Exists)
-			}
-			if !want.EarlyStop && res.Prob > want.Prob {
-				t.Fatalf("refute bound %v exceeds exact %v", res.Prob, want.Prob)
-			}
+			// Same decision as the oracle, and the reported probability is
+			// a sound lower bound on its exact mass.
+			items := deriveAll(t, model, micro, engineConfig(2, 2))
+			checkOracle(t, "collective refute "+q.String(), q, res, items, s)
 			if eng.Stats().Replans == 0 {
 				t.Fatal("engine stats did not record the re-plan")
 			}
@@ -326,6 +251,84 @@ func TestExistsCollectiveRefute(t *testing.T) {
 		}
 	}
 	t.Fatal("no (attribute, value) produced a collective refute on this fixture")
+}
+
+// TestPlanIndependentOfOtherEngines pins that a plan depends on its own
+// engine and the query alone: the same bounded query on two fresh,
+// identically configured engines yields the same plan summary whether it
+// runs before or after a third engine in the process has done at least
+// 32 votes and 8 chains of inference of its own — enough to warm every
+// process-wide latency histogram.
+func TestPlanIndependentOfOtherEngines(t *testing.T) {
+	ctx := context.Background()
+	model, rel := fixture(t, 47)
+	q, err := Compile(model.Schema, Spec{
+		Op: Count, Preds: []Pred{{Attr: 0, Cmp: Eq, Value: 0}}, MinProb: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planOnFreshEngine := func() PlanInfo {
+		t.Helper()
+		eng, err := derive.New(model, engineConfig(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Eval(ctx, eng, rel, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := *res.Plan
+		info.Timing = nil
+		return info
+	}
+	before := planOnFreshEngine()
+	if before.Adaptive == nil || before.Bounded == 0 {
+		t.Fatalf("query is not bounded: %+v", before)
+	}
+
+	// The third engine's workload: every complete tuple over the (small)
+	// schema with one or two attributes blanked, so it computes every
+	// distinct vote and pair chain the schema admits.
+	s := model.Schema
+	size := 1
+	for _, at := range s.Attrs {
+		size *= at.Card()
+	}
+	busy := relation.NewRelation(s)
+	for code := 0; code < size; code++ {
+		tu := relation.NewTuple(s.NumAttrs())
+		rem := code
+		for a := range tu {
+			tu[a] = rem % s.Attrs[a].Card()
+			rem /= s.Attrs[a].Card()
+		}
+		for a := range tu {
+			for b := a; b < len(tu); b++ {
+				u := tu.Clone()
+				u[a], u[b] = relation.Missing, relation.Missing
+				if err := busy.Append(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	other, err := derive.New(model, engineConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Stream(busy, func(derive.Item) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := other.Stats(); st.VotesComputed < 32 || st.GibbsComputed < 8 {
+		t.Fatalf("third engine ran only %d votes and %d chains", st.VotesComputed, st.GibbsComputed)
+	}
+
+	after := planOnFreshEngine()
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("plan moved with another engine's traffic:\nbefore %+v %+v\nafter  %+v %+v",
+			before, *before.Adaptive, after, *after.Adaptive)
+	}
 }
 
 // TestPlanPathAllocations pins the pooled plan path: steady-state plan

@@ -637,10 +637,10 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 			res.Prob, res.Exists, res.EarlyStop = 1-miss, true, true
 			return res, nil
 		}
-		// Re-plan round (adaptive only): pass 1 already paid for every vote
-		// and the plan carries every interval, so the derivation-free UPPER
-		// bound on the existence probability is now free — exact masses for
-		// the cheap tiers, the clamped interval upper side for bound- and
+		// Re-plan round: pass 1 already paid for every vote and the plan
+		// carries every interval, so the derivation-free UPPER bound on
+		// the existence probability is now free — exact masses for the
+		// cheap tiers, the clamped interval upper side for bound- and
 		// derive-tier tuples, folded in input order. If even that cannot
 		// reach the threshold, pass 2 would derive every open tuple only to
 		// confirm a no: answer it here, deriving nothing. The collective
@@ -651,43 +651,41 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 		// early-stop contract. A vacuous derive-tier tuple zeroes its
 		// factor, so the round declines automatically when derivation could
 		// still flip the decision.
-		if ex.plan.info.Adaptive != nil {
-			missHi := 1.0
-			cut := 0
-			var rc Counters
-			for i := range ex.rel.Tuples {
-				switch act := ex.plan.acts[i]; act.tier {
-				case tierSkip:
-				case tierObserved:
-					missHi *= 1 - act.iv.Lo
-				case tierVote:
-					p, err := ex.exactProb(ctx, i, &rc)
-					if err != nil {
-						return nil, err
-					}
-					missHi *= 1 - p
-				default: // tierBound, tierDerive
-					missHi *= 1 - clamp1(act.iv.Hi)
-					cut++
-					rc.Bounded++
-					rc.BoundWidth += act.iv.Width()
+		missHi := 1.0
+		cut := 0
+		var rc Counters
+		for i := range ex.rel.Tuples {
+			switch act := ex.plan.acts[i]; act.tier {
+			case tierSkip:
+			case tierObserved:
+				missHi *= 1 - act.iv.Lo
+			case tierVote:
+				p, err := ex.exactProb(ctx, i, &rc)
+				if err != nil {
+					return nil, err
 				}
-				if missHi == 0 {
-					break
-				}
+				missHi *= 1 - p
+			default: // tierBound, tierDerive
+				missHi *= 1 - clamp1(act.iv.Hi)
+				cut++
+				rc.Bounded++
+				rc.BoundWidth += act.iv.Width()
 			}
-			// The round only counts when it cut candidates pass 2 would have
-			// derived; with no open bound-tier factor pass 2 is already cheap
-			// and the exact scan keeps the reported probability exact.
-			if cut > 0 && missHi > 0 && 1-missHi < ex.q.minProb {
-				faultinject.Fire("query.replan")
-				a := ex.plan.info.Adaptive
-				a.Replans++
-				a.ReplanCut = append(a.ReplanCut, cut)
-				res.Counters = rc
-				res.Prob, res.Exists, res.EarlyStop = 1-miss, false, true
-				return res, nil
+			if missHi == 0 {
+				break
 			}
+		}
+		// The round only counts when it cut candidates pass 2 would have
+		// derived; with no open bound-tier factor pass 2 is already cheap
+		// and the exact scan keeps the reported probability exact.
+		if cut > 0 && missHi > 0 && 1-missHi < ex.q.minProb {
+			faultinject.Fire("query.replan")
+			a := ex.plan.info.Adaptive
+			a.Replans++
+			a.ReplanCut = append(a.ReplanCut, cut)
+			res.Counters = rc
+			res.Prob, res.Exists, res.EarlyStop = 1-miss, false, true
+			return res, nil
 		}
 		// Pass 2: the exact sequential scan (votes are already cached).
 		// Under a spent budget, degraded tuples fold both interval sides:
@@ -870,13 +868,13 @@ func (ex *executor) cutDecides(res *Result, i int) bool {
 // replanWave is one TopK re-plan round: before the executor prefetches
 // and resolves the next wave of candidates, it re-applies the rank-k cut
 // and the probability threshold under everything resolved so far, so
-// candidates the tighter state already decides are never prefetched —
-// the chains the static schedule would have warmed for them simply never
-// run. Decisions are not committed here: the per-candidate loop
-// re-checks and accounts each one identically, which is sound because
-// the cut predicate is monotone (see cutDecides) — a round changes
-// scheduling only, never answers. A round that cut candidates after
-// fresh resolutions counts as a re-plan on PlanInfo.Adaptive.
+// candidates the tighter state already decides are never prefetched and
+// their chains never run. Decisions are not committed here: the
+// per-candidate loop re-checks and accounts each one identically, which
+// is sound because the cut predicate is monotone (see cutDecides) — a
+// round changes scheduling only, never answers. A round that cut
+// candidates after fresh resolutions counts as a re-plan on
+// PlanInfo.Adaptive.
 func (ex *executor) replanWave(ctx context.Context, res *Result, wave []int, resolved int) {
 	var live []int
 	cut := 0
@@ -912,8 +910,10 @@ func (ex *executor) replanWave(ctx context.Context, res *Result, wave []int, res
 // soundly, because each of its satisfying completions is capped by that
 // bound and would lose the (probability, input order) tie-break anyway.
 // Candidates below the probability threshold are likewise refuted by
-// their upper bound alone. The derivation worklist is prefetched only
-// when the certain rows cannot already fill the cut.
+// their upper bound alone. With a rank cut the candidates resolve in
+// waves, each prefetched only after a re-plan sweep (replanWave) has cut
+// what the held rank k already decides; the single-missing worklist is
+// prefetched only when the certain rows cannot already fill the cut.
 func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 	res := &Result{Op: TopK}
 	certains := 0
@@ -922,9 +922,6 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 			certains++
 		}
 	}
-	// Adaptive rank-cut evaluations replace the blanket candidate
-	// prefetch with per-wave re-planned prefetch below.
-	adaptive := ex.plan.info.Adaptive != nil && ex.q.k > 0
 	var cands []int // bound + derive candidates, resolved upper-bound-first
 	var work []int  // prefetched derivation worklist
 	prefetch := ex.q.k <= 0 || certains < ex.q.k
@@ -934,20 +931,14 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 			if prefetch {
 				work = append(work, i)
 			}
-		case tierBound:
+		case tierBound, tierDerive:
 			cands = append(cands, i)
-			// With a rank cut in play a bound-tier candidate may never be
-			// resolved, so prefetching it would waste the very chains the
-			// bounds exist to skip; without one (k <= 0) only the
-			// threshold can spare it, which its upper bound already
-			// decides — so the survivors are prefetched like any other
-			// derivation.
+			// With a rank cut in play a candidate may never be resolved,
+			// so it is prefetched per wave, after the re-plan sweep below
+			// has filtered it; without one (k <= 0) only the threshold can
+			// spare it, which its upper bound already decides — so the
+			// survivors are prefetched like any other derivation.
 			if ex.q.k <= 0 && !(ex.q.minProb > 0 && act.iv.Hi < ex.q.minProb) {
-				work = append(work, i)
-			}
-		case tierDerive:
-			cands = append(cands, i)
-			if prefetch && !adaptive {
 				work = append(work, i)
 			}
 		}
@@ -981,24 +972,6 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// With a rank cut the cheap pass could not fill, most bound-tier
-	// candidates will be resolved before skipping can even begin, so
-	// their chains are prefetched across the pools now (a full cut keeps
-	// them lazy instead: resolving upper-bound-first raises rank k and
-	// spares the tail, and prefetching would run the very chains the
-	// bounds exist to skip). Adaptive evaluations prefetch per wave
-	// instead, after each re-plan sweep has filtered the wave.
-	if !adaptive && ex.q.k > 0 && len(res.Rows) < ex.q.k {
-		var late []int
-		for _, i := range cands {
-			if act := ex.plan.acts[i]; act.tier == tierBound &&
-				!(ex.q.minProb > 0 && act.iv.Hi < ex.q.minProb) {
-				late = append(late, i)
-			}
-		}
-		ex.prefetch(ctx, late)
-	}
-
 	// Candidates in decreasing upper-bound order (ties keep input order,
 	// so the schedule is deterministic; result order never depends on it).
 	slices.SortStableFunc(cands, func(a, b int) int {
@@ -1011,16 +984,13 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 		}
 		return 0
 	})
-	// Wave size: static evaluations take all candidates in one wave (the
-	// blanket prefetch above already warmed them); adaptive ones sweep a
-	// re-plan round before each wave, so the wave is sized to resolve a
-	// couple of rank-k turnovers between sweeps.
+	// Wave size: without a rank cut every candidate was prefetched above
+	// and one wave takes them all; with one, a re-plan round sweeps
+	// before each wave, so the wave is sized to resolve a couple of
+	// rank-k turnovers between sweeps.
 	wave := len(cands)
-	if adaptive {
-		wave = 2 * ex.q.k
-		if wave < 8 {
-			wave = 8
-		}
+	if ex.q.k > 0 {
+		wave = max(2*ex.q.k, 8)
 	}
 	var degHi float64 // best upper bound among budget-skipped candidates
 	for w := 0; w < len(cands); w += wave {
@@ -1028,7 +998,7 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 		if end > len(cands) {
 			end = len(cands)
 		}
-		if adaptive {
+		if ex.q.k > 0 {
 			ex.replanWave(ctx, res, cands[w:end], resolved)
 			resolved = 0
 		}

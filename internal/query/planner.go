@@ -90,33 +90,20 @@ type PlanInfo struct {
 	// trace) and actually executed (Plan alone never runs the executor).
 	Timing *PlanTiming
 	// Adaptive summarizes the adaptive execution layer: traffic on the
-	// shared envelope-interval cache, the cost model's enumeration
-	// decisions, and — after execution — the executor's re-plan rounds.
-	// Nil when the evaluation ran with Spec.Static, or never consulted
+	// shared envelope-interval cache and — after execution — the
+	// executor's re-plan rounds. Nil when the evaluation never consulted
 	// bounds and carried no deadline.
 	Adaptive *AdaptiveInfo
 }
 
 // AdaptiveInfo is the adaptive-execution block of one plan summary.
-// Everything in it describes scheduling, never answers: the same
-// evaluation with Spec.Static produces a bit-identical Result apart
-// from this block.
+// Everything in it describes scheduling, never answers, and it depends
+// only on this engine's state and the query, never on other engines in
+// the process.
 type AdaptiveInfo struct {
-	// CostModel reports that the calibrated chooser was active — both
-	// tier-latency histograms warm — rather than falling back to the
-	// static enumeration order.
-	CostModel bool
-	// VoteNS and ChainNS are the calibrated mean stage latencies, in
-	// nanoseconds, the chooser weighed (zero when CostModel is false).
-	VoteNS, ChainNS float64
 	// EnvelopeHits and EnvelopeMisses count this plan's probes of the
-	// engine's shared envelope-interval cache. Misses include probes the
-	// cost model declined to compute.
+	// engine's shared envelope-interval cache.
 	EnvelopeHits, EnvelopeMisses int
-	// EnvelopesSkipped counts multi-missing tuples whose envelope
-	// enumeration the cost model declined (or pre-judged vacuous), routing
-	// them straight to the derive tier.
-	EnvelopesSkipped int
 	// Replans counts executor re-plan rounds that cut at least one
 	// remaining candidate after fresh resolutions tightened the state.
 	Replans int
@@ -180,13 +167,9 @@ func (p *PlanInfo) String() string {
 		}
 		fmt.Fprintf(&b, "  safety: %s\n", j.Verdict)
 	}
-	// The adaptive block prints only run-independent figures: cache
-	// traffic and skip counts are deterministic for a fixed query
-	// sequence, while the calibrated latencies vary run to run and stay
-	// off the explain transcript (they are on AdaptiveInfo and /metrics).
 	if a := p.Adaptive; a != nil {
-		fmt.Fprintf(&b, "  adaptive: envelope cache %d hit / %d miss, %d cost-model skips\n",
-			a.EnvelopeHits, a.EnvelopeMisses, a.EnvelopesSkipped)
+		fmt.Fprintf(&b, "  adaptive: envelope cache %d hit / %d miss\n",
+			a.EnvelopeHits, a.EnvelopeMisses)
 		if a.Replans > 0 {
 			fmt.Fprintf(&b, "  replans: %d rounds, cut %v\n", a.Replans, a.ReplanCut)
 		}
@@ -349,14 +332,10 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 		}
 	}
 
-	// The adaptive layer: when the query allows it, multi-missing
-	// envelopes go through the engine's shared interval cache, gated by
-	// the calibrated cost model. Static queries keep the fixed order and
-	// the un-shared BoundCPD path.
-	var cm costModel
-	if wantIV && !q.static {
-		cm = newCostModel(eng)
-		info.Adaptive = &AdaptiveInfo{CostModel: cm.active, VoteNS: cm.voteNS, ChainNS: cm.chainNS}
+	// Multi-missing envelopes go through the engine's shared interval
+	// cache, whose traffic the adaptive block reports.
+	if wantIV {
+		info.Adaptive = &AdaptiveInfo{}
 	}
 
 	buf := s.buf
@@ -402,39 +381,18 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 		default:
 			iv := derive.VacuousInterval
 			if wantIV && !exhausted && t.NumMissing() > 1 {
+				var hit bool
 				var err error
-				if a := info.Adaptive; a != nil {
-					// Adaptive path: predict the enumeration's probe count,
-					// let the cost model veto it, and serve what survives
-					// through the shared interval cache. A vetoed or vacuous
-					// tuple keeps the vacuous interval — same classification
-					// BoundCPD's own overflow guard produces, so tier
-					// decisions stay value-identical.
-					probes, vac := envelopeProbes(q.schema, t, satBools)
-					if vac {
-						a.EnvelopesSkipped++
-					} else {
-						compute := cm.envelopeWorthIt(probes)
-						var hit bool
-						iv, hit, err = eng.BoundCPDShared(t, satBools, compute)
-						switch {
-						case err != nil:
-						case hit:
-							a.EnvelopeHits++
-						default:
-							a.EnvelopeMisses++
-							if !compute {
-								a.EnvelopesSkipped++
-							}
-						}
-					}
-				} else {
-					iv, err = eng.BoundCPD(t, satBools)
-				}
+				iv, hit, err = eng.BoundCPDShared(t, satBools)
 				if err != nil {
 					s.buf = buf
 					p.release()
 					return nil, err
+				}
+				if hit {
+					info.Adaptive.EnvelopeHits++
+				} else {
+					info.Adaptive.EnvelopeMisses++
 				}
 			}
 			if info.BoundsUsed && !iv.Vacuous() {

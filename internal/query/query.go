@@ -202,14 +202,6 @@ type Spec struct {
 	// Result.Plan.Timing. Timing never changes answers; it only adds
 	// clock reads around resolution units.
 	Analyze bool
-	// Static disables the adaptive execution layer for this evaluation:
-	// the planner enumerates dissociation envelopes in the fixed tier
-	// order (no cost model, no shared interval cache) and the executor
-	// takes no re-plan shortcuts (blanket prefetch instead of waves, no
-	// collective-refute round). Answers are bit-identical either way —
-	// the adaptive property suite pins that — so Static exists as the
-	// experiment control and for debugging plan differences.
-	Static bool
 }
 
 // valueSet is the compiled satisfying set of one constrained attribute:
@@ -247,8 +239,6 @@ type Query struct {
 	boundsOff bool
 	// analyze requests explain-analyze timing (Spec.Analyze).
 	analyze bool
-	// static disables adaptive execution (Spec.Static).
-	static bool
 }
 
 // Compile validates spec against the schema and compiles it. Count,
@@ -267,7 +257,6 @@ func Compile(s *relation.Schema, spec Spec) (*Query, error) {
 		k:         spec.K,
 		minProb:   spec.MinProb,
 		analyze:   spec.Analyze,
-		static:    spec.Static,
 	}
 	switch spec.Op {
 	case Count, Exists, TopK:

@@ -56,9 +56,9 @@ type (
 	// tuples resolved through it and the total duration they took.
 	QueryTierTiming = query.TierTiming
 	// QueryAdaptiveInfo is the adaptive-execution block on
-	// QueryPlanInfo.Adaptive: shared envelope-cache traffic, the cost
-	// model's enumeration decisions, and the executor's re-plan rounds.
-	// Nil when the evaluation ran with QuerySpec.Static.
+	// QueryPlanInfo.Adaptive: shared envelope-cache traffic and the
+	// executor's re-plan rounds. Nil when the evaluation neither used
+	// bounds nor carried a deadline.
 	QueryAdaptiveInfo = query.AdaptiveInfo
 	// QueryProgressFunc observes a TopK or GroupBy evaluation in flight;
 	// see Engine.QueryStream.

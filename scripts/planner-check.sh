@@ -15,8 +15,7 @@ cur=${2:?usage: planner-check.sh baseline.json current.json [tolerance-pct]}
 tol=${3:-30}
 
 BENCHES="BenchmarkQueryPlanner BenchmarkQuerySafeJoin BenchmarkQueryDissociated
-BenchmarkQueryAdaptive/adaptive BenchmarkQueryAdaptive/static
-BenchmarkQueryAdversarial/adaptive BenchmarkQueryAdversarial/static"
+BenchmarkQueryAdaptive/adaptive BenchmarkQueryAdversarial/adaptive"
 
 if [ ! -f "$base" ]; then
 	echo "planner-check: no baseline at $base; skipping"
