@@ -107,9 +107,11 @@ bench-publish: bench-serve bench-watch
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_derive.json | head -14
 
 # Short fuzzing pass over the four external input parsers (CSV
-# relations, BN topology DSL, query predicate syntax, /observe bodies).
+# relations, BN topology DSL, query predicate syntax, /observe bodies),
+# plus the NDJSON sink's byte appender against encoding/json.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/bn
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=10s ./internal/query
 	$(GO) test -run=NONE -fuzz=FuzzParseObserve -fuzztime=10s ./cmd/mrslserve
+	$(GO) test -run=NONE -fuzz=FuzzJSONLSinkEmit -fuzztime=10s ./internal/derive

@@ -42,8 +42,12 @@
 //	               missing values). Streams the derived database back as
 //	               NDJSON — a schema record, then one record per input
 //	               tuple in input order (certain values, or a block of
-//	               alternatives with probabilities) — flushing each line,
-//	               so clients read blocks as they are inferred. Query
+//	               alternatives with probabilities). The stream is
+//	               flushed after its first record and whenever the
+//	               engine is about to wait on or compute a block that is
+//	               not ready, so clients read each block as soon as it is
+//	               inferred; lines served from the caches go out in
+//	               net/http's buffered writes. Query
 //	               parameters voteworkers and gibbsworkers override the
 //	               request's pool sizes (never the result). With
 //	               dataset=<id> the body is ignored and the registered
@@ -452,7 +456,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // trackWriter records whether the response has started (and with which
 // status), so the panic boundary knows whether a status code can still
 // be sent and the request log can report what was served. It forwards
-// Flush so streaming handlers keep flushing line by line.
+// Flush so streaming handlers can send buffered lines early.
 type trackWriter struct {
 	http.ResponseWriter
 	wrote  bool
@@ -591,8 +595,9 @@ func withBudget(ctx context.Context, d time.Duration) (context.Context, context.
 }
 
 // handleDerive parses the posted CSV against the model schema and streams
-// the derived database back as NDJSON, one line per item as it is
-// inferred. The stream runs under the request context, so a client
+// the derived database back as NDJSON, one line per item, written to the
+// ResponseWriter and flushed by the engine when it would otherwise wait
+// (see repro.Sink). The stream runs under the request context, so a client
 // disconnect cancels in-flight derivation work; a deadline budget that
 // runs out ends the stream with a terminal "truncated" record — the
 // lines already emitted are exact and usable.
@@ -656,7 +661,7 @@ func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink := repro.NewJSONLSink(newFlushWriter(w), s.model.Schema)
+		sink := repro.NewJSONLSink(w, s.model.Schema)
 		finishStream(s.eng.DeriveSnapshot(ctx, snap, pools, sink))
 		s.writeTrace(w, r)
 		return
@@ -668,7 +673,7 @@ func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sink := repro.NewJSONLSink(newFlushWriter(w), s.model.Schema)
+	sink := repro.NewJSONLSink(w, s.model.Schema)
 	if err := s.eng.DeriveToContext(ctx, rel, pools, sink); err != nil {
 		var mismatch *repro.SchemaMismatchError
 		if errors.As(err, &mismatch) {
@@ -832,7 +837,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.noteBudget(res.Degraded)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: newFlushWriter(w)}
+	ew := &errWriter{w: w}
 	enc := json.NewEncoder(ew)
 	enc.Encode(head)
 	writeScalar(enc, q, res)
@@ -969,7 +974,7 @@ func (s *server) handleSQLQuery(w http.ResponseWriter, r *http.Request, sqlText 
 	}
 	s.noteBudget(res.Degraded)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: newFlushWriter(w)}
+	ew := &errWriter{w: w}
 	enc := json.NewEncoder(ew)
 	enc.Encode(head)
 	writeScalar(enc, q, res)
@@ -1010,15 +1015,16 @@ func (s *server) resolveSQLInput(r *http.Request, name string) (*repro.Relation,
 
 // streamQuery runs a topk or groupby evaluation with incremental NDJSON
 // output: partial records as blocks resolve, final records once the
-// evaluation settles, then the summary. The stream is already under way
-// when inference runs, so evaluation errors append a terminal error
-// record instead of a status code; a disconnected client aborts the
-// evaluation through the progress callback.
+// evaluation settles, then the summary. Each progress callback flushes
+// what it wrote; the handler's return sends the rest. The stream is
+// already under way when inference runs, so evaluation errors append a
+// terminal error record instead of a status code; a disconnected client
+// aborts the evaluation through the progress callback.
 func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, q *repro.CompiledQuery,
 	schema *repro.Schema, head map[string]any,
 	eval func(repro.QueryProgressFunc) (*repro.QueryResult, error)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: newFlushWriter(w)}
+	ew := &errWriter{w: w}
 	enc := json.NewEncoder(ew)
 	enc.Encode(head)
 
@@ -1051,6 +1057,7 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, q *repro.Co
 			}
 			lastGroups = append(lastGroups[:0], res.Groups...)
 		}
+		ew.flush()
 		return ew.err
 	}
 	res, err := eval(progress)
@@ -1266,16 +1273,19 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 // marked "partial":true and stamped with the dataset version. The
 // stream ends when the client disconnects or the dataset is dropped
 // (an "end" record). Observation signals are coalesced: a burst of
-// deltas may surface as one re-evaluation of the latest snapshot.
+// deltas may surface as one re-evaluation of the latest snapshot. The
+// head and every diff are flushed as soon as they are written, since the
+// stream then waits for the next observation.
 func (s *server) watchQuery(w http.ResponseWriter, r *http.Request,
 	ds *repro.Dataset, q *repro.CompiledQuery, pools repro.Pools, d time.Duration) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: newFlushWriter(w)}
+	ew := &errWriter{w: w}
 	enc := json.NewEncoder(ew)
 	enc.Encode(map[string]any{
 		"kind": "query", "op": q.Op().String(), "query": q.String(),
 		"dataset": ds.ID(), "watch": true,
 	})
+	ew.flush()
 
 	var st watchState
 	// The deadline budget applies per re-evaluation, not to the stream:
@@ -1294,6 +1304,7 @@ func (s *server) watchQuery(w http.ResponseWriter, r *http.Request,
 		}
 		s.noteBudget(res.Degraded)
 		s.emitWatchDiff(enc, q, res, snap.Version, &st)
+		ew.flush()
 		return ew.err
 	}
 	if err := reval(); err != nil {
@@ -1487,10 +1498,19 @@ func (s *server) writeSummary(enc *json.Encoder, r *http.Request, res *repro.Que
 
 // errWriter records the first write error and drops everything after it,
 // so a disconnected client stops the stream instead of being encoded to
-// in vain.
+// in vain. It writes straight to the ResponseWriter, whose buffer net/http
+// sends when it fills or when the handler returns; flush sends it
+// earlier, where a record would otherwise wait while the server works.
 type errWriter struct {
-	w   io.Writer
+	w   http.ResponseWriter
 	err error
+}
+
+// flush sends what the ResponseWriter has buffered to the client.
+func (e *errWriter) flush() {
+	if f, ok := e.w.(http.Flusher); ok && e.err == nil {
+		f.Flush()
+	}
 }
 
 func (e *errWriter) Write(p []byte) (int, error) {
@@ -1677,25 +1697,4 @@ func poolsFromQuery(r *http.Request) (repro.Pools, error) {
 		*f.dst = n
 	}
 	return p, nil
-}
-
-// flushWriter flushes the HTTP response after every write, so each NDJSON
-// line reaches the client as soon as its block is inferred.
-type flushWriter struct {
-	w     io.Writer
-	flush func()
-}
-
-func newFlushWriter(w http.ResponseWriter) *flushWriter {
-	fw := &flushWriter{w: w, flush: func() {}}
-	if f, ok := w.(http.Flusher); ok {
-		fw.flush = f.Flush
-	}
-	return fw
-}
-
-func (f *flushWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	f.flush()
-	return n, err
 }

@@ -7,6 +7,7 @@ package main
 // drain, so none of them call t.Parallel.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -162,6 +163,63 @@ func TestServeDeriveTruncates(t *testing.T) {
 	}
 	if st := getStats(t, ts); st.Failed != 0 {
 		t.Errorf("truncated stream counted as failure: failed=%d", st.Failed)
+	}
+}
+
+// TestServeDeriveFirstRecordBeforeSlowChain: /derive flushes its first
+// record at once, so the client reads it while the stream's multi-missing
+// chain, slowed by the derive.chain fault, is still running — not when
+// the response ends.
+func TestServeDeriveFirstRecordBeforeSlowChain(t *testing.T) {
+	model, rel, _ := matchmakingFixture(t)
+	ts, srv := startServerInflight(t, model, 0)
+	body := repro.NewRelation(rel.Schema)
+	// The matchmaking relation's t2 is complete; t1 misses two values.
+	for _, tu := range []repro.Tuple{rel.Tuples[1], rel.Tuples[0]} {
+		if err := body.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var csvBody bytes.Buffer
+	if err := repro.WriteCSV(&csvBody, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Configure("derive.chain=sleep:1s/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+
+	resp, err := http.Post(ts.URL+"/derive", "text/csv", &csvBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for _, want := range []string{"schema", "certain"} {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["kind"] != want {
+			t.Fatalf("record kind %v, want %s: %s", rec["kind"], want, line)
+		}
+	}
+	if n := srv.eng.Stats().GibbsComputed; n != 0 {
+		t.Fatalf("the first record arrived only after the slow chain returned (%d chains done)", n)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(rest), `{"kind":"block","index":1,`) {
+		t.Errorf("after the first record: %s, want the block of item 1", rest)
+	}
+	if n := srv.eng.Stats().GibbsComputed; n != 1 {
+		t.Errorf("%d chains done after the stream, want 1", n)
 	}
 }
 

@@ -394,8 +394,12 @@ func (d *Dataset) Snapshot(ctx context.Context) (*DatasetSnapshot, error) {
 // through as certain tuples after a collapse) instead of being
 // re-inferred. Unobserved tuples resolve through the engine's caches
 // exactly as a batch stream would, so the two paths agree bit-for-bit
-// on them.
+// on them. It is observed, counted and panic-guarded like StreamContext.
 func (e *Engine) StreamSnapshot(ctx context.Context, snap *DatasetSnapshot, pools Pools, emit EmitFunc) error {
+	return e.run(ctx, emit, nil, func(o *out) error { return e.streamSnapshot(ctx, snap, pools, o) })
+}
+
+func (e *Engine) streamSnapshot(ctx context.Context, snap *DatasetSnapshot, pools Pools, o *out) error {
 	if snap == nil {
 		return fmt.Errorf("derive: nil snapshot")
 	}
@@ -420,32 +424,29 @@ func (e *Engine) StreamSnapshot(ctx context.Context, snap *DatasetSnapshot, pool
 		}()
 		e.PrefetchBlocks(ctx, prefetch, pools)
 	}()
-	var err error
 	for i, t := range snap.Rel.Tuples {
-		if err = ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
+		var err error
 		if b, ok := snap.Overrides[i]; ok {
 			if b.Base.IsComplete() {
-				err = emit(Item{Index: i, Tuple: b.Base})
+				err = o.put(Item{Index: i, Tuple: b.Base})
 			} else {
-				err = emit(Item{Index: i, Tuple: b.Base, Block: b})
+				err = o.put(Item{Index: i, Tuple: b.Base, Block: b})
 			}
 		} else if t.IsComplete() {
-			err = emit(Item{Index: i, Tuple: t})
+			err = o.put(Item{Index: i, Tuple: t})
 		} else {
 			var b *pdb.Block
-			if b, _, err = e.ResolveBlock(ctx, t); err == nil {
-				err = emit(Item{Index: i, Tuple: t, Block: b})
+			if b, _, err = e.resolve(ctx, t, o); err == nil {
+				err = o.put(Item{Index: i, Tuple: t, Block: b})
 			}
 		}
 		if err != nil {
 			return err
 		}
 	}
-	e.mu.Lock()
-	e.stats.Streams++
-	e.mu.Unlock()
 	return nil
 }
 

@@ -469,7 +469,13 @@ func (e *Engine) Stats() Stats {
 // on a claim, served once per call, hits once per found entry — so
 // resolve paths pay a single lock acquisition. The byte key is copied
 // only when a new entry is claimed; the hit path does not allocate.
-func (e *Engine) lookup(m *clockcache.Map[*entry], key []byte, computed, served, hits *int64) (en *entry, claimed bool) {
+//
+// o is the calling stream (nil outside one). When key is absent and o has
+// items to flush, lookup flushes them before it claims, with the lock
+// released, and then looks again: a flush is a socket write that blocks
+// while the client is not reading, and every request that needs a
+// claimed slot waits for its claimer.
+func (e *Engine) lookup(m *clockcache.Map[*entry], key []byte, o *out, computed, served, hits *int64) (en *entry, claimed bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if faultinject.Enabled() && faultinject.Fire("cache.storm") {
@@ -491,7 +497,14 @@ func (e *Engine) lookup(m *clockcache.Map[*entry], key []byte, computed, served,
 	if served != nil {
 		*served++
 	}
-	if en, ok := m.Get(key); ok {
+	en, ok := m.Get(key)
+	if !ok && o.dirty() {
+		e.mu.Unlock()
+		o.idle() // recovers its own panics, so the lock is always retaken
+		e.mu.Lock()
+		en, ok = m.Get(key)
+	}
+	if ok {
 		if hits != nil {
 			*hits++
 		}
@@ -614,11 +627,13 @@ func (e *Engine) chainJoint(t relation.Tuple) (*dist.Joint, error) {
 // caller claims the cache slot and waiting for the in-flight computation
 // otherwise (or until ctx is canceled). It is the emitter's fetch path, so
 // it counts served tuples. hit reports whether the entry already existed.
-func (e *Engine) resolveVote(ctx context.Context, t relation.Tuple, key []byte) (b *pdb.Block, hit bool, err error) {
-	en, claimed := e.lookup(e.votes, key, &e.stats.VotesComputed, &e.stats.SingleTuples, nil)
+// Before it computes or waits it lets o flush what the stream has emitted
+// so far (see lookup and waitReady); o is nil outside a stream.
+func (e *Engine) resolveVote(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
+	en, claimed := e.lookup(e.votes, key, o, &e.stats.VotesComputed, &e.stats.SingleTuples, nil)
 	if claimed {
 		e.fillVote(en, t, key)
-	} else if err := waitReady(ctx, en.ready); err != nil {
+	} else if err := waitReady(ctx, en.ready, o); err != nil {
 		return nil, true, err
 	}
 	return en.block, !claimed, en.err
@@ -629,13 +644,14 @@ func (e *Engine) resolveVote(ctx context.Context, t relation.Tuple, key []byte) 
 // closes the entry, so the cache is never poisoned by cancellation.
 // The fast path (entry already computed — the steady-state cache-hit
 // serving path) is a single non-blocking probe; only genuine waits on
-// another goroutine's in-flight computation read the clock.
-func waitReady(ctx context.Context, ready <-chan struct{}) error {
+// another goroutine's in-flight computation flush o and read the clock.
+func waitReady(ctx context.Context, ready <-chan struct{}, o *out) error {
 	select {
 	case <-ready:
 		return nil
 	default:
 	}
+	o.idle()
 	start := time.Now()
 	defer prefetchWaitSeconds.Since(start)
 	select {
@@ -649,7 +665,7 @@ func waitReady(ctx context.Context, ready <-chan struct{}) error {
 // prefetchVote warms the vote cache slot for t without blocking on entries
 // another goroutine already claimed.
 func (e *Engine) prefetchVote(t relation.Tuple, key []byte) {
-	en, claimed := e.lookup(e.votes, key, &e.stats.VotesComputed, nil, nil)
+	en, claimed := e.lookup(e.votes, key, nil, &e.stats.VotesComputed, nil, nil)
 	if claimed {
 		e.fillVote(en, t, key)
 	}
@@ -692,12 +708,12 @@ func (e *Engine) recoverEntry(en *entry, m *clockcache.Map[*entry], key []byte, 
 // mode, sampling inline if this caller claims the slot (the emitter steals
 // work the prefetch pool has not reached) and waiting otherwise (or until
 // ctx is canceled). It is the emitter's fetch path, so it counts served
-// tuples and cache hits.
-func (e *Engine) resolveGibbs(ctx context.Context, t relation.Tuple, key []byte) (b *pdb.Block, hit bool, err error) {
-	en, claimed := e.lookup(e.gibbs, key, nil, &e.stats.MultiTuples, &e.stats.GibbsCacheHits)
+// tuples and cache hits. o flushes first, as in resolveVote.
+func (e *Engine) resolveGibbs(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
+	en, claimed := e.lookup(e.gibbs, key, o, nil, &e.stats.MultiTuples, &e.stats.GibbsCacheHits)
 	if claimed {
 		e.fillGibbs(en, t, key)
-	} else if err := waitReady(ctx, en.ready); err != nil {
+	} else if err := waitReady(ctx, en.ready, o); err != nil {
 		return nil, true, err
 	}
 	return en.block, !claimed, en.err
@@ -712,8 +728,8 @@ func (e *Engine) resolveGibbs(ctx context.Context, t relation.Tuple, key []byte)
 // batch-grained: ctx is honored before a batch starts (including after
 // the wait on the engine's DAG serialization), but a batch already
 // sampling runs to completion, exactly like StreamContext's background
-// DAG batch.
-func (e *Engine) resolveDAG(ctx context.Context, t relation.Tuple) (*pdb.Block, bool, error) {
+// DAG batch. o flushes before a batch, as in resolveVote.
+func (e *Engine) resolveDAG(ctx context.Context, t relation.Tuple, o *out) (*pdb.Block, bool, error) {
 	k := t.Key()
 	e.mu.Lock()
 	e.stats.MultiTuples++
@@ -726,6 +742,7 @@ func (e *Engine) resolveDAG(ctx context.Context, t relation.Tuple) (*pdb.Block, 
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
+		o.idle()
 		byKey, err := e.inferMulti(ctx, []relation.Tuple{t})
 		if err != nil {
 			return nil, false, err
@@ -775,19 +792,24 @@ func (e *Engine) tier(t relation.Tuple) resolveTier {
 // path, multi-missing tuples via the engine's estimator (content-seeded
 // chains, or a single-tuple DAG batch on a DAG-mode engine). hit reports
 // whether the answer was served from a cache rather than inferred by this
-// call. It is the per-tuple entry point of the query evaluator and the
-// lazy database; the returned block is shared and must be treated as
+// call. It is the per-tuple entry point of the query evaluator and of
+// dataset snapshots; the returned block is shared and must be treated as
 // immutable.
 func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple) (b *pdb.Block, hit bool, err error) {
+	return e.resolve(ctx, t, nil)
+}
+
+// resolve is ResolveBlock for a stream that emits into o.
+func (e *Engine) resolve(ctx context.Context, t relation.Tuple, o *out) (b *pdb.Block, hit bool, err error) {
 	switch e.tier(t) {
 	case tierComplete:
 		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
 	case tierVote:
-		return e.resolveVote(ctx, t, t.AppendKey(nil))
+		return e.resolveVote(ctx, t, t.AppendKey(nil), o)
 	case tierChain:
-		return e.resolveGibbs(ctx, t, t.AppendKey(nil))
+		return e.resolveGibbs(ctx, t, t.AppendKey(nil), o)
 	default:
-		return e.resolveDAG(ctx, t)
+		return e.resolveDAG(ctx, t, o)
 	}
 }
 
@@ -829,7 +851,7 @@ func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, po
 // prefetchGibbs warms the joint cache slot for t without blocking on
 // entries another goroutine already claimed.
 func (e *Engine) prefetchGibbs(t relation.Tuple, key []byte) {
-	en, claimed := e.lookup(e.gibbs, key, nil, nil, nil)
+	en, claimed := e.lookup(e.gibbs, key, nil, nil, nil, nil)
 	if claimed {
 		e.fillGibbs(en, t, key)
 	}
@@ -860,14 +882,25 @@ func (e *Engine) fillGibbs(en *entry, t relation.Tuple, key []byte) {
 // estimator is workload-dependent by construction, which is why serving
 // deployments should prefer chains.) ctx is consulted once more after
 // the dagMu wait, so a request canceled while queued behind another
-// batch never starts sampling; a started batch runs to completion.
-func (e *Engine) inferMulti(ctx context.Context, workload []relation.Tuple) (map[string]*dist.Joint, error) {
+// batch never starts sampling; a started batch runs to completion. A
+// batch that samples is DAG mode's unit of multi-missing work, so it
+// answers the derive.chain injection point as a chain does; a panic in
+// it becomes the caller's *PanicError with Op "dag".
+func (e *Engine) inferMulti(ctx context.Context, workload []relation.Tuple) (byKey map[string]*dist.Joint, err error) {
 	e.dagMu.Lock()
 	defer e.dagMu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			byKey, err = nil, &PanicError{Op: "dag", Value: r, Stack: debug.Stack()}
+			e.mu.Lock()
+			e.stats.PanicsRecovered++
+			e.mu.Unlock()
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	byKey := make(map[string]*dist.Joint)
+	byKey = make(map[string]*dist.Joint)
 	var todo []relation.Tuple
 	e.mu.Lock()
 	for _, t := range workload {
@@ -887,6 +920,7 @@ func (e *Engine) inferMulti(ctx context.Context, workload []relation.Tuple) (map
 	if len(todo) == 0 {
 		return byKey, nil
 	}
+	faultinject.Fire("derive.chain")
 	s, err := gibbs.New(e.model, e.cfg.Gibbs)
 	if err != nil {
 		return nil, err
@@ -948,8 +982,84 @@ func (e *Engine) StreamPools(rel *relation.Relation, pools Pools, emit EmitFunc)
 // returns. Overlapping calls from multiple goroutines are safe and share
 // the engine's caches.
 func (e *Engine) StreamContext(ctx context.Context, rel *relation.Relation, pools Pools, emit EmitFunc) error {
+	return e.run(ctx, emit, nil, func(o *out) error { return e.stream(ctx, rel, pools, o) })
+}
+
+// out is the consumer end of one emit loop: the caller's emit behind a
+// panic boundary, and the sink's optional Flush (nil for a bare EmitFunc
+// or a sink without one). A panic in either (a broken Sink
+// implementation, an injected fault) becomes the request's *PanicError
+// with Op "emit" instead of crashing the process; the engine and its
+// caches are unaffected.
+type out struct {
+	e       *Engine
+	emit    EmitFunc
+	flush   func() error
+	started bool  // an item has been emitted
+	pending bool  // items were emitted since the last flush
+	err     error // a failed flush, returned by the next put
+}
+
+// put emits one item. The stream's first item is flushed at once, so the
+// reader gets its first record without waiting for the second.
+func (o *out) put(it Item) (err error) {
+	if o.err != nil {
+		return o.err
+	}
+	defer o.recoverEmit(&err)
+	if err = o.emit(it); err != nil {
+		return err
+	}
+	o.pending = true
+	if !o.started {
+		o.started = true
+		o.idle()
+		return o.err
+	}
+	return nil
+}
+
+// idle flushes the items emitted since the last flush. The emit loops
+// call it just before they wait on, or compute inline, an item whose
+// cache entry is not done, so a ready line never sits in a buffer while
+// the engine works; a stream of cache hits flushes only after its first
+// item. It never runs while the stream holds a claimed cache slot (see
+// lookup). It is a no-op unless o is dirty. A flush error is kept for the
+// next put to return.
+func (o *out) idle() {
+	if !o.dirty() {
+		return
+	}
+	o.pending = false
+	defer o.recoverEmit(&o.err)
+	o.err = o.flush()
+}
+
+// dirty reports whether idle would flush: items were emitted since the
+// last flush, the sink has a Flush, and no flush has failed. It is false
+// on a nil out (ResolveBlock).
+func (o *out) dirty() bool {
+	return o != nil && o.pending && o.flush != nil && o.err == nil
+}
+
+// recoverEmit is the deferred panic boundary of put and idle.
+func (o *out) recoverEmit(err *error) {
+	if r := recover(); r != nil {
+		o.e.mu.Lock()
+		o.e.stats.PanicsRecovered++
+		o.e.mu.Unlock()
+		*err = &PanicError{Op: "emit", Value: r, Stack: debug.Stack()}
+	}
+}
+
+// run is the one wrapper of both emit loops, stream and streamSnapshot:
+// it hands loop its out, observes the stream in mrsl_derive_stream_seconds
+// and as the request trace's derive.stream span, and counts it in
+// Stats.Streams (and Stats.DeadlineMisses when its deadline expired),
+// successful or not.
+func (e *Engine) run(ctx context.Context, emit EmitFunc, flush func() error, loop func(*out) error) error {
 	start := time.Now()
-	err := e.stream(ctx, rel, pools, emit)
+	err := loop(&out{e: e, emit: emit, flush: flush})
 	streamSeconds.Since(start)
 	obs.TraceFrom(ctx).Since("derive.stream", start)
 	e.mu.Lock()
@@ -961,28 +1071,12 @@ func (e *Engine) StreamContext(ctx context.Context, rel *relation.Relation, pool
 	return err
 }
 
-func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools, emit EmitFunc) error {
+func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools, o *out) error {
 	if rel == nil {
 		return fmt.Errorf("derive: nil relation")
 	}
 	if d := e.model.Schema.Diff(rel.Schema); d != "" {
 		return &SchemaMismatchError{Model: e.model.Schema, Data: rel.Schema, Diff: d}
-	}
-
-	// A panic inside the caller's emit/sink (a broken Sink implementation,
-	// an injected fault) becomes this request's error instead of crashing
-	// the process; the engine and its caches are unaffected.
-	rawEmit := emit
-	emit = func(it Item) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				e.mu.Lock()
-				e.stats.PanicsRecovered++
-				e.mu.Unlock()
-				err = &PanicError{Op: "emit", Value: r, Stack: debug.Stack()}
-			}
-		}()
-		return rawEmit(it)
 	}
 
 	// Classify the workload.
@@ -1022,14 +1116,6 @@ func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools
 			multiDone = make(chan struct{})
 			go func() {
 				defer close(multiDone)
-				defer func() {
-					if r := recover(); r != nil {
-						multiErr = &PanicError{Op: "dag", Value: r, Stack: debug.Stack()}
-						e.mu.Lock()
-						e.stats.PanicsRecovered++
-						e.mu.Unlock()
-					}
-				}()
 				// The holistic batch deliberately outlives a canceled
 				// stream (see StreamContext), so it does not take ctx.
 				multiJoints, multiErr = e.inferMulti(context.Background(), multi)
@@ -1065,22 +1151,27 @@ func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools
 		}
 		switch {
 		case t.IsComplete():
-			err = emit(Item{Index: i, Tuple: t})
+			err = o.put(Item{Index: i, Tuple: t})
 		case t.NumMissing() == 1:
 			keyBuf = t.AppendKey(keyBuf[:0])
 			var b *pdb.Block
-			b, _, err = e.resolveVote(ctx, t, keyBuf)
+			b, _, err = e.resolveVote(ctx, t, keyBuf, o)
 			if err == nil {
-				err = emit(Item{Index: i, Tuple: t, Block: b})
+				err = o.put(Item{Index: i, Tuple: t, Block: b})
 			}
 		case e.cfg.chains():
 			keyBuf = t.AppendKey(keyBuf[:0])
 			var b *pdb.Block
-			b, _, err = e.resolveGibbs(ctx, t, keyBuf)
+			b, _, err = e.resolveGibbs(ctx, t, keyBuf, o)
 			if err == nil {
-				err = emit(Item{Index: i, Tuple: t, Block: b})
+				err = o.put(Item{Index: i, Tuple: t, Block: b})
 			}
 		default:
+			select {
+			case <-multiDone:
+			default:
+				o.idle()
+			}
 			select {
 			case <-multiDone:
 				err = multiErr
@@ -1093,7 +1184,7 @@ func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools
 				e.mu.Unlock()
 				var b *pdb.Block
 				if b, err = e.block(t, multiJoints[t.Key()]); err == nil {
-					err = emit(Item{Index: i, Tuple: t, Block: b})
+					err = o.put(Item{Index: i, Tuple: t, Block: b})
 				}
 			}
 		}

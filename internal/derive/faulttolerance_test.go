@@ -1,12 +1,15 @@
 package derive
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/pdb"
 	"repro/internal/relation"
 )
@@ -86,6 +89,50 @@ func TestPanicBecomesTypedError(t *testing.T) {
 	}
 }
 
+// TestDAGBatchPanicBecomesTypedError: on a DAG-mode engine the
+// derive.chain point fires once per sampling batch, and a panic there is
+// the request's *PanicError with Op "dag" — for a stream's background
+// batch and for the inline single-tuple batch behind ResolveBlock alike.
+// Nothing was memoized, so the disarmed engine then matches a fresh one.
+func TestDAGBatchPanicBecomesTypedError(t *testing.T) {
+	m, rel := faultFixture(t, 79)
+	oracle := deriveWith(t, m, rel, 4, 0)
+	var multi relation.Tuple
+	for _, tu := range rel.Tuples {
+		if tu.NumMissing() > 1 {
+			multi = tu
+			break
+		}
+	}
+
+	e, err := New(m, engineConfig(4, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Configure("derive.chain=panic/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	_, err = e.Derive(rel)
+	_, _, rerr := e.ResolveBlock(context.Background(), multi)
+	for what, err := range map[string]error{"Derive": err, "ResolveBlock": rerr} {
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Op != "dag" {
+			t.Errorf("%s under a derive.chain panic returned %v, want *PanicError with Op \"dag\"", what, err)
+		}
+	}
+	if got := e.Stats().PanicsRecovered; got != 2 {
+		t.Errorf("PanicsRecovered = %d, want 2", got)
+	}
+
+	faultinject.Disable()
+	got, err := e.Derive(rel)
+	if err != nil {
+		t.Fatalf("engine unserviceable after recovered panics: %v", err)
+	}
+	requireIdentical(t, oracle, got, "DAG batch after recovery")
+}
+
 // TestPrefetchPanicKeepsStreamExact: a panic in the prefetch pool (before
 // the worker claims a cache slot) costs only the warm-up — the emitter
 // computes the tuple inline and the stream stays bit-identical to the
@@ -123,9 +170,40 @@ func TestPrefetchPanicKeepsStreamExact(t *testing.T) {
 	}
 }
 
+// streamInput is one emit loop a consumer can run under: emit runs it
+// into a bare EmitFunc, sink into a Sink.
+type streamInput struct {
+	name string
+	emit func(context.Context, EmitFunc) error
+	sink func(context.Context, Sink) error
+}
+
+// streamInputs are the relation stream of rel and the stream of rel
+// registered as a dataset (no observations, so both emit the same items).
+func streamInputs(t *testing.T, e *Engine, rel *relation.Relation) []streamInput {
+	t.Helper()
+	ds, err := e.RegisterDataset(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ds.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []streamInput{
+		{"relation",
+			func(ctx context.Context, emit EmitFunc) error { return e.StreamContext(ctx, rel, Pools{}, emit) },
+			func(ctx context.Context, s Sink) error { return e.StreamToContext(ctx, rel, Pools{}, s) }},
+		{"snapshot",
+			func(ctx context.Context, emit EmitFunc) error { return e.StreamSnapshot(ctx, snap, Pools{}, emit) },
+			func(ctx context.Context, s Sink) error { return e.StreamSnapshotTo(ctx, snap, Pools{}, s) }},
+	}
+}
+
 // TestSinkPanicBecomesEmitError: a panic in the caller's emit path (a
-// broken sink) is this request's *PanicError with Op "emit"; the engine
-// survives and re-streams exactly.
+// broken sink) is this request's *PanicError with Op "emit", on the
+// relation stream and the snapshot stream alike; the engine survives and
+// re-streams exactly.
 func TestSinkPanicBecomesEmitError(t *testing.T) {
 	m, rel := faultFixture(t, 79)
 	oracle := deriveWith(t, m, rel, 4, 4)
@@ -134,27 +212,93 @@ func TestSinkPanicBecomesEmitError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitted := 0
-	err = e.Stream(rel, func(Item) error {
-		emitted++
-		if emitted == 3 {
-			panic("sink exploded")
-		}
-		return nil
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Op != "emit" {
-		t.Fatalf("Stream with panicking sink returned %v, want *PanicError{Op: emit}", err)
+	for _, in := range streamInputs(t, e, rel) {
+		t.Run(in.name, func(t *testing.T) {
+			before := e.Stats().PanicsRecovered
+			emitted := 0
+			err := in.emit(context.Background(), func(Item) error {
+				emitted++
+				if emitted == 3 {
+					panic("sink exploded")
+				}
+				return nil
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Op != "emit" {
+				t.Fatalf("stream with panicking sink returned %v, want *PanicError{Op: emit}", err)
+			}
+			if got := e.Stats().PanicsRecovered - before; got != 1 {
+				t.Errorf("PanicsRecovered moved by %d, want 1", got)
+			}
+			streamed := pdb.NewDatabase(rel.Schema)
+			err = in.emit(context.Background(), func(it Item) error {
+				if it.Certain() {
+					return streamed.AddCertain(it.Tuple)
+				}
+				return streamed.AddBlock(it.Block)
+			})
+			if err != nil {
+				t.Fatalf("engine unserviceable after emit panic: %v", err)
+			}
+			requireIdentical(t, oracle, streamed, "re-stream after emit panic")
+		})
 	}
-	streamed := pdb.NewDatabase(rel.Schema)
-	err = e.Stream(rel, func(it Item) error {
-		if it.Certain() {
-			return streamed.AddCertain(it.Tuple)
-		}
-		return streamed.AddBlock(it.Block)
-	})
+}
+
+// TestStreamDeadlineCounted: a stream cut short by its deadline counts
+// in Stats.Streams and Stats.DeadlineMisses, and is observed in
+// mrsl_derive_stream_seconds (mrsl_derive_sink_seconds too when it runs
+// into a sink) and as the request trace's derive.stream span — the
+// relation stream and the snapshot stream alike.
+func TestStreamDeadlineCounted(t *testing.T) {
+	m, rel := faultFixture(t, 81)
+	e, err := New(m, engineConfig(4, 4))
 	if err != nil {
-		t.Fatalf("engine unserviceable after emit panic: %v", err)
+		t.Fatal(err)
 	}
-	requireIdentical(t, oracle, streamed, "re-stream after emit panic")
+	for _, in := range streamInputs(t, e, rel) {
+		for _, toSink := range []bool{false, true} {
+			name := in.name + "/emit"
+			if toSink {
+				name = in.name + "/sink"
+			}
+			t.Run(name, func(t *testing.T) {
+				tr := obs.NewTrace()
+				ctx, cancel := context.WithDeadline(obs.WithTrace(context.Background(), tr), time.Now().Add(-time.Second))
+				defer cancel()
+				before := e.Stats()
+				streams, sinks := streamSeconds.Count(), sinkStreamSeconds.Count()
+				emitted := 0
+				if toSink {
+					var out bytes.Buffer
+					err = in.sink(ctx, NewJSONLSink(&out, rel.Schema))
+					emitted = out.Len()
+				} else {
+					err = in.emit(ctx, func(Item) error { emitted++; return nil })
+				}
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("stream under an expired deadline returned %v, want DeadlineExceeded", err)
+				}
+				if emitted != 0 {
+					t.Errorf("a stream cut before its first item emitted output")
+				}
+				after := e.Stats()
+				if d := after.Streams - before.Streams; d != 1 {
+					t.Errorf("Streams moved by %d, want 1", d)
+				}
+				if d := after.DeadlineMisses - before.DeadlineMisses; d != 1 {
+					t.Errorf("DeadlineMisses moved by %d, want 1", d)
+				}
+				if d := streamSeconds.Count() - streams; d != 1 {
+					t.Errorf("mrsl_derive_stream_seconds observed %d streams, want 1", d)
+				}
+				if d, want := sinkStreamSeconds.Count()-sinks, map[bool]int64{false: 0, true: 1}[toSink]; d != want {
+					t.Errorf("mrsl_derive_sink_seconds observed %d streams, want %d", d, want)
+				}
+				if spans := tr.Spans(); len(spans) != 1 || spans[0].Name != "derive.stream" {
+					t.Errorf("trace spans = %v, want one derive.stream span", spans)
+				}
+			})
+		}
+	}
 }

@@ -74,12 +74,10 @@ func (e *Engine) DropDataset(id string) bool { return e.eng.DropDataset(id) }
 // emit their conditioned posterior blocks (or pass through as certain
 // tuples after a collapse), and unobserved tuples resolve through the
 // engine's shared caches bit-identically to a batch derivation of the
-// same relation. Canceling ctx stops the stream.
+// same relation. Canceling ctx stops the stream and, like
+// DeriveToContext, leaves the sink unclosed.
 func (e *Engine) DeriveSnapshot(ctx context.Context, snap *DatasetSnapshot, pools Pools, sink Sink) error {
-	if err := e.eng.StreamSnapshot(ctx, snap, pools, derive.EmitFunc(sink.Emit)); err != nil {
-		return err
-	}
-	return sink.Close()
+	return e.eng.StreamSnapshotTo(ctx, snap, pools, sink)
 }
 
 // DeriveSnapshotStream is DeriveSnapshot with a raw emit callback

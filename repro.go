@@ -244,8 +244,11 @@ type SchemaMismatchError = derive.SchemaMismatchError
 type PanicError = derive.PanicError
 
 // Sink receives a derivation stream: Emit once per item in input order,
-// then Close to flush. See NewCollector, NewCSVSink, NewJSONLSink, and
-// NewTextSink.
+// then Close to flush. A sink may also have an optional Flush() error
+// method; the stream calls it after the first item, and before it waits
+// on or computes inline an item that is not in the engine's caches yet,
+// so a finished record never waits in a buffer while the engine works.
+// See NewCollector, NewCSVSink, NewJSONLSink, and NewTextSink.
 type Sink = derive.Sink
 
 // EngineStats instruments an Engine's shared caches: distinct patterns
@@ -272,8 +275,12 @@ func NewCSVSink(w io.Writer, s *Schema) *derive.CSVSink { return derive.NewCSVSi
 // NewJSONLSink returns a Sink writing the stream to w as NDJSON: a schema
 // record, then one record per item carrying either the certain tuple's
 // values or every block alternative with its probability. Each item is
-// written as one complete line immediately, which suits incremental
-// serving over sockets and HTTP (cmd/mrslserve streams this format).
+// written to w as one complete line in one Write, byte-identical to
+// encoding/json's rendering. The sink's Flush forwards to w's Flush
+// (Flush() error, or Flush() as on an http.ResponseWriter), so a buffered
+// w is flushed when the stream would otherwise wait; this suits
+// incremental serving over sockets and HTTP (cmd/mrslserve streams this
+// format straight into its ResponseWriter).
 func NewJSONLSink(w io.Writer, s *Schema) *derive.JSONLSink { return derive.NewJSONLSink(w, s) }
 
 // NewTextSink returns a Sink writing a human-readable line per item.
