@@ -1,15 +1,16 @@
 # Tier-1 verification targets. `make ci` is the gate every change must
-# pass: vet, the full test suite under the race detector, a one-shot
+# pass: gofmt, vet, the full test suite under the race detector, a one-shot
 # smoke of the derivation benchmarks (exercising the streaming engine end
 # to end), an end-to-end serving smoke of cmd/mrslserve over HTTP, the
 # served-path benchmark's own test, and a one-shot publish of the
 # concurrent-serving benchmark into BENCH_engine.json.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: ci vet test race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-planner bench-watch bench-check bench-baseline bench-publish fuzz-smoke build
+.PHONY: ci fmt vet test race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-planner bench-watch bench-check bench-baseline bench-publish fuzz-smoke build
 
-ci: vet race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-check
+ci: fmt vet race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-check
 
 # Assert every EngineStats counter is exported on GET /metrics and named
 # in README.md's metric table, so the docs and the exposition surface
@@ -19,6 +20,10 @@ metrics-lint:
 
 build:
 	$(GO) build ./...
+
+# Fail when any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -12,8 +12,8 @@ import (
 	"repro/internal/faultinject"
 )
 
-// chaosOptions puts the engine in chain mode (content-seeded, so every
-// successful answer is reproducible bit for bit) with real pools.
+// chaosOptions gives the engine real pools; chains are content-seeded,
+// so every successful answer is reproducible bit for bit.
 func chaosOptions() DeriveOptions {
 	return DeriveOptions{
 		Method:      BestAveraged(),

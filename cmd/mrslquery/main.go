@@ -4,11 +4,9 @@
 // evidence refutes (and complete tuples) cost nothing, single-missing tuples are
 // decided from the engine's shared CPD cache without expanding a block,
 // and only tuples whose bounds leave the answer open pay for full
-// derivation — with early termination for exists and topk. With the
-// default chain sampler (-workers > 1) answers are bit-identical to
-// deriving the whole database and evaluating naively; -workers 1
-// selects the paper's tuple-DAG sampler, whose multi-missing estimates
-// are workload-dependent by construction.
+// derivation — with early termination for exists and topk. Answers are
+// bit-identical to deriving the whole database and evaluating naively,
+// for every -workers value.
 //
 // Usage:
 //
@@ -84,7 +82,7 @@ func main() {
 		samples   = flag.Int("samples", 1000, "Gibbs samples per distinct multi-missing tuple")
 		burnin    = flag.Int("burnin", 100, "Gibbs burn-in sweeps")
 		seed      = flag.Int64("seed", 1, "sampler seed")
-		workers   = flag.Int("workers", 4, "Gibbs chain pool size (> 1 selects content-seeded per-block chains)")
+		workers   = flag.Int("workers", 4, "Gibbs chain pool size (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *modelPath == "" || (*in == "" && *sql == "") {

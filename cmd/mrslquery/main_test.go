@@ -126,9 +126,7 @@ func TestRunTopK(t *testing.T) {
 // TestTopKTieBreakDeterministic pins topk tie-breaking: rows of equal
 // probability keep input order, so the rendered output is byte-identical
 // for every chain pool size (the three certain age=30 tuples all tie at
-// probability 1 and must appear first, in input order). Workers must stay
-// above 1 — 1 selects the tuple-DAG sampler, a different multi-missing
-// estimator by design.
+// probability 1 and must appear first, in input order).
 func TestTopKTieBreakDeterministic(t *testing.T) {
 	model, data := setup(t)
 	var ref bytes.Buffer
@@ -143,7 +141,7 @@ func TestTopKTieBreakDeterministic(t *testing.T) {
 			t.Errorf("row %d is not a leading certain tie: %q", i, lines[i])
 		}
 	}
-	for _, workers := range []int{4, 8} {
+	for _, workers := range []int{0, 1, 4, 8} {
 		var out bytes.Buffer
 		if err := run(&out, model, data, opts(func(o *options) {
 			o.Op, o.Where, o.K, o.Workers = "topk", "age=30", 5, workers

@@ -29,12 +29,12 @@
 // The engine's memoization caches (vote blocks, multi-missing joints,
 // local CPDs) are bounded to -cache-entries entries each with CLOCK
 // eviction, so the server runs in fixed memory under unbounded damage
-// pattern diversity; with -workers > 1 (chains mode) eviction never
-// changes responses, it only costs recomputation. With -max-inflight > 0
-// at most that many derivation/query requests run concurrently; excess
-// requests are rejected immediately with 429 and a Retry-After header
-// instead of queuing without bound. Client disconnects cancel in-flight
-// work: both endpoints evaluate under the request's context.
+// pattern diversity; eviction never changes responses, it only costs
+// recomputation. With -max-inflight > 0 at most that many
+// derivation/query requests run concurrently; excess requests are
+// rejected immediately with 429 and a Retry-After header instead of
+// queuing without bound. Client disconnects cancel in-flight work: both
+// endpoints evaluate under the request's context.
 //
 // Endpoints:
 //
@@ -179,10 +179,10 @@ func main() {
 		samples   = flag.Int("samples", 800, "Gibbs samples per distinct multi-missing tuple")
 		burnin    = flag.Int("burnin", 100, "Gibbs burn-in sweeps")
 		seed      = flag.Int64("seed", 1, "sampler seed")
-		workers   = flag.Int("workers", 8, "default Gibbs chain pool size per request (>1 selects per-block chains)")
+		workers   = flag.Int("workers", 8, "default Gibbs chain pool size per request (0 = GOMAXPROCS)")
 		voters    = flag.Int("voteworkers", 0, "default voting pool size per request (0 = GOMAXPROCS)")
 		maxAlts   = flag.Int("maxalts", 0, "cap block alternatives (0 keeps all)")
-		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache to this many entries, CLOCK-evicted (0 = unbounded vote/joint caches, default-capped CPD memo); eviction never changes results in chains mode")
+		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache to this many entries, CLOCK-evicted (0 = unbounded vote/joint caches, default-capped CPD memo); eviction never changes results")
 		inflight  = flag.Int("max-inflight", 0, "maximum concurrent derivation/query requests; excess requests get 429 with Retry-After (0 = unlimited)")
 
 		defTimeout = flag.Duration("default-timeout", 0, "default deadline budget per /derive and /query request; requests degrade to sound bounds instead of failing when it runs out (0 = none; timeout_ms= overrides per request)")

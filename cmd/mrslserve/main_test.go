@@ -17,10 +17,9 @@ import (
 	"repro/internal/relation"
 )
 
-// serveOptions are the derivation options under test; Workers > 1 selects
-// the per-block scheduled chain sampler, whose output is content-seeded
-// and therefore identical between the server's long-lived engine and a
-// fresh local one.
+// serveOptions are the derivation options under test. Chains are
+// content-seeded, so the output is identical between the server's
+// long-lived engine and a fresh local one.
 func serveOptions() repro.DeriveOptions {
 	return repro.DeriveOptions{
 		Method:      repro.BestAveraged(),

@@ -6,13 +6,15 @@ package repro
 //
 // BenchmarkDerive measures the sequential derivation exactly as the seed
 // implemented it: one vote.Infer call per single-missing tuple (no
-// memoization across duplicates) followed by workload-driven DAG sampling,
-// materializing the whole database. BenchmarkDeriveParallel measures the
-// streaming engine with its worker pools open: duplicates hit the shared
-// vote cache, blocks stream without materialization, and on multi-core
-// hardware the pools add wall-clock parallelism on top. The two produce
-// the same blocks (modulo the DAG-vs-independent-chains estimator for
-// multi-missing tuples).
+// memoization across duplicates) followed by the paper's tuple-DAG
+// sampler (InferWorkload) over the multi-missing tuples, materializing
+// the whole database. BenchmarkDeriveParallel measures the streaming
+// engine with its worker pools open: duplicates hit the shared vote
+// cache, multi-missing tuples run one content-seeded chain each, blocks
+// stream without materialization, and on multi-core hardware the pools
+// add wall-clock parallelism on top. The two produce the same
+// single-missing blocks; multi-missing blocks differ, because the
+// tuple-DAG sampler and independent chains are different estimators.
 
 import (
 	"fmt"

@@ -26,7 +26,7 @@
 //	err := repro.DeriveStream(model, rel, repro.DeriveOptions{
 //		Method:      repro.BestAveraged(),
 //		VoteWorkers: 8, // single-missing voting pool (0 = GOMAXPROCS)
-//		Workers:     8, // multi-missing parallel Gibbs chains
+//		Workers:     8, // multi-missing Gibbs chain pool (0 = GOMAXPROCS)
 //	}, func(it repro.DeriveItem) error {
 //		return persist(it) // blocks arrive in input order
 //	})
@@ -46,14 +46,12 @@
 // Distinct incomplete tuples are inferred once — duplicates are served
 // from the shared, synchronized memoization caches keyed by the tuple's
 // evidence — and the emitted stream does not depend on pool sizes: any
-// VoteWorkers value and any Workers count above 1 produce bit-identical
-// databases, thanks to deterministic content-keyed per-tuple seeding
-// with per-block scheduling. (Workers <= 1 selects the paper's tuple-DAG
-// sampler instead of independent chains — a different estimator for
-// multi-missing tuples.) Relations must carry the model's schema; a
-// mismatch fails up front with *SchemaMismatchError, and
-// ReadCSVInSchema parses serving-time inputs against a model schema
-// without re-inferring domains.
+// VoteWorkers and Workers values produce bit-identical databases, thanks
+// to deterministic content-keyed per-tuple seeding with per-block
+// scheduling. Relations must carry the model's schema; a mismatch fails
+// up front with *SchemaMismatchError, and ReadCSVInSchema parses
+// serving-time inputs against a model schema without re-inferring
+// domains.
 //
 // # Performance architecture
 //
@@ -71,10 +69,9 @@
 // DeriveOptions.CacheEntries caps all of them with CLOCK eviction for
 // fixed-memory serving; EngineStats reports hits, misses, and evictions.
 // Every cached value is a pure function of the model and its key, so
-// sharing and eviction never change chain-mode results — the derived
-// stream stays bit-identical for any worker count, cache bound, and
-// request interleaving. (DAG-mode joints are the documented exception:
-// that estimator is workload-dependent by construction.)
+// sharing and eviction never change results — the derived stream stays
+// bit-identical for any worker count, cache bound, and request
+// interleaving.
 //
 // # Querying
 //
@@ -95,11 +92,9 @@
 //	res, _ := eng.Query(ctx, rel, q)
 //
 // Evaluation runs through a plan/executor pipeline and is extensional
-// and exact with pruning: on a chains-mode engine (Workers > 1; the
-// tuple-DAG sampler keeps its documented workload-dependence) every
-// answer is bit-identical to deriving the full database through the
-// same engine and evaluating the stream naively, yet selective queries
-// infer only a fraction of the tuples.
+// and exact with pruning: every answer is bit-identical to deriving the
+// full database through the same engine and evaluating the stream
+// naively, yet selective queries infer only a fraction of the tuples.
 //
 // # Query planning & bounds
 //
@@ -230,7 +225,7 @@
 // satisfying mass is exact and free. After any sequence of deltas,
 // answers are bit-identical to a fresh engine evaluating the
 // conditioned database naively — the property the live-evidence tests
-// re-check after every delta, on chains, DAG, and always-evicting
+// re-check after every delta, on unbounded and always-evicting
 // engines. Dataset.Subscribe delivers a coalesced signal per applied
 // observation (the primitive behind mrslserve's watch queries), and
 // EngineStats adds Observations, InvalidatedEntries, Watchers, and
@@ -281,7 +276,7 @@
 // answers. A process-wide registry (surfaced as WriteMetrics) holds
 // lock-free fixed-bucket log-scale latency histograms on atomics — one
 // atomic add per observation, zero allocations, pinned by benchmark —
-// recording vote resolutions, Gibbs batches, bound computations,
+// recording vote resolutions, Gibbs chains, bound computations,
 // prefetch waits, stream and sink emission, watch fan-out, and query
 // plan/exec times at block/stage granularity, never per tuple.
 // WriteEngineStatsMetrics renders an EngineStats snapshot as one

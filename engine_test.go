@@ -39,8 +39,9 @@ func sameDatabase(want, got *Database) error {
 	return nil
 }
 
-// soakOptions select the chain sampler (content-seeded, so outputs are
-// independent of scheduling and of which request warmed the cache).
+// soakOptions are the engine options of the soak tests. Chains are
+// content-seeded, so outputs are independent of scheduling and of which
+// request warmed the cache.
 func soakOptions() DeriveOptions {
 	return DeriveOptions{
 		Method:      BestAveraged(),
@@ -211,52 +212,6 @@ func TestEngineConcurrentSoak(t *testing.T) {
 	}
 	if st.MultiTuples != runs*multis {
 		t.Errorf("multi tuples served = %d, want %d", st.MultiTuples, runs*multis)
-	}
-}
-
-// TestEngineDAGConcurrentSingleFlight: in DAG mode (Workers <= 1),
-// overlapping streams over the same workload must not re-sample it —
-// DAG batches are serialized, so the second request is served from the
-// joint cache.
-func TestEngineDAGConcurrentSingleFlight(t *testing.T) {
-	m, rels := soakFixture(t, 1)
-	rel := rels[0]
-	opt := soakOptions()
-	opt.Workers = 0 // tuple-DAG sampler
-	eng, err := NewEngine(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const concurrent = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, concurrent)
-	for i := 0; i < concurrent; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- eng.DeriveStream(rel, func(DeriveItem) error { return nil })
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	distinct := make(map[string]bool)
-	for _, tu := range rel.Tuples {
-		if !tu.IsComplete() && tu.NumMissing() > 1 {
-			distinct[tu.Key()] = true
-		}
-	}
-	st := eng.Stats()
-	if st.GibbsComputed != int64(len(distinct)) {
-		t.Errorf("concurrent DAG streams sampled %d joints, want %d (no re-sampling)",
-			st.GibbsComputed, len(distinct))
-	}
-	if st.Streams != concurrent {
-		t.Errorf("streams = %d, want %d", st.Streams, concurrent)
 	}
 }
 

@@ -6,9 +6,9 @@
 // refute (or, when complete, satisfy) them cost nothing, single-missing
 // tuples cost one voted CPD lookup, and only open multi-missing tuples
 // run a Gibbs chain — and the engine's caches keep what was inferred for
-// later queries. On a chains-mode engine (Workers > 1) the answer is
-// bit-identical to deriving the full probabilistic database with the
-// same options, which the example checks.
+// later queries. The answer is bit-identical to deriving the full
+// probabilistic database with the same options, which the example
+// checks.
 package main
 
 import (
@@ -29,9 +29,8 @@ func main() {
 	}
 }
 
-// options are the engine options of both the lazy and the eager path:
-// parallel content-seeded chains (Workers > 1), the mode in which query
-// answers equal a full derivation's.
+// options are the engine options of both the lazy and the eager path, so
+// the two answers can be compared bit for bit.
 func options() repro.DeriveOptions {
 	return repro.DeriveOptions{
 		Method:  repro.BestAveraged(),

@@ -22,8 +22,7 @@ func eqPredsHold(preds []QueryPred, u Tuple) bool {
 // Engine.Query and, on a fresh engine with the same options, through a
 // full derivation folded in input order; it requires the two to be equal
 // bit for bit and the plan to have decided tuples from their known
-// values alone. opt must select chains mode (Workers > 1), where the
-// query contract is exact.
+// values alone.
 func queryMatchesDerivation(t *testing.T, m *Model, rel *Relation, opt DeriveOptions, preds []QueryPred) *QueryResult {
 	t.Helper()
 	q, err := CompileQuery(m.Schema, QuerySpec{Op: QueryCount, Preds: preds})

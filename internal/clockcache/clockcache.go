@@ -59,17 +59,6 @@ func (m *Map[V]) Get(key []byte) (V, bool) {
 	return m.vals[i], true
 }
 
-// GetString is Get with a string key.
-func (m *Map[V]) GetString(key string) (V, bool) {
-	i, ok := m.pos[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	m.ref[i] = true
-	return m.vals[i], true
-}
-
 // Put stores v under key (copying the byte key), evicting one entry via
 // the clock sweep when the map is at capacity.
 func (m *Map[V]) Put(key []byte, v V) { m.PutString(string(key), v) }

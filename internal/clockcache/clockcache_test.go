@@ -45,16 +45,16 @@ func TestClockPrefersUnreferenced(t *testing.T) {
 	// Full map, both referenced: the sweep clears both bits and evicts the
 	// slot the hand returns to first ("a").
 	m.PutString("c", 3)
-	if _, ok := m.GetString("a"); ok {
+	if _, ok := m.Get([]byte("a")); ok {
 		t.Fatalf("expected 'a' to be the first victim")
 	}
 	// Now "c" carries a fresh reference bit and "b" does not: the next
 	// insert must evict "b" and spare "c".
 	m.PutString("d", 4)
-	if _, ok := m.GetString("b"); ok {
+	if _, ok := m.Get([]byte("b")); ok {
 		t.Fatalf("unreferenced 'b' survived the sweep")
 	}
-	if v, ok := m.GetString("c"); !ok || v != 3 {
+	if v, ok := m.Get([]byte("c")); !ok || v != 3 {
 		t.Fatalf("referenced 'c' was evicted (got %d, %v)", v, ok)
 	}
 }
@@ -63,7 +63,7 @@ func TestUpdateInPlace(t *testing.T) {
 	m := New[int](2, nil)
 	m.PutString("k", 1)
 	m.PutString("k", 2)
-	if v, _ := m.GetString("k"); v != 2 {
+	if v, _ := m.Get([]byte("k")); v != 2 {
 		t.Fatalf("update lost: got %d", v)
 	}
 	if m.Len() != 1 {
@@ -86,10 +86,10 @@ func TestUnevictableGuard(t *testing.T) {
 		t.Fatalf("evicted a guarded slot")
 	}
 	m.PutString("y", 2) // "x" (evictable) can now be displaced eventually
-	if _, ok := m.GetString("pin1"); !ok {
+	if _, ok := m.Get([]byte("pin1")); !ok {
 		t.Fatalf("guarded entry lost")
 	}
-	if _, ok := m.GetString("pin2"); !ok {
+	if _, ok := m.Get([]byte("pin2")); !ok {
 		t.Fatalf("guarded entry lost")
 	}
 }
@@ -203,7 +203,7 @@ func TestUntaggedPutResetsTag(t *testing.T) {
 	if _, ok := m.GetTagged("k", 5); ok {
 		t.Fatal("untagged overwrite kept the old epoch")
 	}
-	if v, ok := m.GetString("k"); ok {
+	if v, ok := m.Get([]byte("k")); ok {
 		t.Fatalf("tag-mismatch removal should have dropped the entry, got %d", v)
 	}
 }

@@ -1,9 +1,9 @@
 package derive
 
 // Tests for the bounded engine caches: CacheEntries caps the vote, joint,
-// and CPD caches; eviction is counted in Stats and — in chains mode —
-// never changes the emitted stream, because every cached value is a
-// deterministic function of the model and its key.
+// and CPD caches; eviction is counted in Stats and never changes the
+// emitted stream, because every cached value is a deterministic function
+// of the model and its key.
 
 import (
 	"reflect"
@@ -27,8 +27,8 @@ func collect(t *testing.T, e *Engine, rel *relation.Relation) []Item {
 }
 
 // TestBoundedCachesDeterministic streams the same workload through an
-// unbounded engine and through one whose caches hold almost nothing, in
-// chains mode, and requires bit-identical output plus recorded evictions.
+// unbounded engine and through one whose caches hold almost nothing, and
+// requires bit-identical output plus recorded evictions.
 func TestBoundedCachesDeterministic(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 3000, 11)
 	rel := dirtyRelation(t, inst, rng, 120)

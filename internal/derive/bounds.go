@@ -21,14 +21,14 @@ import (
 // exists lower bound, excluded from topk — so selective queries skip
 // full derivation for most multi-missing tuples.
 //
-// Soundness argument. In chains mode every recorded Gibbs sweep
-// resamples each missing attribute a from a local CPD conditioned on
-// some assignment of the other missing attributes — always one of the
-// finitely many CPDs the envelope enumerates, whatever state the chain
-// happens to be in (burn-in, mixing, or converged; the argument needs no
-// stationarity). The satisfying mass of every such CPD lies within the
-// envelope's [lo, hi], so the conditional probability that a recorded
-// sweep satisfies attribute a is within it too, and the per-attribute
+// Soundness argument. Every recorded Gibbs sweep resamples each missing
+// attribute a from a local CPD conditioned on some assignment of the
+// other missing attributes — always one of the finitely many CPDs the
+// envelope enumerates, whatever state the chain happens to be in
+// (burn-in, mixing, or converged; the argument needs no stationarity).
+// The satisfying mass of every such CPD lies within the envelope's
+// [lo, hi], so the conditional probability that a recorded sweep
+// satisfies attribute a is within it too, and the per-attribute
 // empirical frequencies concentrate around means inside the envelope
 // (Azuma-Hoeffding over the chain's conditional draws). The interval
 // combines the per-attribute envelopes with Frechet bounds — which hold
@@ -185,15 +185,14 @@ func (e *Engine) stateCPD(state relation.Tuple, attr int, keyBuf *[]byte) (dist.
 // CLOCK bound as the chains' entries) combined with Frechet bounds and
 // widened by the concentration and smoothing margins. It degrades to the
 // vacuous [0, 1] — never an error — whenever bounding is not sound or
-// not affordable: on a DAG-mode engine (its estimator is
-// workload-dependent), on an engine capping block alternatives (the cap
+// not affordable: on an engine capping block alternatives (the cap
 // renormalizes the block), or when an envelope would enumerate more than
 // maxBoundStates assignments.
 func (e *Engine) BoundCPD(t relation.Tuple, sat [][]bool) (Interval, error) {
 	if t.NumMissing() < 2 {
 		return VacuousInterval, fmt.Errorf("derive: BoundCPD needs a multi-missing tuple, got %v", t)
 	}
-	if !e.cfg.chains() || e.cfg.MaxAlternatives > 0 {
+	if e.cfg.MaxAlternatives > 0 {
 		return VacuousInterval, nil
 	}
 	eps := boundSlack(e.cfg.Gibbs.Samples)
@@ -340,7 +339,7 @@ func (e *Engine) BoundCPDShared(t relation.Tuple, sat [][]bool) (iv Interval, hi
 	if t.NumMissing() < 2 {
 		return VacuousInterval, false, fmt.Errorf("derive: BoundCPD needs a multi-missing tuple, got %v", t)
 	}
-	if !e.cfg.chains() || e.cfg.MaxAlternatives > 0 || boundSlack(e.cfg.Gibbs.Samples) >= 1 {
+	if e.cfg.MaxAlternatives > 0 || boundSlack(e.cfg.Gibbs.Samples) >= 1 {
 		// Bounding is structurally disabled: every interval is vacuous, so
 		// there is nothing worth caching or counting.
 		return VacuousInterval, false, nil

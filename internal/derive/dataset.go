@@ -424,6 +424,7 @@ func (e *Engine) streamSnapshot(ctx context.Context, snap *DatasetSnapshot, pool
 		}()
 		e.PrefetchBlocks(ctx, prefetch, pools)
 	}()
+	var keyBuf []byte
 	for i, t := range snap.Rel.Tuples {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -435,11 +436,12 @@ func (e *Engine) streamSnapshot(ctx context.Context, snap *DatasetSnapshot, pool
 			} else {
 				err = o.put(Item{Index: i, Tuple: b.Base, Block: b})
 			}
-		} else if t.IsComplete() {
+		} else if tier := e.tier(t); tier == tierComplete {
 			err = o.put(Item{Index: i, Tuple: t})
 		} else {
 			var b *pdb.Block
-			if b, _, err = e.resolve(ctx, t, o); err == nil {
+			keyBuf = t.AppendKey(keyBuf[:0])
+			if b, _, err = e.resolve(ctx, tier, t, keyBuf, o); err == nil {
 				err = o.put(Item{Index: i, Tuple: t, Block: b})
 			}
 		}

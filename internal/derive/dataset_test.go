@@ -150,9 +150,9 @@ func collectSnapshot(t *testing.T, e *Engine, ds *Dataset) []Item {
 // TestDatasetObserveBitIdenticalToColdEngine is the PR's central property:
 // after any sequence of observation deltas, the live dataset's derived
 // database is bit-identical to a fresh engine deriving the base relation
-// and conditioning it directly — across engine modes (chains and DAG) and
-// under an always-evicting conditioned-block cache, so no stale or
-// evicted cache state can ever influence an answer.
+// and conditioning it directly — on an unbounded engine and under an
+// always-evicting conditioned-block cache, so no stale or evicted cache
+// state can ever influence an answer.
 func TestDatasetObserveBitIdenticalToColdEngine(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2500, 53)
 	rel := dirtyRelation(t, inst, rng, 80)
@@ -161,7 +161,6 @@ func TestDatasetObserveBitIdenticalToColdEngine(t *testing.T) {
 		cfg  Config
 	}{
 		{"chains", engineConfig(2, 3)},
-		{"dag", engineConfig(2, 0)},
 		{"chains-evicting", func() Config {
 			c := engineConfig(2, 3)
 			c.CacheEntries = 1 // every cache, including conditioned blocks, thrashes

@@ -10,33 +10,26 @@
 //     share a synchronized, single-flight memoization cache keyed by the
 //     tuple's canonical evidence (relation.Tuple.Key). Distinct incomplete
 //     tuples are voted exactly once; duplicates hit the cache.
-//   - Multi-missing Gibbs sampling is scheduled per block (GibbsWorkers >
-//     0): each distinct multi-missing tuple is an independent work item,
+//   - Multi-missing Gibbs sampling is scheduled per block: each distinct
+//     multi-missing tuple is an independent, content-seeded chain,
 //     prefetched ahead of the emitter through its own single-flight cache,
 //     so the first multi-missing block is ready as soon as its own chain
-//     has run — not when the whole workload batch has. (GibbsWorkers <= 0
-//     selects the sequential tuple-DAG sampler instead, which shares
-//     samples across the workload and therefore runs as one holistic
-//     background batch.)
+//     has run — not when the whole workload batch has.
 //   - Completed pdb.Blocks are streamed to the caller in input order
 //     through a callback or a pluggable Sink, so callers can persist or
 //     serve blocks without ever holding the whole database in memory.
 //   - Results do not depend on pool sizes: voting is deterministic for
 //     every VoteWorkers value, multi-missing chains are seeded by tuple
-//     content so every positive GibbsWorkers count is bit-identical, and
-//     emission order is the input order regardless of which goroutine
-//     finished first. Only toggling between the DAG sampler and chains
-//     changes multi-missing estimates — they are different estimators.
+//     content so every GibbsWorkers value is bit-identical, and emission
+//     order is the input order regardless of which goroutine finished
+//     first.
 //
 // An Engine is safe for concurrent use: any number of goroutines may run
 // overlapping Stream calls against one engine. The memoization caches are
 // shared and persist across calls, so a serving deployment pays for each
-// distinct evidence pattern once, no matter which request saw it first.
-// With the chain sampler (GibbsWorkers > 0) a tuple's estimate is the same
-// whether it was inferred by this request, an earlier one, or a concurrent
-// one; with the DAG sampler, estimates depend on which tuples were
-// inferred together, so concurrent serving deployments should prefer
-// chains.
+// distinct evidence pattern once, no matter which request saw it first,
+// and a tuple's estimate is the same whether it was inferred by this
+// request, an earlier one, or a concurrent one.
 package derive
 
 import (
@@ -74,15 +67,10 @@ type Config struct {
 	// voting pool; <= 0 selects GOMAXPROCS. The result does not depend on
 	// the pool size.
 	VoteWorkers int
-	// GibbsWorkers > 0 runs multi-missing inference with independent
-	// per-tuple chains scheduled block by block across that many
-	// goroutines per request; the estimates are bit-identical for every
-	// positive worker count (chains are seeded by tuple content). <= 0
-	// uses the sequential tuple-DAG sampler (Algorithm 3), which shares
-	// samples between subsumption-related tuples — a different
-	// (workload-dependent) estimator that runs as one background batch.
-	// The choice of estimator is engine-level and fixed at construction,
-	// so the engine's cross-request joint cache stays coherent.
+	// GibbsWorkers is the default size of the per-request multi-missing
+	// chain pool; <= 0 selects GOMAXPROCS. Each distinct multi-missing
+	// tuple runs one independent chain seeded by its content, so the
+	// result does not depend on the pool size.
 	GibbsWorkers int
 	// CacheEntries bounds each of the engine's memoization caches (the
 	// single-missing vote cache, the multi-missing joint cache, and the
@@ -91,22 +79,17 @@ type Config struct {
 	// per distinct damage pattern) and caps the CPD cache at its default
 	// (gibbs.DefaultCPDCacheEntries; CPD entries grow with the sampled
 	// state space, not the workload, so they are always bounded).
-	// Evictions never change emitted streams in chains mode — every cached
-	// value is a deterministic function of the model and its key — they
-	// only cost recomputation.
+	// Evictions never change emitted streams — every cached value is a
+	// deterministic function of the model and its key — they only cost
+	// recomputation.
 	CacheEntries int
 }
-
-// chains reports whether the engine uses per-tuple independent chains
-// (shardable) rather than the holistic tuple-DAG batch.
-func (c Config) chains() bool { return c.GibbsWorkers > 0 }
 
 // Pools sizes the worker pools of one Stream request. The zero value
 // inherits the engine Config's VoteWorkers/GibbsWorkers; positive fields
 // override them for this request only. Pool sizes never change the
 // emitted stream — only how many goroutines compute it — so per-request
-// sharding is always safe. (In DAG mode GibbsWorkers has no pool to size;
-// the estimator choice itself is fixed at engine construction.)
+// sharding is always safe.
 type Pools struct {
 	VoteWorkers  int
 	GibbsWorkers int
@@ -120,7 +103,7 @@ type Pools struct {
 // from scratch. Match with errors.As; Stats.PanicsRecovered counts them.
 type PanicError struct {
 	// Op names the goroutine boundary that recovered ("vote", "chain",
-	// "emit", "prefetch", "dag", "watch").
+	// "emit", "prefetch", "watch").
 	Op string
 	// Value is the recovered panic value.
 	Value any
@@ -367,14 +350,13 @@ type Engine struct {
 	cfg   Config
 
 	// cpd is the shared, sharded, bounded local-CPD cache: one per engine,
-	// used by every Gibbs chain (parallel or DAG) and consulted by the
-	// single-missing vote path. It has its own internal locking.
+	// used by every Gibbs chain and consulted by the single-missing vote
+	// path. It has its own internal locking.
 	cpd *gibbs.CPDCache
 
-	mu     sync.Mutex
-	votes  *clockcache.Map[*entry]      // single-missing joints by evidence key
-	gibbs  *clockcache.Map[*entry]      // multi-missing joints by evidence key (chain mode)
-	joints *clockcache.Map[*dist.Joint] // multi-missing joints by evidence key (DAG mode)
+	mu    sync.Mutex
+	votes *clockcache.Map[*entry] // single-missing joints by evidence key
+	gibbs *clockcache.Map[*entry] // multi-missing joints by evidence key
 	// observed caches conditioned posterior blocks of live datasets, keyed
 	// "dataset\x00index" and tagged with the block's observation epoch;
 	// see dataset.go for the coherence story.
@@ -385,11 +367,6 @@ type Engine struct {
 	dsMu     sync.Mutex
 	datasets map[string]*Dataset
 	dsSeq    int
-
-	// dagMu serializes DAG-mode batches so overlapping streams never
-	// re-sample or overwrite each other's cached joints. Never acquired
-	// while holding mu.
-	dagMu sync.Mutex
 }
 
 // entry is a single-flight cache slot for one distinct evidence pattern.
@@ -427,12 +404,10 @@ func New(model *core.Model, cfg Config) (*Engine, error) {
 		cpd:      gibbs.NewCPDCache(cfg.CacheEntries),
 		votes:    clockcache.New[*entry](cfg.CacheEntries, entryDone),
 		gibbs:    clockcache.New[*entry](cfg.CacheEntries, entryDone),
-		joints:   clockcache.New[*dist.Joint](cfg.CacheEntries, nil),
 		observed: clockcache.New[*pdb.Block](cfg.CacheEntries, nil),
 		datasets: make(map[string]*Dataset),
 	}
-	// Every sampler the engine spawns — parallel chains and DAG batches
-	// alike — shares the engine-level CPD memo.
+	// Every chain the engine runs shares the engine-level CPD memo.
 	e.cfg.Gibbs.Cache = e.cpd
 	return e, nil
 }
@@ -451,7 +426,7 @@ func (e *Engine) Stats() Stats {
 	cpd := e.cpd.Stats()
 	e.mu.Lock()
 	st := e.stats
-	st.Evictions = e.votes.Evictions() + e.gibbs.Evictions() + e.joints.Evictions() + e.observed.Evictions()
+	st.Evictions = e.votes.Evictions() + e.gibbs.Evictions() + e.observed.Evictions()
 	st.InvalidatedEntries = e.observed.Invalidations()
 	st.CPDHits = cpd.Hits
 	st.CPDMisses = cpd.Misses
@@ -481,8 +456,8 @@ func (e *Engine) lookup(m *clockcache.Map[*entry], key []byte, o *out, computed,
 	if faultinject.Enabled() && faultinject.Fire("cache.storm") {
 		// Chaos harness: an eviction storm drops every completed entry of
 		// the probed cache. In-flight single-flight slots are spared so a
-		// claimer's pending write is never orphaned mid-computation; in
-		// chains mode the storm costs recomputation, never changes answers.
+		// claimer's pending write is never orphaned mid-computation; the
+		// storm costs recomputation, never changes answers.
 		var doomed []string
 		m.Range(func(k string, v *entry) bool {
 			if entryDone(v) {
@@ -610,7 +585,7 @@ func (e *Engine) voteJoint(t relation.Tuple) (*dist.Joint, error) {
 }
 
 // chainJoint runs the content-seeded independent chain for one distinct
-// multi-missing tuple — the per-block unit of work in chain mode.
+// multi-missing tuple — the per-block unit of multi-missing work.
 func (e *Engine) chainJoint(t relation.Tuple) (*dist.Joint, error) {
 	faultinject.Fire("derive.chain")
 	j, points, err := gibbs.InferIndependent(e.model, e.cfg.Gibbs, t)
@@ -704,11 +679,11 @@ func (e *Engine) recoverEntry(en *entry, m *clockcache.Map[*entry], key []byte, 
 	e.mu.Unlock()
 }
 
-// resolveGibbs returns the memoized multi-missing joint for t in chain
-// mode, sampling inline if this caller claims the slot (the emitter steals
-// work the prefetch pool has not reached) and waiting otherwise (or until
-// ctx is canceled). It is the emitter's fetch path, so it counts served
-// tuples and cache hits. o flushes first, as in resolveVote.
+// resolveGibbs returns the memoized multi-missing joint for t, sampling
+// inline if this caller claims the slot (the emitter steals work the
+// prefetch pool has not reached) and waiting otherwise (or until ctx is
+// canceled). It is the emitter's fetch path, so it counts served tuples
+// and cache hits. o flushes first, as in resolveVote.
 func (e *Engine) resolveGibbs(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
 	en, claimed := e.lookup(e.gibbs, key, o, nil, &e.stats.MultiTuples, &e.stats.GibbsCacheHits)
 	if claimed {
@@ -719,44 +694,10 @@ func (e *Engine) resolveGibbs(ctx context.Context, t relation.Tuple, key []byte,
 	return en.block, !claimed, en.err
 }
 
-// resolveDAG serves a multi-missing tuple on a DAG-mode engine: from the
-// cross-request joint cache when its estimate is already there, otherwise
-// by running a single-tuple DAG batch (deterministic per tuple — a
-// one-tuple workload has no subsumption partners to share samples with).
-// Which workload a shared tuple was first sampled alongside still decides
-// its cached estimate; that DAG-mode caveat is unchanged. Cancellation is
-// batch-grained: ctx is honored before a batch starts (including after
-// the wait on the engine's DAG serialization), but a batch already
-// sampling runs to completion, exactly like StreamContext's background
-// DAG batch. o flushes before a batch, as in resolveVote.
-func (e *Engine) resolveDAG(ctx context.Context, t relation.Tuple, o *out) (*pdb.Block, bool, error) {
-	k := t.Key()
-	e.mu.Lock()
-	e.stats.MultiTuples++
-	j, hit := e.joints.GetString(k)
-	if hit {
-		e.stats.GibbsCacheHits++
-	}
-	e.mu.Unlock()
-	if !hit {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		o.idle()
-		byKey, err := e.inferMulti(ctx, []relation.Tuple{t})
-		if err != nil {
-			return nil, false, err
-		}
-		j = byKey[k]
-	}
-	b, err := e.block(t, j)
-	return b, hit, err
-}
-
 // resolveTier names the engine path that resolves one incomplete tuple.
-// The same classification schedules prefetch pools and serves
-// ResolveBlock, so the query executor's tier ordering and the streaming
-// path always agree on where a tuple's work happens.
+// The same classification schedules the prefetch pools, drives both emit
+// loops and serves ResolveBlock, so the query executor's tier ordering
+// and the streaming path always agree on where a tuple's work happens.
 type resolveTier uint8
 
 const (
@@ -764,12 +705,9 @@ const (
 	tierComplete resolveTier = iota
 	// tierVote: single-missing, decided by the shared vote path.
 	tierVote
-	// tierChain: multi-missing on a chains-mode engine — one
-	// content-seeded chain per distinct tuple, shardable across pools.
+	// tierChain: multi-missing — one content-seeded chain per distinct
+	// tuple, shardable across pools.
 	tierChain
-	// tierDAG: multi-missing on a DAG-mode engine — holistic batches,
-	// serialized on the engine, nothing to shard.
-	tierDAG
 )
 
 // tier classifies t onto its resolution path.
@@ -779,49 +717,58 @@ func (e *Engine) tier(t relation.Tuple) resolveTier {
 		return tierComplete
 	case t.NumMissing() == 1:
 		return tierVote
-	case e.cfg.chains():
-		return tierChain
 	default:
-		return tierDAG
+		return tierChain
 	}
 }
 
 // ResolveBlock returns the completion block of one incomplete tuple
 // through the engine's caches, exactly as a Stream over a relation
 // containing t would emit it: single-missing tuples via the shared vote
-// path, multi-missing tuples via the engine's estimator (content-seeded
-// chains, or a single-tuple DAG batch on a DAG-mode engine). hit reports
+// path, multi-missing tuples via their content-seeded chain. hit reports
 // whether the answer was served from a cache rather than inferred by this
 // call. It is the per-tuple entry point of the query evaluator and of
 // dataset snapshots; the returned block is shared and must be treated as
 // immutable.
 func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple) (b *pdb.Block, hit bool, err error) {
-	return e.resolve(ctx, t, nil)
+	tier := e.tier(t)
+	if tier == tierComplete {
+		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
+	}
+	return e.resolve(ctx, tier, t, t.AppendKey(nil), nil)
 }
 
-// resolve is ResolveBlock for a stream that emits into o.
-func (e *Engine) resolve(ctx context.Context, t relation.Tuple, o *out) (b *pdb.Block, hit bool, err error) {
-	switch e.tier(t) {
-	case tierComplete:
-		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
-	case tierVote:
-		return e.resolveVote(ctx, t, t.AppendKey(nil), o)
-	case tierChain:
-		return e.resolveGibbs(ctx, t, t.AppendKey(nil), o)
-	default:
-		return e.resolveDAG(ctx, t, o)
+// resolve serves an incomplete tuple t of the given tier on that tier's
+// path. key is t's evidence key; o is the calling stream, nil outside
+// one.
+func (e *Engine) resolve(ctx context.Context, tier resolveTier, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
+	if tier == tierVote {
+		return e.resolveVote(ctx, t, key, o)
 	}
+	return e.resolveGibbs(ctx, t, key, o)
 }
 
 // PrefetchBlocks warms the engine's caches for the given incomplete
 // tuples across the request's worker pools, in order, until every tuple is
 // claimed or ctx is canceled. Pool sizes affect scheduling only — a
 // subsequent ResolveBlock serves bit-identical results whether or not the
-// prefetch ran. Complete tuples are skipped; on a DAG-mode engine
-// multi-missing tuples are skipped too (DAG batches are serialized on the
-// engine, so there is nothing to shard). It blocks until its workers have
-// drained.
+// prefetch ran. Complete tuples are skipped. It blocks until its workers
+// have drained.
 func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, pools Pools) {
+	// quit is never closed here: the dispatchers run to the end of their
+	// tuple lists unless ctx cancels them.
+	var wg sync.WaitGroup
+	e.prefetch(ctx, &wg, make(chan struct{}), tuples, pools)
+	wg.Wait()
+}
+
+// prefetch starts a pool per resolution path that warms the path's
+// tuples in first-appearance order until quit closes or ctx is canceled;
+// wg tracks the pools' goroutines. The chain pool starts first, since
+// chains are the long pole. Only distinct damage patterns are dispatched
+// — duplicates would be single-probe no-ops, but even those probes cost
+// a channel handoff and an engine-lock acquisition each.
+func (e *Engine) prefetch(ctx context.Context, wg *sync.WaitGroup, quit chan struct{}, tuples []relation.Tuple, pools Pools) {
 	var singles, multis []relation.Tuple
 	for _, t := range tuples {
 		switch e.tier(t) {
@@ -831,21 +778,16 @@ func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, po
 			multis = append(multis, t)
 		}
 	}
-	// quit is never closed here: the dispatchers run to the end of their
-	// tuple lists unless ctx cancels them.
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	if len(singles) > 0 {
-		singles = distinctTuples(singles)
-		e.spawnPool(ctx, &wg, quit, poolSize(pools.VoteWorkers, e.cfg.VoteWorkers, len(singles)),
-			singles, e.prefetchVote)
-	}
 	if len(multis) > 0 {
 		multis = distinctTuples(multis)
-		e.spawnPool(ctx, &wg, quit, poolSize(pools.GibbsWorkers, e.cfg.GibbsWorkers, len(multis)),
+		e.spawnPool(ctx, wg, quit, poolSize(pools.GibbsWorkers, e.cfg.GibbsWorkers, len(multis)),
 			multis, e.prefetchGibbs)
 	}
-	wg.Wait()
+	if len(singles) > 0 {
+		singles = distinctTuples(singles)
+		e.spawnPool(ctx, wg, quit, poolSize(pools.VoteWorkers, e.cfg.VoteWorkers, len(singles)),
+			singles, e.prefetchVote)
+	}
 }
 
 // prefetchGibbs warms the joint cache slot for t without blocking on
@@ -857,8 +799,8 @@ func (e *Engine) prefetchGibbs(t relation.Tuple, key []byte) {
 	}
 }
 
-// fillGibbs computes a claimed chain-mode entry: the sampled joint and its
-// expanded block. GibbsComputed is counted by chainJoint on success
+// fillGibbs computes a claimed multi-missing entry: the sampled joint and
+// its expanded block. GibbsComputed is counted by chainJoint on success
 // instead of at claim time, so a tuple whose chain failed is not reported
 // as computed. Panics recover into en.err like fillVote's.
 func (e *Engine) fillGibbs(en *entry, t relation.Tuple, key []byte) {
@@ -869,76 +811,6 @@ func (e *Engine) fillGibbs(en *entry, t relation.Tuple, key []byte) {
 	if en.err == nil {
 		en.block, en.err = e.block(t, en.joint)
 	}
-}
-
-// inferMulti estimates joints for every distinct multi-missing tuple of
-// workload that is not already cached, with the holistic tuple-DAG
-// sampler, and returns the per-key map covering the whole workload. It is
-// the DAG-mode path; chain mode schedules per block instead. dagMu
-// serializes overlapping DAG batches: without it, two concurrent streams
-// sharing tuples would each sample the full workload and racily
-// overwrite each other's cached joints. (Which workload a shared tuple
-// is sampled alongside still depends on arrival order — the DAG
-// estimator is workload-dependent by construction, which is why serving
-// deployments should prefer chains.) ctx is consulted once more after
-// the dagMu wait, so a request canceled while queued behind another
-// batch never starts sampling; a started batch runs to completion. A
-// batch that samples is DAG mode's unit of multi-missing work, so it
-// answers the derive.chain injection point as a chain does; a panic in
-// it becomes the caller's *PanicError with Op "dag".
-func (e *Engine) inferMulti(ctx context.Context, workload []relation.Tuple) (byKey map[string]*dist.Joint, err error) {
-	e.dagMu.Lock()
-	defer e.dagMu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			byKey, err = nil, &PanicError{Op: "dag", Value: r, Stack: debug.Stack()}
-			e.mu.Lock()
-			e.stats.PanicsRecovered++
-			e.mu.Unlock()
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	byKey = make(map[string]*dist.Joint)
-	var todo []relation.Tuple
-	e.mu.Lock()
-	for _, t := range workload {
-		k := t.Key()
-		if _, dup := byKey[k]; dup {
-			continue
-		}
-		if j, ok := e.joints.GetString(k); ok {
-			byKey[k] = j
-			e.stats.GibbsCacheHits++
-			continue
-		}
-		byKey[k] = nil // placeholder: marks the key as scheduled
-		todo = append(todo, t)
-	}
-	e.mu.Unlock()
-	if len(todo) == 0 {
-		return byKey, nil
-	}
-	faultinject.Fire("derive.chain")
-	s, err := gibbs.New(e.model, e.cfg.Gibbs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.TupleDAGRun(todo)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	for i, t := range res.Tuples {
-		k := t.Key()
-		byKey[k] = res.Dists[i]
-		e.joints.PutString(k, res.Dists[i])
-	}
-	e.stats.GibbsComputed += int64(len(res.Tuples))
-	e.stats.PointsSampled += int64(res.PointsSampled)
-	e.mu.Unlock()
-	return byKey, nil
 }
 
 // block expands a memoized joint into the completion block of t.
@@ -963,24 +835,20 @@ func (e *Engine) StreamPools(rel *relation.Relation, pools Pools, emit EmitFunc)
 
 // StreamContext derives the probabilistic database of rel and emits it
 // item by item, in input order: complete tuples pass through as certain
-// items, incomplete tuples arrive as blocks. Single-missing voting runs on
-// a per-request worker pool concurrently with emission. Multi-missing
-// sampling is scheduled per block on its own per-request pool in chain
-// mode, so each block becomes available as soon as its own chain has run;
-// in DAG mode it runs as one background batch and the emitter blocks on
-// it only when it reaches the first multi-missing tuple. If emit returns
-// an error the stream stops and StreamContext returns that error after
-// draining its workers.
+// items, incomplete tuples arrive as blocks. Single-missing voting and
+// multi-missing sampling run on per-request worker pools concurrently
+// with emission; sampling is scheduled per block, so each block becomes
+// available as soon as its own chain has run. If emit returns an error
+// the stream stops and StreamContext returns that error after draining
+// its workers.
 //
 // Canceling ctx stops the stream: the dispatchers stop scheduling new
 // work, the emitter stops waiting for in-flight entries, and
 // StreamContext returns ctx.Err() once the pool workers have drained
 // their current items. Work already claimed when the cancel lands is
 // always completed (and cached) rather than abandoned, so cancellation
-// never poisons the shared caches; a DAG-mode background batch, which has
-// no per-tuple grain, finishes in the background after StreamContext
-// returns. Overlapping calls from multiple goroutines are safe and share
-// the engine's caches.
+// never poisons the shared caches. Overlapping calls from multiple
+// goroutines are safe and share the engine's caches.
 func (e *Engine) StreamContext(ctx context.Context, rel *relation.Relation, pools Pools, emit EmitFunc) error {
 	return e.run(ctx, emit, nil, func(o *out) error { return e.stream(ctx, rel, pools, o) })
 }
@@ -1079,65 +947,12 @@ func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools
 		return &SchemaMismatchError{Model: e.model.Schema, Data: rel.Schema, Diff: d}
 	}
 
-	// Classify the workload.
-	var multi []relation.Tuple
-	numSingles := 0
-	for _, t := range rel.Tuples {
-		switch {
-		case t.IsComplete():
-		case t.NumMissing() == 1:
-			numSingles++
-		default:
-			multi = append(multi, t)
-		}
-	}
-
-	// quit stops the dispatchers early when emission fails.
+	// The pools prefetch chains and votes ahead of the emitter, through
+	// the same single-flight caches the emitter resolves from. quit stops
+	// their dispatchers early when emission fails.
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
-
-	// Multi-missing inference. Chain mode shards it per block: a pool of
-	// gibbs workers prefetches distinct multi-missing tuples in input
-	// order, through the same single-flight cache the emitter resolves
-	// from. DAG mode runs the whole workload holistically in the
-	// background; the emitter waits for it at its first multi-missing
-	// tuple.
-	var (
-		multiDone   chan struct{}
-		multiJoints map[string]*dist.Joint
-		multiErr    error
-	)
-	if len(multi) > 0 {
-		if e.cfg.chains() {
-			distinct := distinctTuples(multi)
-			e.spawnPool(ctx, &wg, quit, poolSize(pools.GibbsWorkers, e.cfg.GibbsWorkers, len(distinct)),
-				distinct, e.prefetchGibbs)
-		} else {
-			multiDone = make(chan struct{})
-			go func() {
-				defer close(multiDone)
-				// The holistic batch deliberately outlives a canceled
-				// stream (see StreamContext), so it does not take ctx.
-				multiJoints, multiErr = e.inferMulti(context.Background(), multi)
-			}()
-		}
-	}
-
-	// The voting pool prefetches single-missing estimates ahead of the
-	// emitter. Only distinct damage patterns are dispatched — duplicates
-	// would be single-probe no-ops, but even those probes cost a channel
-	// handoff and an engine-lock acquisition each.
-	if numSingles > 0 {
-		var singles []relation.Tuple
-		for _, t := range rel.Tuples {
-			if !t.IsComplete() && t.NumMissing() == 1 {
-				singles = append(singles, t)
-			}
-		}
-		singles = distinctTuples(singles)
-		e.spawnPool(ctx, &wg, quit, poolSize(pools.VoteWorkers, e.cfg.VoteWorkers, len(singles)),
-			singles, e.prefetchVote)
-	}
+	e.prefetch(ctx, &wg, quit, rel.Tuples, pools)
 
 	// Emit in input order. The emitter steals unclaimed work (resolveVote
 	// and resolveGibbs compute inline when a pool has not reached the
@@ -1149,44 +964,13 @@ func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		switch {
-		case t.IsComplete():
-			err = o.put(Item{Index: i, Tuple: t})
-		case t.NumMissing() == 1:
+		var b *pdb.Block
+		if tier := e.tier(t); tier != tierComplete {
 			keyBuf = t.AppendKey(keyBuf[:0])
-			var b *pdb.Block
-			b, _, err = e.resolveVote(ctx, t, keyBuf, o)
-			if err == nil {
-				err = o.put(Item{Index: i, Tuple: t, Block: b})
-			}
-		case e.cfg.chains():
-			keyBuf = t.AppendKey(keyBuf[:0])
-			var b *pdb.Block
-			b, _, err = e.resolveGibbs(ctx, t, keyBuf, o)
-			if err == nil {
-				err = o.put(Item{Index: i, Tuple: t, Block: b})
-			}
-		default:
-			select {
-			case <-multiDone:
-			default:
-				o.idle()
-			}
-			select {
-			case <-multiDone:
-				err = multiErr
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
-			if err == nil {
-				e.mu.Lock()
-				e.stats.MultiTuples++
-				e.mu.Unlock()
-				var b *pdb.Block
-				if b, err = e.block(t, multiJoints[t.Key()]); err == nil {
-					err = o.put(Item{Index: i, Tuple: t, Block: b})
-				}
-			}
+			b, _, err = e.resolve(ctx, tier, t, keyBuf, o)
+		}
+		if err == nil {
+			err = o.put(Item{Index: i, Tuple: t, Block: b})
 		}
 		if err != nil {
 			break
@@ -1194,11 +978,6 @@ func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools
 	}
 	close(quit)
 	wg.Wait()
-	if multiDone != nil && ctx.Err() == nil {
-		// A canceled stream does not wait for the holistic DAG batch; it
-		// completes in the background and lands in the joint cache.
-		<-multiDone
-	}
 	return err
 }
 

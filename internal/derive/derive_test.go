@@ -128,9 +128,10 @@ func TestDeriveDeterministicAcrossWorkerCounts(t *testing.T) {
 		got := deriveWith(t, m, rel, workers, 2)
 		requireIdentical(t, base, got, fmt.Sprintf("voteWorkers=%d", workers))
 	}
-	// Positive gibbs worker counts are all interchangeable: chains are
-	// seeded by tuple content, not by position or pool size.
-	for _, workers := range []int{1, 4, 8} {
+	// Every gibbs worker count is interchangeable, 0 (GOMAXPROCS)
+	// included: chains are seeded by tuple content, not by position or
+	// pool size.
+	for _, workers := range []int{0, 1, 4, 8} {
 		got := deriveWith(t, m, rel, 4, workers)
 		requireIdentical(t, base, got, fmt.Sprintf("gibbsWorkers=%d", workers))
 	}

@@ -89,50 +89,6 @@ func TestPanicBecomesTypedError(t *testing.T) {
 	}
 }
 
-// TestDAGBatchPanicBecomesTypedError: on a DAG-mode engine the
-// derive.chain point fires once per sampling batch, and a panic there is
-// the request's *PanicError with Op "dag" — for a stream's background
-// batch and for the inline single-tuple batch behind ResolveBlock alike.
-// Nothing was memoized, so the disarmed engine then matches a fresh one.
-func TestDAGBatchPanicBecomesTypedError(t *testing.T) {
-	m, rel := faultFixture(t, 79)
-	oracle := deriveWith(t, m, rel, 4, 0)
-	var multi relation.Tuple
-	for _, tu := range rel.Tuples {
-		if tu.NumMissing() > 1 {
-			multi = tu
-			break
-		}
-	}
-
-	e, err := New(m, engineConfig(4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Configure("derive.chain=panic/1"); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Disable()
-	_, err = e.Derive(rel)
-	_, _, rerr := e.ResolveBlock(context.Background(), multi)
-	for what, err := range map[string]error{"Derive": err, "ResolveBlock": rerr} {
-		var pe *PanicError
-		if !errors.As(err, &pe) || pe.Op != "dag" {
-			t.Errorf("%s under a derive.chain panic returned %v, want *PanicError with Op \"dag\"", what, err)
-		}
-	}
-	if got := e.Stats().PanicsRecovered; got != 2 {
-		t.Errorf("PanicsRecovered = %d, want 2", got)
-	}
-
-	faultinject.Disable()
-	got, err := e.Derive(rel)
-	if err != nil {
-		t.Fatalf("engine unserviceable after recovered panics: %v", err)
-	}
-	requireIdentical(t, oracle, got, "DAG batch after recovery")
-}
-
 // TestPrefetchPanicKeepsStreamExact: a panic in the prefetch pool (before
 // the worker claims a cache slot) costs only the warm-up — the emitter
 // computes the tuple inline and the stream stays bit-identical to the

@@ -70,10 +70,9 @@ func TestAllHitStreamFlushesTwice(t *testing.T) {
 
 // TestFlushBeforeSlowChain: with the derive.chain fault slowing the
 // multi-missing item k, the stream flushes items 0..k-1 before that
-// chain (or, in DAG mode, that batch) returns, whether the emitter
-// computes the chain itself or waits on another goroutine's, on the
-// relation stream and the snapshot stream: a ready line never waits in a
-// buffer while the engine works.
+// chain returns, whether the emitter computes the chain itself or waits
+// on another goroutine's, on the relation stream and the snapshot stream:
+// a ready line never waits in a buffer while the engine works.
 func TestFlushBeforeSlowChain(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 83)
 	const k = 5
@@ -97,17 +96,14 @@ func TestFlushBeforeSlowChain(t *testing.T) {
 		// claim, when set, starts item k's chain on another goroutine
 		// before the stream, so the emitter finds it in flight.
 		claim bool
-		// snapshot streams a registered dataset's snapshot of rel, whose
-		// DAG path runs an inline single-tuple batch.
+		// snapshot streams a registered dataset's snapshot of rel.
 		snapshot bool
 	}{
 		// Every prefetch panics before it claims, so the emitter
 		// computes the chain inline.
 		{"chains/inline", engineConfig(2, 2), "derive.chain=sleep:200ms/1,derive.prefetch=panic/1", false, false},
 		{"chains/wait", engineConfig(2, 2), "derive.chain=sleep:200ms/1", true, false},
-		{"dag", engineConfig(2, 0), "derive.chain=sleep:200ms/1", false, false},
 		{"snapshot/chains", engineConfig(2, 2), "derive.chain=sleep:200ms/1,derive.prefetch=panic/1", false, true},
-		{"snapshot/dag", engineConfig(2, 0), "derive.chain=sleep:200ms/1", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := faultinject.Configure(tc.faults); err != nil {

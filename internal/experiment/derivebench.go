@@ -63,10 +63,9 @@ func buildDirtyRelation(env *Env, rng *rand.Rand, size, patterns int) (*relation
 
 // RunAblationDerive measures the streaming derivation engine
 // (derive.Engine) end to end on a duplicate-heavy dirty relation at
-// several worker counts. Every row uses the independent-chains estimator
-// (GibbsWorkers > 0), whose output is bit-identical for every positive
-// worker count, so the speedup column isolates parallelism; only
-// wall-clock time varies across rows.
+// several worker counts. The engine's independent chains make the output
+// bit-identical for every worker count, so the speedup column isolates
+// parallelism; only wall-clock time varies across rows.
 func RunAblationDerive(opt Options, networks []string, workerCounts []int) ([]DerivePoint, *Table, error) {
 	if err := opt.validate(); err != nil {
 		return nil, nil, err

@@ -12,8 +12,8 @@
 //
 // where point names an injection site (derive.vote, derive.chain,
 // derive.prefetch, gibbs.chain, gibbs.sweep, sink.write, cache.storm,
-// observe.replay, query.replan; derive.chain arrives once per chain, or
-// once per sampling batch on a DAG-mode engine), kind is one of
+// observe.replay, query.replan; derive.chain arrives once per chain),
+// kind is one of
 //
 //	panic  — panic with a faultinject.Panic value at the site
 //	sleep  — block the site for duration (e.g. sleep:2ms)

@@ -2,7 +2,6 @@ package gibbs
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/relation"
@@ -74,7 +73,6 @@ type dagNode struct {
 // remaining active subsumer are promoted to roots to top up their sample
 // count with their own chain.
 func (s *Sampler) TupleDAGRun(workload []relation.Tuple) (*Result, error) {
-	defer dagBatchSeconds.Since(time.Now())
 	dag, err := BuildTupleDAG(workload)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -27,7 +26,6 @@ import (
 // Either way the memo holds value-deterministic entries, so the estimates
 // are identical.
 func (s *Sampler) ParallelTupleAtATime(workload []relation.Tuple, workers int) (*Result, error) {
-	defer batchSeconds.Since(time.Now())
 	distinct, err := distinctIncomplete(workload)
 	if err != nil {
 		return nil, err

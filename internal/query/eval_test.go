@@ -299,7 +299,7 @@ func checkOracle(t *testing.T, label string, q *Query, res *Result, items []deri
 // models, relations, and queries across every operator — with and
 // without probability thresholds — evaluation through the engine is
 // bit-identical to deriving the full database and evaluating naively,
-// at every worker count (chains mode; pool sizes never change answers).
+// at every worker count (pool sizes never change answers).
 func TestEvalMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{11, 12, 13} {

@@ -69,14 +69,9 @@ func Eval(ctx context.Context, eng *derive.Engine, rel *relation.Relation, q *Qu
 // naively over the stream, for every worker count — yet selective
 // queries derive only the tuples whose bounds leave the answer open.
 //
-// The bit-identity contract holds on chains-mode engines (GibbsWorkers >
-// 0), whose multi-missing estimates are content-seeded per tuple. On a
-// DAG-mode engine the evaluator resolves each multi-missing tuple as a
-// single-tuple DAG batch, while full derivation samples the workload
-// holistically — the DAG estimator is workload-dependent by
-// construction, the same caveat derivation itself documents — so
-// DAG-mode answers match the oracle only for tuples already in the
-// joint cache (and dissociation bounds stay disabled there).
+// The contract rests on the engine's multi-missing estimates being
+// content-seeded per tuple: a tuple's block does not depend on which
+// other tuples are resolved with it.
 //
 // Pool sizes affect prefetch scheduling only, never the answer.
 // Canceling ctx aborts evaluation with ctx.Err(). On success the

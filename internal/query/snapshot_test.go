@@ -121,7 +121,7 @@ func newEngine(t *testing.T, m *core.Model, cfg derive.Config) *derive.Engine {
 }
 
 // TestEvalSnapshotMatchesConditionedOracle: randomized queries across
-// every operator over a fully observed dataset, on chains, DAG, and
+// every operator over a fully observed dataset, on unbounded and
 // always-evicting engines, are bit-identical to the fresh-engine oracle
 // over the conditioned database.
 func TestEvalSnapshotMatchesConditionedOracle(t *testing.T) {
@@ -132,7 +132,6 @@ func TestEvalSnapshotMatchesConditionedOracle(t *testing.T) {
 		cfg  derive.Config
 	}{
 		{"chains", engineConfig(2, 4)},
-		{"dag", engineConfig(2, 0)},
 		{"chains-evicting", func() derive.Config {
 			c := engineConfig(2, 4)
 			c.CacheEntries = 1

@@ -39,8 +39,8 @@ func WithTrace(ctx context.Context, tr *Trace) context.Context { return obs.With
 func TraceFrom(ctx context.Context) *Trace { return obs.TraceFrom(ctx) }
 
 // WriteMetrics writes every registered metric — engine stage histograms,
-// Gibbs batch histograms, query plan/exec histograms, and whatever the
-// caller registered — in Prometheus text exposition format.
+// query plan/exec histograms, and whatever the caller registered — in
+// Prometheus text exposition format.
 func WriteMetrics(w io.Writer) { obs.Default.WritePrometheus(w) }
 
 // WriteEngineStatsMetrics renders an EngineStats snapshot as Prometheus

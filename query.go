@@ -116,14 +116,10 @@ func CompileQuery(s *Schema, spec QuerySpec) (*CompiledQuery, error) {
 // cache without expanding a block, multi-missing tuples whose interval
 // clears or refutes the threshold (or cannot reach TopK's rank k) are
 // decided without sampling, and only the remainder is scheduled for full
-// derivation. On a chains-mode engine (DeriveOptions.Workers > 1) the
-// answer is bit-identical to deriving rel completely through this engine
-// and evaluating the stream naively, for every worker count; with the
-// tuple-DAG sampler (Workers <= 1) multi-missing estimates are
-// workload-dependent by construction — the same caveat derivation itself
-// carries — so query-time single-tuple estimates can differ from a full
-// derivation's (and bounds stay disabled). The compiled plan summary is
-// attached to QueryResult.Plan. Canceling ctx aborts the evaluation.
+// derivation. The answer is bit-identical to deriving rel completely
+// through this engine and evaluating the stream naively, for every worker
+// count. The compiled plan summary is attached to QueryResult.Plan.
+// Canceling ctx aborts the evaluation.
 func (e *Engine) Query(ctx context.Context, rel *Relation, q *CompiledQuery) (*QueryResult, error) {
 	return query.Eval(ctx, e.eng, rel, q)
 }
@@ -234,9 +230,8 @@ func (e *Engine) PlanSPJ(ctx context.Context, spj *CompiledSPJ) (*QueryPlanInfo,
 // unconstrained) is bracketed by [Lo, Hi] relative to the very block
 // this engine's derivation would produce. Built from per-attribute
 // conditional-CPD envelopes memoized in the engine's shared CPD cache;
-// degrades to the vacuous [0, 1] on DAG-mode or alternative-capped
-// engines. This is the primitive behind the query planner's
-// multi-missing pruning.
+// degrades to the vacuous [0, 1] on alternative-capped engines. This is
+// the primitive behind the query planner's multi-missing pruning.
 func (e *Engine) BoundCPD(t Tuple, sat [][]bool) (BoundInterval, error) {
 	return e.eng.BoundCPD(t, sat)
 }

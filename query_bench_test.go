@@ -217,8 +217,7 @@ func boundedQueryFixture(b *testing.B) (*deriveBenchEnv, *Relation, *CompiledQue
 }
 
 // boundedOpts is the engine configuration of the bounded-query
-// benchmarks: chains mode with enough samples for tight dissociation
-// intervals.
+// benchmarks: enough samples for tight dissociation intervals.
 func boundedOpts() DeriveOptions {
 	return DeriveOptions{
 		Method:  BestAveraged(),

@@ -183,10 +183,10 @@ type DeriveOptions struct {
 	// MaxAlternatives caps each block's alternatives (most probable kept,
 	// renormalized); <= 0 keeps all combinations.
 	MaxAlternatives int
-	// Workers > 1 runs multi-missing inference with independent parallel
-	// chains (one per distinct tuple, deterministic per-tuple seeding)
-	// instead of the sequential tuple-DAG sampler. Parallelism trades the
-	// DAG's sample sharing for wall-clock speedup on many-core machines.
+	// Workers sizes the goroutine pool that runs multi-missing Gibbs
+	// chains, one independent chain per distinct tuple; <= 0 selects
+	// GOMAXPROCS. Chains are seeded by tuple content, so the derived
+	// database is bit-identical for every pool size.
 	Workers int
 	// VoteWorkers sizes the goroutine pool that shards single-missing
 	// voting; <= 0 selects GOMAXPROCS. Distinct incomplete tuples are
@@ -198,25 +198,19 @@ type DeriveOptions struct {
 	// entries with CLOCK eviction, so long-lived engines serving unbounded
 	// pattern diversity run in fixed memory. <= 0 leaves the vote and
 	// joint caches unbounded and keeps the CPD memo at its large default
-	// cap. With parallel chains (Workers > 1) eviction never changes the
-	// derived stream — cached values are deterministic functions of the
-	// model and their key — it only costs recomputation; with the DAG
-	// sampler an evicted joint is re-estimated alongside a later workload,
-	// which is a different (workload-dependent) estimate by construction.
+	// cap. Eviction never changes the derived stream — cached values are
+	// deterministic functions of the model and their key — it only costs
+	// recomputation.
 	CacheEntries int
 }
 
 func (o DeriveOptions) config() derive.Config {
-	gibbsWorkers := 0 // <= 1 keeps the sequential tuple-DAG sampler
-	if o.Workers > 1 {
-		gibbsWorkers = o.Workers
-	}
 	return derive.Config{
 		Method:          o.Method,
 		Gibbs:           o.Gibbs.config(),
 		MaxAlternatives: o.MaxAlternatives,
 		VoteWorkers:     o.VoteWorkers,
-		GibbsWorkers:    gibbsWorkers,
+		GibbsWorkers:    o.Workers,
 		CacheEntries:    o.CacheEntries,
 	}
 }
@@ -292,23 +286,17 @@ func NewTextSink(w io.Writer, s *Schema) *derive.TextSink { return derive.NewTex
 // once per engine lifetime — the single-missing vote cache and the
 // multi-missing joint cache are shared across requests and persist
 // between them — so overlapping and repeated workloads are served mostly
-// from memory. With opt.Workers > 1 (independent content-seeded chains)
-// every request's output is bit-identical no matter which requests ran
-// before or alongside it. With opt.Workers <= 1 (the paper's tuple-DAG
-// sampler) a multi-missing tuple's cached estimate depends on which
-// request's workload sampled it first, because the DAG estimator is
-// workload-dependent by construction — serving deployments that need
-// request-order-independent answers should use chains. The package-level
+// from memory. Multi-missing tuples run independent content-seeded
+// chains, so every request's output is bit-identical no matter which
+// requests ran before or alongside it. The package-level
 // Derive/DeriveStream helpers construct a throwaway engine per call.
 type Engine struct {
 	eng *derive.Engine
 }
 
 // NewEngine returns a serving engine over the model. opt fixes the voting
-// method, the Gibbs configuration, the estimator for multi-missing tuples
-// (opt.Workers > 1 selects per-block scheduled independent chains;
-// otherwise the workload-level tuple-DAG sampler), and the default pool
-// sizes — which individual requests may override via Pools.
+// method, the Gibbs configuration, and the default pool sizes — which
+// individual requests may override via Pools.
 func NewEngine(m *Model, opt DeriveOptions) (*Engine, error) {
 	e, err := derive.New(m, opt.config())
 	if err != nil {
@@ -370,17 +358,15 @@ func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 // incomplete tuple arrives as a block of mutually exclusive completions
 // distributed according to the inferred Delta_t. Single-missing tuples
 // use ensemble voting sharded across opt.VoteWorkers goroutines with a
-// shared memoization cache; multi-missing tuples use workload-driven
-// Gibbs sampling (tuple-DAG, or per-block scheduled parallel chains when
-// opt.Workers > 1). The emitted stream does not depend on pool sizes: it
-// is bit-identical for every VoteWorkers value and for every Workers
-// count above 1 (chains are seeded by tuple content). Only switching
-// between the DAG sampler (Workers <= 1) and parallel chains changes
-// multi-missing estimates — they are different estimators. The relation's
-// schema must match the model's (else a SchemaMismatchError is returned
-// up front). If emit returns an error the stream stops and DeriveStream
-// returns that error. It runs on a throwaway engine; long-lived callers
-// should construct one Engine and reuse its caches across calls.
+// shared memoization cache; multi-missing tuples use independent Gibbs
+// chains, scheduled per block across opt.Workers goroutines. The emitted
+// stream does not depend on pool sizes: it is bit-identical for every
+// VoteWorkers and Workers value (chains are seeded by tuple content). The
+// relation's schema must match the model's (else a SchemaMismatchError is
+// returned up front). If emit returns an error the stream stops and
+// DeriveStream returns that error. It runs on a throwaway engine;
+// long-lived callers should construct one Engine and reuse its caches
+// across calls.
 func DeriveStream(m *Model, rel *Relation, opt DeriveOptions, emit func(DeriveItem) error) error {
 	e, err := NewEngine(m, opt)
 	if err != nil {

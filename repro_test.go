@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -193,21 +194,31 @@ func TestNewSchemaFacade(t *testing.T) {
 	}
 }
 
+// TestDeriveParallelWorkers: Workers only sizes the chain pool, so every
+// value, 0 (GOMAXPROCS) and 1 included, derives identical blocks.
 func TestDeriveParallelWorkers(t *testing.T) {
 	m, rel := matchmakingModel(t)
-	db, err := Derive(m, rel, DeriveOptions{
-		Gibbs:   GibbsOptions{Samples: 300, BurnIn: 30, Seed: 11},
-		Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Certain) != 8 || len(db.Blocks) != 9 {
-		t.Fatalf("parallel derive: %d certain, %d blocks", len(db.Certain), len(db.Blocks))
-	}
-	for _, b := range db.Blocks {
-		if math.Abs(b.ProbSum()-1) > 1e-6 {
-			t.Errorf("block for %v sums to %v", b.Base, b.ProbSum())
+	var ref *Database
+	for _, workers := range []int{0, 1, 2, 4} {
+		db, err := Derive(m, rel, DeriveOptions{
+			Gibbs:   GibbsOptions{Samples: 300, BurnIn: 30, Seed: 11},
+			Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(db.Certain) != 8 || len(db.Blocks) != 9 {
+			t.Fatalf("workers=%d: %d certain, %d blocks", workers, len(db.Certain), len(db.Blocks))
+		}
+		for _, b := range db.Blocks {
+			if math.Abs(b.ProbSum()-1) > 1e-6 {
+				t.Errorf("workers=%d: block for %v sums to %v", workers, b.Base, b.ProbSum())
+			}
+		}
+		if ref == nil {
+			ref = db
+			continue
+		}
+		requireSameDatabase(t, ref, db, fmt.Sprintf("workers=%d", workers))
 	}
 }
