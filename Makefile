@@ -13,8 +13,9 @@ GOFMT ?= gofmt
 ci: fmt vet race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-check
 
 # Assert every EngineStats counter is exported on GET /metrics and named
-# in README.md's metric table, so the docs and the exposition surface
-# cannot drift from the struct.
+# in README.md's metric table, and every mrsl_engine_* name README.md
+# mentions is exported, so the docs and the exposition surface cannot
+# drift from the struct in either direction.
 metrics-lint:
 	sh scripts/metrics-lint.sh
 

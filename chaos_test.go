@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -95,9 +96,9 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A thresholded exists the collective refute answers without deriving:
+	// A topk whose waves cut candidates the held rank k already decides:
 	// this arms the query.replan fault point on the adaptive path.
-	refuteQ, err := CompileQuery(model.Schema, QuerySpec{Op: QueryExists, Where: "edu=MS,inc=50K", MinProb: 0.9})
+	replanQ, err := CompileQuery(model.Schema, QuerySpec{Op: QueryTopK, Where: "age=40", K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +111,12 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleRefute, err := oracleEng.Query(bg, rel, refuteQ)
+	oracleReplan, err := oracleEng.Query(bg, rel, replanQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oracleRefute.Plan.Adaptive == nil || oracleRefute.Plan.Adaptive.Replans == 0 {
-		t.Fatalf("refute query did not re-plan: %+v", oracleRefute.Plan.Adaptive)
+	if oracleReplan.Plan.Adaptive == nil || oracleReplan.Plan.Adaptive.Replans == 0 {
+		t.Fatalf("re-plan query did not re-plan: %+v", oracleReplan.Plan.Adaptive)
 	}
 	obsIndex, obsAttr, obsVal := consistentObservation(t, oracleDB, rel)
 
@@ -199,10 +200,10 @@ func TestChaosSoak(t *testing.T) {
 					}
 				}
 			}
-			res, err = eng.Query(bg, rel, refuteQ)
-			if tolerate(fmt.Sprintf("querier refute/%d", i), err) && !res.Degraded {
-				if res.Exists != oracleRefute.Exists {
-					fail("querier refute/%d: exists %v, want %v", i, res.Exists, oracleRefute.Exists)
+			res, err = eng.Query(bg, rel, replanQ)
+			if tolerate(fmt.Sprintf("querier replan/%d", i), err) && !res.Degraded {
+				if !reflect.DeepEqual(res.Rows, oracleReplan.Rows) {
+					fail("querier replan/%d: rows %v, want bit-identical %v", i, res.Rows, oracleReplan.Rows)
 				}
 			}
 		}

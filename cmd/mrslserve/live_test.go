@@ -257,12 +257,12 @@ func TestServeLiveRoundTrip(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Observations != 2 || st.Datasets != 1 {
-		t.Errorf("stats: observations=%d datasets=%d, want 2/1", st.Observations, st.Datasets)
+	if st.Engine.Observations != 2 || st.Engine.Datasets != 1 {
+		t.Errorf("stats: observations=%d datasets=%d, want 2/1", st.Engine.Observations, st.Engine.Datasets)
 	}
 	// The second delta superseded the first delta's conditioned entry:
 	// exactly that entry was invalidated, eagerly.
-	if st.InvalidatedEntries == 0 {
+	if st.Engine.InvalidatedEntries == 0 {
 		t.Error("stats: observe invalidated no conditioned entries")
 	}
 

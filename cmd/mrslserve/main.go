@@ -117,11 +117,13 @@
 //	               superseded conditioned entry — nothing else. A
 //	               conflicting or zero-remaining-mass delta stops the
 //	               batch with 409 and reports how many applied.
-//	GET  /stats    engine cache counters, hit rates, query pruning and
-//	               bound totals, live-evidence counters (observations,
-//	               invalidated entries, watchers, datasets), admission
-//	               counters (requests = accepted + rejected), uptime,
-//	               build revision.
+//	GET  /stats    "engine": the EngineStats snapshot under its Go
+//	               field names (cache, query, live-evidence and
+//	               fail-soft counters; the same snapshot /metrics
+//	               exports as mrsl_engine_*), plus the server's own
+//	               admission counters (requests = accepted + rejected +
+//	               shed), drain state, handler panics, uptime, build
+//	               revision.
 //	GET  /metrics  Prometheus text exposition: every engine stats counter
 //	               (mrsl_engine_*), per-endpoint request latency
 //	               histograms (mrsl_http_request_seconds{path=...}),
@@ -1584,32 +1586,11 @@ func queryFromRequest(schema *repro.Schema, r *http.Request) (*repro.CompiledQue
 	return repro.CompileQuery(schema, spec)
 }
 
-// statsResponse is the /stats payload: the engine's cache counters plus
-// serving-level bookkeeping.
+// statsResponse is the /stats payload: the engine's counters, exactly
+// as EngineStats carries them (the same snapshot /metrics exports as
+// mrsl_engine_* gauges), plus serving-level bookkeeping.
 type statsResponse struct {
-	Engine       repro.EngineStats `json:"engine"`
-	VoteHitRate  float64           `json:"vote_hit_rate"`
-	GibbsHitRate float64           `json:"gibbs_hit_rate"`
-	CPDHitRate   float64           `json:"cpd_hit_rate"`
-	BoundHitRate float64           `json:"bound_hit_rate"`
-	// EnvelopeHitRate is the hit rate of the shared combined-envelope
-	// interval cache adaptive planning probes; Replans counts executor
-	// re-plan rounds that cut remaining candidates mid-query.
-	EnvelopeHitRate float64 `json:"envelope_hit_rate"`
-	Replans         int64   `json:"replans"`
-	Evictions       int64   `json:"evictions"`
-	BoundTightness  float64 `json:"query_bound_tightness"`
-	BoundRefutes    int64   `json:"bound_refutes"`
-	// QueriesDissociated counts completed queries answered over a
-	// dissociated lineage (unsafe SPJ plans, exists or projection).
-	QueriesDissociated int64 `json:"queries_dissociated"`
-	// Live-evidence counters: observations applied across all datasets,
-	// conditioned cache entries invalidated (eagerly or by epoch
-	// mismatch), and the current watcher and dataset gauges.
-	Observations       int64 `json:"observations"`
-	InvalidatedEntries int64 `json:"invalidated_entries"`
-	Watchers           int64 `json:"watchers"`
-	Datasets           int64 `json:"datasets"`
+	Engine repro.EngineStats `json:"engine"`
 	// Requests counts offered inference requests: accepted + rejected +
 	// shed.
 	Requests int64 `json:"requests"`
@@ -1634,34 +1615,19 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.eng.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(statsResponse{
-		Engine:             st,
-		VoteHitRate:        st.VoteHitRate(),
-		GibbsHitRate:       st.GibbsHitRate(),
-		CPDHitRate:         st.CPDHitRate(),
-		BoundHitRate:       st.BoundHitRate(),
-		EnvelopeHitRate:    st.EnvelopeHitRate(),
-		Replans:            st.Replans,
-		Evictions:          st.Evictions + st.CPDEvictions,
-		BoundTightness:     st.QueryBoundTightness(),
-		BoundRefutes:       st.BoundRefutes,
-		QueriesDissociated: st.QueriesDissociated,
-		Observations:       st.Observations,
-		InvalidatedEntries: st.InvalidatedEntries,
-		Watchers:           st.Watchers,
-		Datasets:           st.Datasets,
-		Requests:           s.requests.Load(),
-		Accepted:           s.accepted.Load(),
-		Failed:             s.failed.Load(),
-		Rejected:           s.rejected.Load(),
-		Shed:               s.shed.Load(),
-		Draining:           s.draining.Load(),
-		ServerPanics:       s.panics.Load(),
-		UptimeSeconds:      time.Since(s.start).Seconds(),
-		Revision:           obs.BuildRevision(),
-		GoVersion:          obs.GoVersion(),
+		Engine:        s.eng.Stats(),
+		Requests:      s.requests.Load(),
+		Accepted:      s.accepted.Load(),
+		Failed:        s.failed.Load(),
+		Rejected:      s.rejected.Load(),
+		Shed:          s.shed.Load(),
+		Draining:      s.draining.Load(),
+		ServerPanics:  s.panics.Load(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
+		Revision:      obs.BuildRevision(),
+		GoVersion:     obs.GoVersion(),
 	})
 }
 

@@ -456,7 +456,7 @@ func TestServeWatchDisconnectUnsubscribes(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			if st := getStats(t, ts); st.Watchers == want {
+			if st := getStats(t, ts); st.Engine.Watchers == want {
 				return
 			}
 			if time.Now().After(deadline) {

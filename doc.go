@@ -110,9 +110,10 @@
 // even the last bit differs; multi-missing tuples receive a sound
 // dissociation-style [lo, hi] interval from Engine.BoundCPD, built from
 // per-attribute conditional-CPD envelopes (min/max satisfying mass over
-// every local CPD the tuple's chain could draw from, memoized in the
-// same sharded CLOCK-bounded CPD cache) combined with Frechet bounds
-// and widened by an explicit concentration-plus-smoothing margin; and
+// every local CPD the tuple's chain could draw from, served by the same
+// sharded CLOCK-bounded CPD cache, which memoizes the finished
+// interval too) combined with Frechet bounds and widened by an
+// explicit concentration-plus-smoothing margin; and
 // only tuples whose interval straddles the decision are derived. The
 // executor consumes the tiers in cost order: a thresholded count counts
 // a tuple in when lo clears MinProb and out when hi stays below; a
@@ -129,8 +130,8 @@
 // QueryResult.Plan carries the compiled plan summary (mrslquery
 // -explain prints it), and EngineStats reports the achieved pruning
 // (QueryTuples, QueryPruned, QueryBounded, QueryDerived, BoundRefutes,
-// BoundsComputed/BoundHits, and QueryBoundTightness over the real
-// interval widths). cmd/mrslserve exposes the same evaluation over HTTP
+// and QueryBoundWidth, the summed width of the real intervals).
+// cmd/mrslserve exposes the same evaluation over HTTP
 // as POST /query (NDJSON: a query record, result records — streamed
 // incrementally with partial/final markers for topk and groupby — and a
 // summary with the plan and the pruning counters).
@@ -138,20 +139,21 @@
 // # Adaptive execution
 //
 // The plan is a starting point, not a contract. The executor re-plans
-// mid-query: topk resolves candidates in waves and, before each wave,
-// cuts every remaining candidate whose upper bound can no longer beat
-// the held rank k (cut candidates are never prefetched, so their
-// chains never run); a thresholded exists whose lower-bound pass falls
-// short folds the derivation-free upper bound into a collective refute
-// that can answer no without deriving anything. The combined per-tuple
-// envelope intervals bounded plans compute are content-keyed and
-// shared across queries through the engine's CPD cache
-// (EngineStats.EnvelopeHits/EnvelopeMisses). All of it is scheduling
-// only: answers are bit-identical to the derive-everything oracle, and
-// a plan depends on nothing outside its own engine. Re-plan rounds and
-// envelope-cache traffic surface on the plan's Adaptive block
-// (QueryAdaptiveInfo), in mrslquery -explain, the /query summary,
-// /stats, and /metrics.
+// topk mid-query: it resolves candidates in waves and, before each
+// wave, cuts every remaining candidate whose upper bound can no longer
+// beat the held rank k (cut candidates are never prefetched, so their
+// chains never run). The finished per-tuple intervals bounded plans
+// compute are content-keyed and shared across queries through the
+// engine's CPD cache (EngineStats.EnvelopeHits/EnvelopeMisses), so a
+// repeated footprint costs one probe instead of an envelope
+// enumeration. Both mechanisms earned their place in an ablation on
+// the query_live benchmark workload; mechanisms that never fired there
+// were deleted. All of it is scheduling only: answers are bit-identical
+// to the derive-everything oracle, and a plan depends on nothing
+// outside its own engine. Re-plan rounds and interval-cache traffic
+// surface on the plan's Adaptive block (QueryAdaptiveInfo), in
+// mrslquery -explain, the /query summary, the engine block of /stats,
+// and /metrics.
 //
 // # Intensional SPJ queries
 //

@@ -91,9 +91,6 @@ func TestCPDStatsExposed(t *testing.T) {
 	if st.CPDHits == 0 {
 		t.Fatalf("no CPD hits recorded across chain sweeps (Stats=%+v)", st)
 	}
-	if rate := st.CPDHitRate(); rate <= 0 || rate >= 1 {
-		t.Fatalf("CPDHitRate = %v, want in (0,1)", rate)
-	}
 }
 
 // TestSingleMissingSharesCPDCache checks the cross-path sharing claim: a

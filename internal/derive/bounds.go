@@ -74,35 +74,15 @@ func boundSlack(samples int) float64 {
 	return math.Sqrt(12.5 / float64(samples))
 }
 
-// appendBoundKey builds the CPD-cache key of one memoized envelope. The
-// 0xFF marker keeps envelope entries disjoint from ordinary CPD entries,
-// whose first byte is a (small) voting-method choice. Envelopes bracket
-// the chains' draws, so they are keyed (and voted) with the Gibbs
-// local-CPD method — which may differ from the engine's single-missing
-// vote method on a mixed-method engine.
-func appendBoundKey(dst []byte, attr int, t relation.Tuple, cfg Config) []byte {
-	dst = append(dst, 0xFF)
-	return gibbs.AppendCPDKey(dst, attr, cfg.Gibbs.Method, t)
-}
-
 // boundEnvelope returns, for missing attribute attr of multi-missing
 // tuple t, per-value envelopes lo[v] <= P(attr = v | assignment) <=
 // hi[v] over every assignment of t's other missing attributes — exactly
 // the family of local CPDs a Gibbs chain for t can ever draw attr from.
 // The CPDs themselves are served through the engine's shared CPD cache
-// (the same slots the chains fill), and the finished envelope is
-// memoized there too, under the same CLOCK bound. A nil result (with nil
-// error) means the enumeration would exceed maxBoundStates.
+// (the same slots the chains fill); the envelope is not memoized, since
+// BoundCPD's interval cache answers every repeat first. A nil result
+// (with nil error) means the enumeration would exceed maxBoundStates.
 func (e *Engine) boundEnvelope(t relation.Tuple, attr int) (lo, hi dist.Dist, err error) {
-	card := e.model.Schema.Attrs[attr].Card()
-	envKey := appendBoundKey(nil, attr, t, e.cfg)
-	if v, ok := e.cpd.Get(envKey); ok && len(v) == 2*card {
-		e.mu.Lock()
-		e.stats.BoundHits++
-		e.mu.Unlock()
-		return v[:card:card], v[card:], nil
-	}
-
 	var others []int
 	states := 1
 	for _, a := range t.MissingAttrs() {
@@ -116,12 +96,10 @@ func (e *Engine) boundEnvelope(t relation.Tuple, attr int) (lo, hi dist.Dist, er
 		states *= c
 		others = append(others, a)
 	}
-	// Only the enumeration below is timed: the cache-hit path above is a
-	// single probe on the planner's per-tuple path.
 	defer boundSeconds.Since(time.Now())
 
-	env := make(dist.Dist, 2*card)
-	lo, hi = env[:card:card], env[card:]
+	card := e.model.Schema.Attrs[attr].Card()
+	lo, hi = make(dist.Dist, card), make(dist.Dist, card)
 	for v := range lo {
 		lo[v] = 1
 	}
@@ -143,10 +121,6 @@ func (e *Engine) boundEnvelope(t relation.Tuple, attr int) (lo, hi dist.Dist, er
 			hi[v] = math.Max(hi[v], p)
 		}
 	}
-	e.cpd.Put(envKey, env)
-	e.mu.Lock()
-	e.stats.BoundsComputed++
-	e.mu.Unlock()
 	return lo, hi, nil
 }
 
@@ -180,25 +154,57 @@ func (e *Engine) stateCPD(state relation.Tuple, attr int, keyBuf *[]byte) (dist.
 // ever scheduling a chain; see the soundness argument at the top of this
 // file.
 //
-// The interval is built from per-attribute conditional-CPD envelopes
-// (memoized in the engine's sharded CPD cache, evicted under the same
-// CLOCK bound as the chains' entries) combined with Frechet bounds and
-// widened by the concentration and smoothing margins. It degrades to the
-// vacuous [0, 1] — never an error — whenever bounding is not sound or
-// not affordable: on an engine capping block alternatives (the cap
-// renormalizes the block), or when an envelope would enumerate more than
-// maxBoundStates assignments.
-func (e *Engine) BoundCPD(t relation.Tuple, sat [][]bool) (Interval, error) {
+// Intervals are memoized in the engine's sharded CLOCK CPD cache under a
+// content key (appendIntervalKey), so concurrent and successive queries
+// whose predicates induce the same satisfying sets on the same evidence
+// pattern share one interval instead of re-enumerating its envelopes.
+// hit reports a cache hit; Stats.EnvelopeHits and Stats.EnvelopeMisses
+// count the probes. A cached interval is a pure function of (model,
+// config, tuple, satisfying sets), so a hit is bit-identical to
+// recomputation and eviction only costs re-enumeration.
+//
+// The interval degrades to the vacuous [0, 1] — never an error —
+// whenever bounding is not sound or not affordable: on an engine capping
+// block alternatives (the cap renormalizes the block) or recording too
+// few samples for the concentration margin to stay below 1, where it is
+// neither cached nor counted, and when an envelope would enumerate more
+// than maxBoundStates assignments.
+func (e *Engine) BoundCPD(t relation.Tuple, sat [][]bool) (iv Interval, hit bool, err error) {
 	if t.NumMissing() < 2 {
-		return VacuousInterval, fmt.Errorf("derive: BoundCPD needs a multi-missing tuple, got %v", t)
+		return VacuousInterval, false, fmt.Errorf("derive: BoundCPD needs a multi-missing tuple, got %v", t)
 	}
-	if e.cfg.MaxAlternatives > 0 {
-		return VacuousInterval, nil
+	if e.cfg.MaxAlternatives > 0 || boundSlack(e.cfg.Gibbs.Samples) >= 1 {
+		return VacuousInterval, false, nil
 	}
+	buf := intervalKeyPool.Get().(*[]byte)
+	key, err := e.appendIntervalKey((*buf)[:0], t, sat)
+	*buf = key
+	defer intervalKeyPool.Put(buf)
+	if err != nil {
+		return VacuousInterval, false, err
+	}
+	if v, ok := e.cpd.Get(key); ok && len(v) == 2 {
+		e.mu.Lock()
+		e.stats.EnvelopeHits++
+		e.mu.Unlock()
+		return Interval{Lo: v[0], Hi: v[1]}, true, nil
+	}
+	e.mu.Lock()
+	e.stats.EnvelopeMisses++
+	e.mu.Unlock()
+	iv, err = e.boundCPD(t, sat)
+	if err != nil {
+		return iv, false, err
+	}
+	e.cpd.Put(key, dist.Dist{iv.Lo, iv.Hi})
+	return iv, false, nil
+}
+
+// boundCPD is BoundCPD's uncached computation: per-attribute
+// conditional-CPD envelopes combined with Frechet bounds and widened by
+// the concentration and smoothing margins.
+func (e *Engine) boundCPD(t relation.Tuple, sat [][]bool) (Interval, error) {
 	eps := boundSlack(e.cfg.Gibbs.Samples)
-	if eps >= 1 {
-		return VacuousInterval, nil
-	}
 
 	// The final estimate is Normalize().Smooth(SmoothFloor): smoothing
 	// shifts any outcome set's mass by at most jointSize*SmoothFloor
@@ -215,19 +221,8 @@ func (e *Engine) BoundCPD(t relation.Tuple, sat [][]bool) (Interval, error) {
 	constrained := 0
 	for _, a := range t.MissingAttrs() {
 		set := sat[a]
-		if set == nil {
-			continue
-		}
-		if len(set) != e.model.Schema.Attrs[a].Card() {
-			return VacuousInterval, fmt.Errorf("derive: BoundCPD satisfying set for attribute %d has %d values, want %d",
-				a, len(set), e.model.Schema.Attrs[a].Card())
-		}
-		full := true
-		for _, ok := range set {
-			full = full && ok
-		}
-		if full {
-			continue // satisfied by the whole domain: mass exactly 1
+		if set == nil || full(set) {
+			continue // unconstrained, or satisfied by the whole domain: mass exactly 1
 		}
 		envLo, envHi, err := e.boundEnvelope(t, a)
 		if err != nil {
@@ -264,6 +259,16 @@ func (e *Engine) BoundCPD(t relation.Tuple, sat [][]bool) (Interval, error) {
 	return Interval{Lo: clamp01(lo - smooth), Hi: math.Min(hi+smooth, probCeiling)}, nil
 }
 
+// full reports whether a satisfying set admits every value.
+func full(set []bool) bool {
+	for _, ok := range set {
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // probCeiling saturates upper bounds just above 1: a block's
 // float-summed satisfying mass can exceed 1 by accumulation slop, so an
 // upper bound clamped to exactly 1 would not contain it.
@@ -271,39 +276,38 @@ const probCeiling = 1 + 1e-9
 
 func clamp01(x float64) float64 { return math.Min(1, math.Max(0, x)) }
 
-// appendIntervalKey builds the CPD-cache key of one memoized combined
-// interval: the 0xFE marker (disjoint from both ordinary CPD entries
-// and 0xFF per-attribute envelopes), the tuple's canonical evidence
-// key, then — for each constrained missing attribute, in attribute
-// order — the attribute index and its satisfying set packed as a
-// bitmask. Attributes whose set is nil or covers the whole domain are
-// omitted, exactly mirroring which attributes BoundCPD folds, so
+// appendIntervalKey builds the CPD-cache key of one memoized interval:
+// the 0xFE marker (disjoint from ordinary CPD entries, whose first byte
+// is a small voting-method choice), t's canonical evidence key, the
+// uvarint len(t), then — for each constrained missing attribute, in
+// attribute order — the attribute index and its satisfying set packed
+// as a bitmask. Attributes whose set is nil or covers the whole domain
+// are omitted, exactly mirroring which attributes boundCPD folds, so
 // queries that constrain the same attributes the same way share one
 // entry even when their untouched predicates differ. The encoding is
-// unambiguous: the evidence key is self-delimiting, mask lengths are
-// fixed by each attribute's cardinality, and attribute indices are
-// single varints between masks.
-func appendIntervalKey(dst []byte, t relation.Tuple, sat [][]bool) []byte {
+// injective: the evidence key is a run of (index, value) varint pairs
+// with no terminator of its own, so len(t), which no attribute index
+// equals, closes it; mask lengths are fixed by each attribute's
+// cardinality, which is why a set of any other length is rejected; and
+// attribute indices are single varints between masks.
+func (e *Engine) appendIntervalKey(dst []byte, t relation.Tuple, sat [][]bool) ([]byte, error) {
 	dst = append(dst, 0xFE)
 	dst = t.AppendKey(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for a, v := range t {
-		if v != relation.Missing {
+		if v != relation.Missing || sat[a] == nil {
 			continue
 		}
-		set := sat[a]
-		if set == nil {
-			continue
+		if card := e.model.Schema.Attrs[a].Card(); len(sat[a]) != card {
+			return dst, fmt.Errorf("derive: BoundCPD satisfying set for attribute %d has %d values, want %d",
+				a, len(sat[a]), card)
 		}
-		full := true
-		for _, ok := range set {
-			full = full && ok
-		}
-		if full {
+		if full(sat[a]) {
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(a))
 		var b byte
-		for v, ok := range set {
+		for v, ok := range sat[a] {
 			if ok {
 				b |= 1 << (uint(v) % 8)
 			}
@@ -312,55 +316,14 @@ func appendIntervalKey(dst []byte, t relation.Tuple, sat [][]bool) []byte {
 				b = 0
 			}
 		}
-		if len(set)%8 != 0 {
+		if len(sat[a])%8 != 0 {
 			dst = append(dst, b)
 		}
 	}
-	return dst
+	return dst, nil
 }
 
-// intervalKeyPool recycles interval-cache key buffers across
-// BoundCPDShared calls, so the steady-state plan path probes the shared
-// cache without allocating.
+// intervalKeyPool recycles interval-cache key buffers across BoundCPD
+// calls, so the steady-state plan path probes the shared cache without
+// allocating.
 var intervalKeyPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
-
-// BoundCPDShared serves BoundCPD through a content-keyed shared
-// interval cache: the finished per-tuple [lo, hi] is memoized in the
-// engine's sharded CLOCK CPD cache (under a 0xFE-marked key), so
-// concurrent queries whose predicates induce the same satisfying sets
-// on the same evidence pattern reuse one combination instead of
-// re-enumerating — the cross-query analog of the per-attribute envelope
-// memo. hit reports a cache hit; a miss computes the interval and
-// stores it. Cached intervals are pure functions of (model, config,
-// tuple, satisfying sets), so a hit is bit-identical to recomputation;
-// eviction only costs re-enumeration. Stats.EnvelopeHits /
-// Stats.EnvelopeMisses count the probes.
-func (e *Engine) BoundCPDShared(t relation.Tuple, sat [][]bool) (iv Interval, hit bool, err error) {
-	if t.NumMissing() < 2 {
-		return VacuousInterval, false, fmt.Errorf("derive: BoundCPD needs a multi-missing tuple, got %v", t)
-	}
-	if e.cfg.MaxAlternatives > 0 || boundSlack(e.cfg.Gibbs.Samples) >= 1 {
-		// Bounding is structurally disabled: every interval is vacuous, so
-		// there is nothing worth caching or counting.
-		return VacuousInterval, false, nil
-	}
-	buf := intervalKeyPool.Get().(*[]byte)
-	key := appendIntervalKey((*buf)[:0], t, sat)
-	*buf = key
-	defer intervalKeyPool.Put(buf)
-	if v, ok := e.cpd.Get(key); ok && len(v) == 2 {
-		e.mu.Lock()
-		e.stats.EnvelopeHits++
-		e.mu.Unlock()
-		return Interval{Lo: v[0], Hi: v[1]}, true, nil
-	}
-	e.mu.Lock()
-	e.stats.EnvelopeMisses++
-	e.mu.Unlock()
-	iv, err = e.BoundCPD(t, sat)
-	if err != nil {
-		return iv, false, err
-	}
-	e.cpd.Put(key, dist.Dist{iv.Lo, iv.Hi})
-	return iv, false, nil
-}

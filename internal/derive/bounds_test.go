@@ -103,7 +103,7 @@ func TestBoundCPDSoundness(t *testing.T) {
 			for _, tu := range tuples {
 				for trial := 0; trial < 3; trial++ {
 					sat := randomSat(satRng, tu, cards)
-					iv, err := eng.BoundCPD(tu, sat)
+					iv, _, err := eng.BoundCPD(tu, sat)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -122,8 +122,8 @@ func TestBoundCPDSoundness(t *testing.T) {
 					}
 				}
 			}
-			if st := eng.Stats(); st.BoundsComputed == 0 {
-				t.Fatalf("workers=%d cache=%d: no envelopes computed: %+v", cb.workers, cb.cacheEntries, st)
+			if st := eng.Stats(); st.EnvelopeMisses == 0 {
+				t.Fatalf("workers=%d cache=%d: no intervals computed: %+v", cb.workers, cb.cacheEntries, st)
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func TestBoundCPDInformative(t *testing.T) {
 		sat := make([][]bool, nAttrs)
 		sat[a1] = make([]bool, cards[a1])
 		sat[a1][rng.Intn(cards[a1])] = true
-		iv, err := eng.BoundCPD(tu, sat)
+		iv, _, err := eng.BoundCPD(tu, sat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestBoundCPDGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iv, err := capped.BoundCPD(tu, sat); err != nil || !iv.Vacuous() {
+	if iv, _, err := capped.BoundCPD(tu, sat); err != nil || !iv.Vacuous() {
 		t.Fatalf("capped engine: interval %+v err %v, want vacuous and nil", iv, err)
 	}
 
@@ -200,24 +200,26 @@ func TestBoundCPDGates(t *testing.T) {
 	}
 	single := inst.Sample(rng)
 	single[0] = relation.Missing
-	if _, err := chains.BoundCPD(single, sat); err == nil {
+	if _, _, err := chains.BoundCPD(single, sat); err == nil {
 		t.Fatal("single-missing tuple should be rejected")
 	}
 
-	// Envelope memoization: a second identical call must be served from
-	// the shared CPD cache.
-	if _, err := chains.BoundCPD(tu, sat); err != nil {
-		t.Fatal(err)
+	// Interval memoization: a second identical call must be served from
+	// the shared CPD cache, bit-identically.
+	first, hit, err := chains.BoundCPD(tu, sat)
+	if err != nil || hit {
+		t.Fatalf("first BoundCPD: hit %v err %v, want a computed miss", hit, err)
 	}
 	before := chains.Stats()
-	if _, err := chains.BoundCPD(tu, sat); err != nil {
+	second, hit, err := chains.BoundCPD(tu, sat)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := chains.Stats()
-	if after.BoundHits <= before.BoundHits {
-		t.Fatalf("second BoundCPD did not hit the envelope memo: %+v -> %+v", before, after)
+	if !hit || second != first {
+		t.Fatalf("second BoundCPD: %+v hit %v, want the memoized %+v", second, hit, first)
 	}
-	if after.BoundsComputed != before.BoundsComputed {
-		t.Fatalf("second BoundCPD recomputed envelopes: %+v -> %+v", before, after)
+	if after.EnvelopeHits != before.EnvelopeHits+1 || after.EnvelopeMisses != before.EnvelopeMisses {
+		t.Fatalf("second BoundCPD recomputed the interval: %+v -> %+v", before, after)
 	}
 }

@@ -394,7 +394,9 @@ func (d *Dataset) Snapshot(ctx context.Context) (*DatasetSnapshot, error) {
 // through as certain tuples after a collapse) instead of being
 // re-inferred. Unobserved tuples resolve through the engine's caches
 // exactly as a batch stream would, so the two paths agree bit-for-bit
-// on them. It is observed, counted and panic-guarded like StreamContext.
+// on them. It runs StreamContext's emit loop, so it is observed,
+// counted, panic-guarded and drained of its prefetch pools before it
+// returns, like StreamContext.
 func (e *Engine) StreamSnapshot(ctx context.Context, snap *DatasetSnapshot, pools Pools, emit EmitFunc) error {
 	return e.run(ctx, emit, nil, func(o *out) error { return e.streamSnapshot(ctx, snap, pools, o) })
 }
@@ -403,53 +405,7 @@ func (e *Engine) streamSnapshot(ctx context.Context, snap *DatasetSnapshot, pool
 	if snap == nil {
 		return fmt.Errorf("derive: nil snapshot")
 	}
-	var prefetch []relation.Tuple
-	for i, t := range snap.Rel.Tuples {
-		if _, ok := snap.Overrides[i]; !ok && !t.IsComplete() {
-			prefetch = append(prefetch, t)
-		}
-	}
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// Prefetch is an optimization: a panicking warm-up never
-				// fails the snapshot stream, the emitter resolves inline.
-				e.mu.Lock()
-				e.stats.PanicsRecovered++
-				e.mu.Unlock()
-			}
-			<-done // hold the goroutine's reference until the emitter finishes
-		}()
-		e.PrefetchBlocks(ctx, prefetch, pools)
-	}()
-	var keyBuf []byte
-	for i, t := range snap.Rel.Tuples {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var err error
-		if b, ok := snap.Overrides[i]; ok {
-			if b.Base.IsComplete() {
-				err = o.put(Item{Index: i, Tuple: b.Base})
-			} else {
-				err = o.put(Item{Index: i, Tuple: b.Base, Block: b})
-			}
-		} else if tier := e.tier(t); tier == tierComplete {
-			err = o.put(Item{Index: i, Tuple: t})
-		} else {
-			var b *pdb.Block
-			keyBuf = t.AppendKey(keyBuf[:0])
-			if b, _, err = e.resolve(ctx, tier, t, keyBuf, o); err == nil {
-				err = o.put(Item{Index: i, Tuple: t, Block: b})
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.stream(ctx, snap.Rel.Tuples, snap.Overrides, pools, o)
 }
 
 // Engine-side accessors for the conditioned-block cache and the live

@@ -2,7 +2,9 @@ package derive
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pdb"
@@ -394,5 +396,46 @@ func TestDatasetStatsAndWatchers(t *testing.T) {
 	}
 	if st := e.Stats(); st.Datasets != 0 {
 		t.Fatalf("datasets gauge = %d after drop", st.Datasets)
+	}
+}
+
+// TestStreamSnapshotPrefetchStopsWithStream: a snapshot stream whose
+// emitter fails returns only after its prefetch pools have drained, like
+// a relation stream, so no chain runs on its behalf once it has
+// returned.
+func TestStreamSnapshotPrefetchStopsWithStream(t *testing.T) {
+	m, inst, rng := learnBN(t, "BN8", 2000, 71)
+	rel := relation.NewRelation(inst.Top.Schema())
+	for i := 0; i < 400; i++ {
+		tu := inst.Sample(rng)
+		for _, a := range rng.Perm(len(tu))[:2] {
+			tu[a] = relation.Missing
+		}
+		if err := rel.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := engineConfig(2, 2)
+	cfg.Gibbs.Samples = 3000
+	e, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := e.RegisterDataset(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ds.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	if err := e.StreamSnapshot(context.Background(), snap, Pools{}, func(Item) error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("StreamSnapshot error = %v, want the emitter's", err)
+	}
+	returned := e.Stats().GibbsComputed
+	time.Sleep(300 * time.Millisecond)
+	if later := e.Stats().GibbsComputed; later != returned {
+		t.Fatalf("chains kept running after StreamSnapshot returned: %d at return, %d 300ms later", returned, later)
 	}
 }

@@ -192,22 +192,16 @@ type Stats struct {
 	// CLOCK sweep.
 	CPDHits, CPDMisses, CPDEvictions int64
 
-	// BoundsComputed counts dissociation-bound envelopes (BoundCPD)
-	// actually enumerated; BoundHits counts envelope probes served from
-	// the shared CPD cache instead.
-	BoundsComputed, BoundHits int64
-
-	// EnvelopeHits and EnvelopeMisses instrument the shared combined-
-	// envelope interval cache (BoundCPDShared): probes of a finished
-	// per-tuple [lo, hi] interval served from the sharded CLOCK cache,
-	// and probes that missed and were enumerated. Overlapping concurrent
-	// queries show up here as the second query's hits.
+	// EnvelopeHits and EnvelopeMisses instrument BoundCPD's shared
+	// interval cache: probes of a finished per-tuple [lo, hi] interval
+	// served from the sharded CLOCK cache, and probes that missed and
+	// were enumerated. Overlapping concurrent queries show up here as the
+	// second query's hits.
 	EnvelopeHits, EnvelopeMisses int64
 
-	// Replans counts executor re-plan rounds — points where a query
-	// evaluation re-weighed its remaining candidates against the
-	// now-tighter aggregate interval and decided at least one of them
-	// without inference (a topk wave cut, an exists collective refute).
+	// Replans counts executor re-plan rounds: topk waves whose sweep cut
+	// at least one remaining candidate the held rank k already decides,
+	// so its chain never runs.
 	Replans int64
 
 	// Fail-soft counters.
@@ -277,48 +271,6 @@ type Stats struct {
 	QueriesDissociated int64
 }
 
-// QueryBoundTightness returns 1 minus the average bound-interval width
-// over all query-scanned tuples that were classified (pruned, bounded, or
-// derived) — 1 when bounds alone decided every tuple, 0 when every tuple
-// needed full derivation.
-func (s Stats) QueryBoundTightness() float64 {
-	classified := s.QueryPruned + s.QueryBounded + s.QueryDerived
-	if classified == 0 {
-		return 0
-	}
-	return 1 - s.QueryBoundWidth/float64(classified)
-}
-
-// BoundHitRate returns the fraction of dissociation-envelope probes
-// served from the shared CPD cache rather than enumerated afresh.
-func (s Stats) BoundHitRate() float64 {
-	total := s.BoundHits + s.BoundsComputed
-	if total == 0 {
-		return 0
-	}
-	return float64(s.BoundHits) / float64(total)
-}
-
-// EnvelopeHitRate returns the fraction of shared interval-cache probes
-// (BoundCPDShared) served from the cache rather than missed.
-func (s Stats) EnvelopeHitRate() float64 {
-	total := s.EnvelopeHits + s.EnvelopeMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.EnvelopeHits) / float64(total)
-}
-
-// CPDHitRate returns the fraction of local-CPD probes served from the
-// shared cache.
-func (s Stats) CPDHitRate() float64 {
-	total := s.CPDHits + s.CPDMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CPDHits) / float64(total)
-}
-
 // VoteHitRate returns the fraction of single-missing input tuples served
 // from the shared memo cache rather than voted afresh. Clamped at 0: the
 // prefetch pools run ahead of the emitters, so a snapshot taken
@@ -370,13 +322,12 @@ type Engine struct {
 }
 
 // entry is a single-flight cache slot for one distinct evidence pattern.
-// The claimer computes joint/block/err and closes ready; everyone else
-// waits on ready. The expanded completion block is memoized alongside the
-// joint — blocks are immutable once built, so every duplicate of a damage
-// pattern shares one block instead of re-expanding the joint per emission.
+// The claimer computes block/err and closes ready; everyone else waits on
+// ready. The slot memoizes the expanded completion block, not the joint —
+// blocks are immutable once built, so every duplicate of a damage pattern
+// shares one block instead of re-expanding the joint per emission.
 type entry struct {
 	ready chan struct{}
-	joint *dist.Joint
 	block *pdb.Block
 	err   error
 }
@@ -646,17 +597,17 @@ func (e *Engine) prefetchVote(t relation.Tuple, key []byte) {
 	}
 }
 
-// fillVote computes a claimed vote entry: the 1-attribute joint and its
-// expanded block. A panic during the computation is recovered into
+// fillVote computes a claimed vote entry: the 1-attribute joint, expanded
+// into its block. A panic during the computation is recovered into
 // en.err and the slot is invalidated; the deferred close always runs
 // (after the recovery, so waiters never observe a half-written entry).
 func (e *Engine) fillVote(en *entry, t relation.Tuple, key []byte) {
 	defer close(en.ready)
 	defer e.recoverEntry(en, e.votes, key, "vote")
 	defer voteSeconds.Since(time.Now())
-	en.joint, en.err = e.voteJoint(t)
-	if en.err == nil {
-		en.block, en.err = e.block(t, en.joint)
+	var j *dist.Joint
+	if j, en.err = e.voteJoint(t); en.err == nil {
+		en.block, en.err = e.block(t, j)
 	}
 }
 
@@ -671,7 +622,7 @@ func (e *Engine) recoverEntry(en *entry, m *clockcache.Map[*entry], key []byte, 
 	if r == nil {
 		return
 	}
-	en.joint, en.block = nil, nil
+	en.block = nil
 	en.err = &PanicError{Op: op, Value: r, Stack: debug.Stack()}
 	e.mu.Lock()
 	e.stats.PanicsRecovered++
@@ -799,17 +750,17 @@ func (e *Engine) prefetchGibbs(t relation.Tuple, key []byte) {
 	}
 }
 
-// fillGibbs computes a claimed multi-missing entry: the sampled joint and
-// its expanded block. GibbsComputed is counted by chainJoint on success
-// instead of at claim time, so a tuple whose chain failed is not reported
-// as computed. Panics recover into en.err like fillVote's.
+// fillGibbs computes a claimed multi-missing entry: the sampled joint,
+// expanded into its block. GibbsComputed is counted by chainJoint on
+// success instead of at claim time, so a tuple whose chain failed is not
+// reported as computed. Panics recover into en.err like fillVote's.
 func (e *Engine) fillGibbs(en *entry, t relation.Tuple, key []byte) {
 	defer close(en.ready)
 	defer e.recoverEntry(en, e.gibbs, key, "chain")
 	defer chainSeconds.Since(time.Now())
-	en.joint, en.err = e.chainJoint(t)
-	if en.err == nil {
-		en.block, en.err = e.block(t, en.joint)
+	var j *dist.Joint
+	if j, en.err = e.chainJoint(t); en.err == nil {
+		en.block, en.err = e.block(t, j)
 	}
 }
 
@@ -850,7 +801,7 @@ func (e *Engine) StreamPools(rel *relation.Relation, pools Pools, emit EmitFunc)
 // never poisons the shared caches. Overlapping calls from multiple
 // goroutines are safe and share the engine's caches.
 func (e *Engine) StreamContext(ctx context.Context, rel *relation.Relation, pools Pools, emit EmitFunc) error {
-	return e.run(ctx, emit, nil, func(o *out) error { return e.stream(ctx, rel, pools, o) })
+	return e.run(ctx, emit, nil, func(o *out) error { return e.streamRelation(ctx, rel, pools, o) })
 }
 
 // out is the consumer end of one emit loop: the caller's emit behind a
@@ -920,7 +871,7 @@ func (o *out) recoverEmit(err *error) {
 	}
 }
 
-// run is the one wrapper of both emit loops, stream and streamSnapshot:
+// run is the one wrapper of every stream, relation and snapshot alike:
 // it hands loop its out, observes the stream in mrsl_derive_stream_seconds
 // and as the request trace's derive.stream span, and counts it in
 // Stats.Streams (and Stats.DeadlineMisses when its deadline expired),
@@ -939,20 +890,40 @@ func (e *Engine) run(ctx context.Context, emit EmitFunc, flush func() error, loo
 	return err
 }
 
-func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools, o *out) error {
+// streamRelation checks rel against the model's schema and streams its
+// tuples.
+func (e *Engine) streamRelation(ctx context.Context, rel *relation.Relation, pools Pools, o *out) error {
 	if rel == nil {
 		return fmt.Errorf("derive: nil relation")
 	}
 	if d := e.model.Schema.Diff(rel.Schema); d != "" {
 		return &SchemaMismatchError{Model: e.model.Schema, Data: rel.Schema, Diff: d}
 	}
+	return e.stream(ctx, rel.Tuples, nil, pools, o)
+}
 
+// stream is the emit loop of relation and snapshot streams alike.
+// overrides (nil for a relation stream) maps a snapshot's tuple index to
+// its conditioned posterior block: such a tuple emits that block, or its
+// base as a certain item once evidence has collapsed it, and is neither
+// prefetched nor resolved.
+func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides map[int]*pdb.Block, pools Pools, o *out) error {
 	// The pools prefetch chains and votes ahead of the emitter, through
 	// the same single-flight caches the emitter resolves from. quit stops
-	// their dispatchers early when emission fails.
+	// their dispatchers early when emission fails, and the loop returns
+	// only after they have drained.
+	work := tuples
+	if overrides != nil {
+		work = make([]relation.Tuple, 0, len(tuples))
+		for i, t := range tuples {
+			if overrides[i] == nil {
+				work = append(work, t)
+			}
+		}
+	}
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
-	e.prefetch(ctx, &wg, quit, rel.Tuples, pools)
+	e.prefetch(ctx, &wg, quit, work, pools)
 
 	// Emit in input order. The emitter steals unclaimed work (resolveVote
 	// and resolveGibbs compute inline when a pool has not reached the
@@ -960,12 +931,17 @@ func (e *Engine) stream(ctx context.Context, rel *relation.Relation, pools Pools
 	// built into one reused buffer; cache hits never copy them.
 	var err error
 	var keyBuf []byte
-	for i, t := range rel.Tuples {
+	for i, t := range tuples {
 		if err = ctx.Err(); err != nil {
 			break
 		}
 		var b *pdb.Block
-		if tier := e.tier(t); tier != tierComplete {
+		if overrides != nil && overrides[i] != nil {
+			t, b = overrides[i].Base, overrides[i]
+			if t.IsComplete() {
+				b = nil
+			}
+		} else if tier := e.tier(t); tier != tierComplete {
 			keyBuf = t.AppendKey(keyBuf[:0])
 			b, _, err = e.resolve(ctx, tier, t, keyBuf, o)
 		}

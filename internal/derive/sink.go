@@ -49,7 +49,7 @@ func (e *Engine) StreamPoolsTo(rel *relation.Relation, pools Pools, sink Sink) e
 // pool sizes: canceling ctx stops the stream (see StreamContext) and the
 // sink is not closed, so a partial output is never flushed as complete.
 func (e *Engine) StreamToContext(ctx context.Context, rel *relation.Relation, pools Pools, sink Sink) error {
-	return e.streamTo(ctx, sink, func(o *out) error { return e.stream(ctx, rel, pools, o) })
+	return e.streamTo(ctx, sink, func(o *out) error { return e.streamRelation(ctx, rel, pools, o) })
 }
 
 // StreamSnapshotTo is StreamSnapshot into a sink, closed on success like

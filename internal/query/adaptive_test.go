@@ -2,9 +2,9 @@ package query
 
 // Tests for the adaptive execution layer: bit-identity of evaluation
 // against the derive-everything oracle, envelope sharing across queries
-// (including on an always-evicting engine), the exists collective-refute
-// re-plan round, plans that depend on no other engine, and the pooled
-// plan path's allocation budget.
+// (including on an always-evicting engine) without one tuple's interval
+// ever answering for another's, plans that depend on no other engine,
+// and the pooled plan path's allocation budget.
 
 import (
 	"context"
@@ -169,88 +169,55 @@ func TestEnvelopeSharingAcrossQueries(t *testing.T) {
 		t.Fatalf("engine stats (%d hits / %d misses) disagree with plans (%+v, %+v)",
 			st.EnvelopeHits, st.EnvelopeMisses, a, b)
 	}
-	if r := st.EnvelopeHitRate(); r <= 0 || r >= 1 {
-		t.Fatalf("envelope hit rate %v outside (0, 1)", r)
-	}
 }
 
-// TestExistsCollectiveRefute pins the exists re-plan round: a threshold
-// the derivation-free upper bound already rules out is answered without
-// deriving a single block, recorded as a re-plan, and agrees with the
-// derive-everything oracle. The micro-relation is assembled from fixture tuples
-// so the envelopes are real: multi-missing tuples whose predicate
-// attribute is missing (informative upper bounds), plus refuted
-// complete tuples.
-func TestExistsCollectiveRefute(t *testing.T) {
+// TestIntervalCacheKeyAcrossQueries pins that the shared interval cache
+// never serves one tuple's interval to another. The evidence key lists
+// a tuple's known (index, value) pairs with no terminator, so unless the
+// interval key marks where it ends, tuple [0 1 ? ?] with no constrained
+// missing attribute and tuple [0 ? ? ?] with attribute 1 constrained to
+// {0} share a key — and the second query below answers from the first
+// one's interval, counting 0 where the oracle counts 1.
+func TestIntervalCacheKeyAcrossQueries(t *testing.T) {
 	ctx := context.Background()
-	model, rel := fixture(t, 37)
+	model, _ := fixture(t, 5)
 	s := model.Schema
-
-	// Find a predicate attribute with enough multi-missing tuples missing
-	// it, and build the micro-relation.
-	for attr := 0; attr < s.NumAttrs(); attr++ {
-		var open []relation.Tuple
-		for _, tu := range rel.Tuples {
-			if tu.NumMissing() > 1 && tu[attr] == relation.Missing {
-				open = append(open, tu)
-			}
+	relOf := func(tu relation.Tuple) *relation.Relation {
+		rel := relation.NewRelation(s)
+		if err := rel.Append(tu); err != nil {
+			t.Fatal(err)
 		}
-		if len(open) < 3 {
-			continue
-		}
-		for v := 0; v < s.Attrs[attr].Card(); v++ {
-			micro := relation.NewRelation(s)
-			for _, tu := range open[:3] {
-				if err := micro.Append(tu); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, tu := range rel.Tuples {
-				if tu.IsComplete() && tu[attr] != v {
-					if err := micro.Append(tu); err != nil {
-						t.Fatal(err)
-					}
-					break
-				}
-			}
-			spec := Spec{Op: Exists, Preds: []Pred{{Attr: attr, Cmp: Eq, Value: v}}, MinProb: 0.999}
-			q, err := Compile(s, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := derive.New(model, engineConfig(2, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Eval(ctx, eng, micro, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := res.Plan.Adaptive
-			if a == nil || a.Replans == 0 {
-				continue // this value's bounds leave the threshold open; try the next
-			}
-			// The refute fired: no derivation, decided no, early.
-			if res.Exists || !res.EarlyStop {
-				t.Fatalf("refuted exists: Exists=%v EarlyStop=%v", res.Exists, res.EarlyStop)
-			}
-			if res.Counters.Derived != 0 {
-				t.Fatalf("refute derived %d blocks", res.Counters.Derived)
-			}
-			if len(a.ReplanCut) != 1 || a.ReplanCut[0] == 0 {
-				t.Fatalf("replan cut %v, want one non-empty round", a.ReplanCut)
-			}
-			// Same decision as the oracle, and the reported probability is
-			// a sound lower bound on its exact mass.
-			items := deriveAll(t, model, micro, engineConfig(2, 2))
-			checkOracle(t, "collective refute "+q.String(), q, res, items, s)
-			if eng.Stats().Replans == 0 {
-				t.Fatal("engine stats did not record the re-plan")
-			}
-			return
-		}
+		return rel
 	}
-	t.Fatal("no (attribute, value) produced a collective refute on this fixture")
+	wide := relation.NewTuple(s.NumAttrs())
+	wide[0] = 0
+	narrow := wide.Clone()
+	narrow[1] = 1
+
+	eng, err := derive.New(model, engineConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Compile(s, Spec{Op: Count, Preds: []Pred{{Attr: 1, Cmp: Eq, Value: 0}}, MinProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Eval(ctx, eng, relOf(wide), first); err != nil {
+		t.Fatal(err)
+	}
+	second, err := Compile(s, Spec{Op: Count, Preds: []Pred{{Attr: 0, Cmp: Eq, Value: 0}}, MinProb: 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Eval(ctx, eng, relOf(narrow), second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := deriveAll(t, model, relOf(narrow), engineConfig(2, 2))
+	checkOracle(t, "after "+first.String()+": "+second.String(), second, res, items, s)
+	if a := res.Plan.Adaptive; a == nil || a.EnvelopeMisses != 1 {
+		t.Fatalf("second query's interval was not computed afresh: %+v", a)
+	}
 }
 
 // TestPlanIndependentOfOtherEngines pins that a plan depends on its own

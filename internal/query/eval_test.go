@@ -338,8 +338,9 @@ func TestEvalMatchesOracle(t *testing.T) {
 		if st.Queries == 0 || st.QueryTuples != st.Queries*int64(rel.Len()) {
 			t.Errorf("engine stats did not record queries: %+v", st)
 		}
-		if tight := st.QueryBoundTightness(); tight < 0 || tight > 1 {
-			t.Errorf("bound tightness %v outside [0,1]", tight)
+		// Every scanned tuple's final interval width lies in [0, 1].
+		if w := st.QueryBoundWidth; w < 0 || w > float64(st.QueryTuples) {
+			t.Errorf("bound width %v outside [0, %d]", w, st.QueryTuples)
 		}
 	}
 }
@@ -665,7 +666,7 @@ func TestBoundsPruneMultiMissing(t *testing.T) {
 	}
 
 	st := eng.Stats()
-	if st.BoundsComputed == 0 || st.BoundRefutes == 0 {
+	if st.EnvelopeMisses == 0 || st.BoundRefutes == 0 {
 		t.Fatalf("engine stats did not record bound work: %+v", st)
 	}
 }

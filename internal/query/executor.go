@@ -632,56 +632,6 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 			res.Prob, res.Exists, res.EarlyStop = 1-miss, true, true
 			return res, nil
 		}
-		// Re-plan round: pass 1 already paid for every vote and the plan
-		// carries every interval, so the derivation-free UPPER bound on
-		// the existence probability is now free — exact masses for the
-		// cheap tiers, the clamped interval upper side for bound- and
-		// derive-tier tuples, folded in input order. If even that cannot
-		// reach the threshold, pass 2 would derive every open tuple only to
-		// confirm a no: answer it here, deriving nothing. The collective
-		// refute is one-sided (Hi >= exact per factor, so the product bounds
-		// the exact miss mass from below and 1-missHi bounds the existence
-		// probability from above); the reported probability stays the
-		// pass-1 lower bound, which never exceeds the exact mass — the
-		// early-stop contract. A vacuous derive-tier tuple zeroes its
-		// factor, so the round declines automatically when derivation could
-		// still flip the decision.
-		missHi := 1.0
-		cut := 0
-		var rc Counters
-		for i := range ex.rel.Tuples {
-			switch act := ex.plan.acts[i]; act.tier {
-			case tierSkip:
-			case tierObserved:
-				missHi *= 1 - act.iv.Lo
-			case tierVote:
-				p, err := ex.exactProb(ctx, i, &rc)
-				if err != nil {
-					return nil, err
-				}
-				missHi *= 1 - p
-			default: // tierBound, tierDerive
-				missHi *= 1 - clamp1(act.iv.Hi)
-				cut++
-				rc.Bounded++
-				rc.BoundWidth += act.iv.Width()
-			}
-			if missHi == 0 {
-				break
-			}
-		}
-		// The round only counts when it cut candidates pass 2 would have
-		// derived; with no open bound-tier factor pass 2 is already cheap
-		// and the exact scan keeps the reported probability exact.
-		if cut > 0 && missHi > 0 && 1-missHi < ex.q.minProb {
-			faultinject.Fire("query.replan")
-			a := ex.plan.info.Adaptive
-			a.Replans++
-			a.ReplanCut = append(a.ReplanCut, cut)
-			res.Counters = rc
-			res.Prob, res.Exists, res.EarlyStop = 1-miss, false, true
-			return res, nil
-		}
 		// Pass 2: the exact sequential scan (votes are already cached).
 		// Under a spent budget, degraded tuples fold both interval sides:
 		// miss keeps the 1-Lo factors (lower bound on the existence

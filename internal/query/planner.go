@@ -5,7 +5,7 @@
 // interval to each multi-missing tuple the executor could decide without
 // sampling. Planning never runs a Gibbs chain: its only inference cost
 // is the per-attribute CPD envelopes behind derive.Engine.BoundCPD,
-// which are memoized in the engine's shared CPD cache.
+// whose intervals are memoized in the engine's shared CPD cache.
 package query
 
 import (
@@ -104,8 +104,9 @@ type AdaptiveInfo struct {
 	// EnvelopeHits and EnvelopeMisses count this plan's probes of the
 	// engine's shared envelope-interval cache.
 	EnvelopeHits, EnvelopeMisses int
-	// Replans counts executor re-plan rounds that cut at least one
-	// remaining candidate after fresh resolutions tightened the state.
+	// Replans counts topk re-plan rounds: waves whose sweep cut at least
+	// one remaining candidate after fresh resolutions raised the held
+	// rank k. Only topk with k > 0 re-plans.
 	Replans int
 	// ReplanCut lists, per re-plan round, how many candidates the round
 	// cut.
@@ -383,7 +384,7 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 			if wantIV && !exhausted && t.NumMissing() > 1 {
 				var hit bool
 				var err error
-				iv, hit, err = eng.BoundCPDShared(t, satBools)
+				iv, hit, err = eng.BoundCPD(t, satBools)
 				if err != nil {
 					s.buf = buf
 					p.release()

@@ -229,9 +229,13 @@ func (e *Engine) PlanSPJ(ctx context.Context, spj *CompiledSPJ) (*QueryPlanInfo,
 // completes into its satisfying set (sat[a] per value code, nil =
 // unconstrained) is bracketed by [Lo, Hi] relative to the very block
 // this engine's derivation would produce. Built from per-attribute
-// conditional-CPD envelopes memoized in the engine's shared CPD cache;
-// degrades to the vacuous [0, 1] on alternative-capped engines. This is
-// the primitive behind the query planner's multi-missing pruning.
+// conditional-CPD envelopes; the finished interval is memoized in the
+// engine's shared CPD cache — the interval cache the query planner
+// probes, so EngineStats.EnvelopeHits/EnvelopeMisses count these calls
+// too. Degrades to the vacuous [0, 1] on alternative-capped engines.
+// This is the primitive behind the query planner's multi-missing
+// pruning.
 func (e *Engine) BoundCPD(t Tuple, sat [][]bool) (BoundInterval, error) {
-	return e.eng.BoundCPD(t, sat)
+	iv, _, err := e.eng.BoundCPD(t, sat)
+	return iv, err
 }

@@ -228,7 +228,7 @@ func boundedOpts() DeriveOptions {
 
 // BenchmarkQueryPlanner measures plan compilation alone on a warm
 // engine: tuple classification, selectivity ordering, and the
-// dissociation intervals served from the memoized envelopes.
+// dissociation intervals served from the shared interval cache.
 func BenchmarkQueryPlanner(b *testing.B) {
 	env, rel, q, _ := boundedQueryFixture(b)
 	ctx := context.Background()
@@ -236,7 +236,7 @@ func BenchmarkQueryPlanner(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the envelope and CPD caches once; the steady-state planner is
+	// Warm the interval and CPD caches once; the steady-state planner is
 	// what serving pays per query.
 	if _, err := eng.PlanQuery(ctx, rel, q); err != nil {
 		b.Fatal(err)

@@ -126,8 +126,8 @@ curl -fsS "http://$addr/stats" >"$tmp/stats.json"
 # re-query, sql join query (dataset registration runs no inference and
 # is not counted).
 grep -q '"requests":6' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
-grep -q '"observations":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the observation"; cat "$tmp/stats.json"; exit 1; }
-grep -q '"datasets":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the dataset"; cat "$tmp/stats.json"; exit 1; }
+grep -q '"Observations":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the observation"; cat "$tmp/stats.json"; exit 1; }
+grep -q '"Datasets":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the dataset"; cat "$tmp/stats.json"; exit 1; }
 
 # Prometheus exposition: the per-endpoint request histogram must have
 # counted the /query traffic above, the EngineStats counters must be
