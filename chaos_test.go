@@ -24,6 +24,19 @@ func chaosOptions() DeriveOptions {
 	}
 }
 
+// chaosChainOptions put the fixture's three- and four-missing tuples on
+// the chain side of gibbs.Infer's rule: five sweeps draw at most 15 and
+// 20 local CPDs, and their kernels need at least 16 and 60. (Its
+// two-missing kernels fit the rule but do not converge in five sweeps,
+// so they run chains too.) Under chaosOptions every tuple of the fixture
+// is solved exactly, so without this engine no chain would run under the
+// race detector.
+func chaosChainOptions() DeriveOptions {
+	o := chaosOptions()
+	o.Gibbs.Samples, o.Gibbs.BurnIn = 4, 1
+	return o
+}
+
 // chaosStream renders eng's derivation of rel as JSONL bytes — the
 // strongest equality check available (schema line, order, and every
 // probability digit).
@@ -119,6 +132,14 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("re-plan query did not re-plan: %+v", oracleReplan.Plan.Adaptive)
 	}
 	obsIndex, obsAttr, obsVal := consistentObservation(t, oracleDB, rel)
+	chainOracleEng, err := NewEngine(model, chaosChainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainOracle, err := chaosStream(t, chainOracleEng, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The engine under fire, with a registered dataset for the live path.
 	eng, err := NewEngine(model, chaosOptions())
@@ -126,6 +147,10 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, err := eng.RegisterDataset(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainEng, err := NewEngine(model, chaosChainOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +186,25 @@ func TestChaosSoak(t *testing.T) {
 	const iters = 10
 	var wg sync.WaitGroup
 
-	// Derivers: full streams; a success must be byte-identical.
-	for w := 0; w < 2; w++ {
+	// Derivers: full streams; a success must be byte-identical. The
+	// third runs on the engine whose larger kernels go to chains.
+	for w, d := range []struct {
+		eng    *Engine
+		oracle []byte
+	}{{eng, oracleStream}, {eng, oracleStream}, {chainEng, chainOracle}} {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				got, err := chaosStream(t, eng, rel)
+				got, err := chaosStream(t, d.eng, rel)
 				if !tolerate(fmt.Sprintf("deriver %d/%d", w, i), err) {
 					continue
 				}
-				if !bytes.Equal(got, oracleStream) {
+				if !bytes.Equal(got, d.oracle) {
 					fail("deriver %d/%d: successful stream differs from oracle", w, i)
 				}
 			}
-		}(w)
+		}()
 	}
 
 	// Queriers: exact answers without a deadline, sound bounds with one.
@@ -288,5 +317,14 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if st.Watchers != 0 {
 		t.Errorf("watchers gauge = %d after unsubscribe, want 0", st.Watchers)
+	}
+	if got, err := chaosStream(t, chainEng, rel); err != nil || !bytes.Equal(got, chainOracle) {
+		t.Errorf("post-chaos chain-engine stream differs from oracle (%v)", err)
+	}
+	// Both tiers ran under fire: exact solves, and chains.
+	cst := chainEng.Stats()
+	if st.ExactSolved == 0 || cst.GibbsComputed-cst.ExactSolved == 0 {
+		t.Errorf("%d exact solves, %d chains: the soak did not run both tiers",
+			st.ExactSolved, cst.GibbsComputed-cst.ExactSolved)
 	}
 }

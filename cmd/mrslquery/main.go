@@ -82,7 +82,7 @@ func main() {
 		samples   = flag.Int("samples", 1000, "Gibbs samples per distinct multi-missing tuple")
 		burnin    = flag.Int("burnin", 100, "Gibbs burn-in sweeps")
 		seed      = flag.Int64("seed", 1, "sampler seed")
-		workers   = flag.Int("workers", 4, "Gibbs chain pool size (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 4, "multi-missing pool size: exact solves and Gibbs chains (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *modelPath == "" || (*in == "" && *sql == "") {

@@ -178,10 +178,10 @@ func main() {
 	var (
 		modelPath = flag.String("model", "", "model JSON from mrsllearn (required)")
 		addr      = flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
-		samples   = flag.Int("samples", 800, "Gibbs samples per distinct multi-missing tuple")
-		burnin    = flag.Int("burnin", 100, "Gibbs burn-in sweeps")
+		samples   = flag.Int("samples", 800, "Gibbs samples per distinct multi-missing tuple; with -burnin it also sets the exact tier's rule (kernels needing at most (burnin+samples)*k local CPDs are solved exactly)")
+		burnin    = flag.Int("burnin", 100, "Gibbs burn-in sweeps; burnin+samples also caps an exact solve's power-iteration sweeps")
 		seed      = flag.Int64("seed", 1, "sampler seed")
-		workers   = flag.Int("workers", 8, "default Gibbs chain pool size per request (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 8, "default multi-missing pool size per request, running exact solves and Gibbs chains (0 = GOMAXPROCS)")
 		voters    = flag.Int("voteworkers", 0, "default voting pool size per request (0 = GOMAXPROCS)")
 		maxAlts   = flag.Int("maxalts", 0, "cap block alternatives (0 keeps all)")
 		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache to this many entries, CLOCK-evicted (0 = unbounded vote/joint caches, default-capped CPD memo); eviction never changes results")

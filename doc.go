@@ -26,7 +26,7 @@
 //	err := repro.DeriveStream(model, rel, repro.DeriveOptions{
 //		Method:      repro.BestAveraged(),
 //		VoteWorkers: 8, // single-missing voting pool (0 = GOMAXPROCS)
-//		Workers:     8, // multi-missing Gibbs chain pool (0 = GOMAXPROCS)
+//		Workers:     8, // multi-missing pool: exact solves and chains (0 = GOMAXPROCS)
 //	}, func(it repro.DeriveItem) error {
 //		return persist(it) // blocks arrive in input order
 //	})
@@ -43,15 +43,25 @@
 //	err := eng.DeriveTo(rel, repro.NewJSONLSink(w, model.Schema))
 //	stats := eng.Stats() // cache hit rates, points sampled, streams served
 //
+// A multi-missing block has two tiers, chosen per tuple by one rule in
+// internal/gibbs (gibbs.Infer). A Gibbs chain converges to the stationary
+// distribution of its own sweep kernel; when that kernel needs no more
+// local CPDs than the chain would draw (Σ_i S/c_i <= (B+N)·k for S
+// states over k missing attributes of cardinalities c_i), the engine
+// solves it exactly by power iteration instead — no seed, no sampling
+// error — and runs the content-seeded chain only for larger kernels or
+// ones that do not converge within the chain's B+N sweeps.
+// EngineStats.ExactSolved counts the exact solves. InferJoint,
+// InferWorkload and the Fig 10 and Fig 11 experiments keep sampling.
+//
 // Distinct incomplete tuples are inferred once — duplicates are served
 // from the shared, synchronized memoization caches keyed by the tuple's
 // evidence — and the emitted stream does not depend on pool sizes: any
-// VoteWorkers and Workers values produce bit-identical databases, thanks
-// to deterministic content-keyed per-tuple seeding with per-block
-// scheduling. Relations must carry the model's schema; a mismatch fails
-// up front with *SchemaMismatchError, and ReadCSVInSchema parses
-// serving-time inputs against a model schema without re-inferring
-// domains.
+// VoteWorkers and Workers values produce bit-identical databases, since
+// exact solves use no randomness and chains are seeded by tuple content.
+// Relations must carry the model's schema; a mismatch fails up front
+// with *SchemaMismatchError, and ReadCSVInSchema parses serving-time
+// inputs against a model schema without re-inferring domains.
 //
 // # Performance architecture
 //
@@ -63,8 +73,9 @@
 // path and all cache-hit paths are allocation-free in steady state.
 //
 // Caching is a three-level hierarchy, shared and bounded. Each engine
-// owns one sharded local-CPD cache, shared by every Gibbs chain and by
-// the single-missing vote path, plus two single-flight request caches
+// owns one sharded local-CPD cache, shared by every exact solve, Gibbs
+// chain and bound envelope and by the single-missing vote path, plus two
+// single-flight request caches
 // (vote blocks and multi-missing joints) keyed by canonical evidence.
 // DeriveOptions.CacheEntries caps all of them with CLOCK eviction for
 // fixed-memory serving; EngineStats reports hits, misses, and evictions.

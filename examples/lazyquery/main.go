@@ -99,7 +99,8 @@ func run() error {
 	fmt.Printf("\nlazy:  E[count] = %.4f in %v\n", res.Expected, lazyTime.Round(time.Millisecond))
 	fmt.Printf("       decided from known values: %d refuted + %d certain\n", plan.Refuted, plan.Certain)
 	fmt.Printf("       open: %d single-missing, %d multi-missing\n", plan.SingleMissing, plan.Bounded+plan.Derive)
-	fmt.Printf("       inference performed: %d votes, %d Gibbs chains\n", st.VotesComputed, st.GibbsComputed)
+	fmt.Printf("       inference performed: %d votes, %d multi-missing joints (%d solved exactly, %d Gibbs chains)\n",
+		st.VotesComputed, st.GibbsComputed, st.ExactSolved, st.GibbsComputed-st.ExactSolved)
 
 	// Re-running the same query is served from the engine's caches.
 	start = time.Now()
@@ -107,7 +108,7 @@ func run() error {
 		return err
 	}
 	again := eng.Stats()
-	fmt.Printf("       repeat query: %v (%d new votes, %d new chains)\n",
+	fmt.Printf("       repeat query: %v (%d new votes, %d new joints)\n",
 		time.Since(start).Round(time.Microsecond),
 		again.VotesComputed-st.VotesComputed, again.GibbsComputed-st.GibbsComputed)
 
@@ -141,8 +142,9 @@ func run() error {
 		return err
 	}
 	est := eager.Stats()
-	fmt.Printf("\neager: E[count] = %.4f in %v (%d blocks materialized: %d votes, %d Gibbs chains)\n",
-		eagerCount, time.Since(start).Round(time.Millisecond), blocks, est.VotesComputed, est.GibbsComputed)
+	fmt.Printf("\neager: E[count] = %.4f in %v (%d blocks materialized: %d votes, %d exact solves, %d Gibbs chains)\n",
+		eagerCount, time.Since(start).Round(time.Millisecond), blocks, est.VotesComputed,
+		est.ExactSolved, est.GibbsComputed-est.ExactSolved)
 	if eagerCount != res.Expected {
 		return fmt.Errorf("lazy count %v differs from the full derivation's %v", res.Expected, eagerCount)
 	}
@@ -163,7 +165,7 @@ func run() error {
 		return err
 	}
 	after := eng.Stats()
-	fmt.Printf("\nsecond query E[a1=v0] = %.1f: %d new votes, %d new Gibbs chains\n",
+	fmt.Printf("\nsecond query E[a1=v0] = %.1f: %d new votes, %d new multi-missing joints\n",
 		res2.Expected, after.VotesComputed-before.VotesComputed, after.GibbsComputed-before.GibbsComputed)
 
 	return intensional(model, rel)

@@ -21,24 +21,33 @@ import (
 // exists lower bound, excluded from topk — so selective queries skip
 // full derivation for most multi-missing tuples.
 //
-// Soundness argument. Every recorded Gibbs sweep resamples each missing
-// attribute a from a local CPD conditioned on some assignment of the
-// other missing attributes — always one of the finitely many CPDs the
-// envelope enumerates, whatever state the chain happens to be in
-// (burn-in, mixing, or converged; the argument needs no stationarity).
-// The satisfying mass of every such CPD lies within the envelope's
-// [lo, hi], so the conditional probability that a recorded sweep
-// satisfies attribute a is within it too, and the per-attribute
-// empirical frequencies concentrate around means inside the envelope
-// (Azuma-Hoeffding over the chain's conditional draws). The interval
-// combines the per-attribute envelopes with Frechet bounds — which hold
-// for any dependence structure — and widens them by a concentration
-// margin of boundSlackFactor standard-deviation-equivalents plus the
-// exact worst-case shift of the final smoothing step, so the realized
-// block mass escapes the interval only with negligible probability
-// (< 1e-9 per tuple at the default sample counts). The query layer's
-// property tests assert containment against the derive-everything
-// oracle across worker counts and cache bounds.
+// Soundness argument. A multi-missing block comes from one of two tiers
+// (gibbs.Infer), and both draw each missing attribute a from the same
+// finitely many local CPDs, each conditioned on some assignment of the
+// other missing attributes — exactly the family the envelope enumerates.
+//
+//   - Exact tier. The block is the stationary distribution of the
+//     chain's sweep kernel. Its marginal of a is the distribution right
+//     after a is resampled (later steps of the sweep do not touch a), a
+//     mixture of a's CPDs, so every value's mass lies inside the
+//     envelope with no slack at all.
+//   - Chain tier. Every recorded sweep draws a from one of those CPDs,
+//     whatever state the chain is in (burn-in, mixing, or converged; the
+//     argument needs no stationarity). So the conditional probability
+//     that a recorded sweep satisfies attribute a is within the envelope,
+//     and the per-attribute empirical frequencies concentrate around
+//     means inside it (Azuma-Hoeffding over the chain's conditional
+//     draws). The concentration margin boundSlack covers this tier only.
+//
+// The interval combines the per-attribute envelopes with Frechet bounds
+// — which hold for any dependence structure — and widens them by
+// boundSlack plus the exact worst-case shift of the final smoothing
+// step, so a chain-tier block's mass escapes the interval only with
+// negligible probability (< 1e-9 per tuple at the default sample counts)
+// and an exact-tier block's never does. The envelope tests check the
+// exact tier against the envelope widened by the smoothing margin alone;
+// the query layer's property tests assert containment against the
+// derive-everything oracle across worker counts and cache bounds.
 
 // Interval is a closed probability interval [Lo, Hi].
 type Interval struct {
@@ -62,15 +71,13 @@ func (iv Interval) Vacuous() bool { return iv.Lo <= 0 && iv.Hi >= 1 }
 const maxBoundStates = 4096
 
 // boundSlack is the concentration margin added to each side of a bound
-// interval: sqrt(12.5/n) for n recorded sweeps, which sits beyond five
-// standard deviations of a Bernoulli frequency over n draws for every
-// success probability, so a realized chain estimate escapes the widened
-// interval only with negligible probability. Fewer samples mean looser
-// (but still sound) bounds; n <= 0 disables bounding entirely.
+// interval: sqrt(12.5/n) for n recorded sweeps (New rejects n <= 0),
+// which sits beyond five standard deviations of a Bernoulli frequency
+// over n draws for every success probability, so a realized chain
+// estimate escapes the widened interval only with negligible
+// probability. Fewer samples mean looser (but still sound) bounds; below
+// 13 samples the margin reaches 1 and BoundCPD stays vacuous.
 func boundSlack(samples int) float64 {
-	if samples <= 0 {
-		return 1
-	}
 	return math.Sqrt(12.5 / float64(samples))
 }
 

@@ -8,10 +8,12 @@ package derive
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/pdb"
 	"repro/internal/relation"
@@ -126,6 +128,61 @@ func TestBoundCPDSoundness(t *testing.T) {
 				t.Fatalf("workers=%d cache=%d: no intervals computed: %+v", cb.workers, cb.cacheEntries, st)
 			}
 		}
+	}
+}
+
+// TestEnvelopeContainsExactMarginals holds boundEnvelope to the exact
+// tier with no concentration slack: every marginal of an exactly solved
+// block is a mixture of the local CPDs the envelope enumerates, so each
+// value's mass must lie in [lo, hi] widened only by the smoothing margin
+// jointSize·SmoothFloor + 1e-9.
+func TestEnvelopeContainsExactMarginals(t *testing.T) {
+	for _, c := range []struct {
+		id      string
+		missing int
+	}{{"BN7", 2}, {"BN7", 3}, {"BN8", 2}, {"BN2", 3}} {
+		m, inst, rng := learnBN(t, c.id, 4000, 13)
+		eng, err := New(m, Config{Method: bestAveraged(), Gibbs: gibbs.Config{Samples: 800, BurnIn: 100, Method: bestAveraged()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solved, worst := 0, 0.0
+		for i := 0; i < 15; i++ {
+			tu := inst.Sample(rng)
+			for _, a := range rng.Perm(len(tu))[:c.missing] {
+				tu[a] = relation.Missing
+			}
+			j, _, exact, err := gibbs.Infer(m, eng.cfg.Gibbs, tu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !exact {
+				continue
+			}
+			solved++
+			margin := float64(j.Size())*dist.SmoothFloor + 1e-9
+			for _, a := range tu.MissingAttrs() {
+				lo, hi, err := eng.boundEnvelope(tu, a)
+				if err != nil || lo == nil {
+					t.Fatalf("envelope of %v attribute %d: %v", tu, a, err)
+				}
+				marg, err := j.Marginal(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v, p := range marg {
+					worst = math.Max(worst, math.Max(lo[v]-p, p-hi[v]))
+					if p < lo[v]-margin || p > hi[v]+margin {
+						t.Errorf("%s %v attribute %d value %d: exact mass %v escapes [%v, %v] ± %.2g",
+							c.id, tu, a, v, p, lo[v], hi[v], margin)
+					}
+				}
+			}
+		}
+		if solved == 0 {
+			t.Fatalf("%s k=%d: no tuple on the exact tier", c.id, c.missing)
+		}
+		t.Logf("%s k=%d: %d exact tuples, worst raw escape %.2g", c.id, c.missing, solved, worst)
 	}
 }
 

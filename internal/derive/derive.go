@@ -10,19 +10,22 @@
 //     share a synchronized, single-flight memoization cache keyed by the
 //     tuple's canonical evidence (relation.Tuple.Key). Distinct incomplete
 //     tuples are voted exactly once; duplicates hit the cache.
-//   - Multi-missing Gibbs sampling is scheduled per block: each distinct
-//     multi-missing tuple is an independent, content-seeded chain,
-//     prefetched ahead of the emitter through its own single-flight cache,
-//     so the first multi-missing block is ready as soon as its own chain
-//     has run — not when the whole workload batch has.
+//   - Multi-missing inference is scheduled per block: each distinct
+//     multi-missing tuple is one independent unit of work, prefetched
+//     ahead of the emitter through its own single-flight cache, so the
+//     first multi-missing block is ready as soon as its own unit has run —
+//     not when the whole workload batch has. gibbs.Infer picks the unit's
+//     tier: small kernels are solved exactly, as the stationary
+//     distribution of the chain's sweep kernel, and the rest run a
+//     content-seeded Gibbs chain.
 //   - Completed pdb.Blocks are streamed to the caller in input order
 //     through a callback or a pluggable Sink, so callers can persist or
 //     serve blocks without ever holding the whole database in memory.
 //   - Results do not depend on pool sizes: voting is deterministic for
-//     every VoteWorkers value, multi-missing chains are seeded by tuple
-//     content so every GibbsWorkers value is bit-identical, and emission
-//     order is the input order regardless of which goroutine finished
-//     first.
+//     every VoteWorkers value, exact solves use no randomness and chains
+//     are seeded by tuple content, so every GibbsWorkers value is
+//     bit-identical, and emission order is the input order regardless of
+//     which goroutine finished first.
 //
 // An Engine is safe for concurrent use: any number of goroutines may run
 // overlapping Stream calls against one engine. The memoization caches are
@@ -68,9 +71,10 @@ type Config struct {
 	// the pool size.
 	VoteWorkers int
 	// GibbsWorkers is the default size of the per-request multi-missing
-	// chain pool; <= 0 selects GOMAXPROCS. Each distinct multi-missing
-	// tuple runs one independent chain seeded by its content, so the
-	// result does not depend on the pool size.
+	// pool, which runs both exact solves and chains; <= 0 selects
+	// GOMAXPROCS. Each distinct multi-missing tuple is one independent
+	// unit — an exact solve with no randomness, or a chain seeded by its
+	// content — so the result does not depend on the pool size.
 	GibbsWorkers int
 	// CacheEntries bounds each of the engine's memoization caches (the
 	// single-missing vote cache, the multi-missing joint cache, and the
@@ -172,15 +176,21 @@ type Stats struct {
 	// answered purely from the memo cache (duplicates).
 	SingleTuples int64
 	// GibbsComputed counts distinct multi-missing tuples actually
-	// inferred by sampling (cache misses).
+	// inferred (cache misses), on either tier: solved exactly or sampled
+	// by a chain.
 	GibbsComputed int64
+	// ExactSolved counts the multi-missing tuples of GibbsComputed that
+	// were solved exactly, as the stationary distribution of their
+	// chain's kernel, instead of sampled (see gibbs.Infer).
+	ExactSolved int64
 	// MultiTuples counts multi-missing input tuples served.
 	MultiTuples int64
 	// GibbsCacheHits counts multi-missing resolutions served from the
 	// engine's cache (in-flight or completed) rather than sampled by the
 	// requester itself.
 	GibbsCacheHits int64
-	// PointsSampled counts Gibbs draws, including burn-in.
+	// PointsSampled counts chain draws, including burn-in. An exact solve
+	// draws none.
 	PointsSampled int64
 	// Streams counts completed Stream calls (successful or not).
 	Streams int64
@@ -302,8 +312,9 @@ type Engine struct {
 	cfg   Config
 
 	// cpd is the shared, sharded, bounded local-CPD cache: one per engine,
-	// used by every Gibbs chain and consulted by the single-missing vote
-	// path. It has its own internal locking.
+	// used by every exact solve, Gibbs chain and bound envelope and
+	// consulted by the single-missing vote path. It has its own internal
+	// locking.
 	cpd *gibbs.CPDCache
 
 	mu    sync.Mutex
@@ -348,6 +359,9 @@ func entryDone(en *entry) bool {
 func New(model *core.Model, cfg Config) (*Engine, error) {
 	if model == nil {
 		return nil, fmt.Errorf("derive: nil model")
+	}
+	if err := cfg.Gibbs.Validate(); err != nil {
+		return nil, fmt.Errorf("derive: Config.Gibbs: %w", err)
 	}
 	e := &Engine{
 		model:    model,
@@ -535,15 +549,20 @@ func (e *Engine) voteJoint(t relation.Tuple) (*dist.Joint, error) {
 	return j, nil
 }
 
-// chainJoint runs the content-seeded independent chain for one distinct
-// multi-missing tuple — the per-block unit of multi-missing work.
+// chainJoint infers the joint of one distinct multi-missing tuple — the
+// per-block unit of multi-missing work — through gibbs.Infer, which
+// solves small kernels exactly and runs the content-seeded chain for the
+// rest.
 func (e *Engine) chainJoint(t relation.Tuple) (*dist.Joint, error) {
 	faultinject.Fire("derive.chain")
-	j, points, err := gibbs.InferIndependent(e.model, e.cfg.Gibbs, t)
+	j, points, exact, err := gibbs.Infer(e.model, e.cfg.Gibbs, t)
 	e.mu.Lock()
 	e.stats.PointsSampled += int64(points)
 	if err == nil {
 		e.stats.GibbsComputed++
+		if exact {
+			e.stats.ExactSolved++
+		}
 	}
 	e.mu.Unlock()
 	return j, err
@@ -656,8 +675,9 @@ const (
 	tierComplete resolveTier = iota
 	// tierVote: single-missing, decided by the shared vote path.
 	tierVote
-	// tierChain: multi-missing — one content-seeded chain per distinct
-	// tuple, shardable across pools.
+	// tierChain: multi-missing — one gibbs.Infer unit per distinct
+	// tuple (an exact solve or a content-seeded chain), shardable across
+	// pools.
 	tierChain
 )
 
@@ -750,10 +770,11 @@ func (e *Engine) prefetchGibbs(t relation.Tuple, key []byte) {
 	}
 }
 
-// fillGibbs computes a claimed multi-missing entry: the sampled joint,
-// expanded into its block. GibbsComputed is counted by chainJoint on
-// success instead of at claim time, so a tuple whose chain failed is not
-// reported as computed. Panics recover into en.err like fillVote's.
+// fillGibbs computes a claimed multi-missing entry: the inferred joint,
+// expanded into its block, timed in mrsl_derive_chain_seconds on either
+// tier. GibbsComputed is counted by chainJoint on success instead of at
+// claim time, so a tuple whose inference failed is not reported as
+// computed. Panics recover into en.err like fillVote's.
 func (e *Engine) fillGibbs(en *entry, t relation.Tuple, key []byte) {
 	defer close(en.ready)
 	defer e.recoverEntry(en, e.gibbs, key, "chain")

@@ -3,6 +3,7 @@ package derive
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bn"
@@ -134,6 +135,68 @@ func TestDeriveDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 8} {
 		got := deriveWith(t, m, rel, 4, workers)
 		requireIdentical(t, base, got, fmt.Sprintf("gibbsWorkers=%d", workers))
+	}
+}
+
+// tieredRelation builds a relation whose multi-missing tuples fall on
+// both tiers of gibbs.Infer under engineConfig on BN10 (six attributes
+// of four values): two or three hidden values need at most 48 local CPDs
+// and are solved exactly, five need 1,280, more than the chain's 170
+// sweeps draw, and run chains.
+func tieredRelation(t testing.TB, inst *bn.Instance, rng *rand.Rand, n int) *relation.Relation {
+	t.Helper()
+	rel := relation.NewRelation(inst.Top.Schema())
+	patterns := make([]relation.Tuple, 8)
+	for i := range patterns {
+		tu := inst.Sample(rng)
+		for _, a := range rng.Perm(len(tu))[:[]int{1, 2, 3, 5}[i%4]] {
+			tu[a] = relation.Missing
+		}
+		patterns[i] = tu
+	}
+	for i := 0; i < n; i++ {
+		tu := patterns[rng.Intn(len(patterns))].Clone()
+		if i%5 == 0 {
+			tu = inst.Sample(rng)
+		}
+		if err := rel.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rel
+}
+
+// TestBothTiersBitIdentical: with exact solves and chains in one
+// relation, the derived stream is bit-identical across Gibbs worker
+// counts, cache bounds down to one entry, and a dataset snapshot stream.
+func TestBothTiersBitIdentical(t *testing.T) {
+	m, inst, rng := learnBN(t, "BN10", 3000, 29)
+	rel := tieredRelation(t, inst, rng, 60)
+	ref, err := New(m, engineConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collect(t, ref, rel)
+	if st := ref.Stats(); st.ExactSolved == 0 || st.GibbsComputed == st.ExactSolved {
+		t.Fatalf("%d of %d joints solved exactly: the fixture does not cover both tiers",
+			st.ExactSolved, st.GibbsComputed)
+	}
+	for _, workers := range []int{0, 1, 4, 8} {
+		for _, entries := range []int{0, 1} {
+			cfg := engineConfig(2, workers)
+			cfg.CacheEntries = entries
+			e, err := New(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("gibbsWorkers=%d cacheEntries=%d", workers, entries)
+			requireItemsIdentical(t, collect(t, e, rel), want, label)
+			ds, err := e.RegisterDataset(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireItemsIdentical(t, collectSnapshot(t, e, ds), want, label+" snapshot")
+		}
 	}
 }
 
@@ -317,5 +380,20 @@ func TestNewValidation(t *testing.T) {
 	}
 	if err := e.Stream(nil, func(Item) error { return nil }); err == nil {
 		t.Error("nil relation should fail")
+	}
+}
+
+// TestNewRejectsGibbsConfigChainsReject: an engine that no chain can
+// serve fails at construction, naming the field, instead of failing
+// every multi-missing tuple above the exact tier's rule at request time.
+func TestNewRejectsGibbsConfigChainsReject(t *testing.T) {
+	m, _, _ := learnBN(t, "BN8", 500, 67)
+	for _, samples := range []int{0, -5} {
+		cfg := engineConfig(1, 1)
+		cfg.Gibbs.Samples = samples
+		_, err := New(m, cfg)
+		if err == nil || !strings.Contains(err.Error(), "Samples") {
+			t.Errorf("Samples=%d: New error = %v, want one naming Samples", samples, err)
+		}
 	}
 }

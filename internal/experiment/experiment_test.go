@@ -354,6 +354,18 @@ func TestFig10Shape(t *testing.T) {
 	if points[1].KL > points[0].KL+0.05 {
 		t.Errorf("KL rose with more samples: %v -> %v", points[0].KL, points[1].KL)
 	}
+	// The exact columns: the asymptote is shared by both N of a group,
+	// and the chain's distance to its own target shrinks as N grows.
+	for i := 0; i < len(points); i += 2 {
+		lo, hi := points[i], points[i+1]
+		if lo.Solved == 0 || lo.KLExact != hi.KLExact || lo.KLExact <= 0 {
+			t.Errorf("missing=%d: exact columns %+v, %+v", lo.NumMissing, lo, hi)
+		}
+		if hi.KLExactChain >= lo.KLExactChain {
+			t.Errorf("missing=%d: KL(exact||chain) did not fall with N: %v -> %v",
+				lo.NumMissing, lo.KLExactChain, hi.KLExactChain)
+		}
+	}
 	if len(tab.Rows) != len(points) {
 		t.Error("table rows mismatch")
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/baseline"
@@ -27,11 +28,24 @@ type Fig10Point struct {
 	SamplesPerTupl int
 	KL             float64
 	Top1           float64
+	// KLExact is the mean KL(truth ‖ exact) of the (network, missing)
+	// group: the N → ∞ asymptote of KL, where exact is the stationary
+	// distribution of each tuple's chain kernel (gibbs.Stationary).
+	KLExact float64
+	// KLExactChain is the mean KL(exact ‖ chain) at this N: the chain's
+	// sampling error measured against its own target.
+	KLExactChain float64
+	// Solved counts the tuples behind the two exact columns: those whose
+	// power iteration converged within the largest N's sweep count.
+	Solved int
 }
 
 // RunFig10 reproduces Fig. 10: prediction accuracy of sampling-based
 // multi-attribute inference as a function of samples per tuple, for 2..5
 // missing attributes, per network. The paper plots BN8, BN17, and BN2.
+// Beside the paper's KL to the truth it reports the exact answer the
+// chains converge to: KL(truth ‖ exact) per (network, missing), and
+// KL(exact ‖ chain) per N.
 func RunFig10(opt Options, networks []string, maxMissing int) ([]Fig10Point, *Table, error) {
 	if err := opt.validate(); err != nil {
 		return nil, nil, err
@@ -63,6 +77,10 @@ func RunFig10(opt Options, networks []string, maxMissing int) ([]Fig10Point, *Ta
 		for missing := 2; missing <= limit; missing++ {
 			rng := rand.New(rand.NewSource(seedFor(opt.Seed, "fig10:"+id, missing)))
 			workload := env.TestWorkload(rng, min(opt.TestCount, 40), missing)
+			exact, klExact, err := exactJoints(env, m, opt, workload)
+			if err != nil {
+				return nil, nil, err
+			}
 			for _, n := range opt.GibbsSampleCounts {
 				cfg := gibbs.Config{
 					Samples: n,
@@ -70,29 +88,86 @@ func RunFig10(opt Options, networks []string, maxMissing int) ([]Fig10Point, *Ta
 					Method:  defaultMethod(),
 					Seed:    seedFor(opt.Seed, "fig10rng:"+id, missing, n),
 				}
-				acc, err := evalGibbsTuples(env, m, cfg, workload)
+				s, err := gibbs.New(m, cfg)
 				if err != nil {
 					return nil, nil, err
 				}
+				res, err := s.TupleAtATime(workload)
+				if err != nil {
+					return nil, nil, err
+				}
+				acc, err := evalJoint(env, res.Tuples, res.Dists)
+				if err != nil {
+					return nil, nil, err
+				}
+				var klChain Accuracy
+				for i, tu := range res.Tuples {
+					if want := exact[tu.Key()]; want != nil {
+						kl, err := dist.KLJoint(want, res.Dists[i])
+						if err != nil {
+							return nil, nil, err
+						}
+						klChain.add(kl, false)
+					}
+				}
+				klChain.finish()
 				points = append(points, Fig10Point{
 					Network:        id,
 					NumMissing:     missing,
 					SamplesPerTupl: n,
 					KL:             acc.KL,
 					Top1:           acc.Top1,
+					KLExact:        klExact,
+					KLExactChain:   klChain.KL,
+					Solved:         klChain.N,
 				})
-				opt.logf("fig10: %s missing=%d N=%d KL=%.3f", id, missing, n, acc.KL)
+				opt.logf("fig10: %s missing=%d N=%d KL=%.3f KL(exact||chain)=%.3f", id, missing, n, acc.KL, klChain.KL)
 			}
 		}
 	}
 	t := &Table{
-		Title:  "Fig 10: multi-attribute inference accuracy vs samples per tuple",
-		Header: []string{"network", "missing", "samples/tuple", "KL", "top-1"},
+		Title: "Fig 10: multi-attribute inference accuracy vs samples per tuple",
+		Header: []string{"network", "missing", "samples/tuple", "KL", "top-1",
+			"KL(truth||exact)", "KL(exact||chain)", "solved"},
 	}
 	for _, p := range points {
-		t.AddRow(p.Network, p.NumMissing, p.SamplesPerTupl, p.KL, p.Top1)
+		t.AddRow(p.Network, p.NumMissing, p.SamplesPerTupl, p.KL, p.Top1, p.KLExact, p.KLExactChain, p.Solved)
 	}
 	return points, t, nil
+}
+
+// exactJoints solves every distinct workload tuple exactly, keyed by
+// tuple key, with the sweep budget of Fig 10's largest N; a tuple whose
+// power iteration has not converged by then maps to nil. It also returns
+// the solved tuples' mean KL(truth ‖ exact).
+func exactJoints(env *Env, m *core.Model, opt Options, workload []relation.Tuple) (map[string]*dist.Joint, float64, error) {
+	cfg := gibbs.Config{Samples: slices.Max(opt.GibbsSampleCounts), BurnIn: opt.GibbsBurnIn, Method: defaultMethod()}
+	out := make(map[string]*dist.Joint)
+	var acc Accuracy
+	for _, tu := range workload {
+		if _, done := out[tu.Key()]; done {
+			continue
+		}
+		j, ok, err := gibbs.Stationary(m, cfg, tu)
+		if err != nil {
+			return nil, 0, err
+		}
+		out[tu.Key()] = j
+		if !ok {
+			continue
+		}
+		truth, err := env.Inst.Conditional(tu)
+		if err != nil {
+			return nil, 0, err
+		}
+		kl, err := dist.KLJoint(truth, j)
+		if err != nil {
+			return nil, 0, err
+		}
+		acc.add(kl, false)
+	}
+	acc.finish()
+	return out, acc.KL, nil
 }
 
 // Fig11Point is one efficiency observation: total sampled points and wall

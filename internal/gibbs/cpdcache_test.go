@@ -126,7 +126,7 @@ func TestSamplerSharedCacheDeterminism(t *testing.T) {
 		t.Fatalf("tiny cache recorded no evictions; bound not exercised")
 	}
 
-	// InferIndependent (the engine's chain-mode unit) under a shared cache
+	// InferIndependent (the engine's chain-tier unit) under a shared cache
 	// must equal its private-memo result too.
 	for _, tu := range tuples {
 		jPriv, _, err := InferIndependent(m, base, tu)

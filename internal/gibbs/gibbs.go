@@ -4,7 +4,10 @@
 // strategies — tuple-at-a-time (one chain per incomplete tuple),
 // all-at-a-time (one chain over the full space, rejection-filtered per
 // tuple), and the workload-driven tuple-DAG optimization (Algorithm 3) that
-// shares samples between tuples related by subsumption.
+// shares samples between tuples related by subsumption. It also solves a
+// chain's target exactly: Stationary computes the stationary distribution
+// of a tuple's sweep kernel, and Infer, the serving engine's estimator,
+// uses it for kernels no larger than the chain's draws (exact.go).
 package gibbs
 
 import (
@@ -49,7 +52,9 @@ func (c Config) burnIn() int {
 	return c.BurnIn
 }
 
-func (c Config) validate() error {
+// Validate reports a configuration no chain can run: Samples must be
+// positive.
+func (c Config) Validate() error {
 	if c.Samples <= 0 {
 		return fmt.Errorf("gibbs: Samples must be positive, got %d", c.Samples)
 	}
@@ -92,7 +97,7 @@ func New(model *core.Model, cfg Config) (*Sampler, error) {
 	if model == nil {
 		return nil, fmt.Errorf("gibbs: nil model")
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Sampler{

@@ -90,23 +90,26 @@ func (s *Sampler) ParallelTupleAtATime(workload []relation.Tuple, workers int) (
 
 // InferIndependent runs the content-seeded independent chain for one
 // incomplete tuple: exactly the estimator ParallelTupleAtATime applies to
-// each distinct workload tuple, exposed as a single-tuple entry point so a
-// serving engine can schedule chains block by block across a stream. The
-// chain's RNG is derived from cfg.Seed and the tuple's canonical evidence
-// key, so the returned joint is bit-identical to the batch path no matter
-// when, where, or alongside which other tuples it is computed. It creates
-// a private sub-sampler per call and shares no state, so it is safe to
+// each distinct workload tuple, exposed as a single-tuple entry point.
+// Infer, the serving engine's per-block estimator, falls back to this
+// chain for the tuples its exact tier does not solve. The chain's RNG is
+// derived from cfg.Seed and the tuple's canonical evidence key, so the
+// returned joint is bit-identical to the batch path no matter when,
+// where, or alongside which other tuples it is computed. It creates a
+// private sub-sampler per call and shares no state, so it is safe to
 // call from any number of goroutines. The int result is the number of
 // points sampled, including burn-in.
 func InferIndependent(m *core.Model, cfg Config, t relation.Tuple) (*dist.Joint, int, error) {
 	faultinject.Fire("gibbs.chain") // forced panic: exercises chain-worker recovery
 	faultinject.Fire("gibbs.sweep") // delayed sweep: stretches chain wall-clock
-	if m == nil {
-		return nil, 0, fmt.Errorf("gibbs: nil model")
-	}
-	if err := cfg.validate(); err != nil {
+	if err := checkInfer(m, cfg, t); err != nil {
 		return nil, 0, err
 	}
+	return runChain(m, cfg, t)
+}
+
+// runChain is InferIndependent after its fault points and argument checks.
+func runChain(m *core.Model, cfg Config, t relation.Tuple) (*dist.Joint, int, error) {
 	subCfg := cfg // keep the shared CPD cache, re-derive only the seed
 	subCfg.Seed = tupleSeed(cfg.Seed, t)
 	// The RNG and vote scratch are pooled: Seed deterministically resets

@@ -299,50 +299,109 @@ func checkOracle(t *testing.T, label string, q *Query, res *Result, items []deri
 // models, relations, and queries across every operator — with and
 // without probability thresholds — evaluation through the engine is
 // bit-identical to deriving the full database and evaluating naively,
-// at every worker count (pool sizes never change answers).
+// at every worker count (pool sizes never change answers). The last
+// relation's multi-missing tuples are served by both tiers of
+// gibbs.Infer.
 func TestEvalMatchesOracle(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range []int64{11, 12, 13} {
 		model, rel := fixture(t, seed)
-		items := deriveAll(t, model, rel, engineConfig(4, 4))
+		evalMatchesOracle(t, model, rel, seed)
+	}
+	model, rel := tieredFixture(t, 17)
+	st := evalMatchesOracle(t, model, rel, 17)
+	if st.ExactSolved == 0 || st.GibbsComputed == st.ExactSolved {
+		t.Fatalf("%d of %d joints solved exactly: the tiered fixture does not cover both tiers",
+			st.ExactSolved, st.GibbsComputed)
+	}
+}
 
-		var engines []*derive.Engine
-		for _, w := range [][2]int{{1, 2}, {2, 4}, {8, 8}} {
-			eng, err := derive.New(model, engineConfig(w[0], w[1]))
+// tieredFixture is fixture on BN10 (six attributes of four values) with
+// up to five hidden values: under engineConfig two or three hidden
+// values are solved exactly, and five need more local CPDs than the
+// chain's 140 sweeps draw, so they run chains.
+func tieredFixture(t testing.TB, seed int64) (*core.Model, *relation.Relation) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	top, err := bn.ByID("BN10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := bn.Instantiate(top, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Learn(inst.SampleRelation(rng, 3000), core.Config{SupportThreshold: 0.002})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := relation.NewRelation(top.Schema())
+	for i := 0; i < 60; i++ {
+		tu := inst.Sample(rng)
+		for _, a := range rng.Perm(len(tu))[:[]int{0, 1, 2, 3, 5}[i%5]] {
+			tu[a] = relation.Missing
+		}
+		if err := rel.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, rel
+}
+
+// evalMatchesOracle checks random queries of every operator on rel
+// against the derive-everything oracle, on engines of three pool sizes,
+// and returns the stats of the oracle's engine.
+func evalMatchesOracle(t *testing.T, model *core.Model, rel *relation.Relation, seed int64) derive.Stats {
+	t.Helper()
+	ctx := context.Background()
+	oracleEng, err := derive.New(model, engineConfig(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []derive.Item
+	if err := oracleEng.Stream(rel, func(it derive.Item) error {
+		items = append(items, it)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var engines []*derive.Engine
+	for _, w := range [][2]int{{1, 2}, {2, 4}, {8, 8}} {
+		eng, err := derive.New(model, engineConfig(w[0], w[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, eng)
+	}
+
+	rng := rand.New(rand.NewSource(seed * 101))
+	for _, op := range []Op{Count, Exists, TopK, GroupBy} {
+		for round := 0; round < 4; round++ {
+			spec := randomSpec(rng, model.Schema, op)
+			q, err := Compile(model.Schema, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			engines = append(engines, eng)
-		}
-
-		rng := rand.New(rand.NewSource(seed * 101))
-		for _, op := range []Op{Count, Exists, TopK, GroupBy} {
-			for round := 0; round < 4; round++ {
-				spec := randomSpec(rng, model.Schema, op)
-				q, err := Compile(model.Schema, spec)
+			for wi, eng := range engines {
+				res, err := Eval(ctx, eng, rel, q)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%v round %d workers %d: %v", op, round, wi, err)
 				}
-				for wi, eng := range engines {
-					res, err := Eval(ctx, eng, rel, q)
-					if err != nil {
-						t.Fatalf("%v round %d workers %d: %v", op, round, wi, err)
-					}
-					checkOracle(t, q.String(), q, res, items, model.Schema)
-				}
+				checkOracle(t, q.String(), q, res, items, model.Schema)
 			}
 		}
-
-		// The engines recorded every evaluation.
-		st := engines[0].Stats()
-		if st.Queries == 0 || st.QueryTuples != st.Queries*int64(rel.Len()) {
-			t.Errorf("engine stats did not record queries: %+v", st)
-		}
-		// Every scanned tuple's final interval width lies in [0, 1].
-		if w := st.QueryBoundWidth; w < 0 || w > float64(st.QueryTuples) {
-			t.Errorf("bound width %v outside [0, %d]", w, st.QueryTuples)
-		}
 	}
+
+	// The engines recorded every evaluation.
+	st := engines[0].Stats()
+	if st.Queries == 0 || st.QueryTuples != st.Queries*int64(rel.Len()) {
+		t.Errorf("engine stats did not record queries: %+v", st)
+	}
+	// Every scanned tuple's final interval width lies in [0, 1].
+	if w := st.QueryBoundWidth; w < 0 || w > float64(st.QueryTuples) {
+		t.Errorf("bound width %v outside [0, %d]", w, st.QueryTuples)
+	}
+	return oracleEng.Stats()
 }
 
 // TestThresholdTouchesTupleProbability pins the edge where a bound

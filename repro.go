@@ -174,7 +174,10 @@ func InferWorkload(m *Model, workload []Tuple, opt GibbsOptions) ([]Tuple, []*Jo
 // DeriveOptions configure Derive and DeriveStream.
 type DeriveOptions struct {
 	// Gibbs configures multi-attribute inference for tuples with more than
-	// one missing value.
+	// one missing value. Its sweep count B+N also sets the exact tier: a
+	// tuple whose chain kernel needs at most (B+N)·k local CPDs is solved
+	// exactly, as the kernel's stationary distribution, unless power
+	// iteration has not converged within B+N sweeps.
 	Gibbs GibbsOptions
 	// Method is the voting method for single-missing tuples. The zero
 	// value is AllAveraged; the paper's most accurate method at scale is
@@ -183,10 +186,12 @@ type DeriveOptions struct {
 	// MaxAlternatives caps each block's alternatives (most probable kept,
 	// renormalized); <= 0 keeps all combinations.
 	MaxAlternatives int
-	// Workers sizes the goroutine pool that runs multi-missing Gibbs
-	// chains, one independent chain per distinct tuple; <= 0 selects
-	// GOMAXPROCS. Chains are seeded by tuple content, so the derived
-	// database is bit-identical for every pool size.
+	// Workers sizes the goroutine pool that infers multi-missing tuples,
+	// one independent unit per distinct tuple: an exact solve when the
+	// tuple's chain kernel is small (see Gibbs), a Gibbs chain otherwise;
+	// <= 0 selects GOMAXPROCS. Exact solves use no randomness and chains
+	// are seeded by tuple content, so the derived database is
+	// bit-identical for every pool size.
 	Workers int
 	// VoteWorkers sizes the goroutine pool that shards single-missing
 	// voting; <= 0 selects GOMAXPROCS. Distinct incomplete tuples are
@@ -247,7 +252,8 @@ type Sink = derive.Sink
 
 // EngineStats instruments an Engine's shared caches: distinct patterns
 // computed vs tuples served for both the single-missing vote cache and
-// the multi-missing joint cache, Gibbs points drawn, and streams run. All
+// the multi-missing joint cache, how many joints were solved exactly,
+// Gibbs points drawn, and streams run. All
 // counters are monotonically non-decreasing over the engine's lifetime.
 type EngineStats = derive.Stats
 
@@ -358,10 +364,11 @@ func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 // incomplete tuple arrives as a block of mutually exclusive completions
 // distributed according to the inferred Delta_t. Single-missing tuples
 // use ensemble voting sharded across opt.VoteWorkers goroutines with a
-// shared memoization cache; multi-missing tuples use independent Gibbs
-// chains, scheduled per block across opt.Workers goroutines. The emitted
-// stream does not depend on pool sizes: it is bit-identical for every
-// VoteWorkers and Workers value (chains are seeded by tuple content). The
+// shared memoization cache; multi-missing tuples are solved exactly or
+// by independent Gibbs chains, scheduled per block across opt.Workers
+// goroutines. The emitted stream does not depend on pool sizes: it is
+// bit-identical for every VoteWorkers and Workers value (exact solves use
+// no randomness and chains are seeded by tuple content). The
 // relation's schema must match the model's (else a SchemaMismatchError is
 // returned up front). If emit returns an error the stream stops and
 // DeriveStream returns that error. It runs on a throwaway engine;
