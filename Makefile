@@ -1,16 +1,16 @@
 # Tier-1 verification targets. `make ci` is the gate every change must
-# pass: gofmt, vet, the full test suite under the race detector, a one-shot
-# smoke of the derivation benchmarks (exercising the streaming engine end
-# to end), an end-to-end serving smoke of cmd/mrslserve over HTTP, the
-# served-path benchmark's own test, and a one-shot publish of the
-# concurrent-serving benchmark into BENCH_engine.json.
+# pass: gofmt, vet of both modules, the full test suite under the race
+# detector, a one-shot smoke of the derivation benchmarks (exercising the
+# streaming engine end to end), an end-to-end serving smoke of
+# cmd/mrslserve over HTTP, the served-path benchmark's own test, and the
+# benchmark gate against the parent commit.
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet test race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-planner bench-watch bench-check bench-baseline bench-publish fuzz-smoke build
+.PHONY: ci fmt vet test race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-gate fuzz-smoke build
 
-ci: fmt vet race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-serve bench-check
+ci: fmt vet race metrics-lint bench-smoke serve-smoke chaos-smoke perfbench-smoke bench-gate
 
 # Assert every EngineStats counter is exported on GET /metrics and named
 # in README.md's metric table, and every mrsl_engine_* name README.md
@@ -26,8 +26,10 @@ build:
 fmt:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
+# perfbench/ is a module of its own, so ./... does not reach it.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 test:
 	$(GO) test ./...
@@ -61,56 +63,14 @@ chaos-smoke:
 perfbench-smoke:
 	cd perfbench && $(GO) test -count=1 .
 
-# Publish the concurrent serving benchmark (1/4/16 overlapping streams on
-# one engine) as go-test JSON events, so serving throughput is tracked
-# run over run. The benchmark warms the engine caches before its timer
-# starts, so 5 steady-state iterations give a stable, run-to-run
-# comparable figure (the seed published a single cold iteration, which
-# measured warmup, not serving).
-bench-serve:
-	$(GO) test -run=NONE -bench=BenchmarkEngineConcurrent -benchtime=5x -json . > BENCH_engine.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_engine.json | head -3
-
-# Publish the query benchmarks — planning (classification, selectivity
-# ordering, memoized dissociation intervals) plus the per-statement SPJ
-# paths (safe hierarchical join, dissociated exists) — so query serving
-# latency is tracked run over run. BenchmarkQueryAdaptive (the topk wave
-# cut) and BenchmarkQueryAdversarial (a thresholded count over the full
-# adversarial mix) run full evaluations, chains included, on fresh
-# engines, so they get a smaller iteration count appended to the same
-# log.
-bench-planner:
-	$(GO) test -run=NONE -bench='BenchmarkQueryPlanner|BenchmarkQuerySafeJoin|BenchmarkQueryDissociated' -benchtime=1000x -json . > BENCH_planner.json
-	$(GO) test -run=NONE -bench='BenchmarkQueryAdaptive|BenchmarkQueryAdversarial' -benchtime=100x -json . >> BENCH_planner.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_planner.json | head -8
-
-# Fail ci when serving throughput or planning latency regresses >30%
-# against the committed baselines (BENCH_baseline.json /
-# BENCH_planner_baseline.json; refresh them deliberately with
-# `make bench-baseline` when a PR legitimately moves the needle).
-bench-check: bench-serve bench-planner
-	sh scripts/bench-check.sh BENCH_baseline.json BENCH_engine.json 30
-	sh scripts/planner-check.sh BENCH_planner_baseline.json BENCH_planner.json 30
-
-bench-baseline: bench-serve bench-planner
-	cp BENCH_engine.json BENCH_baseline.json
-	cp BENCH_planner.json BENCH_planner_baseline.json
-
-# Publish the subscription-delivery load generator: many watchers on one
-# live dataset while observation deltas stream in, the workload behind
-# the mrsl_watch_notify_seconds histogram.
-bench-watch:
-	$(GO) test -run=NONE -bench=BenchmarkWatchFanout -benchmem -benchtime=100x -json . > BENCH_watch.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_watch.json | head -3
-
-# Publish the wider perf trajectory — derivation, lattice matching,
-# Gibbs, and selective-query benchmarks with allocation counts —
-# alongside the serving figures, so BENCH_derive.json tracks the hot
-# paths across PRs (BenchmarkQuerySelective pits Engine.Query's pruning
-# against derive-then-filter on the same workload).
-bench-publish: bench-serve bench-watch
-	$(GO) test -run=NONE -bench 'Derive|Match|Gibbs|Query' -benchmem -benchtime=100x -json . ./internal/core ./internal/gibbs > BENCH_derive.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_derive.json | head -14
+# Time the change against its parent commit on this host: HEAD when the
+# working tree has changes, else HEAD^. Ten alternating pairs of the
+# concurrent-serving, planner, SPJ and adaptive-query benchmarks; a metric
+# fails only when the change loses at least 9 of the 10 pairs, its median
+# is more than 30% worse, and the medians differ by more than the
+# parent's interquartile range (scripts/benchgate).
+bench-gate:
+	$(GO) run ./scripts/benchgate
 
 # Short fuzzing pass over the four external input parsers (CSV
 # relations, BN topology DSL, query predicate syntax, /observe bodies),

@@ -187,8 +187,8 @@ func TestAdaptiveTopKCutsDerivations(t *testing.T) {
 
 // BenchmarkQueryAdaptive measures the rank-k workload above on fresh
 // engines: the wave cut's savings are blocks never derived, so wall time
-// follows the derivation drop. The sub-benchmark keeps the name its
-// committed baseline figure is recorded under.
+// follows the derivation drop. make bench-gate reads the sub-benchmark
+// by its name, BenchmarkQueryAdaptive/adaptive.
 func BenchmarkQueryAdaptive(b *testing.B) {
 	cfg := experiment.AdversarialConfig{
 		Seed: 5, Size: 360, Patterns: 24, SkewExp: 1.1,
@@ -224,8 +224,8 @@ func BenchmarkQueryAdaptive(b *testing.B) {
 
 // BenchmarkQueryAdversarial runs the full adversarial mix — skew,
 // correlation, and all-but-one-missing blocks — through a thresholded
-// count on fresh engines per iteration. The sub-benchmark keeps the name
-// its committed baseline figure is recorded under.
+// count on fresh engines per iteration. make bench-gate reads the
+// sub-benchmark by its name, BenchmarkQueryAdversarial/adaptive.
 func BenchmarkQueryAdversarial(b *testing.B) {
 	env, rel := adversarialEnv(b, experiment.DefaultAdversarial(9, 360))
 	spec := adversarialTopK(env, rel, 0)

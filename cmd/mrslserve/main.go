@@ -184,7 +184,7 @@ func main() {
 		workers   = flag.Int("workers", 8, "default multi-missing pool size per request, running exact solves and Gibbs chains (0 = GOMAXPROCS)")
 		voters    = flag.Int("voteworkers", 0, "default voting pool size per request (0 = GOMAXPROCS)")
 		maxAlts   = flag.Int("maxalts", 0, "cap block alternatives (0 keeps all)")
-		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache to this many entries, CLOCK-evicted (0 = unbounded vote/joint caches, default-capped CPD memo); eviction never changes results")
+		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache (votes, joints, conditioned blocks, CPDs) to this many entries, CLOCK-evicted (0 = unbounded vote/joint/conditioned-block caches, default-capped CPD memo); eviction never changes results")
 		inflight  = flag.Int("max-inflight", 0, "maximum concurrent derivation/query requests; excess requests get 429 with Retry-After (0 = unlimited)")
 
 		defTimeout = flag.Duration("default-timeout", 0, "default deadline budget per /derive and /query request; requests degrade to sound bounds instead of failing when it runs out (0 = none; timeout_ms= overrides per request)")

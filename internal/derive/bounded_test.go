@@ -115,14 +115,14 @@ func TestSingleMissingSharesCPDCache(t *testing.T) {
 		t.Fatalf("vote path did not populate the CPD cache")
 	}
 	// A chain over the same tuple probes the same (method, attr, evidence)
-	// key on its first sweep: it must hit the vote-seeded entry instead of
-	// re-voting.
+	// key once per sweep: each of its BurnIn+Samples probes must hit the
+	// vote-seeded entry instead of re-voting.
 	cfg := gibbs.Config{Samples: 5, BurnIn: 1, Method: bestAveraged(), Seed: 1, Cache: e.cpd}
 	if _, _, err := gibbs.InferIndependent(m, cfg, tu); err != nil {
 		t.Fatal(err)
 	}
 	after := e.Stats()
-	if after.CPDHits != before.CPDHits+1 {
+	if after.CPDHits != before.CPDHits+int64(cfg.BurnIn+cfg.Samples) {
 		t.Fatalf("chain probe did not hit the vote-seeded entry: hits %d -> %d",
 			before.CPDHits, after.CPDHits)
 	}

@@ -77,12 +77,14 @@ type Config struct {
 	// content — so the result does not depend on the pool size.
 	GibbsWorkers int
 	// CacheEntries bounds each of the engine's memoization caches (the
-	// single-missing vote cache, the multi-missing joint cache, and the
-	// shared local-CPD cache) to that many entries, evicted CLOCK-wise.
-	// <= 0 leaves the vote and joint caches unbounded (they hold one entry
-	// per distinct damage pattern) and caps the CPD cache at its default
-	// (gibbs.DefaultCPDCacheEntries; CPD entries grow with the sampled
-	// state space, not the workload, so they are always bounded).
+	// single-missing vote cache, the multi-missing joint cache, live
+	// datasets' conditioned-block cache, and the shared local-CPD cache)
+	// to that many entries, evicted CLOCK-wise. <= 0 leaves the vote,
+	// joint and conditioned-block caches unbounded (they hold one entry
+	// per distinct damage pattern or observed tuple) and caps the CPD
+	// cache at its default (gibbs.DefaultCPDCacheEntries; CPD entries grow
+	// with the sampled state space, not the workload, so they are always
+	// bounded).
 	// Evictions never change emitted streams — every cached value is a
 	// deterministic function of the model and its key — they only cost
 	// recomputation.
@@ -194,8 +196,9 @@ type Stats struct {
 	PointsSampled int64
 	// Streams counts completed Stream calls (successful or not).
 	Streams int64
-	// Evictions counts entries dropped from the engine's bounded vote and
-	// joint caches (always 0 when Config.CacheEntries <= 0).
+	// Evictions counts entries dropped from the engine's bounded vote,
+	// joint and conditioned-block caches (always 0 when
+	// Config.CacheEntries <= 0).
 	Evictions int64
 	// CPDHits, CPDMisses, and CPDEvictions instrument the shared local-CPD
 	// cache: probes served, probes missed, and entries dropped by its

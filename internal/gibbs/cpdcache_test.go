@@ -173,6 +173,27 @@ func TestLocalCPDHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInferIndependentWarmCacheAllocs pins a chain's allocations on a
+// warm shared cache at a small constant: the cache serves every local
+// CPD, so nothing the chain allocates grows with the distinct evidence
+// states it visits.
+func TestInferIndependentWarmCacheAllocs(t *testing.T) {
+	m, inst, rng := learnBN(t, "BN7", 2000, 43)
+	tu := hideValues(inst, rng, 1, 5)[0]
+	cfg := Config{Samples: 200, BurnIn: 20, Method: bestAveraged(), Seed: 3, Cache: NewCPDCache(0)}
+	if _, _, err := InferIndependent(m, cfg, tu); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := InferIndependent(m, cfg, tu); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("warm-cache chain allocates %.0f times, want at most 40", allocs)
+	}
+}
+
 // TestCPDCacheConcurrentSmoke hammers one cache from many goroutines
 // under overlapping keys; correctness is checked by the race detector and
 // the counters' consistency.

@@ -176,8 +176,7 @@ func newKernel(m *core.Model, cfg Config, t relation.Tuple) (*kernel, error) {
 
 // sharedCPD serves attr's local CPD given state, in which attr is
 // Missing, through cfg.Cache under key when a cache is set, voting on a
-// miss. Each CPD of a kernel is distinct, so unlike a chain the solver
-// keeps no private memo in front of the cache.
+// miss.
 func sharedCPD(m *core.Model, cfg Config, state relation.Tuple, attr int, key []byte, s *vote.Scratch) (dist.Dist, error) {
 	if cfg.Cache != nil {
 		if d, ok := cfg.Cache.Get(key); ok {

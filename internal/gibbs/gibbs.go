@@ -73,11 +73,9 @@ type Sampler struct {
 	cfg   Config
 	rng   *rand.Rand
 
-	// local is the sampler-private memo, keyed by AppendCPDKey bytes
-	// (method + attribute + canonical evidence assignment). With a shared
-	// cfg.Cache it acts as an unsynchronized first level in front of the
-	// shared cache, so a chain's constant revisits to its own evidence
-	// states never touch a lock.
+	// local is the sampler-private memo of a sampler without a shared
+	// cfg.Cache, keyed by AppendCPDKey bytes (method + attribute +
+	// canonical evidence assignment) and made on its first miss.
 	local map[string]dist.Dist
 	// keyBuf is the reused CPD key scratch buffer.
 	keyBuf []byte
@@ -87,8 +85,8 @@ type Sampler struct {
 	// PointsSampled counts every Gibbs draw, including burn-in — the
 	// "sample size" axis of Fig. 11.
 	PointsSampled int
-	// CacheHits and CacheMisses instrument this sampler's CPD memo probes
-	// (against the shared cache when one is configured).
+	// CacheHits and CacheMisses instrument the private memo's probes; a
+	// shared Config.Cache counts its own (CPDCache.Stats).
 	CacheHits, CacheMisses int
 }
 
@@ -104,7 +102,6 @@ func New(model *core.Model, cfg Config) (*Sampler, error) {
 		model:   model,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		local:   make(map[string]dist.Dist),
 		scratch: new(vote.Scratch),
 	}, nil
 }
@@ -117,18 +114,15 @@ func (s *Sampler) localCPD(state relation.Tuple, attr int) (dist.Dist, error) {
 	saved := state[attr]
 	state[attr] = relation.Missing
 	s.keyBuf = AppendCPDKey(s.keyBuf[:0], attr, s.cfg.Method, state)
+	if s.cfg.Cache != nil {
+		d, err := sharedCPD(s.model, s.cfg, state, attr, s.keyBuf, s.scratch)
+		state[attr] = saved
+		return d, err
+	}
 	if d, ok := s.local[string(s.keyBuf)]; ok {
 		state[attr] = saved
 		s.CacheHits++
 		return d, nil
-	}
-	if s.cfg.Cache != nil {
-		if d, ok := s.cfg.Cache.Get(s.keyBuf); ok {
-			state[attr] = saved
-			s.local[string(s.keyBuf)] = d
-			s.CacheHits++
-			return d, nil
-		}
 	}
 	s.CacheMisses++
 	d, err := vote.InferScratch(s.model, state, attr, s.cfg.Method, s.scratch)
@@ -136,10 +130,10 @@ func (s *Sampler) localCPD(state relation.Tuple, attr int) (dist.Dist, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.local[string(s.keyBuf)] = d
-	if s.cfg.Cache != nil {
-		s.cfg.Cache.Put(s.keyBuf, d)
+	if s.local == nil {
+		s.local = make(map[string]dist.Dist)
 	}
+	s.local[string(s.keyBuf)] = d
 	return d, nil
 }
 

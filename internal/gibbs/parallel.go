@@ -115,17 +115,12 @@ func runChain(m *core.Model, cfg Config, t relation.Tuple) (*dist.Joint, int, er
 	// The RNG and vote scratch are pooled: Seed deterministically resets
 	// the full generator state, and the scratch carries no cross-call
 	// meaning, so reuse changes nothing but the allocation count. The
-	// private CPD memo is NOT pooled — its entries are model-specific.
+	// private CPD memo of a chain without a shared cache is NOT pooled —
+	// its entries are model-specific.
 	st := indepPool.Get().(*indepState)
 	defer indepPool.Put(st)
 	st.rng.Seed(subCfg.Seed)
-	sub := &Sampler{
-		model:   m,
-		cfg:     subCfg,
-		rng:     st.rng,
-		local:   make(map[string]dist.Dist),
-		scratch: st.scratch,
-	}
+	sub := &Sampler{model: m, cfg: subCfg, rng: st.rng, scratch: st.scratch}
 	j, err := sub.InferTuple(t)
 	return j, sub.PointsSampled, err
 }

@@ -199,13 +199,13 @@ type DeriveOptions struct {
 	// database is bit-identical for every pool size.
 	VoteWorkers int
 	// CacheEntries bounds each engine cache (single-missing votes,
-	// multi-missing joints, and the shared local-CPD memo) to that many
-	// entries with CLOCK eviction, so long-lived engines serving unbounded
-	// pattern diversity run in fixed memory. <= 0 leaves the vote and
-	// joint caches unbounded and keeps the CPD memo at its large default
-	// cap. Eviction never changes the derived stream — cached values are
-	// deterministic functions of the model and their key — it only costs
-	// recomputation.
+	// multi-missing joints, live datasets' conditioned blocks, and the
+	// shared local-CPD memo) to that many entries with CLOCK eviction, so
+	// long-lived engines serving unbounded pattern diversity run in fixed
+	// memory. <= 0 leaves the vote, joint and conditioned-block caches
+	// unbounded and keeps the CPD memo at its large default cap. Eviction
+	// never changes the derived stream — cached values are deterministic
+	// functions of the model and their key — it only costs recomputation.
 	CacheEntries int
 }
 

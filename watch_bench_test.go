@@ -5,9 +5,8 @@ package repro
 // subscribed to one live dataset while observation deltas stream in.
 // Each iteration applies one fresh, consistent evidence delta — the
 // conditioning work plus the coalesced non-blocking fan-out to every
-// subscriber — so the published numbers track how delivery latency
-// scales with the watcher count. `make bench-watch` publishes the
-// series to BENCH_watch.json alongside the other bench JSONs.
+// subscriber — so its numbers show how delivery latency scales with the
+// watcher count.
 
 import (
 	"context"
