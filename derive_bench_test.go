@@ -223,6 +223,47 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineCold times first-contact inference, which
+// BenchmarkEngineConcurrent's warm caches never reach: each iteration
+// derives 64 distinct BN7 tuples with 3 of 10 values hidden (the served
+// model and damage of perfbench's derive_cold) on a fresh engine with one
+// worker per pool, so every tuple votes its kernel's local CPDs and
+// solves it exactly. It fails unless EngineStats.ExactSolved counts every
+// tuple, and reports input tuples per second.
+func BenchmarkEngineCold(b *testing.B) {
+	e := getEnv(b, "BN7", 20000, 0.01)
+	rel := NewRelation(e.model.Schema)
+	seen := map[string]bool{}
+	for _, tu := range benchWorkload(e, 5, 80, 3) {
+		if k := tu.Key(); !seen[k] && rel.Len() < 64 {
+			seen[k] = true
+			if err := rel.Append(tu); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	opt := DeriveOptions{
+		Method:      BestAveraged(),
+		Gibbs:       GibbsOptions{Samples: 800, BurnIn: 100, Seed: 31, Method: BestAveraged()},
+		VoteWorkers: 1,
+		Workers:     1,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := NewEngine(e.model, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.DeriveStream(rel, func(DeriveItem) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		if st := eng.Stats(); st.ExactSolved != int64(rel.Len()) {
+			b.Fatalf("%d of %d tuples solved exactly", st.ExactSolved, rel.Len())
+		}
+	}
+	b.ReportMetric(float64(rel.Len())*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+}
+
 // BenchmarkDeriveParallel streams the same derivation through the engine
 // with 8 voting workers and 8 Gibbs chains.
 func BenchmarkDeriveParallel(b *testing.B) {

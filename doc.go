@@ -69,8 +69,13 @@
 // attribute bitmasks at model build time and matching traverses the
 // subsumption Hasse diagram top-down, visiting exactly the matching
 // rules instead of enumerating the 2^k sub-assignments of a tuple's
-// evidence; the most specific voters are read off cover edges. The match
-// path and all cache-hit paths are allocation-free in steady state.
+// evidence. An exact solve matches each kernel table once, as a family:
+// one traversal with the tuple's known values fixed and its other missing
+// attributes as wildcards answers every context of the table, and each
+// context's voters are combined in the same order as a lone vote's, so
+// the CPDs are bit-identical. The most specific voters are the matches no
+// other match lists as a cover. The match path and all cache-hit paths
+// are allocation-free in steady state.
 //
 // Caching is a three-level hierarchy, shared and bounded. Each engine
 // owns one sharded local-CPD cache, shared by every exact solve, Gibbs

@@ -9,7 +9,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -78,7 +78,7 @@ func newMRSL(attr, card int, metas []*rules.MetaRule) (*MRSL, error) {
 
 // compile builds the lattice-native matching structures: each body in
 // match-ready bitmask form, and the downward (child) edges of the Hasse
-// diagram, which AppendMatches traverses top-down.
+// diagram, which PrepareFamily traverses top-down.
 func (l *MRSL) compile() {
 	numAttrs := len(l.Rules[0].Body)
 	l.maskWords = rules.MaskWords(numAttrs)
@@ -195,32 +195,51 @@ func ParseVoterChoice(s string) (VoterChoice, error) {
 	return 0, fmt.Errorf("core: unknown voter choice %q", s)
 }
 
-// MatchScratch holds the reusable traversal state of lattice-native
-// matching. The zero value is ready to use; reusing one scratch across
-// calls makes AppendMatches allocation-free in steady state. A scratch is
-// not safe for concurrent use, but may be shared across lattices.
+// MatchScratch holds the reusable state of lattice-native matching: the
+// traversal's marks and the family PrepareFamily last matched, which
+// AppendContext answers. The zero value is ready to use; reusing one
+// scratch across calls makes PrepareFamily, AppendContext and
+// AppendMatches allocation-free in steady state. A scratch is not safe
+// for concurrent use, but may be shared across lattices.
 type MatchScratch struct {
-	tmask   []uint64
-	epoch   uint32
-	visited []uint32 // visited[i] == epoch: rule i was tested this call
-	matched []uint32 // matched[i] == epoch: rule i matched this call
-	stack   []int32
+	l     *MRSL // the lattice of the prepared family
+	tmask []uint64
+	// visited and cand are bitsets over l's rules: rule r was tested, and
+	// is a candidate, in the last traversal.
+	visited, cand []uint64
+	stack         []int32
+	// cands lists the candidates' rule indices in ascending order.
+	cands []int32
+	// vals[c*len(free)+f] is candidate c's value on free attribute f, or
+	// relation.Missing where its body leaves f open.
+	vals []int32
+	// rows holds bitsets over the candidates, words each. Row 0 is every
+	// candidate; free attribute f's rows start at row base[f], which
+	// holds the candidates leaving f open, followed by one row per value
+	// v < nvals[f] holding those equal to v there.
+	words       int
+	rows        []uint64
+	base, nvals []int
+	// matched is AppendContext's bitset of the context's matches, over
+	// the candidates; covered marks the rules some match lists as a
+	// cover.
+	matched, covered []uint64
 }
 
-// begin sizes the scratch for a lattice of n rules and starts a new epoch,
-// invalidating all marks from earlier calls without clearing memory.
-func (s *MatchScratch) begin(n int) {
-	if len(s.visited) < n {
-		s.visited = append(s.visited, make([]uint32, n-len(s.visited))...)
-		s.matched = append(s.matched, make([]uint32, n-len(s.matched))...)
+// resetBits returns b resized to a zeroed bitset of n bits.
+func resetBits(b []uint64, n int) []uint64 {
+	words := (n + 63) / 64
+	if cap(b) < words {
+		return make([]uint64, words)
 	}
-	s.epoch++
-	if s.epoch == 0 { // epoch wrapped: stale marks could alias, wipe them
-		clear(s.visited)
-		clear(s.matched)
-		s.epoch = 1
-	}
+	b = b[:words]
+	clear(b)
+	return b
 }
+
+func hasBit(b []uint64, i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
+
+func setBit(b []uint64, i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
 
 // Match returns the meta-rules applicable to tuple t under the given voter
 // choice: rules whose body assignments are all made by t (Algorithm 2's
@@ -240,71 +259,161 @@ func (l *MRSL) Match(t relation.Tuple, choice VoterChoice) []*rules.MetaRule {
 }
 
 // AppendMatches appends the indices (into Rules, ascending) of the
-// meta-rules applicable to t to dst and returns the extended slice. It is
-// the lattice-native form of Match: a top-down traversal of the Hasse
-// diagram that starts at the top-level rule and descends only into
-// children whose bodies match t. Matching rules form a downward-closed set
-// from the top — a rule's body is a superset of each of its covers' bodies
-// — so the traversal visits every match and prunes every non-matching
-// branch; the cost is O(matches x cover fanout) body tests instead of the
-// 2^k sub-assignment enumeration over t's k evidence attributes.
-//
-// For BestVoters the most specific matches are read off the cover edges —
-// a match is kept iff none of its children matched — replacing the
-// O(matches^2) pairwise subsumption scan.
+// meta-rules applicable to t to dst and returns the extended slice: the
+// lattice-native form of Match. It is the family with no free attributes
+// — PrepareFamily(t, nil, s) answered in its one, empty context — so the
+// traversal visits exactly t's matches.
 //
 // Given a warmed scratch and sufficient dst capacity, AppendMatches does
 // not allocate.
 func (l *MRSL) AppendMatches(dst []int, t relation.Tuple, choice VoterChoice, s *MatchScratch) []int {
-	s.begin(len(l.Rules))
+	l.PrepareFamily(t, nil, s)
+	return s.AppendContext(dst, nil, choice)
+}
+
+// PrepareFamily matches the lattice once against a family of tuples: t
+// with each of its free attributes, which t must leave missing, set to
+// any value. A context is one assignment of the free attributes, and
+// AppendContext then answers it as AppendMatches would answer t
+// completed by the context, from bitsets of the candidates' values on
+// the free attributes.
+//
+// The candidates are the rules whose bodies assign only t's known
+// attributes and the free ones, and agree with t on the known ones. They
+// are found by a top-down traversal of the Hasse diagram that starts at
+// the top-level rule and descends only into candidate children.
+// Candidates form a downward-closed set from the top — a rule's body is a
+// superset of each of its covers' bodies — so the traversal visits every
+// candidate and prunes every other branch; the cost is O(candidates ×
+// cover fanout) body tests instead of the 2^k sub-assignment enumeration
+// over k evidence attributes, and it is paid once for all the family's
+// contexts.
+func (l *MRSL) PrepareFamily(t relation.Tuple, free []int, s *MatchScratch) {
+	s.l = l
 	words := l.maskWords
 	if w := rules.MaskWords(len(t)); w > words {
 		words = w
 	}
 	s.tmask = rules.AppendTupleMask(s.tmask[:0], t, words)
+	for _, a := range free {
+		setBit(s.tmask, int32(a))
+	}
+	s.visited = resetBits(s.visited, len(l.Rules))
+	s.cand = resetBits(s.cand, len(l.Rules))
 
-	// The top-level rule (index 0, empty body) always matches.
-	start := len(dst)
-	s.visited[0] = s.epoch
-	s.matched[0] = s.epoch
+	// The top-level rule (index 0, empty body) is always a candidate.
+	setBit(s.visited, 0)
+	setBit(s.cand, 0)
 	s.stack = append(s.stack[:0], 0)
-	dst = append(dst, 0)
 	for len(s.stack) > 0 {
 		i := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		for _, c := range l.children[i] {
-			if s.visited[c] == s.epoch {
+			if hasBit(s.visited, c) {
 				continue
 			}
-			s.visited[c] = s.epoch
+			setBit(s.visited, c)
 			if l.compiled[c].MatchedBy(t, s.tmask) {
-				s.matched[c] = s.epoch
+				setBit(s.cand, c)
 				s.stack = append(s.stack, c)
-				dst = append(dst, int(c))
 			}
 		}
 	}
-	slices.Sort(dst[start:])
-	if choice != BestVoters {
-		return dst
+
+	// List the candidates in ascending rule order, with their values on
+	// the free attributes.
+	s.cands, s.vals, s.nvals = s.cands[:0], s.vals[:0], s.nvals[:0]
+	for range free {
+		s.nvals = append(s.nvals, 0)
 	}
-	// Most specific matches: no matched child. Any match j strictly below a
-	// match i reaches i through a cover chain of matches, so i has a matched
-	// child iff some match is strictly more specific than i.
-	out := dst[start:start]
-	for _, i := range dst[start:] {
-		best := true
-		for _, c := range l.children[i] {
-			if s.matched[c] == s.epoch {
-				best = false
-				break
+	for w, word := range s.cand {
+		for ; word != 0; word &= word - 1 {
+			r := int32(w<<6 + bits.TrailingZeros64(word))
+			s.cands = append(s.cands, r)
+			body := &l.compiled[r]
+			for f, a := range free {
+				v := int32(relation.Missing)
+				for i, ba := range body.Attrs {
+					if int(ba) == a {
+						v = body.Vals[i]
+						s.nvals[f] = max(s.nvals[f], int(v)+1)
+						break
+					}
+				}
+				s.vals = append(s.vals, v)
 			}
 		}
-		if best {
-			out = append(out, i)
+	}
+
+	// Lay out the rows, then set each candidate's bits.
+	n := len(s.cands)
+	s.words = (n + 63) / 64
+	s.base = s.base[:0]
+	nrows := 1
+	for f := range free {
+		s.base = append(s.base, nrows)
+		nrows += 1 + s.nvals[f]
+	}
+	s.rows = resetBits(s.rows, nrows*s.words*64)
+	for c := 0; c < n; c++ {
+		bit := uint64(1) << (c & 63)
+		s.rows[c>>6] |= bit
+		for f, v := range s.vals[c*len(free) : (c+1)*len(free)] {
+			row := s.base[f] + 1 + int(v) // the open row when v is Missing
+			s.rows[row*s.words+c>>6] |= bit
 		}
 	}
-	return dst[:start+len(out)]
+}
+
+// AppendContext appends to dst the indices (into Rules, ascending) of the
+// meta-rules of the prepared family applicable in context ctx, where
+// ctx[f] is the value of the family's f-th free attribute, and returns
+// the extended slice: exactly AppendMatches's answer for t completed by
+// ctx. A candidate matches when each of its values on the free
+// attributes is open or equal to ctx's, so the matches are the
+// intersection over the free attributes of their open row and the row of
+// ctx's value.
+//
+// For BestVoters the most specific matches are found by marking the
+// covers of every match: a match is most specific exactly when no other
+// match lists it as a cover, since any match strictly below it reaches it
+// through a cover chain of matches. This replaces the O(matches²)
+// pairwise subsumption scan.
+func (s *MatchScratch) AppendContext(dst []int, ctx []int, choice VoterChoice) []int {
+	w := s.words
+	s.matched = append(s.matched[:0], s.rows[:w]...)
+	for f, v := range ctx {
+		open := s.rows[s.base[f]*w : (s.base[f]+1)*w]
+		if v < 0 || v >= s.nvals[f] {
+			for i, m := range open {
+				s.matched[i] &= m
+			}
+			continue
+		}
+		eq := s.rows[(s.base[f]+1+v)*w : (s.base[f]+2+v)*w]
+		for i, m := range open {
+			s.matched[i] &= m | eq[i]
+		}
+	}
+	best := choice == BestVoters
+	if best {
+		s.covered = resetBits(s.covered, len(s.l.Rules))
+		for i, word := range s.matched {
+			for ; word != 0; word &= word - 1 {
+				for _, p := range s.l.covers[s.cands[i<<6+bits.TrailingZeros64(word)]] {
+					setBit(s.covered, int32(p))
+				}
+			}
+		}
+	}
+	for i, word := range s.matched {
+		for ; word != 0; word &= word - 1 {
+			if r := s.cands[i<<6+bits.TrailingZeros64(word)]; !best || !hasBit(s.covered, r) {
+				dst = append(dst, int(r))
+			}
+		}
+	}
+	return dst
 }
 
 // Len returns the number of meta-rules in the lattice.

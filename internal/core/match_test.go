@@ -137,7 +137,8 @@ func randomMatchTuple(rng *rand.Rand, numAttrs int, cards []int) relation.Tuple 
 // TestAppendMatchesAgreesWithSubsetEnumeration is the property test: on
 // random lattices and tuples, the lattice traversal returns exactly the
 // seed's subset-enumeration (and linear-scan) results, for both voter
-// choices, in the same order.
+// choices, in the same order — and so does a family of each tuple with
+// up to three of its missing attributes free, in every context.
 func TestAppendMatchesAgreesWithSubsetEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var scratch MatchScratch // shared across lattices on purpose
@@ -166,6 +167,43 @@ func TestAppendMatchesAgreesWithSubsetEnumeration(t *testing.T) {
 				t.Fatalf("trial %d: AppendMatches(best) = %v, want %v\nlattice=%d rules, tuple=%v",
 					trial, gotBest, wantBest, l.Len(), tu)
 			}
+			checkFamily(t, l, tu, rng.Perm(numAttrs)[:rng.Intn(4)], cards, &scratch)
+		}
+	}
+}
+
+// checkFamily holds the family of tu with the given attributes free
+// (those tu leaves missing, other than the head) to the linear scan of
+// tu completed by each context, for both voter choices.
+func checkFamily(t *testing.T, l *MRSL, tu relation.Tuple, attrs []int, cards []int, s *MatchScratch) {
+	t.Helper()
+	var free []int
+	for _, a := range attrs {
+		if a != l.Attr && tu[a] == relation.Missing {
+			free = append(free, a)
+		}
+	}
+	l.PrepareFamily(tu, free, s)
+	contexts := 1
+	for _, a := range free {
+		contexts *= cards[a]
+	}
+	ctx := make([]int, len(free))
+	state := tu.Clone()
+	for n := 0; n < contexts; n++ {
+		rem := n
+		for f := len(free) - 1; f >= 0; f-- {
+			ctx[f] = rem % cards[free[f]]
+			rem /= cards[free[f]]
+			state[free[f]] = ctx[f]
+		}
+		wantAll := refMatchScan(l, state)
+		if got := s.AppendContext(nil, ctx, AllVoters); !equalInts(got, wantAll) {
+			t.Fatalf("family of %v free %v context %v: all = %v, want %v", tu, free, ctx, got, wantAll)
+		}
+		wantBest := refMostSpecific(l, wantAll)
+		if got := s.AppendContext(nil, ctx, BestVoters); !equalInts(got, wantBest) {
+			t.Fatalf("family of %v free %v context %v: best = %v, want %v", tu, free, ctx, got, wantBest)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/relation"
-	"repro/internal/vote"
 )
 
 // This file implements the engine's dissociation-style bound engine for
@@ -84,13 +83,13 @@ func boundSlack(samples int) float64 {
 // boundEnvelope returns, for missing attribute attr of multi-missing
 // tuple t, per-value envelopes lo[v] <= P(attr = v | assignment) <=
 // hi[v] over every assignment of t's other missing attributes — exactly
-// the family of local CPDs a Gibbs chain for t can ever draw attr from.
-// The CPDs themselves are served through the engine's shared CPD cache
-// (the same slots the chains fill); the envelope is not memoized, since
-// BoundCPD's interval cache answers every repeat first. A nil result
-// (with nil error) means the enumeration would exceed maxBoundStates.
+// the family of local CPDs a Gibbs chain for t can ever draw attr from,
+// enumerated by gibbs.EachCPD under the Gibbs local-CPD method through
+// the engine's shared CPD cache, in the slots the chains and exact solves
+// use. The envelope is not memoized, since BoundCPD's interval cache
+// answers every repeat first. A nil result (with nil error) means the
+// enumeration would exceed maxBoundStates.
 func (e *Engine) boundEnvelope(t relation.Tuple, attr int) (lo, hi dist.Dist, err error) {
-	var others []int
 	states := 1
 	for _, a := range t.MissingAttrs() {
 		if a == attr {
@@ -101,7 +100,6 @@ func (e *Engine) boundEnvelope(t relation.Tuple, attr int) (lo, hi dist.Dist, er
 			return nil, nil, nil
 		}
 		states *= c
-		others = append(others, a)
 	}
 	defer boundSeconds.Since(time.Now())
 
@@ -110,44 +108,16 @@ func (e *Engine) boundEnvelope(t relation.Tuple, attr int) (lo, hi dist.Dist, er
 	for v := range lo {
 		lo[v] = 1
 	}
-	state := t.Clone()
-	var keyBuf []byte
-	for s := 0; s < states; s++ {
-		rem := s
-		for i := len(others) - 1; i >= 0; i-- {
-			c := e.model.Schema.Attrs[others[i]].Card()
-			state[others[i]] = rem % c
-			rem /= c
-		}
-		d, err := e.stateCPD(state, attr, &keyBuf)
-		if err != nil {
-			return nil, nil, err
-		}
+	err = gibbs.EachCPD(e.model, e.cfg.Gibbs, t, attr, func(_ int, d dist.Dist) {
 		for v, p := range d {
 			lo[v] = math.Min(lo[v], p)
 			hi[v] = math.Max(hi[v], p)
 		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return lo, hi, nil
-}
-
-// stateCPD serves the voted CPD of attr (missing in state) given state's
-// known values through the engine's shared CPD cache — the identical
-// lookup, under the identical Gibbs local-CPD method, a chain performs
-// at each sweep, so envelope enumeration and chain sampling warm each
-// other's entries and the envelope brackets exactly the family the
-// chain draws from.
-func (e *Engine) stateCPD(state relation.Tuple, attr int, keyBuf *[]byte) (dist.Dist, error) {
-	*keyBuf = gibbs.AppendCPDKey((*keyBuf)[:0], attr, e.cfg.Gibbs.Method, state)
-	if d, ok := e.cpd.Get(*keyBuf); ok {
-		return d, nil
-	}
-	d, err := vote.Infer(e.model, state, attr, e.cfg.Gibbs.Method)
-	if err != nil {
-		return nil, err
-	}
-	e.cpd.Put(*keyBuf, d)
-	return d, nil
 }
 
 // BoundCPD computes a sound dissociation-style probability interval for

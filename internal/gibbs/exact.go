@@ -132,7 +132,7 @@ type kernel struct {
 }
 
 // newKernel fetches every local CPD of t's kernel, S/c_i per missing
-// attribute i.
+// attribute i, one family per table.
 func newKernel(m *core.Model, cfg Config, t relation.Tuple) (*kernel, error) {
 	missing := t.MissingAttrs()
 	cards := make([]int, len(missing))
@@ -152,26 +152,79 @@ func newKernel(m *core.Model, cfg Config, t relation.Tuple) (*kernel, error) {
 
 	st := indepPool.Get().(*indepState)
 	defer indepPool.Put(st)
-	state := t.Clone()
-	vals := make([]int, len(missing))
-	var keyBuf []byte
 	for i, attr := range missing {
-		c, stride := cards[i], k.strides[i]
-		k.tables[i] = make([]dist.Dist, j.Size()/c)
-		for ctx := range k.tables[i] {
-			// The context's state with attribute i at value 0.
-			j.ValuesInto(ctx/stride*stride*c+ctx%stride, vals)
-			for o, a := range missing {
-				state[a] = vals[o]
-			}
-			state[attr] = relation.Missing
-			keyBuf = AppendCPDKey(keyBuf[:0], attr, cfg.Method, state)
-			if k.tables[i][ctx], err = sharedCPD(m, cfg, state, attr, keyBuf, st.scratch); err != nil {
-				return nil, err
-			}
+		table := make([]dist.Dist, j.Size()/cards[i])
+		if err := st.eachCPD(m, cfg, t, attr, func(ctx int, d dist.Dist) { table[ctx] = d }); err != nil {
+			return nil, err
 		}
+		k.tables[i] = table
 	}
 	return k, nil
+}
+
+// EachCPD calls fn with attribute attr's local CPD in every context of
+// multi-missing tuple t — every assignment of t's other missing
+// attributes, indexed in mixed radix in MissingAttrs order, last
+// attribute fastest, as a kernel table is — in context order: the family
+// of CPDs a chain for t can draw attr from. Each CPD is served through
+// cfg.Cache when one is set, under the key and in the slot a chain's
+// lookup of the same state uses. On the family's first cache miss attr's
+// lattice is matched once for all its contexts (vote.Scratch's
+// PrepareFamily), and every miss is voted from that match.
+func EachCPD(m *core.Model, cfg Config, t relation.Tuple, attr int, fn func(ctx int, d dist.Dist)) error {
+	st := indepPool.Get().(*indepState)
+	defer indepPool.Put(st)
+	return st.eachCPD(m, cfg, t, attr, fn)
+}
+
+// eachCPD is EachCPD on the pooled state st.
+func (st *indepState) eachCPD(m *core.Model, cfg Config, t relation.Tuple, attr int, fn func(ctx int, d dist.Dist)) error {
+	st.free, st.ctx = st.free[:0], st.ctx[:0]
+	for a, v := range t {
+		if v == relation.Missing && a != attr {
+			st.free, st.ctx = append(st.free, a), append(st.ctx, 0)
+		}
+	}
+	st.state = append(st.state[:0], t...)
+	prepared := false
+	for n := 0; ; n++ {
+		var d dist.Dist
+		ok := false
+		if cfg.Cache != nil {
+			for f, a := range st.free {
+				st.state[a] = st.ctx[f]
+			}
+			st.key = AppendCPDKey(st.key[:0], attr, cfg.Method, st.state)
+			d, ok = cfg.Cache.Get(st.key)
+		}
+		if !ok {
+			if !prepared {
+				if err := st.scratch.PrepareFamily(m, t, attr, st.free); err != nil {
+					return err
+				}
+				prepared = true
+			}
+			var err error
+			if d, err = st.scratch.InferContext(st.ctx, cfg.Method); err != nil {
+				return err
+			}
+			if cfg.Cache != nil {
+				cfg.Cache.Put(st.key, d)
+			}
+		}
+		fn(n, d)
+		// Advance the context odometer, last free attribute fastest.
+		f := len(st.free) - 1
+		for ; f >= 0; f-- {
+			if st.ctx[f]++; st.ctx[f] < m.Schema.Attrs[st.free[f]].Card() {
+				break
+			}
+			st.ctx[f] = 0
+		}
+		if f < 0 {
+			return nil
+		}
+	}
 }
 
 // sharedCPD serves attr's local CPD given state, in which attr is

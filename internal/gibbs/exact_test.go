@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bn"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/relation"
+	"repro/internal/vote"
 )
 
 // exactCases are the networks and hidden-value counts of the oracle
@@ -235,5 +237,117 @@ func TestInferFiresChainFaultPoints(t *testing.T) {
 	faultinject.Disable()
 	if _, _, exact, err := Infer(m, cfg, tu); err != nil || !exact {
 		t.Fatalf("fixture tuple is not on the exact tier: %v", err)
+	}
+}
+
+// TestFamilyMatchesPerContextVote holds the family vote to the vote of
+// each completed state, on BN7, BN2 and BN10 with 2–4 values hidden, for
+// every missing attribute, every context and all eight voting methods:
+// the family's voters are AppendMatches's on the completed state, its
+// CPD is bit-identical to vote.InferScratch's, and so is newKernel's
+// table entry for that context.
+func TestFamilyMatchesPerContextVote(t *testing.T) {
+	var methods []vote.Method
+	for _, choice := range []core.VoterChoice{core.AllVoters, core.BestVoters} {
+		for _, scheme := range []vote.Scheme{vote.Averaged, vote.Weighted, vote.Median, vote.LogPool} {
+			methods = append(methods, vote.Method{Choice: choice, Scheme: scheme})
+		}
+	}
+	var family, single core.MatchScratch
+	var familyVote, singleVote vote.Scratch
+	checks := 0
+	for _, id := range []string{"BN7", "BN2", "BN10"} {
+		m, inst, rng := learnBN(t, id, 4000, 53)
+		for missing := 2; missing <= 4; missing++ {
+			for _, tu := range hideValues(inst, rng, 4, missing) {
+				for _, method := range methods {
+					k, err := newKernel(m, Config{Samples: 1, Method: method}, tu)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, attr := range k.joint.Attrs {
+						var free []int
+						for _, a := range k.joint.Attrs {
+							if a != attr {
+								free = append(free, a)
+							}
+						}
+						l := m.Lattices[attr]
+						l.PrepareFamily(tu, free, &family)
+						if err := familyVote.PrepareFamily(m, tu, attr, free); err != nil {
+							t.Fatal(err)
+						}
+						ctx := make([]int, len(free))
+						state := tu.Clone()
+						for c, entry := range k.tables[i] {
+							rem := c
+							for f := len(free) - 1; f >= 0; f-- {
+								card := m.Schema.Attrs[free[f]].Card()
+								ctx[f], rem = rem%card, rem/card
+								state[free[f]] = ctx[f]
+							}
+							want := l.AppendMatches(nil, state, method.Choice, &single)
+							if got := family.AppendContext(nil, ctx, method.Choice); !slices.Equal(got, want) {
+								t.Fatalf("%s %v attribute %d context %v %v: family voters %v, want %v",
+									id, tu, attr, ctx, method, got, want)
+							}
+							wantCPD, err := vote.InferScratch(m, state, attr, method, &singleVote)
+							if err != nil {
+								t.Fatal(err)
+							}
+							gotCPD, err := familyVote.InferContext(ctx, method)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !sameBits(gotCPD, wantCPD) || !sameBits(entry, wantCPD) {
+								t.Fatalf("%s %v attribute %d context %v %v: family CPD %v, kernel %v, want %v",
+									id, tu, attr, ctx, method, gotCPD, entry, wantCPD)
+							}
+							checks++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d (context, method) checks", checks)
+}
+
+// sameBits reports whether a and b hold bit-identical probabilities.
+func sameBits(a, b dist.Dist) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStationaryColdAllocs pins the allocations of an exact solve with no
+// CPD cache, a BN7 tuple with 3 of its 10 values hidden, at the 68 it
+// took when each of its 43 local CPDs matched the lattice on its own. The
+// solve's families share one pooled scratch; one allocated per solve
+// costs about 40 more.
+func TestStationaryColdAllocs(t *testing.T) {
+	m, inst, rng := learnBN(t, "BN7", 4000, 7)
+	tu := hideValues(inst, rng, 1, 3)[0]
+	cfg := Config{Samples: 800, BurnIn: 100, Method: bestAveraged()}
+	solve := func() {
+		if _, ok, err := Stationary(m, cfg, tu); err != nil || !ok {
+			t.Fatalf("Stationary(%v) = ok %v, %v", tu, ok, err)
+		}
+	}
+	// The least of ten single runs: under the race detector sync.Pool
+	// drops a quarter of its Puts, charging a scratch to runs that
+	// pooling serves otherwise.
+	least := math.Inf(1)
+	for i := 0; i < 10; i++ {
+		least = math.Min(least, testing.AllocsPerRun(1, solve))
+	}
+	if least > 68 {
+		t.Errorf("cold exact solve allocates %.0f times, want at most 68", least)
 	}
 }

@@ -125,10 +125,16 @@ func runChain(m *core.Model, cfg Config, t relation.Tuple) (*dist.Joint, int, er
 	return j, sub.PointsSampled, err
 }
 
-// indepState bundles the pooled per-call resources of InferIndependent.
+// indepState bundles the pooled per-call resources of InferIndependent
+// and of a family walk (eachCPD): the free attributes, the context
+// odometer, the completed state and its CPD key.
 type indepState struct {
 	rng     *rand.Rand
 	scratch *vote.Scratch
+	free    []int
+	ctx     []int
+	state   relation.Tuple
+	key     []byte
 }
 
 var indepPool = sync.Pool{New: func() any {

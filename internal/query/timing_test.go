@@ -14,10 +14,13 @@ import (
 
 // TestAnalyzeTimingAttached: Spec.Analyze attaches a PlanInfo.Timing
 // block whose stages account for the evaluation — on an inference-heavy
-// workload (a cold engine deriving every open tuple) the plan stage plus
-// the per-tier durations sum to within 20% of the measured wall time.
+// workload (a cold engine deriving every open tuple, a fifth of them by
+// chains) the plan stage plus the per-tier durations sum to within 20% of
+// the measured wall time. The scan and fold between stages are untimed,
+// so a workload whose inference takes well under a millisecond would be
+// judged by how often a scheduler stall lands there.
 func TestAnalyzeTimingAttached(t *testing.T) {
-	m, rel := fixture(t, 31)
+	m, rel := tieredFixture(t, 17)
 	eng, err := derive.New(m, engineConfig(2, 2))
 	if err != nil {
 		t.Fatal(err)

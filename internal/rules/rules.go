@@ -190,11 +190,13 @@ func Compile(body relation.Tuple, words int) CompiledBody {
 	return c
 }
 
-// MatchedBy reports whether every assignment of the compiled body is also
-// made by t. tMask must be t's attribute bitmask at the same fixed width
-// (AppendTupleMask); the mask test rejects bodies mentioning attributes t
-// leaves missing in a few word operations, and values are compared only
-// when the attribute set is a subset.
+// MatchedBy reports whether t makes every assignment of the compiled
+// body, with the attributes tMask adds to t's known ones as wildcards:
+// every body attribute must be in tMask, and agree with t wherever t is
+// known. tMask must be at the same fixed width, t's own attribute bitmask
+// (AppendTupleMask) for a plain match; the mask test rejects bodies
+// mentioning other attributes in a few word operations, and values are
+// compared only when the attribute set is a subset.
 func (c *CompiledBody) MatchedBy(t relation.Tuple, tMask []uint64) bool {
 	for w, m := range c.Mask {
 		if m&^tMask[w] != 0 {
@@ -202,7 +204,7 @@ func (c *CompiledBody) MatchedBy(t relation.Tuple, tMask []uint64) bool {
 		}
 	}
 	for i, a := range c.Attrs {
-		if t[a] != int(c.Vals[i]) {
+		if v := t[a]; v != int(c.Vals[i]) && v != relation.Missing {
 			return false
 		}
 	}

@@ -88,11 +88,12 @@ func Methods() []Method {
 func (m Method) String() string { return m.Choice.String() + " " + m.Scheme.String() }
 
 // Scratch holds the reusable buffers of the inference hot path: the
-// lattice-traversal state, the matched-rule index and voter slices, and
-// the Median column buffer. A zero value is ready to use; reusing one
-// across calls makes InferScratch allocate only its result. Not safe for
-// concurrent use.
+// lattice-matching state with the family it last prepared, the matched-rule
+// index and voter slices, and the Median column buffer. A zero value is
+// ready to use; reusing one across calls makes InferScratch and
+// InferContext allocate only their result. Not safe for concurrent use.
 type Scratch struct {
+	l      *core.MRSL // the head attribute's lattice of the prepared family
 	ms     core.MatchScratch
 	idxs   []int
 	voters []*rules.MetaRule
@@ -116,27 +117,53 @@ func Infer(m *core.Model, t relation.Tuple, attr int, method Method) (dist.Dist,
 }
 
 // InferScratch is Infer with a caller-owned scratch: in steady state it
-// allocates only the returned distribution.
+// allocates only the returned distribution. It is the family of t with no
+// free attributes, voted in its one context.
 func InferScratch(m *core.Model, t relation.Tuple, attr int, method Method, s *Scratch) (dist.Dist, error) {
+	if err := s.PrepareFamily(m, t, attr, nil); err != nil {
+		return nil, err
+	}
+	return s.InferContext(nil, method)
+}
+
+// PrepareFamily readies s to vote attr's CPD in t for every assignment of
+// free, a list of other attributes t leaves missing: it matches attr's
+// lattice once, with t's known values fixed and free as wildcards
+// (core.MRSL.PrepareFamily). InferContext then votes each assignment.
+func (s *Scratch) PrepareFamily(m *core.Model, t relation.Tuple, attr int, free []int) error {
 	if attr < 0 || attr >= m.Schema.NumAttrs() {
-		return nil, fmt.Errorf("vote: attribute %d out of range", attr)
+		return fmt.Errorf("vote: attribute %d out of range", attr)
 	}
 	if t[attr] != relation.Missing {
-		return nil, fmt.Errorf("vote: attribute %q is not missing in %v",
+		return fmt.Errorf("vote: attribute %q is not missing in %v",
 			m.Schema.Attrs[attr].Name, t)
 	}
-	l := m.Lattices[attr]
-	s.idxs = l.AppendMatches(s.idxs[:0], t, method.Choice, &s.ms)
+	for _, a := range free {
+		if a == attr || a < 0 || a >= len(t) || t[a] != relation.Missing {
+			return fmt.Errorf("vote: free attribute %d is not another missing attribute of %v", a, t)
+		}
+	}
+	s.l = m.Lattices[attr]
+	s.l.PrepareFamily(t, free, &s.ms)
+	return nil
+}
+
+// InferContext votes the CPD of the prepared family's attribute in
+// context ctx, where ctx[f] is the value of the f-th free attribute. It
+// is bit-identical to InferScratch on the tuple completed by ctx: the
+// same voters, combined in the same ascending rule order.
+func (s *Scratch) InferContext(ctx []int, method Method) (dist.Dist, error) {
+	s.idxs = s.ms.AppendContext(s.idxs[:0], ctx, method.Choice)
 	s.voters = s.voters[:0]
 	for _, i := range s.idxs {
-		s.voters = append(s.voters, l.Rules[i])
+		s.voters = append(s.voters, s.l.Rules[i])
 	}
 	if len(s.voters) == 0 {
 		// Cannot happen with a well-formed lattice (the top-level rule
 		// matches everything), but fail soft with the marginal-free uniform.
-		return dist.New(l.Card), nil
+		return dist.New(s.l.Card), nil
 	}
-	out := dist.Zeros(l.Card)
+	out := dist.Zeros(s.l.Card)
 	if err := combineInto(out, s.voters, method.Scheme, s); err != nil {
 		return nil, err
 	}

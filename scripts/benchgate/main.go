@@ -66,13 +66,17 @@ type invocation struct {
 
 // invocations time what perfbench cannot see: the streaming derivation
 // under overlapping streams (perfbench drives one closed-loop client),
-// and the planner, the SPJ safe-join and dissociation paths, and the
-// adaptive topk and thresholded count on fresh engines.
+// first-contact votes and exact solves on fresh engines, and the
+// planner, the SPJ safe-join and dissociation paths, and the adaptive
+// topk and thresholded count on fresh engines.
 var invocations = []invocation{
 	{`^BenchmarkEngineConcurrent$`, "5x", []metric{
 		{"BenchmarkEngineConcurrent/streams=1", "tuples/s"},
 		{"BenchmarkEngineConcurrent/streams=4", "tuples/s"},
 		{"BenchmarkEngineConcurrent/streams=16", "tuples/s"},
+	}},
+	{`^BenchmarkEngineCold$`, "20x", []metric{
+		{"BenchmarkEngineCold", "tuples/s"},
 	}},
 	{`^(BenchmarkQueryPlanner|BenchmarkQuerySafeJoin|BenchmarkQueryDissociated)$`, "1000x", []metric{
 		{"BenchmarkQueryPlanner", "ns/op"},
