@@ -104,7 +104,7 @@ func deriveTopK(tb testing.TB, m *Model, rel *Relation, opt DeriveOptions, spec 
 	}
 	var rows []QueryRow
 	i := 0
-	err = eng.DeriveStream(rel, func(it DeriveItem) error {
+	err = eng.Derive(context.Background(), rel, Pools{}, EmitFunc(func(it DeriveItem) error {
 		if it.Certain() {
 			if eqPredsHold(spec.Preds, it.Tuple) {
 				rows = append(rows, QueryRow{Index: i, Tuple: it.Tuple, Prob: 1})
@@ -118,7 +118,7 @@ func deriveTopK(tb testing.TB, m *Model, rel *Relation, opt DeriveOptions, spec 
 		}
 		i++
 		return nil
-	})
+	}))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAdaptiveTopKCutsDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query(context.Background(), rel, q)
+	res, err := eng.Query(context.Background(), rel, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func BenchmarkQueryAdaptive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := eng.Query(ctx, rel, q)
+		res, err := eng.Query(ctx, rel, q, QueryOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func BenchmarkQueryAdversarial(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Query(ctx, rel, q); err != nil {
+			if _, err := eng.Query(ctx, rel, q, QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -44,7 +44,7 @@ func chaosStream(t *testing.T, eng *Engine, rel *Relation) ([]byte, error) {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf, rel.Schema)
-	if err := eng.DeriveToContext(context.Background(), rel, Pools{}, sink); err != nil {
+	if err := eng.Derive(context.Background(), rel, Pools{}, sink); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -97,7 +97,7 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleDB, err := oracleEng.Derive(rel)
+	oracleDB, err := collect(oracleEng, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,15 +116,15 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	bg := context.Background()
-	oracleCount, err := oracleEng.Query(bg, rel, countQ)
+	oracleCount, err := oracleEng.Query(bg, rel, countQ, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleGroups, err := oracleEng.Query(bg, rel, groupQ)
+	oracleGroups, err := oracleEng.Query(bg, rel, groupQ, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleReplan, err := oracleEng.Query(bg, rel, replanQ)
+	oracleReplan, err := oracleEng.Query(bg, rel, replanQ, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestChaosSoak(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			res, err := eng.Query(bg, rel, countQ)
+			res, err := eng.Query(bg, rel, countQ, QueryOptions{})
 			if tolerate(fmt.Sprintf("querier count/%d", i), err) {
 				if res.Degraded {
 					fail("querier count/%d: degraded without a deadline", i)
@@ -220,7 +220,7 @@ func TestChaosSoak(t *testing.T) {
 					fail("querier count/%d: %v, want bit-identical %v", i, res.Expected, oracleCount.Expected)
 				}
 			}
-			res, err = eng.Query(bg, rel, groupQ)
+			res, err = eng.Query(bg, rel, groupQ, QueryOptions{})
 			if tolerate(fmt.Sprintf("querier groupby/%d", i), err) && !res.Degraded {
 				for g, og := range oracleGroups.Groups {
 					if res.Groups[g].Expected != og.Expected {
@@ -229,7 +229,7 @@ func TestChaosSoak(t *testing.T) {
 					}
 				}
 			}
-			res, err = eng.Query(bg, rel, replanQ)
+			res, err = eng.Query(bg, rel, replanQ, QueryOptions{})
 			if tolerate(fmt.Sprintf("querier replan/%d", i), err) && !res.Degraded {
 				if !reflect.DeepEqual(res.Rows, oracleReplan.Rows) {
 					fail("querier replan/%d: rows %v, want bit-identical %v", i, res.Rows, oracleReplan.Rows)
@@ -245,7 +245,7 @@ func TestChaosSoak(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			ctx, cancel := context.WithDeadline(bg, time.Now().Add(-time.Millisecond))
-			res, err := eng.Query(ctx, rel, countQ)
+			res, err := eng.Query(ctx, rel, countQ, QueryOptions{})
 			cancel()
 			if !tolerate(fmt.Sprintf("deadline querier/%d", i), err) {
 				continue
@@ -283,7 +283,7 @@ func TestChaosSoak(t *testing.T) {
 			if !tolerate(fmt.Sprintf("snapshot/%d", i), err) {
 				continue
 			}
-			if _, err := eng.QuerySnapshot(bg, snap, countQ, Pools{}, nil); err != nil {
+			if _, err := eng.Query(bg, snap, countQ, QueryOptions{}); err != nil {
 				tolerate(fmt.Sprintf("snapshot query/%d", i), err)
 			}
 		}
@@ -307,7 +307,7 @@ func TestChaosSoak(t *testing.T) {
 	if !bytes.Equal(got, oracleStream) {
 		t.Error("post-chaos stream differs from oracle")
 	}
-	res, err := eng.Query(bg, rel, countQ)
+	res, err := eng.Query(bg, rel, countQ, QueryOptions{})
 	if err != nil || res.Expected != oracleCount.Expected {
 		t.Errorf("post-chaos count = %+v (%v), want %v", res, err, oracleCount.Expected)
 	}

@@ -216,7 +216,7 @@ func run(w io.Writer, modelPath, in string, o options) error {
 		if err != nil {
 			return err
 		}
-		res, err := eng.QuerySPJ(ctx, spj)
+		res, err := eng.Query(ctx, spj, spj.Query(), repro.QueryOptions{})
 		if err != nil {
 			return err
 		}
@@ -224,7 +224,7 @@ func run(w io.Writer, modelPath, in string, o options) error {
 		if spj.AnswerSchema() != nil {
 			schema = spj.AnswerSchema()
 		}
-		render(w, opCode, o, res, schema, spj.Rel().Len())
+		render(w, opCode, o, res, schema, spj.SourceRelation().Len())
 		return nil
 	}
 
@@ -244,7 +244,7 @@ func run(w io.Writer, modelPath, in string, o options) error {
 	if err != nil {
 		return err
 	}
-	res, err := eng.Query(ctx, rel, q)
+	res, err := eng.Query(ctx, rel, q, repro.QueryOptions{})
 	if err != nil {
 		return err
 	}

@@ -65,11 +65,7 @@ func postObserve(t *testing.T, ts, body string) (int, []byte) {
 // engine holds, and guaranteed to change the tuple's distribution.
 func firstObservation(t *testing.T, model *repro.Model, rel *repro.Relation) (index int, attr string, value string) {
 	t.Helper()
-	eng, err := repro.NewEngine(model, serveOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := eng.Derive(rel)
+	db, err := repro.Derive(model, rel, serveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +177,7 @@ func TestServeLiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.QuerySnapshot(ctx, snap, q, repro.Pools{}, nil)
+	want, err := eng.Query(ctx, snap, q, repro.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +441,7 @@ func TestServeWatchQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.QuerySnapshot(ctx, snap, q, repro.Pools{}, nil)
+		res, err := eng.Query(ctx, snap, q, repro.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

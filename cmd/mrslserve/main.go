@@ -596,8 +596,9 @@ func withBudget(ctx context.Context, d time.Duration) (context.Context, context.
 	return context.WithTimeout(ctx, d)
 }
 
-// handleDerive parses the posted CSV against the model schema and streams
-// the derived database back as NDJSON, one line per item, written to the
+// handleDerive parses the posted CSV against the model schema — or, with
+// dataset=<id>, snapshots a registered dataset — and streams the derived
+// database back as NDJSON, one line per item, written to the
 // ResponseWriter and flushed by the engine when it would otherwise wait
 // (see repro.Sink). The stream runs under the request context, so a client
 // disconnect cancels in-flight derivation work; a deadline budget that
@@ -623,28 +624,10 @@ func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := withBudget(r.Context(), d)
 	defer cancel()
-	// finishStream reports the stream's end: a spent budget becomes a
-	// truncated record (a soft, bounded outcome — not a failure), anything
-	// else an error record.
-	finishStream := func(err error) {
-		if err == nil {
-			s.noteBudget(false)
-			return
-		}
-		if d > 0 && errors.Is(err, context.DeadlineExceeded) {
-			s.noteBudget(true)
-			json.NewEncoder(w).Encode(map[string]any{
-				"kind": "truncated", "reason": "deadline budget exhausted",
-				"timeout_ms": d.Milliseconds(),
-			})
-			return
-		}
-		s.failed.Add(1)
-		json.NewEncoder(w).Encode(errRecord(r, err))
-	}
+	// The source is the posted relation or, with dataset=<id>, the
+	// registered dataset's conditioned snapshot (the body is ignored).
+	var src repro.Source
 	if id := r.URL.Query().Get("dataset"); id != "" {
-		// Registered dataset: derive the conditioned snapshot instead of a
-		// posted relation. The body is ignored.
 		ds, ok := s.eng.Dataset(id)
 		if !ok {
 			s.failed.Add(1)
@@ -662,36 +645,43 @@ func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink := repro.NewJSONLSink(w, s.model.Schema)
-		finishStream(s.eng.DeriveSnapshot(ctx, snap, pools, sink))
-		s.writeTrace(w, r)
-		return
-	}
-	rel, err := repro.ReadCSVInSchema(r.Body, s.model.Schema)
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	sink := repro.NewJSONLSink(w, s.model.Schema)
-	if err := s.eng.DeriveToContext(ctx, rel, pools, sink); err != nil {
-		var mismatch *repro.SchemaMismatchError
-		if errors.As(err, &mismatch) {
-			// ReadCSVInSchema makes this unreachable in practice, but the
-			// engine's own validation still deserves a 4xx, not a 5xx.
+		src = snap
+	} else {
+		rel, err := repro.ReadCSVInSchema(r.Body, s.model.Schema)
+		if err != nil {
 			s.failed.Add(1)
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		// The NDJSON stream may already be under way; append a terminal
-		// record instead of a status code the client can no longer see.
-		finishStream(err)
-		s.writeTrace(w, r)
-		return
+		src = rel
 	}
-	s.noteBudget(false)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	var mismatch *repro.SchemaMismatchError
+	switch err := s.eng.Derive(ctx, src, pools, repro.NewJSONLSink(w, s.model.Schema)); {
+	case err == nil:
+		s.noteBudget(false)
+	case errors.As(err, &mismatch):
+		// The engine checks the schema before it emits anything, so the
+		// failure still gets a 4xx. ReadCSVInSchema and the join-input
+		// check make it unreachable in practice.
+		s.failed.Add(1)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	case d > 0 && errors.Is(err, context.DeadlineExceeded):
+		// A spent budget is a soft, bounded outcome, not a failure: the
+		// NDJSON stream may already be under way, so a terminal truncated
+		// record follows the exact lines already emitted.
+		s.noteBudget(true)
+		json.NewEncoder(w).Encode(map[string]any{
+			"kind": "truncated", "reason": "deadline budget exhausted",
+			"timeout_ms": d.Milliseconds(),
+		})
+	default:
+		// Past the first record a status code can no longer reach the
+		// client; a terminal error record does.
+		s.failed.Add(1)
+		json.NewEncoder(w).Encode(errRecord(r, err))
+	}
 	s.writeTrace(w, r)
 }
 
@@ -770,10 +760,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// eval abstracts the evaluation source: a posted relation (batch) or
-	// a registered dataset's conditioned snapshot. Both run the same
+	// The source is the posted relation (batch) or, with dataset=<id>, a
+	// registered dataset's conditioned snapshot. Both run the same
 	// plan/executor pipeline and stream the same records.
-	var eval func(progress repro.QueryProgressFunc) (*repro.QueryResult, error)
+	var src repro.Source
 	if id := r.URL.Query().Get("dataset"); id != "" {
 		ds, ok := s.eng.Dataset(id)
 		if !ok {
@@ -796,11 +786,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		eval = func(progress repro.QueryProgressFunc) (*repro.QueryResult, error) {
-			ctx, cancel := withBudget(r.Context(), d)
-			defer cancel()
-			return s.eng.QuerySnapshot(ctx, snap, q, pools, progress)
-		}
+		src = snap
 	} else {
 		if r.URL.Query().Get("watch") == "1" {
 			s.failed.Add(1)
@@ -813,22 +799,31 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		eval = func(progress repro.QueryProgressFunc) (*repro.QueryResult, error) {
-			ctx, cancel := withBudget(r.Context(), d)
-			defer cancel()
-			return s.eng.QueryStream(ctx, rel, q, pools, progress)
-		}
+		src = rel
 	}
 	head := map[string]any{"kind": "query", "op": q.Op().String(), "query": q.String()}
+	s.answerQuery(w, r, src, q, s.model.Schema, head, pools, d)
+}
+
+// answerQuery evaluates q over src under the request's budget and writes
+// the NDJSON answer: the head record, the result records, and the
+// summary. TopK and groupby stream incrementally (see streamQuery).
+// Count and exists fold scalars, so their evaluation completes before
+// the first byte is written, and a failure carries a real status code.
+func (s *server) answerQuery(w http.ResponseWriter, r *http.Request, src repro.Source, q *repro.CompiledQuery,
+	schema *repro.Schema, head map[string]any, pools repro.Pools, d time.Duration) {
+	eval := func(progress repro.QueryProgressFunc) (*repro.QueryResult, error) {
+		ctx, cancel := withBudget(r.Context(), d)
+		defer cancel()
+		return s.eng.Query(ctx, src, q, repro.QueryOptions{Pools: pools, Progress: progress})
+	}
 	if q.Op() == repro.QueryTopK || q.Op() == repro.QueryGroupBy {
-		s.streamQuery(w, r, q, s.model.Schema, head, eval)
+		s.streamQuery(w, r, q, schema, head, eval)
 		return
 	}
 	res, err := eval(nil)
 	if err != nil {
 		s.failed.Add(1)
-		// Unlike /derive, nothing has been streamed yet, so the failure
-		// can carry a real status code.
 		var mismatch *repro.SchemaMismatchError
 		if errors.As(err, &mismatch) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -959,31 +954,7 @@ func (s *server) handleSQLQuery(w http.ResponseWriter, r *http.Request, sqlText 
 		"kind": "query", "op": q.Op().String(), "query": q.String(),
 		"sql": sqlText, "safe": spj.Safe(),
 	}
-	eval := func(progress repro.QueryProgressFunc) (*repro.QueryResult, error) {
-		ctx, cancel := withBudget(r.Context(), d)
-		defer cancel()
-		return s.eng.QuerySPJStream(ctx, spj, pools, progress)
-	}
-	if q.Op() == repro.QueryTopK || q.Op() == repro.QueryGroupBy {
-		s.streamQuery(w, r, q, schema, head, eval)
-		return
-	}
-	res, err := eval(nil)
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.noteBudget(res.Degraded)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: w}
-	enc := json.NewEncoder(ew)
-	enc.Encode(head)
-	writeScalar(enc, q, res)
-	s.writeSummary(enc, r, res)
-	if ew.err != nil {
-		s.failed.Add(1)
-	}
+	s.answerQuery(w, r, spj, q, schema, head, pools, d)
 }
 
 // resolveSQLInput resolves one statement relation name against the
@@ -1300,7 +1271,7 @@ func (s *server) watchQuery(w http.ResponseWriter, r *http.Request,
 		if err != nil {
 			return err
 		}
-		res, err := s.eng.QuerySnapshot(ctx, snap, q, pools, nil)
+		res, err := s.eng.Query(ctx, snap, q, repro.QueryOptions{Pools: pools})
 		if err != nil {
 			return err
 		}

@@ -31,6 +31,16 @@ func serveOptions() repro.DeriveOptions {
 	}
 }
 
+// deriveLocal derives rel into sink on a fresh engine with the server's
+// options: the served stream's reference, with no HTTP involved.
+func deriveLocal(model *repro.Model, rel *repro.Relation, sink repro.Sink) error {
+	eng, err := repro.NewEngine(model, serveOptions())
+	if err != nil {
+		return err
+	}
+	return eng.Derive(context.Background(), rel, repro.Pools{}, sink)
+}
+
 // matchmakingFixture renders the paper's matchmaking relation to CSV and
 // learns a model from the CSV-read form, exactly as a real deployment
 // (mrsllearn on a CSV file) would — so the model's schema is the inferred
@@ -101,11 +111,7 @@ func TestServeDeriveEndToEnd(t *testing.T) {
 
 	// Reference 1: the same stream rendered locally, no HTTP involved.
 	var want bytes.Buffer
-	sink := repro.NewJSONLSink(&want, model.Schema)
-	if err := repro.DeriveStream(model, rel, serveOptions(), sink.Emit); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
+	if err := deriveLocal(model, rel, repro.NewJSONLSink(&want, model.Schema)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
@@ -244,7 +250,7 @@ func TestServeQueryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Query(context.Background(), rel, q)
+	want, err := eng.Query(context.Background(), rel, q, repro.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +379,7 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Query(context.Background(), rel, q)
+	want, err := eng.Query(context.Background(), rel, q, repro.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +571,7 @@ func spjReference(t *testing.T, model *repro.Model, stmt string, spec repro.Quer
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.QuerySPJ(context.Background(), spj)
+	res, err := eng.Query(context.Background(), spj, spj.Query(), repro.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

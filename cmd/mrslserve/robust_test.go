@@ -80,7 +80,7 @@ func TestServeDeadlineBudgetDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Query(context.Background(), rel, q)
+	want, err := eng.Query(context.Background(), rel, q, repro.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,7 @@ func TestServeEnginePanicMidStream(t *testing.T) {
 
 	// Local fault-free reference stream.
 	var want bytes.Buffer
-	sink := repro.NewJSONLSink(&want, model.Schema)
-	if err := repro.DeriveStream(model, rel, serveOptions(), sink.Emit); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
+	if err := deriveLocal(model, rel, repro.NewJSONLSink(&want, model.Schema)); err != nil {
 		t.Fatal(err)
 	}
 	wantLines := strings.Split(strings.TrimSpace(want.String()), "\n")

@@ -7,7 +7,7 @@ package repro
 // BenchmarkDerive measures the sequential derivation exactly as the seed
 // implemented it: one vote.Infer call per single-missing tuple (no
 // memoization across duplicates) followed by the paper's tuple-DAG
-// sampler (InferWorkload) over the multi-missing tuples, materializing
+// sampler (Algorithm 3) over the multi-missing tuples, materializing
 // the whole database. BenchmarkDeriveParallel measures the streaming
 // engine with its worker pools open: duplicates hit the shared vote
 // cache, multi-missing tuples run one content-seeded chain each, blocks
@@ -17,6 +17,7 @@ package repro
 // tuple-DAG sampler and independent chains are different estimators.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -24,6 +25,7 @@ import (
 
 	"repro/internal/bn"
 	"repro/internal/dist"
+	"repro/internal/gibbs"
 	"repro/internal/pdb"
 	"repro/internal/relation"
 	"repro/internal/vote"
@@ -133,13 +135,17 @@ func legacyDerive(m *Model, rel *Relation, opt DeriveOptions) (*Database, error)
 		}
 	}
 	if len(multi) > 0 {
-		tuples, joints, err := InferWorkload(m, multi, opt.Gibbs)
+		s, err := gibbs.New(m, opt.Gibbs.config())
 		if err != nil {
 			return nil, err
 		}
-		byKey := make(map[string]*Joint, len(tuples))
-		for i, t := range tuples {
-			byKey[t.Key()] = joints[i]
+		res, err := s.TupleDAGRun(multi)
+		if err != nil {
+			return nil, err
+		}
+		byKey := make(map[string]*Joint, len(res.Tuples))
+		for i, t := range res.Tuples {
+			byKey[t.Key()] = res.Dists[i]
 		}
 		for _, t := range multi {
 			b, err := pdb.NewBlock(t, byKey[t.Key()], opt.MaxAlternatives)
@@ -171,7 +177,7 @@ func BenchmarkDerive(b *testing.B) {
 }
 
 // BenchmarkEngineConcurrent measures serving throughput of one long-lived
-// engine under 1, 4, and 16 concurrent DeriveStream requests over the
+// engine under 1, 4, and 16 concurrent Derive requests over the
 // shared fixture relation. The evidence-keyed caches are warmed by one
 // full stream before the timer starts, so every measured iteration — b.N
 // included — is the steady-state serving regime mrslserve runs in, where
@@ -195,7 +201,7 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 			}
 			// Warm the engine caches so iteration 1 measures steady-state
 			// serving, not first-contact inference.
-			if err := eng.DeriveStream(e.rel, func(DeriveItem) error { return nil }); err != nil {
+			if err := eng.Derive(context.Background(), e.rel, Pools{}, EmitFunc(func(DeriveItem) error { return nil })); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -206,7 +212,7 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						errs <- eng.DeriveStream(e.rel, func(DeriveItem) error { return nil })
+						errs <- eng.Derive(context.Background(), e.rel, Pools{}, EmitFunc(func(DeriveItem) error { return nil }))
 					}()
 				}
 				wg.Wait()
@@ -254,7 +260,7 @@ func BenchmarkEngineCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := eng.DeriveStream(rel, func(DeriveItem) error { return nil }); err != nil {
+		if err := eng.Derive(context.Background(), rel, Pools{}, EmitFunc(func(DeriveItem) error { return nil })); err != nil {
 			b.Fatal(err)
 		}
 		if st := eng.Stats(); st.ExactSolved != int64(rel.Len()) {
@@ -278,12 +284,12 @@ func BenchmarkDeriveParallel(b *testing.B) {
 	var blocks int
 	for i := 0; i < b.N; i++ {
 		blocks = 0
-		err := DeriveStream(e.model, e.rel, opt, func(it DeriveItem) error {
+		err := deriveStream(e.model, e.rel, opt, EmitFunc(func(it DeriveItem) error {
 			if !it.Certain() {
 				blocks++
 			}
 			return nil
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}

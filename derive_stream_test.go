@@ -1,25 +1,46 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bn"
+	"repro/internal/derive"
 	"repro/internal/pdb"
 	"repro/internal/relation"
 )
 
-// collectStream materializes a DeriveStream by hand, exactly as the
+// deriveStream derives rel on a throwaway engine, as the package-level
+// Derive does, and streams it into sink.
+func deriveStream(m *Model, rel *Relation, opt DeriveOptions, sink Sink) error {
+	e, err := NewEngine(m, opt)
+	if err != nil {
+		return err
+	}
+	return e.Derive(context.Background(), rel, Pools{}, sink)
+}
+
+// collect materializes e's stream of src into a database.
+func collect(e *Engine, src Source) (*Database, error) {
+	c := derive.NewCollector(e.eng.Model().Schema)
+	if err := e.Derive(context.Background(), src, Pools{}, c); err != nil {
+		return nil, err
+	}
+	return c.Database(), nil
+}
+
+// collectStream materializes a derivation stream by hand, exactly as the
 // Derive collector does.
 func collectStream(t *testing.T, m *Model, rel *Relation, opt DeriveOptions) *Database {
 	t.Helper()
 	db := pdb.NewDatabase(rel.Schema)
-	err := DeriveStream(m, rel, opt, func(it DeriveItem) error {
+	err := deriveStream(m, rel, opt, EmitFunc(func(it DeriveItem) error {
 		if it.Certain() {
 			return db.AddCertain(it.Tuple)
 		}
 		return db.AddBlock(it.Block)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,29 +18,27 @@
 //	db, err := repro.Derive(model, rel, repro.DeriveOptions{})
 //
 // Derivation runs on a concurrent, cache-backed streaming engine
-// (internal/derive). Derive materializes the whole database; DeriveStream
-// emits certain tuples and completed blocks in input order through a
-// callback, so large derivations can be persisted or served without ever
-// being held in memory:
+// (internal/derive). Derive materializes the whole database on a
+// throwaway engine. For anything larger or longer-lived, construct the
+// engine once and reuse it: an Engine accepts any number of overlapping
+// requests from any number of goroutines, and its evidence-keyed caches
+// persist across them, so each distinct damage pattern is inferred once
+// for the engine's lifetime. Engine.Derive is its one derivation call: it
+// streams certain tuples and completed blocks in input order into a
+// Sink, so large derivations can be persisted or served without ever
+// being held in memory, and each request can size its worker pools via
+// Pools. NewJSONLSink writes NDJSON; an EmitFunc is a sink made of one
+// function:
 //
-//	err := repro.DeriveStream(model, rel, repro.DeriveOptions{
+//	eng, _ := repro.NewEngine(model, repro.DeriveOptions{
 //		Method:      repro.BestAveraged(),
 //		VoteWorkers: 8, // single-missing voting pool (0 = GOMAXPROCS)
 //		Workers:     8, // multi-missing pool: exact solves and chains (0 = GOMAXPROCS)
-//	}, func(it repro.DeriveItem) error {
-//		return persist(it) // blocks arrive in input order
 //	})
-//
-// For long-lived serving, construct the engine once and reuse it: an
-// Engine accepts any number of overlapping derivation requests from any
-// number of goroutines, and its evidence-keyed caches persist across
-// them, so each distinct damage pattern is inferred once for the
-// engine's lifetime. Streams can feed a callback or a pluggable Sink
-// (NewCollector, NewCSVSink, NewJSONLSink, NewTextSink), and individual
-// requests can be sharded differently via Pools:
-//
-//	eng, _ := repro.NewEngine(model, repro.DeriveOptions{Workers: 8})
-//	err := eng.DeriveTo(rel, repro.NewJSONLSink(w, model.Schema))
+//	err := eng.Derive(ctx, rel, repro.Pools{}, repro.NewJSONLSink(w, model.Schema))
+//	err = eng.Derive(ctx, rel, repro.Pools{VoteWorkers: 2}, repro.EmitFunc(func(it repro.DeriveItem) error {
+//		return persist(it) // blocks arrive in input order
+//	}))
 //	stats := eng.Stats() // cache hit rates, points sampled, streams served
 //
 // A multi-missing block has two tiers, chosen per tuple by one rule in
@@ -51,8 +49,8 @@
 // solves it exactly by power iteration instead — no seed, no sampling
 // error — and runs the content-seeded chain only for larger kernels or
 // ones that do not converge within the chain's B+N sweeps.
-// EngineStats.ExactSolved counts the exact solves. InferJoint,
-// InferWorkload and the Fig 10 and Fig 11 experiments keep sampling.
+// EngineStats.ExactSolved counts the exact solves. InferJoint and the
+// Fig 10 and Fig 11 experiments (mrslbench) keep sampling.
 //
 // Distinct incomplete tuples are inferred once — duplicates are served
 // from the shared, synchronized memoization caches keyed by the tuple's
@@ -105,9 +103,12 @@
 //	q, _ := repro.CompileQuery(model.Schema, repro.QuerySpec{
 //		Op: repro.QueryTopK, Where: "age=30,inc>=100K", K: 5,
 //	})
-//	res, _ := eng.Query(ctx, rel, q)
+//	res, _ := eng.Query(ctx, rel, q, repro.QueryOptions{})
 //
-// Evaluation runs through a plan/executor pipeline and is extensional
+// Engine.Query is the one query call: its source is a relation, a live
+// dataset's snapshot, or a compiled SPJ statement (below), and
+// QueryOptions carry the request's pools, a progress observer for topk
+// and groupby, and plan-only. Evaluation runs through a plan/executor pipeline and is extensional
 // and exact with pruning: every answer is bit-identical to deriving the
 // full database through the same engine and evaluating the stream
 // naively, yet selective queries infer only a fraction of the tuples.
@@ -124,13 +125,13 @@
 // by the engine's shared CPD cache — the same estimate full derivation
 // would expand into a block, summed in block-alternative order so not
 // even the last bit differs; multi-missing tuples receive a sound
-// dissociation-style [lo, hi] interval from Engine.BoundCPD, built from
-// per-attribute conditional-CPD envelopes (min/max satisfying mass over
-// every local CPD the tuple's chain could draw from, served by the same
-// sharded CLOCK-bounded CPD cache, which memoizes the finished
-// interval too) combined with Frechet bounds and widened by an
-// explicit concentration-plus-smoothing margin; and
-// only tuples whose interval straddles the decision are derived. The
+// dissociation-style [lo, hi] interval from the engine's bound engine,
+// built from per-attribute conditional-CPD envelopes (min/max
+// satisfying mass over every local CPD the tuple's chain could draw
+// from, served by the same sharded CLOCK-bounded CPD cache, which
+// memoizes the finished interval too) combined with Frechet bounds and
+// widened by an explicit concentration-plus-smoothing margin; and only
+// tuples whose interval straddles the decision are derived. The
 // executor consumes the tiers in cost order: a thresholded count counts
 // a tuple in when lo clears MinProb and out when hi stays below; a
 // thresholded exists folds the lo sides into a derivation-free lower
@@ -187,7 +188,7 @@
 //	spec, _ := st.Bind(map[string]*repro.Relation{"people": p, "finance": f},
 //		repro.QuerySpec{Op: repro.QueryCount}, false)
 //	spj, _ := repro.CompileSPJ(model.Schema, spec)
-//	res, _ := eng.QuerySPJ(ctx, spj)
+//	res, _ := eng.Query(ctx, spj, spj.Query(), repro.QueryOptions{})
 //
 // Compilation runs a safety analysis in the spirit of Gatterbauer &
 // Suciu's dissociation: extensional evaluation over independent blocks
@@ -209,11 +210,11 @@
 // a relation under its own schema for joining — such datasets accept
 // no observations and cannot be derived or queried alone).
 //
-// Engine streams and queries accept a context (DeriveStreamContext,
-// DeriveToContext, Query): cancellation stops scheduling and waiting
-// immediately, while work already claimed is completed into the caches,
-// never abandoned half-done — so a disconnected HTTP client cancels its
-// in-flight derivation without poisoning anything shared.
+// Engine.Derive and Engine.Query take a context: cancellation stops
+// scheduling and waiting immediately, while work already claimed is
+// completed into the caches, never abandoned half-done — so a
+// disconnected HTTP client cancels its in-flight derivation without
+// poisoning anything shared.
 //
 // # Live evidence
 //
@@ -227,8 +228,8 @@
 //	ds, _ := eng.RegisterDataset(rel)
 //	res, _ := ds.Observe(ctx, 7, incAttr, fiftyK) // res.Collapsed, res.Epoch
 //	snap, _ := ds.Snapshot(ctx)
-//	ans, _ := eng.QuerySnapshot(ctx, snap, q, repro.Pools{}, nil)
-//	err := eng.DeriveSnapshot(ctx, snap, repro.Pools{}, sink)
+//	ans, _ := eng.Query(ctx, snap, q, repro.QueryOptions{})
+//	err := eng.Derive(ctx, snap, repro.Pools{}, sink)
 //
 // Coherence is exact, not TTL-approximate. The engine's vote, joint,
 // and CPD caches are keyed by tuple content — pure functions of the
@@ -295,7 +296,7 @@
 // lock-free fixed-bucket log-scale latency histograms on atomics — one
 // atomic add per observation, zero allocations, pinned by benchmark —
 // recording vote resolutions, Gibbs chains, bound computations,
-// prefetch waits, stream and sink emission, watch fan-out, and query
+// prefetch waits, derivation streams, watch fan-out, and query
 // plan/exec times at block/stage granularity, never per tuple.
 // WriteEngineStatsMetrics renders an EngineStats snapshot as one
 // Prometheus gauge per counter (mrsl_engine_ + snake_case(field);
@@ -313,10 +314,10 @@
 // when tracing is off. Neither path changes answers — evaluations with
 // timing or tracing enabled return bit-identical results
 // (property-tested). mrslserve exposes the registry on GET /metrics
-// (plus build identity via BuildRevision), honors or generates
-// X-Request-ID, logs one structured slog line per request, streams
-// {"kind":"trace"} records under trace=1, and mounts net/http/pprof on
-// a separate listener with -pprof.
+// (plus a build-info gauge carrying the binary's VCS revision), honors
+// or generates X-Request-ID, logs one structured slog line per request,
+// streams {"kind":"trace"} records under trace=1, and mounts
+// net/http/pprof on a separate listener with -pprof.
 //
 // The cmd/ directory ships six tools (mrslserve serves streaming
 // derivations and queries over HTTP from one long-lived engine;

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bn"
+	"repro/internal/derive"
 	"repro/internal/relation"
 )
 
@@ -104,7 +106,7 @@ func soakFixture(t *testing.T, relations int) (*Model, []*Relation) {
 }
 
 // TestEngineConcurrentSoak is the serving-engine soak (run it under
-// -race): many goroutines issue overlapping DeriveStream calls over
+// -race): many goroutines issue overlapping Derive calls over
 // distinct relations sharing one engine. Every request's output must be
 // bit-identical to a fresh single-request engine's, the shared caches
 // must dedup across requests (each distinct pattern inferred once for the
@@ -143,9 +145,9 @@ func TestEngineConcurrentSoak(t *testing.T) {
 			go func(r, w int) {
 				defer wg.Done()
 				for it := 0; it < iterations; it++ {
-					c := NewCollector(rels[r].Schema)
+					c := derive.NewCollector(rels[r].Schema)
 					// Vary the request sharding too; it must not matter.
-					err := eng.DeriveToPools(rels[r], Pools{VoteWorkers: 1 + w, GibbsWorkers: 1 + it}, c)
+					err := eng.Derive(context.Background(), rels[r], Pools{VoteWorkers: 1 + w, GibbsWorkers: 1 + it}, c)
 					if err != nil {
 						fails <- fmt.Errorf("relation %d worker %d: %v", r, w, err)
 						return
@@ -248,13 +250,13 @@ func TestDeriveStreamSchemaMismatch(t *testing.T) {
 	}
 
 	emitted := 0
-	err = DeriveStream(m, bad, DeriveOptions{}, func(DeriveItem) error {
+	err = deriveStream(m, bad, DeriveOptions{}, EmitFunc(func(DeriveItem) error {
 		emitted++
 		return nil
-	})
+	}))
 	var mismatch *SchemaMismatchError
 	if !errors.As(err, &mismatch) {
-		t.Fatalf("DeriveStream error = %v, want *SchemaMismatchError", err)
+		t.Fatalf("stream error = %v, want *SchemaMismatchError", err)
 	}
 	if mismatch.Diff == "" || mismatch.Model == nil || mismatch.Data == nil {
 		t.Errorf("mismatch error is missing detail: %+v", mismatch)
@@ -271,8 +273,8 @@ func TestDeriveStreamSchemaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.DeriveTo(bad, NewCollector(reordered)); !errors.As(err, &mismatch) {
-		t.Errorf("Engine.DeriveTo error = %v, want *SchemaMismatchError", err)
+	if err := eng.Derive(context.Background(), bad, Pools{}, derive.NewCollector(reordered)); !errors.As(err, &mismatch) {
+		t.Errorf("Engine.Derive error = %v, want *SchemaMismatchError", err)
 	}
 
 	// Wrong attribute count fails the same way.
@@ -284,13 +286,31 @@ func TestDeriveStreamSchemaMismatch(t *testing.T) {
 	if err := short.Append(Tuple{Missing, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := DeriveStream(m, short, DeriveOptions{}, func(DeriveItem) error { return nil }); !errors.As(err, &mismatch) {
+	if err := deriveStream(m, short, DeriveOptions{}, EmitFunc(func(DeriveItem) error { return nil })); !errors.As(err, &mismatch) {
 		t.Errorf("short schema error = %v, want *SchemaMismatchError", err)
 	}
 
 	// The matching schema still streams fine (control).
 	if _, err := Derive(m, rel, DeriveOptions{Gibbs: GibbsOptions{Samples: 50, BurnIn: 5, Seed: 1}}); err != nil {
 		t.Errorf("matching schema failed: %v", err)
+	}
+}
+
+// TestDeriveNilRelation: the materializing Derive and the engine's one
+// stream call return an error for a nil relation instead of panicking.
+func TestDeriveNilRelation(t *testing.T) {
+	m, _ := matchmakingModel(t)
+	if _, err := Derive(m, nil, DeriveOptions{}); err == nil {
+		t.Error("Derive of a nil relation returned no error")
+	}
+	eng, err := NewEngine(m, DeriveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []Source{nil, (*Relation)(nil), (*DatasetSnapshot)(nil)} {
+		if err := eng.Derive(context.Background(), src, Pools{}, EmitFunc(func(DeriveItem) error { return nil })); err == nil {
+			t.Errorf("Engine.Derive of a nil %T returned no error", src)
+		}
 	}
 }
 
@@ -305,7 +325,7 @@ func TestEngineStatsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := eng.Derive(rel)
+	first, err := collect(eng, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +333,7 @@ func TestEngineStatsSnapshot(t *testing.T) {
 	if st.Streams != 1 || st.VotesComputed == 0 || st.GibbsComputed == 0 {
 		t.Errorf("unexpected stats after first stream: %+v", st)
 	}
-	second, err := eng.Derive(rel)
+	second, err := collect(eng, rel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -103,7 +104,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	err = eng.DeriveStream(dirtyRel, func(it repro.DeriveItem) error {
+	err = eng.Derive(context.Background(), dirtyRel, repro.Pools{}, repro.EmitFunc(func(it repro.DeriveItem) error {
 		if it.Certain() {
 			return nil
 		}
@@ -156,7 +157,7 @@ func run() error {
 		}
 		klSum += kl
 		return nil
-	})
+	}))
 	if err != nil {
 		return err
 	}

@@ -90,7 +90,7 @@ func run() error {
 	}
 	ctx := context.Background()
 	start := time.Now()
-	res, err := eng.Query(ctx, rel, q)
+	res, err := eng.Query(ctx, rel, q, repro.QueryOptions{})
 	if err != nil {
 		return err
 	}
@@ -104,7 +104,7 @@ func run() error {
 
 	// Re-running the same query is served from the engine's caches.
 	start = time.Now()
-	if _, err := eng.Query(ctx, rel, q); err != nil {
+	if _, err := eng.Query(ctx, rel, q, repro.QueryOptions{}); err != nil {
 		return err
 	}
 	again := eng.Stats()
@@ -121,7 +121,7 @@ func run() error {
 	}
 	var eagerCount float64
 	blocks := 0
-	err = eager.DeriveStream(rel, func(it repro.DeriveItem) error {
+	err = eager.Derive(ctx, rel, repro.Pools{}, repro.EmitFunc(func(it repro.DeriveItem) error {
 		if it.Certain() {
 			if satisfies(preds, it.Tuple) {
 				eagerCount++
@@ -137,7 +137,7 @@ func run() error {
 		}
 		eagerCount += p
 		return nil
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -160,7 +160,7 @@ func run() error {
 		return err
 	}
 	before := eng.Stats()
-	res2, err := eng.Query(ctx, rel, q2)
+	res2, err := eng.Query(ctx, rel, q2, repro.QueryOptions{})
 	if err != nil {
 		return err
 	}
@@ -250,7 +250,7 @@ func intensional(model *repro.Model, rel *repro.Relation) error {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := eng.QuerySPJ(ctx, spj)
+		res, err := eng.Query(ctx, spj, spj.Query(), repro.QueryOptions{})
 		return res, spj, err
 	}
 

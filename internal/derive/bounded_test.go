@@ -6,6 +6,7 @@ package derive
 // of the model and its key.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -17,10 +18,10 @@ import (
 func collect(t *testing.T, e *Engine, rel *relation.Relation) []Item {
 	t.Helper()
 	var items []Item
-	if err := e.Stream(rel, func(it Item) error {
+	if err := e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(it Item) error {
 		items = append(items, it)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	return items

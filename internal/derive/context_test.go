@@ -18,10 +18,10 @@ func TestStreamContextCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	emitted := 0
-	err = e.StreamContext(ctx, rel, Pools{}, func(Item) error {
+	err = e.Stream(ctx, rel, Pools{}, EmitFunc(func(Item) error {
 		emitted++
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -43,13 +43,13 @@ func TestStreamContextCancelMidStream(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	emitted := 0
-	err = e.StreamContext(ctx, rel, Pools{}, func(Item) error {
+	err = e.Stream(ctx, rel, Pools{}, EmitFunc(func(Item) error {
 		emitted++
 		if emitted == 5 {
 			cancel()
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -59,7 +59,7 @@ func TestStreamContextCancelMidStream(t *testing.T) {
 
 	// The same engine still serves a complete, coherent stream.
 	count := 0
-	if err := e.Stream(rel, func(Item) error { count++; return nil }); err != nil {
+	if err := e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(Item) error { count++; return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if count != rel.Len() {
@@ -82,7 +82,7 @@ func TestResolveBlockMatchesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := streamed.Stream(rel, func(it Item) error {
+	if err := streamed.Stream(context.Background(), rel, Pools{}, EmitFunc(func(it Item) error {
 		if it.Certain() {
 			return nil
 		}
@@ -101,7 +101,7 @@ func TestResolveBlockMatchesStream(t *testing.T) {
 			}
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 

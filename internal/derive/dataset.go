@@ -107,6 +107,16 @@ type DatasetSnapshot struct {
 	Version uint64
 }
 
+// SourceRelation returns the effective relation, nil for a nil snapshot.
+// It makes a snapshot a Source: a stream over it emits each observed
+// tuple's conditioned block instead of inferring the tuple.
+func (s *DatasetSnapshot) SourceRelation() *relation.Relation {
+	if s == nil {
+		return nil
+	}
+	return s.Rel
+}
+
 // RegisterDataset registers rel as a live dataset and returns its
 // handle. The relation must match the model's schema and is retained by
 // reference; the caller must not mutate it afterwards.
@@ -386,26 +396,6 @@ func (d *Dataset) Snapshot(ctx context.Context) (*DatasetSnapshot, error) {
 		rel = &relation.Relation{Schema: d.rel.Schema, Tuples: tuples}
 	}
 	return &DatasetSnapshot{Rel: rel, Overrides: overrides, Version: version}, nil
-}
-
-// StreamSnapshot derives the probabilistic database of a dataset
-// snapshot and emits it in input order, like StreamContext, except that
-// observed tuples emit their conditioned posterior blocks (or pass
-// through as certain tuples after a collapse) instead of being
-// re-inferred. Unobserved tuples resolve through the engine's caches
-// exactly as a batch stream would, so the two paths agree bit-for-bit
-// on them. It runs StreamContext's emit loop, so it is observed,
-// counted, panic-guarded and drained of its prefetch pools before it
-// returns, like StreamContext.
-func (e *Engine) StreamSnapshot(ctx context.Context, snap *DatasetSnapshot, pools Pools, emit EmitFunc) error {
-	return e.run(ctx, emit, nil, func(o *out) error { return e.streamSnapshot(ctx, snap, pools, o) })
-}
-
-func (e *Engine) streamSnapshot(ctx context.Context, snap *DatasetSnapshot, pools Pools, o *out) error {
-	if snap == nil {
-		return fmt.Errorf("derive: nil snapshot")
-	}
-	return e.stream(ctx, snap.Rel.Tuples, snap.Overrides, pools, o)
 }
 
 // Engine-side accessors for the conditioned-block cache and the live

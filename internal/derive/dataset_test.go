@@ -140,10 +140,10 @@ func collectSnapshot(t *testing.T, e *Engine, ds *Dataset) []Item {
 		t.Fatal(err)
 	}
 	var items []Item
-	if err := e.StreamSnapshot(context.Background(), snap, Pools{}, func(it Item) error {
+	if err := e.Stream(context.Background(), snap, Pools{}, EmitFunc(func(it Item) error {
 		items = append(items, it)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	return items
@@ -430,12 +430,58 @@ func TestStreamSnapshotPrefetchStopsWithStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := errors.New("stop")
-	if err := e.StreamSnapshot(context.Background(), snap, Pools{}, func(Item) error { return stop }); !errors.Is(err, stop) {
-		t.Fatalf("StreamSnapshot error = %v, want the emitter's", err)
+	if err := e.Stream(context.Background(), snap, Pools{}, EmitFunc(func(Item) error { return stop })); !errors.Is(err, stop) {
+		t.Fatalf("snapshot stream error = %v, want the emitter's", err)
 	}
 	returned := e.Stats().GibbsComputed
 	time.Sleep(300 * time.Millisecond)
 	if later := e.Stats().GibbsComputed; later != returned {
-		t.Fatalf("chains kept running after StreamSnapshot returned: %d at return, %d 300ms later", returned, later)
+		t.Fatalf("chains kept running after the snapshot stream returned: %d at return, %d 300ms later", returned, later)
+	}
+}
+
+// TestSnapshotSourceSchemaChecked: a stream checks the schema of every
+// source, so a join-input dataset's snapshot — a relation over its own
+// schema, not the model's — is refused with a *SchemaMismatchError before
+// anything is emitted, as a relation over that schema is.
+func TestSnapshotSourceSchemaChecked(t *testing.T) {
+	rel := relation.Matchmaking()
+	rc, _ := rel.Split()
+	m, err := core.Learn(rc, core.Config{SupportThreshold: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(m, engineConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := relation.MustSchema([]relation.Attribute{
+		{Name: "key", Domain: []string{"k1", "k2"}},
+		rel.Schema.Attrs[0],
+	})
+	in := relation.NewRelation(part)
+	for _, tu := range []relation.Tuple{{0, 0}, {1, relation.Missing}} {
+		if err := in.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := e.RegisterJoinInput(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ds.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []Source{in, snap} {
+		emitted := 0
+		err := e.Stream(context.Background(), src, Pools{}, EmitFunc(func(Item) error { emitted++; return nil }))
+		var mismatch *SchemaMismatchError
+		if !errors.As(err, &mismatch) {
+			t.Errorf("%T over a 2-attribute schema: err = %v, want *SchemaMismatchError", src, err)
+		}
+		if emitted != 0 {
+			t.Errorf("%T over a 2-attribute schema emitted %d items before failing", src, emitted)
+		}
 	}
 }

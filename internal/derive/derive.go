@@ -19,8 +19,8 @@
 //     distribution of the chain's sweep kernel, and the rest run a
 //     content-seeded Gibbs chain.
 //   - Completed pdb.Blocks are streamed to the caller in input order
-//     through a callback or a pluggable Sink, so callers can persist or
-//     serve blocks without ever holding the whole database in memory.
+//     into a Sink, so callers can persist or serve blocks without ever
+//     holding the whole database in memory.
 //   - Results do not depend on pool sizes: voting is deterministic for
 //     every VoteWorkers value, exact solves use no randomness and chains
 //     are seeded by tuple content, so every GibbsWorkers value is
@@ -161,9 +161,27 @@ type Item struct {
 // Certain reports whether the item is a pass-through complete tuple.
 func (it Item) Certain() bool { return it.Block == nil }
 
-// EmitFunc receives streamed items. Returning an error stops the stream;
-// Stream returns that error.
+// EmitFunc is a Sink made of one function: Emit calls it, and Close does
+// nothing. Returning an error stops the stream; Stream returns that
+// error.
 type EmitFunc func(Item) error
+
+// Emit calls f.
+func (f EmitFunc) Emit(it Item) error { return f(it) }
+
+// Close does nothing.
+func (f EmitFunc) Close() error { return nil }
+
+// Source is what a stream derives: a *relation.Relation, or a
+// *DatasetSnapshot, whose observed tuples emit their conditioned
+// posterior blocks instead of being inferred. internal/query evaluates
+// the same sources, and compiled SPJ queries, whose joined relation is
+// their SourceRelation.
+type Source interface {
+	// SourceRelation returns the relation whose tuples the stream scans,
+	// in input order.
+	SourceRelation() *relation.Relation
+}
 
 // Stats instruments the engine's caches. With the exception of the live
 // gauges (Watchers, Datasets), all counters are monotonically
@@ -668,8 +686,8 @@ func (e *Engine) resolveGibbs(ctx context.Context, t relation.Tuple, key []byte,
 }
 
 // resolveTier names the engine path that resolves one incomplete tuple.
-// The same classification schedules the prefetch pools, drives both emit
-// loops and serves ResolveBlock, so the query executor's tier ordering
+// The same classification schedules the prefetch pools, drives the emit
+// loop and serves ResolveBlock, so the query executor's tier ordering
 // and the streaming path always agree on where a tuple's work happens.
 type resolveTier uint8
 
@@ -796,47 +814,15 @@ func (e *Engine) block(t relation.Tuple, j *dist.Joint) (*pdb.Block, error) {
 	return pdb.NewBlock(t, j, e.cfg.MaxAlternatives)
 }
 
-// Stream derives the probabilistic database of rel and emits it item by
-// item, in input order, with the engine's default pool sizes. See
-// StreamContext.
-func (e *Engine) Stream(rel *relation.Relation, emit EmitFunc) error {
-	return e.StreamContext(context.Background(), rel, Pools{}, emit)
-}
-
-// StreamPools is Stream with per-request pool sizes.
-func (e *Engine) StreamPools(rel *relation.Relation, pools Pools, emit EmitFunc) error {
-	return e.StreamContext(context.Background(), rel, pools, emit)
-}
-
-// StreamContext derives the probabilistic database of rel and emits it
-// item by item, in input order: complete tuples pass through as certain
-// items, incomplete tuples arrive as blocks. Single-missing voting and
-// multi-missing sampling run on per-request worker pools concurrently
-// with emission; sampling is scheduled per block, so each block becomes
-// available as soon as its own chain has run. If emit returns an error
-// the stream stops and StreamContext returns that error after draining
-// its workers.
-//
-// Canceling ctx stops the stream: the dispatchers stop scheduling new
-// work, the emitter stops waiting for in-flight entries, and
-// StreamContext returns ctx.Err() once the pool workers have drained
-// their current items. Work already claimed when the cancel lands is
-// always completed (and cached) rather than abandoned, so cancellation
-// never poisons the shared caches. Overlapping calls from multiple
-// goroutines are safe and share the engine's caches.
-func (e *Engine) StreamContext(ctx context.Context, rel *relation.Relation, pools Pools, emit EmitFunc) error {
-	return e.run(ctx, emit, nil, func(o *out) error { return e.streamRelation(ctx, rel, pools, o) })
-}
-
-// out is the consumer end of one emit loop: the caller's emit behind a
-// panic boundary, and the sink's optional Flush (nil for a bare EmitFunc
-// or a sink without one). A panic in either (a broken Sink
-// implementation, an injected fault) becomes the request's *PanicError
-// with Op "emit" instead of crashing the process; the engine and its
-// caches are unaffected.
+// out is the consumer end of one emit loop: the sink's Emit behind a
+// panic boundary, and its optional Flush (nil for an EmitFunc or another
+// sink without one). A panic in either (a broken Sink implementation,
+// an injected fault) becomes the request's *PanicError with Op "emit"
+// instead of crashing the process; the engine and its caches are
+// unaffected.
 type out struct {
 	e       *Engine
-	emit    EmitFunc
+	sink    Sink
 	flush   func() error
 	started bool  // an item has been emitted
 	pending bool  // items were emitted since the last flush
@@ -850,7 +836,7 @@ func (o *out) put(it Item) (err error) {
 		return o.err
 	}
 	defer o.recoverEmit(&err)
-	if err = o.emit(it); err != nil {
+	if err = o.sink.Emit(it); err != nil {
 		return err
 	}
 	o.pending = true
@@ -862,8 +848,8 @@ func (o *out) put(it Item) (err error) {
 	return nil
 }
 
-// idle flushes the items emitted since the last flush. The emit loops
-// call it just before they wait on, or compute inline, an item whose
+// idle flushes the items emitted since the last flush. The emit loop
+// calls it just before it waits on, or computes inline, an item whose
 // cache entry is not done, so a ready line never sits in a buffer while
 // the engine works; a stream of cache hits flushes only after its first
 // item. It never runs while the stream holds a claimed cache slot (see
@@ -895,15 +881,67 @@ func (o *out) recoverEmit(err *error) {
 	}
 }
 
-// run is the one wrapper of every stream, relation and snapshot alike:
-// it hands loop its out, observes the stream in mrsl_derive_stream_seconds
-// and as the request trace's derive.stream span, and counts it in
-// Stats.Streams (and Stats.DeadlineMisses when its deadline expired),
-// successful or not.
-func (e *Engine) run(ctx context.Context, emit EmitFunc, flush func() error, loop func(*out) error) error {
+// Unpack checks src against the model's schema and returns its relation
+// and, for a dataset snapshot, the conditioned posterior block of each
+// observed tuple (nil otherwise). Stream and the query evaluator unpack
+// every source through it, so both reject a nil source and a schema
+// mismatch alike.
+func (e *Engine) Unpack(src Source) (*relation.Relation, map[int]*pdb.Block, error) {
+	var rel *relation.Relation
+	if src != nil {
+		rel = src.SourceRelation()
+	}
+	if rel == nil {
+		return nil, nil, fmt.Errorf("derive: nil relation")
+	}
+	if d := e.model.Schema.Diff(rel.Schema); d != "" {
+		return nil, nil, &SchemaMismatchError{Model: e.model.Schema, Data: rel.Schema, Diff: d}
+	}
+	var observed map[int]*pdb.Block
+	if snap, ok := src.(*DatasetSnapshot); ok {
+		observed = snap.Overrides
+	}
+	return rel, observed, nil
+}
+
+// Stream derives the probabilistic database of src and emits it into
+// sink item by item, in input order: complete tuples pass through as
+// certain items, incomplete tuples arrive as blocks, and a snapshot's
+// observed tuples emit their conditioned posterior blocks (or pass
+// through as certain items once evidence has collapsed them).
+// Single-missing voting and multi-missing inference run on per-request
+// worker pools concurrently with emission; inference is scheduled per
+// block, so each block becomes available as soon as its own unit has
+// run. src's schema must match the model's, else a *SchemaMismatchError
+// is returned before any inference runs.
+//
+// Stream calls the sink's Close once the last item is emitted. If the
+// stream or the sink fails, Stream returns that error after draining
+// its workers, without calling Close, so a partial output is never
+// flushed as if it were complete. Canceling ctx stops the stream the
+// same way: the dispatchers stop scheduling new work, the emitter stops
+// waiting for in-flight entries, and Stream returns ctx.Err(). Work
+// already claimed when the cancel lands is always completed (and
+// cached) rather than abandoned, so cancellation never poisons the
+// shared caches. Overlapping calls from multiple goroutines are safe and
+// share the engine's caches.
+//
+// Every stream, Close included, is observed in mrsl_derive_sink_seconds,
+// and, Close excluded, as the request trace's derive.stream span; it is
+// counted in Stats.Streams (and Stats.DeadlineMisses when its deadline
+// expired), successful or not. There is no per-item timing: it would put
+// a clock read on the per-tuple hot path.
+func (e *Engine) Stream(ctx context.Context, src Source, pools Pools, sink Sink) error {
 	start := time.Now()
-	err := loop(&out{e: e, emit: emit, flush: flush})
-	streamSeconds.Since(start)
+	defer sinkStreamSeconds.Since(start)
+	var flush func() error
+	if f, ok := sink.(interface{ Flush() error }); ok {
+		flush = f.Flush
+	}
+	rel, observed, err := e.Unpack(src)
+	if err == nil {
+		err = e.stream(ctx, rel.Tuples, observed, pools, &out{e: e, sink: sink, flush: flush})
+	}
 	obs.TraceFrom(ctx).Since("derive.stream", start)
 	e.mu.Lock()
 	e.stats.Streams++
@@ -911,26 +949,17 @@ func (e *Engine) run(ctx context.Context, emit EmitFunc, flush func() error, loo
 		e.stats.DeadlineMisses++
 	}
 	e.mu.Unlock()
-	return err
+	if err != nil {
+		return err
+	}
+	return sink.Close()
 }
 
-// streamRelation checks rel against the model's schema and streams its
-// tuples.
-func (e *Engine) streamRelation(ctx context.Context, rel *relation.Relation, pools Pools, o *out) error {
-	if rel == nil {
-		return fmt.Errorf("derive: nil relation")
-	}
-	if d := e.model.Schema.Diff(rel.Schema); d != "" {
-		return &SchemaMismatchError{Model: e.model.Schema, Data: rel.Schema, Diff: d}
-	}
-	return e.stream(ctx, rel.Tuples, nil, pools, o)
-}
-
-// stream is the emit loop of relation and snapshot streams alike.
-// overrides (nil for a relation stream) maps a snapshot's tuple index to
-// its conditioned posterior block: such a tuple emits that block, or its
-// base as a certain item once evidence has collapsed it, and is neither
-// prefetched nor resolved.
+// stream is the emit loop of every source. overrides (nil unless the
+// source is a snapshot) maps a snapshot's tuple index to its conditioned
+// posterior block: such a tuple emits that block, or its base as a
+// certain item once evidence has collapsed it, and is neither prefetched
+// nor resolved.
 func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides map[int]*pdb.Block, pools Pools, o *out) error {
 	// The pools prefetch chains and votes ahead of the emitter, through
 	// the same single-flight caches the emitter resolves from. quit stops
@@ -1068,14 +1097,4 @@ func distinctTuples(ts []relation.Tuple) []relation.Tuple {
 		}
 	}
 	return out
-}
-
-// Derive collects the stream into a materialized pdb.Database: certain
-// tuples in input order, blocks in input order.
-func (e *Engine) Derive(rel *relation.Relation) (*pdb.Database, error) {
-	c := NewCollector(rel.Schema)
-	if err := e.StreamTo(rel, c); err != nil {
-		return nil, err
-	}
-	return c.Database(), nil
 }

@@ -1,6 +1,7 @@
 package derive
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -77,13 +78,22 @@ func engineConfig(voteWorkers, gibbsWorkers int) Config {
 	}
 }
 
+// deriveDB materializes the stream of src into a database.
+func deriveDB(e *Engine, src Source) (*pdb.Database, error) {
+	c := NewCollector(e.Model().Schema)
+	if err := e.Stream(context.Background(), src, Pools{}, c); err != nil {
+		return nil, err
+	}
+	return c.Database(), nil
+}
+
 func deriveWith(t *testing.T, m *core.Model, rel *relation.Relation, voteWorkers, gibbsWorkers int) *pdb.Database {
 	t.Helper()
 	e, err := New(m, engineConfig(voteWorkers, gibbsWorkers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := e.Derive(rel)
+	db, err := deriveDB(e, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +211,7 @@ func TestBothTiersBitIdentical(t *testing.T) {
 }
 
 // TestStreamMatchesCollected: the streamed items, collected by hand in
-// callback order, reproduce Engine.Derive exactly — certain tuples and
+// callback order, reproduce the Collector sink exactly — certain tuples and
 // blocks in input order.
 func TestStreamMatchesCollected(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 43)
@@ -213,7 +223,7 @@ func TestStreamMatchesCollected(t *testing.T) {
 	}
 	streamed := pdb.NewDatabase(rel.Schema)
 	lastIndex := -1
-	err = e.Stream(rel, func(it Item) error {
+	err = e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(it Item) error {
 		if it.Index <= lastIndex {
 			t.Fatalf("item %d emitted after %d: stream is not input-ordered", it.Index, lastIndex)
 		}
@@ -225,7 +235,7 @@ func TestStreamMatchesCollected(t *testing.T) {
 			t.Fatalf("item %d: block base %v does not match tuple %v", it.Index, it.Block.Base, it.Tuple)
 		}
 		return streamed.AddBlock(it.Block)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +268,7 @@ func TestVoteCacheDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Derive(rel); err != nil {
+	if _, err := deriveDB(e, rel); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -274,7 +284,7 @@ func TestVoteCacheDedup(t *testing.T) {
 	}
 
 	// A second run over the same relation is fully cache-served.
-	if _, err := e.Derive(rel); err != nil {
+	if _, err := deriveDB(e, rel); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := e.Stats(); st2.VotesComputed != st.VotesComputed {
@@ -298,14 +308,14 @@ func TestGibbsCacheAcrossStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Derive(rel); err != nil {
+	if _, err := deriveDB(e, rel); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
 	if st.GibbsComputed != 1 {
 		t.Fatalf("gibbs computed = %d, want 1 (duplicates deduped)", st.GibbsComputed)
 	}
-	if _, err := e.Derive(rel); err != nil {
+	if _, err := deriveDB(e, rel); err != nil {
 		t.Fatal(err)
 	}
 	st2 := e.Stats()
@@ -329,13 +339,13 @@ func TestEmitErrorStopsStream(t *testing.T) {
 	}
 	sentinel := fmt.Errorf("stop here")
 	emitted := 0
-	err = e.Stream(rel, func(Item) error {
+	err = e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(Item) error {
 		emitted++
 		if emitted == 5 {
 			return sentinel
 		}
 		return nil
-	})
+	}))
 	if err != sentinel {
 		t.Fatalf("Stream error = %v, want sentinel", err)
 	}
@@ -352,7 +362,7 @@ func TestEmptyAndCompleteRelations(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := relation.NewRelation(inst.Top.Schema())
-	db, err := e.Derive(empty)
+	db, err := deriveDB(e, empty)
 	if err != nil || len(db.Certain) != 0 || len(db.Blocks) != 0 {
 		t.Errorf("empty relation: %v, %v", db, err)
 	}
@@ -362,7 +372,7 @@ func TestEmptyAndCompleteRelations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db, err = e.Derive(complete)
+	db, err = deriveDB(e, complete)
 	if err != nil || len(db.Certain) != 5 || len(db.Blocks) != 0 {
 		t.Errorf("complete relation: %d certain %d blocks, %v",
 			len(db.Certain), len(db.Blocks), err)
@@ -378,8 +388,10 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Stream(nil, func(Item) error { return nil }); err == nil {
-		t.Error("nil relation should fail")
+	for _, src := range []Source{nil, (*relation.Relation)(nil), (*DatasetSnapshot)(nil)} {
+		if err := e.Stream(context.Background(), src, Pools{}, EmitFunc(func(Item) error { return nil })); err == nil {
+			t.Errorf("nil source %T should fail", src)
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ func TestPanicBecomesTypedError(t *testing.T) {
 			}
 			defer faultinject.Disable()
 
-			_, err = e.Derive(rel)
+			_, err = deriveDB(e, rel)
 			var pe *PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("Derive under %s panic returned %v, want *PanicError", tc.point, err)
@@ -80,7 +80,7 @@ func TestPanicBecomesTypedError(t *testing.T) {
 			// The poisoned slots were invalidated, never memoized: with the
 			// fault disarmed the same engine answers exactly.
 			faultinject.Disable()
-			got, err := e.Derive(rel)
+			got, err := deriveDB(e, rel)
 			if err != nil {
 				t.Fatalf("engine unserviceable after recovered panics: %v", err)
 			}
@@ -110,13 +110,13 @@ func TestPrefetchPanicKeepsStreamExact(t *testing.T) {
 	// run (on a fast machine an unthrottled stream can finish before the
 	// pool's dispatcher is even scheduled).
 	got := pdb.NewDatabase(rel.Schema)
-	err = e.Stream(rel, func(it Item) error {
+	err = e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(it Item) error {
 		time.Sleep(200 * time.Microsecond)
 		if it.Certain() {
 			return got.AddCertain(it.Tuple)
 		}
 		return got.AddBlock(it.Block)
-	})
+	}))
 	if err != nil {
 		t.Fatalf("prefetch panics must not fail the stream: %v", err)
 	}
@@ -126,16 +126,14 @@ func TestPrefetchPanicKeepsStreamExact(t *testing.T) {
 	}
 }
 
-// streamInput is one emit loop a consumer can run under: emit runs it
-// into a bare EmitFunc, sink into a Sink.
+// streamInput is one source a stream can run over.
 type streamInput struct {
 	name string
-	emit func(context.Context, EmitFunc) error
-	sink func(context.Context, Sink) error
+	src  Source
 }
 
-// streamInputs are the relation stream of rel and the stream of rel
-// registered as a dataset (no observations, so both emit the same items).
+// streamInputs are rel and rel registered as a dataset and snapshotted
+// (no observations, so both emit the same items).
 func streamInputs(t *testing.T, e *Engine, rel *relation.Relation) []streamInput {
 	t.Helper()
 	ds, err := e.RegisterDataset(rel)
@@ -146,14 +144,7 @@ func streamInputs(t *testing.T, e *Engine, rel *relation.Relation) []streamInput
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []streamInput{
-		{"relation",
-			func(ctx context.Context, emit EmitFunc) error { return e.StreamContext(ctx, rel, Pools{}, emit) },
-			func(ctx context.Context, s Sink) error { return e.StreamToContext(ctx, rel, Pools{}, s) }},
-		{"snapshot",
-			func(ctx context.Context, emit EmitFunc) error { return e.StreamSnapshot(ctx, snap, Pools{}, emit) },
-			func(ctx context.Context, s Sink) error { return e.StreamSnapshotTo(ctx, snap, Pools{}, s) }},
-	}
+	return []streamInput{{"relation", rel}, {"snapshot", snap}}
 }
 
 // TestSinkPanicBecomesEmitError: a panic in the caller's emit path (a
@@ -172,13 +163,13 @@ func TestSinkPanicBecomesEmitError(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			before := e.Stats().PanicsRecovered
 			emitted := 0
-			err := in.emit(context.Background(), func(Item) error {
+			err := e.Stream(context.Background(), in.src, Pools{}, EmitFunc(func(Item) error {
 				emitted++
 				if emitted == 3 {
 					panic("sink exploded")
 				}
 				return nil
-			})
+			}))
 			var pe *PanicError
 			if !errors.As(err, &pe) || pe.Op != "emit" {
 				t.Fatalf("stream with panicking sink returned %v, want *PanicError{Op: emit}", err)
@@ -187,12 +178,12 @@ func TestSinkPanicBecomesEmitError(t *testing.T) {
 				t.Errorf("PanicsRecovered moved by %d, want 1", got)
 			}
 			streamed := pdb.NewDatabase(rel.Schema)
-			err = in.emit(context.Background(), func(it Item) error {
+			err = e.Stream(context.Background(), in.src, Pools{}, EmitFunc(func(it Item) error {
 				if it.Certain() {
 					return streamed.AddCertain(it.Tuple)
 				}
 				return streamed.AddBlock(it.Block)
-			})
+			}))
 			if err != nil {
 				t.Fatalf("engine unserviceable after emit panic: %v", err)
 			}
@@ -203,9 +194,9 @@ func TestSinkPanicBecomesEmitError(t *testing.T) {
 
 // TestStreamDeadlineCounted: a stream cut short by its deadline counts
 // in Stats.Streams and Stats.DeadlineMisses, and is observed in
-// mrsl_derive_stream_seconds (mrsl_derive_sink_seconds too when it runs
-// into a sink) and as the request trace's derive.stream span — the
-// relation stream and the snapshot stream alike.
+// mrsl_derive_sink_seconds and as the request trace's derive.stream span
+// — over a relation and a snapshot, into an EmitFunc and into a
+// JSONLSink alike.
 func TestStreamDeadlineCounted(t *testing.T) {
 	m, rel := faultFixture(t, 81)
 	e, err := New(m, engineConfig(4, 4))
@@ -223,14 +214,14 @@ func TestStreamDeadlineCounted(t *testing.T) {
 				ctx, cancel := context.WithDeadline(obs.WithTrace(context.Background(), tr), time.Now().Add(-time.Second))
 				defer cancel()
 				before := e.Stats()
-				streams, sinks := streamSeconds.Count(), sinkStreamSeconds.Count()
+				sinks := sinkStreamSeconds.Count()
 				emitted := 0
 				if toSink {
 					var out bytes.Buffer
-					err = in.sink(ctx, NewJSONLSink(&out, rel.Schema))
+					err = e.Stream(ctx, in.src, Pools{}, NewJSONLSink(&out, rel.Schema))
 					emitted = out.Len()
 				} else {
-					err = in.emit(ctx, func(Item) error { emitted++; return nil })
+					err = e.Stream(ctx, in.src, Pools{}, EmitFunc(func(Item) error { emitted++; return nil }))
 				}
 				if !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("stream under an expired deadline returned %v, want DeadlineExceeded", err)
@@ -245,11 +236,8 @@ func TestStreamDeadlineCounted(t *testing.T) {
 				if d := after.DeadlineMisses - before.DeadlineMisses; d != 1 {
 					t.Errorf("DeadlineMisses moved by %d, want 1", d)
 				}
-				if d := streamSeconds.Count() - streams; d != 1 {
-					t.Errorf("mrsl_derive_stream_seconds observed %d streams, want 1", d)
-				}
-				if d, want := sinkStreamSeconds.Count()-sinks, map[bool]int64{false: 0, true: 1}[toSink]; d != want {
-					t.Errorf("mrsl_derive_sink_seconds observed %d streams, want %d", d, want)
+				if d := sinkStreamSeconds.Count() - sinks; d != 1 {
+					t.Errorf("mrsl_derive_sink_seconds observed %d streams, want 1", d)
 				}
 				if spans := tr.Spans(); len(spans) != 1 || spans[0].Name != "derive.stream" {
 					t.Errorf("trace spans = %v, want one derive.stream span", spans)

@@ -45,14 +45,14 @@ func (r *flushRecorder) Flush() error {
 // relation stream and the snapshot stream alike.
 func TestAllHitStreamFlushesTwice(t *testing.T) {
 	e, rel := matchmakingEngine(t)
-	if _, err := e.Derive(rel); err != nil { // warms every vote and chain
+	if _, err := deriveDB(e, rel); err != nil { // warms every vote and chain
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name   string
 		stream func(Sink) error
 	}{
-		{"relation", func(s Sink) error { return e.StreamTo(rel, s) }},
+		{"relation", func(s Sink) error { return e.Stream(context.Background(), rel, Pools{}, s) }},
 		{"snapshot", snapshotStream(t, e, rel)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,7 +124,7 @@ func TestFlushBeforeSlowChain(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 			}
-			stream := func(s Sink) error { return e.StreamTo(rel, s) }
+			stream := func(s Sink) error { return e.Stream(context.Background(), rel, Pools{}, s) }
 			if tc.snapshot {
 				stream = snapshotStream(t, e, rel)
 			}
@@ -163,7 +163,7 @@ func snapshotStream(t *testing.T, e *Engine, rel *relation.Relation) func(Sink) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(s Sink) error { return e.StreamSnapshotTo(context.Background(), snap, Pools{}, s) }
+	return func(s Sink) error { return e.Stream(context.Background(), snap, Pools{}, s) }
 }
 
 // stalledFlush is the writer under a JSONLSink whose client stops
@@ -220,7 +220,7 @@ func TestStalledFlushHoldsNoClaim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream := func(s Sink) error { return e.StreamTo(rel, s) }
+			stream := func(s Sink) error { return e.Stream(context.Background(), rel, Pools{}, s) }
 			if snapshot {
 				stream = snapshotStream(t, e, rel)
 			}
@@ -254,8 +254,8 @@ func TestFlushErrorStopsStream(t *testing.T) {
 	e, rel := matchmakingEngine(t)
 	boom := errors.New("client gone")
 	rec := &flushRecorder{err: boom}
-	if err := e.StreamTo(rel, NewJSONLSink(rec, rel.Schema)); !errors.Is(err, boom) {
-		t.Fatalf("StreamTo = %v, want the flush error", err)
+	if err := e.Stream(context.Background(), rel, Pools{}, NewJSONLSink(rec, rel.Schema)); !errors.Is(err, boom) {
+		t.Fatalf("Stream = %v, want the flush error", err)
 	}
 	if len(rec.flushes) != 1 || rec.lines != 2 {
 		t.Errorf("after a failed first flush: %d flushes, %d lines; want 1 flush, schema + item 0", len(rec.flushes), rec.lines)

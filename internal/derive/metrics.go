@@ -20,10 +20,8 @@ var (
 		"One BoundCPD envelope enumeration (cache misses only).")
 	prefetchWaitSeconds = obs.Default.Histogram("mrsl_derive_prefetch_wait_seconds", "",
 		"Time resolvers spent blocked on another goroutine's in-flight cache entry.")
-	streamSeconds = obs.Default.Histogram("mrsl_derive_stream_seconds", "",
-		"End-to-end duration of one derivation stream.")
 	sinkStreamSeconds = obs.Default.Histogram("mrsl_derive_sink_seconds", "",
-		"End-to-end duration of one sink-bound stream (StreamTo and friends).")
+		"End-to-end duration of one derivation stream, the sink's Close included.")
 	watchNotifySeconds = obs.Default.Histogram("mrsl_watch_notify_seconds", "",
 		"One observation's watch-subscription fan-out (per observe, all subscribers).")
 )

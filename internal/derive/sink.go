@@ -1,14 +1,10 @@
 package derive
 
 import (
-	"context"
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/pdb"
@@ -18,7 +14,8 @@ import (
 // Sink receives a derivation stream. Emit is called once per item, in
 // input order; Close is called once after the last item and must flush
 // whatever the sink buffers. Sinks are used by one stream at a time; wrap
-// a sink in your own locking to share it.
+// a sink in your own locking to share it. An EmitFunc is the sink made of
+// one function.
 //
 // A sink may also have an optional Flush() error method. The stream
 // calls it after the first item, and again before it waits on or
@@ -30,48 +27,6 @@ import (
 type Sink interface {
 	Emit(Item) error
 	Close() error
-}
-
-// StreamTo derives rel and pushes the stream into sink, closing it on
-// success. If the stream or the sink fails, StreamTo returns that error
-// without calling Close, so a partial output is never flushed as if it
-// were complete.
-func (e *Engine) StreamTo(rel *relation.Relation, sink Sink) error {
-	return e.StreamToContext(context.Background(), rel, Pools{}, sink)
-}
-
-// StreamPoolsTo is StreamTo with per-request pool sizes.
-func (e *Engine) StreamPoolsTo(rel *relation.Relation, pools Pools, sink Sink) error {
-	return e.StreamToContext(context.Background(), rel, pools, sink)
-}
-
-// StreamToContext is StreamTo with a cancellation context and per-request
-// pool sizes: canceling ctx stops the stream (see StreamContext) and the
-// sink is not closed, so a partial output is never flushed as complete.
-func (e *Engine) StreamToContext(ctx context.Context, rel *relation.Relation, pools Pools, sink Sink) error {
-	return e.streamTo(ctx, sink, func(o *out) error { return e.streamRelation(ctx, rel, pools, o) })
-}
-
-// StreamSnapshotTo is StreamSnapshot into a sink, closed on success like
-// StreamToContext's.
-func (e *Engine) StreamSnapshotTo(ctx context.Context, snap *DatasetSnapshot, pools Pools, sink Sink) error {
-	return e.streamTo(ctx, sink, func(o *out) error { return e.streamSnapshot(ctx, snap, pools, o) })
-}
-
-// streamTo runs an emit loop into sink, flushing through its optional
-// Flush, and closes the sink when the loop succeeds. The sink-bound
-// stream is observed as one stage (emission included) — per-item timing
-// would put a clock read on the per-tuple hot path.
-func (e *Engine) streamTo(ctx context.Context, sink Sink, loop func(*out) error) error {
-	defer sinkStreamSeconds.Since(time.Now())
-	var flush func() error
-	if f, ok := sink.(interface{ Flush() error }); ok {
-		flush = f.Flush
-	}
-	if err := e.run(ctx, sink.Emit, flush, loop); err != nil {
-		return err
-	}
-	return sink.Close()
 }
 
 // Collector is the in-memory Sink: it materializes the stream into a
@@ -98,60 +53,6 @@ func (c *Collector) Close() error { return nil }
 
 // Database returns the materialized database.
 func (c *Collector) Database() *pdb.Database { return c.db }
-
-// CSVSink writes the stream as a complete CSV relation: certain tuples
-// pass through, each block is materialized as its most probable
-// completion. The output is the most probable world of the derived
-// database — the paper's single-imputation repair — and round-trips
-// through relation.ReadCSV.
-type CSVSink struct {
-	w      *csv.Writer
-	schema *relation.Schema
-	row    []string
-	opened bool
-}
-
-// NewCSVSink returns a CSV sink over w.
-func NewCSVSink(w io.Writer, s *relation.Schema) *CSVSink {
-	return &CSVSink{w: csv.NewWriter(w), schema: s, row: make([]string, s.NumAttrs())}
-}
-
-// Emit writes the item's most probable completion as one CSV row.
-func (c *CSVSink) Emit(it Item) error {
-	if !c.opened {
-		c.opened = true
-		if err := c.w.Write(c.schema.SortedAttrNames()); err != nil {
-			return fmt.Errorf("derive: csv sink header: %w", err)
-		}
-	}
-	t := it.Tuple
-	if !it.Certain() {
-		t = it.Block.MostProbable().Tuple
-	}
-	for i, v := range t {
-		if v == relation.Missing {
-			c.row[i] = relation.MissingLabel
-		} else {
-			c.row[i] = c.schema.Attrs[i].Domain[v]
-		}
-	}
-	if err := c.w.Write(c.row); err != nil {
-		return fmt.Errorf("derive: csv sink row %d: %w", it.Index, err)
-	}
-	return nil
-}
-
-// Close flushes the writer (writing the header even for an empty stream).
-func (c *CSVSink) Close() error {
-	if !c.opened {
-		c.opened = true
-		if err := c.w.Write(c.schema.SortedAttrNames()); err != nil {
-			return fmt.Errorf("derive: csv sink header: %w", err)
-		}
-	}
-	c.w.Flush()
-	return c.w.Error()
-}
 
 // jsonlSchema is the first line of a JSONL stream, describing the schema
 // the positional value arrays index into. Field order is fixed by the
@@ -338,37 +239,3 @@ func (j *JSONLSink) Close() error {
 	}
 	return j.Flush()
 }
-
-// TextSink writes the stream as a human-readable text rendering, one
-// item per line (blocks list their alternatives inline). It is the
-// io.Writer streaming sink for logs and terminals.
-type TextSink struct {
-	w      io.Writer
-	schema *relation.Schema
-}
-
-// NewTextSink returns a text sink over w.
-func NewTextSink(w io.Writer, s *relation.Schema) *TextSink {
-	return &TextSink{w: w, schema: s}
-}
-
-// Emit writes the item as one text line.
-func (t *TextSink) Emit(it Item) error {
-	if it.Certain() {
-		_, err := fmt.Fprintf(t.w, "%d certain %s\n", it.Index, it.Tuple.Format(t.schema))
-		return err
-	}
-	if _, err := fmt.Fprintf(t.w, "%d block %s:", it.Index, it.Block.Base.Format(t.schema)); err != nil {
-		return err
-	}
-	for _, a := range it.Block.Alts {
-		if _, err := fmt.Fprintf(t.w, " %.4f %s", a.Prob, a.Tuple.Format(t.schema)); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(t.w)
-	return err
-}
-
-// Close is a no-op; every line is written as it is emitted.
-func (t *TextSink) Close() error { return nil }

@@ -2,6 +2,7 @@ package derive
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -52,7 +53,7 @@ func matchmakingEngine(t *testing.T) (*Engine, *relation.Relation) {
 // regenerated from blocks the oracle has checked.
 func checkOracle(t *testing.T, e *Engine, rel *relation.Relation) {
 	t.Helper()
-	db, err := e.Derive(rel)
+	db, err := deriveDB(e, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,47 +85,12 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestCSVSinkGolden streams the matchmaking derivation through the CSV
-// sink, pins the bytes against a golden file, and round-trips the output
-// through ReadCSV: the sink writes the most probable world, so the result
-// must parse as a relation of complete tuples, one per input tuple.
-func TestCSVSinkGolden(t *testing.T) {
-	e, rel := matchmakingEngine(t)
-	var buf bytes.Buffer
-	if err := e.StreamTo(rel, NewCSVSink(&buf, rel.Schema)); err != nil {
-		t.Fatal(err)
-	}
-	checkOracle(t, e, rel)
-	checkGolden(t, "matchmaking_derived.csv.golden", buf.Bytes())
-
-	back, err := relation.ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("CSV sink output does not round-trip through ReadCSV: %v", err)
-	}
-	if back.Len() != rel.Len() {
-		t.Errorf("round-trip has %d tuples, want %d", back.Len(), rel.Len())
-	}
-	for i, tu := range back.Tuples {
-		if !tu.IsComplete() {
-			t.Errorf("round-trip tuple %d is incomplete: %v", i, tu)
-		}
-	}
-	// Round-tripping the sink output writes back byte-identically.
-	var again bytes.Buffer
-	if err := relation.WriteCSV(&again, back); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("ReadCSV/WriteCSV round trip of the sink output is not byte-stable")
-	}
-}
-
 // TestJSONLSinkGolden pins the NDJSON rendering — the serving wire format
 // of cmd/mrslserve — byte for byte.
 func TestJSONLSinkGolden(t *testing.T) {
 	e, rel := matchmakingEngine(t)
 	var buf bytes.Buffer
-	if err := e.StreamTo(rel, NewJSONLSink(&buf, rel.Schema)); err != nil {
+	if err := e.Stream(context.Background(), rel, Pools{}, NewJSONLSink(&buf, rel.Schema)); err != nil {
 		t.Fatal(err)
 	}
 	checkOracle(t, e, rel)
@@ -139,50 +105,33 @@ func TestJSONLSinkGolden(t *testing.T) {
 	}
 }
 
-// TestTextSinkStreams smoke-tests the human-readable sink: one line per
-// item, blocks listing their alternatives.
-func TestTextSinkStreams(t *testing.T) {
-	e, rel := matchmakingEngine(t)
-	var buf bytes.Buffer
-	if err := e.StreamTo(rel, NewTextSink(&buf, rel.Schema)); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != rel.Len() {
-		t.Errorf("text sink wrote %d lines, want %d", len(lines), rel.Len())
-	}
-	if !strings.Contains(buf.String(), "block") || !strings.Contains(buf.String(), "certain") {
-		t.Error("text sink output misses certain/block markers")
-	}
-}
-
-// TestCollectorMatchesStream: the Collector sink materializes exactly what
-// Engine.Derive returns.
+// TestCollectorMatchesStream: the Collector sink materializes exactly the
+// items the stream emits.
 func TestCollectorMatchesStream(t *testing.T) {
 	e, rel := matchmakingEngine(t)
 	c := NewCollector(rel.Schema)
-	if err := e.StreamTo(rel, c); err != nil {
+	if err := e.Stream(context.Background(), rel, Pools{}, c); err != nil {
 		t.Fatal(err)
 	}
-	db, err := e.Derive(rel)
-	if err != nil {
+	db := pdb.NewDatabase(rel.Schema)
+	if err := e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(it Item) error {
+		if it.Certain() {
+			return db.AddCertain(it.Tuple)
+		}
+		return db.AddBlock(it.Block)
+	})); err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, c.Database(), db, "collector vs derive")
+	requireIdentical(t, c.Database(), db, "collector vs emitted items")
 }
 
-// TestEmptyStreamSinks: sinks emit valid headers even for empty streams.
+// TestEmptyStreamSinks: the JSONL sink writes its schema record even
+// for an empty stream.
 func TestEmptyStreamSinks(t *testing.T) {
 	e, rel := matchmakingEngine(t)
 	empty := relation.NewRelation(rel.Schema)
-	var csvb, jsonb bytes.Buffer
-	if err := e.StreamTo(empty, NewCSVSink(&csvb, rel.Schema)); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(csvb.String()); got != strings.Join(rel.Schema.SortedAttrNames(), ",") {
-		t.Errorf("empty CSV stream wrote %q, want header only", got)
-	}
-	if err := e.StreamTo(empty, NewJSONLSink(&jsonb, rel.Schema)); err != nil {
+	var jsonb bytes.Buffer
+	if err := e.Stream(context.Background(), empty, Pools{}, NewJSONLSink(&jsonb, rel.Schema)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(jsonb.String(), `"kind":"schema"`) {
@@ -296,10 +245,10 @@ func TestJSONLSinkMatchesEncodingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var items []Item
-	if err := e.Stream(rel, func(it Item) error {
+	if err := e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(it Item) error {
 		items = append(items, it)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	checkEmitMatchesOracle(t, rel.Schema, items)
@@ -339,10 +288,10 @@ func TestJSONLSinkRejectsNonFinite(t *testing.T) {
 func TestJSONLSinkEmitAllocs(t *testing.T) {
 	e, rel := matchmakingEngine(t)
 	var items []Item
-	if err := e.Stream(rel, func(it Item) error {
+	if err := e.Stream(context.Background(), rel, Pools{}, EmitFunc(func(it Item) error {
 		items = append(items, it)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	sink := NewJSONLSink(io.Discard, rel.Schema)

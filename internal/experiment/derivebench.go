@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -114,12 +115,12 @@ func RunAblationDerive(opt Options, networks []string, workerCounts []int) ([]De
 			}
 			blocks := 0
 			start := time.Now()
-			err = eng.Stream(rel, func(it derive.Item) error {
+			err = eng.Stream(context.Background(), rel, derive.Pools{}, derive.EmitFunc(func(it derive.Item) error {
 				if !it.Certain() {
 					blocks++
 				}
 				return nil
-			})
+			}))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -139,7 +140,7 @@ func RunAblationDerive(opt Options, networks []string, workerCounts []int) ([]De
 		}
 	}
 	t := &Table{
-		Title:  "Ablation: streaming derivation engine (DeriveStream)",
+		Title:  "Ablation: streaming derivation engine (Engine.Derive)",
 		Header: []string{"network", "workers", "time (s)", "speedup", "vote hit rate", "blocks"},
 	}
 	for _, p := range points {

@@ -1,174 +1,9 @@
 package gibbs
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/relation"
-)
-
 // The paper notes that "the length of burn-in (B), and the subsequent
 // number of iterations (N), may be estimated using standard techniques"
-// (Section V-A). This file implements those standard techniques for the
-// MRSL sampler: the Gelman-Rubin potential scale reduction factor
-// (split-R-hat) computed over per-outcome indicator traces of multiple
-// independent chains, effective sample size from the traces'
-// autocorrelation, and an auto-tuner that doubles the sampling budget until
-// the chains agree.
-
-// Diagnostics summarizes convergence evidence from parallel chains.
-type Diagnostics struct {
-	// RHat is the worst (largest) split-R-hat across all monitored
-	// indicator traces; values near 1 indicate the chains have mixed.
-	RHat float64
-	// ESS is the smallest effective sample size across indicator traces,
-	// totalled over chains.
-	ESS float64
-	// Chains and SamplesPerChain record the run's shape.
-	Chains          int
-	SamplesPerChain int
-}
-
-// Converged applies the conventional acceptance threshold (R-hat below
-// 1.1).
-func (d *Diagnostics) Converged() bool { return d.RHat < 1.1 }
-
-// Diagnose runs the given number of independent chains for t (each with
-// the sampler's burn-in followed by samplesPerChain recorded sweeps) and
-// evaluates convergence. Indicator traces are monitored per missing
-// attribute and value: trace_{a,v}[i] = 1 if chain step i assigned value v
-// to attribute a.
-func (s *Sampler) Diagnose(t relation.Tuple, chains, samplesPerChain int) (*Diagnostics, error) {
-	if chains < 2 {
-		return nil, fmt.Errorf("gibbs: need at least 2 chains, got %d", chains)
-	}
-	if samplesPerChain < 4 {
-		return nil, fmt.Errorf("gibbs: need at least 4 samples per chain, got %d", samplesPerChain)
-	}
-	missing := t.MissingAttrs()
-	if len(missing) == 0 {
-		return nil, fmt.Errorf("gibbs: tuple %v has no missing attributes", t)
-	}
-
-	// traces[c][k][i]: chain c, indicator k, step i.
-	var indicators []struct{ attr, val int }
-	for _, a := range missing {
-		for v := 0; v < s.model.Schema.Attrs[a].Card(); v++ {
-			indicators = append(indicators, struct{ attr, val int }{a, v})
-		}
-	}
-	traces := make([][][]float64, chains)
-	for c := 0; c < chains; c++ {
-		ch, err := s.newChain(t)
-		if err != nil {
-			return nil, err
-		}
-		for b := 0; b < s.cfg.burnIn(); b++ {
-			if err := s.sweep(ch); err != nil {
-				return nil, err
-			}
-		}
-		traces[c] = make([][]float64, len(indicators))
-		for k := range indicators {
-			traces[c][k] = make([]float64, samplesPerChain)
-		}
-		for i := 0; i < samplesPerChain; i++ {
-			if err := s.sweep(ch); err != nil {
-				return nil, err
-			}
-			for k, ind := range indicators {
-				if ch.state[ind.attr] == ind.val {
-					traces[c][k][i] = 1
-				}
-			}
-		}
-	}
-
-	d := &Diagnostics{Chains: chains, SamplesPerChain: samplesPerChain, RHat: 1, ESS: math.Inf(1)}
-	for k := range indicators {
-		series := make([][]float64, chains)
-		for c := range traces {
-			series[c] = traces[c][k]
-		}
-		if constantSeries(series) {
-			// An indicator every chain agrees on contributes no
-			// convergence signal (e.g. probability ~0 outcomes).
-			continue
-		}
-		r := splitRHat(series)
-		if r > d.RHat {
-			d.RHat = r
-		}
-		if e := effectiveSampleSize(series); e < d.ESS {
-			d.ESS = e
-		}
-	}
-	if math.IsInf(d.ESS, 1) {
-		// All indicators constant: the conditional is deterministic given
-		// the evidence; every sample is maximally informative.
-		d.ESS = float64(chains * samplesPerChain)
-	}
-	return d, nil
-}
-
-func constantSeries(series [][]float64) bool {
-	first := series[0][0]
-	for _, s := range series {
-		for _, v := range s {
-			if v != first {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// splitRHat computes the Gelman-Rubin statistic after splitting each chain
-// in half (the split-R-hat of Gelman et al.), guarding against chains that
-// are individually stuck.
-func splitRHat(series [][]float64) float64 {
-	var halves [][]float64
-	for _, s := range series {
-		h := len(s) / 2
-		halves = append(halves, s[:h], s[h:h*2])
-	}
-	m := len(halves)
-	n := len(halves[0])
-	means := make([]float64, m)
-	vars := make([]float64, m)
-	var grand float64
-	for i, h := range halves {
-		for _, v := range h {
-			means[i] += v
-		}
-		means[i] /= float64(n)
-		grand += means[i]
-	}
-	grand /= float64(m)
-	for i, h := range halves {
-		for _, v := range h {
-			d := v - means[i]
-			vars[i] += d * d
-		}
-		vars[i] /= float64(n - 1)
-	}
-	var between, within float64
-	for i := 0; i < m; i++ {
-		d := means[i] - grand
-		between += d * d
-		within += vars[i]
-	}
-	between *= float64(n) / float64(m-1)
-	within /= float64(m)
-	if within == 0 {
-		if between == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	varPlus := float64(n-1)/float64(n)*within + between/float64(n)
-	return math.Sqrt(varPlus / within)
-}
+// (Section V-A). The effective sample size below is one of them: the
+// chain tests size their Monte Carlo standard errors with it.
 
 // effectiveSampleSize estimates ESS across chains using Geyer's initial
 // positive sequence on the pooled autocorrelation.
@@ -231,41 +66,4 @@ func pooledAutocorr(series [][]float64, mean, variance float64, lag int) float64
 		return 0
 	}
 	return acc / (float64(count) * variance)
-}
-
-// AutoTune searches for a sampling budget under which the chains for t
-// converge: starting from minSamples per chain, the budget doubles until
-// split-R-hat falls below threshold or maxSamples is reached. It returns
-// the recommended burn-in (a tenth of the chosen budget, at least the
-// sampler default) and per-tuple sample count, plus the final diagnostics.
-func (s *Sampler) AutoTune(t relation.Tuple, threshold float64, minSamples, maxSamples int) (burnIn, samples int, diag *Diagnostics, err error) {
-	if threshold <= 1 {
-		threshold = 1.05
-	}
-	if minSamples < 8 {
-		minSamples = 8
-	}
-	if maxSamples < minSamples {
-		maxSamples = minSamples
-	}
-	const chains = 4
-	n := minSamples
-	for {
-		diag, err = s.Diagnose(t, chains, n)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		if diag.RHat < threshold || n >= maxSamples {
-			break
-		}
-		n *= 2
-		if n > maxSamples {
-			n = maxSamples
-		}
-	}
-	burnIn = n / 10
-	if burnIn < s.cfg.burnIn() {
-		burnIn = s.cfg.burnIn()
-	}
-	return burnIn, n, diag, nil
 }

@@ -1,109 +1,6 @@
 package gibbs
 
-import (
-	"math"
-	"testing"
-
-	"repro/internal/relation"
-)
-
-func TestDiagnoseValidation(t *testing.T) {
-	m, _, _ := learnBN(t, "BN8", 1000, 61)
-	s, err := New(m, Config{Samples: 100, BurnIn: 10, Method: bestAveraged(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tu := relation.Tuple{relation.Missing, 0, 0, 0}
-	if _, err := s.Diagnose(tu, 1, 100); err == nil {
-		t.Error("1 chain should fail")
-	}
-	if _, err := s.Diagnose(tu, 4, 2); err == nil {
-		t.Error("too few samples should fail")
-	}
-	if _, err := s.Diagnose(relation.Tuple{0, 0, 0, 0}, 4, 100); err == nil {
-		t.Error("complete tuple should fail")
-	}
-}
-
-// TestDiagnoseWellMixedChain: a single missing attribute makes the chain an
-// iid sampler, so R-hat must sit close to 1 and ESS near the total draw
-// count.
-func TestDiagnoseWellMixedChain(t *testing.T) {
-	m, _, _ := learnBN(t, "BN8", 5000, 62)
-	s, err := New(m, Config{Samples: 100, BurnIn: 20, Method: bestAveraged(), Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tu := relation.Tuple{relation.Missing, 0, 1, 0}
-	d, err := s.Diagnose(tu, 4, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Converged() {
-		t.Errorf("iid chain did not converge: R-hat = %v", d.RHat)
-	}
-	if d.RHat > 1.05 {
-		t.Errorf("R-hat = %v, want close to 1", d.RHat)
-	}
-	total := float64(4 * 500)
-	if d.ESS < total/4 {
-		t.Errorf("ESS = %v, want a sizable fraction of %v for iid draws", d.ESS, total)
-	}
-	if d.Chains != 4 || d.SamplesPerChain != 500 {
-		t.Errorf("shape = %d x %d", d.Chains, d.SamplesPerChain)
-	}
-}
-
-// TestDiagnoseMultiAttribute: two missing attributes still converge with a
-// moderate budget on a small network.
-func TestDiagnoseMultiAttribute(t *testing.T) {
-	m, _, _ := learnBN(t, "BN8", 5000, 63)
-	s, err := New(m, Config{Samples: 100, BurnIn: 50, Method: bestAveraged(), Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tu := relation.Tuple{relation.Missing, relation.Missing, 1, 0}
-	d, err := s.Diagnose(tu, 4, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Converged() {
-		t.Errorf("R-hat = %v on a 2x2 state space", d.RHat)
-	}
-	if d.ESS < 50 {
-		t.Errorf("ESS = %v, implausibly low", d.ESS)
-	}
-}
-
-func TestSplitRHatHandComputed(t *testing.T) {
-	// Identical chains: R-hat = 1.
-	same := [][]float64{
-		{0, 1, 0, 1, 0, 1, 0, 1},
-		{1, 0, 1, 0, 1, 0, 1, 0},
-	}
-	if r := splitRHat(same); math.Abs(r-1) > 0.2 {
-		t.Errorf("R-hat for well-mixed chains = %v, want ~1", r)
-	}
-	// Disjoint chains (one all zeros, one all ones with a flip to keep
-	// within-variance nonzero): R-hat far above 1.
-	stuck := [][]float64{
-		{0, 0, 0, 0, 0, 0, 1, 0},
-		{1, 1, 1, 1, 1, 1, 0, 1},
-	}
-	if r := splitRHat(stuck); r < 1.5 {
-		t.Errorf("R-hat for stuck chains = %v, want >> 1", r)
-	}
-	// Zero within-variance and zero between: constant series -> 1.
-	constant := [][]float64{{1, 1, 1, 1}, {1, 1, 1, 1}}
-	if r := splitRHat(constant); r != 1 {
-		t.Errorf("R-hat constant = %v, want 1", r)
-	}
-	// Zero within, nonzero between -> +Inf.
-	split := [][]float64{{0, 0, 0, 0}, {1, 1, 1, 1}}
-	if r := splitRHat(split); !math.IsInf(r, 1) {
-		t.Errorf("R-hat for frozen disagreeing chains = %v, want +Inf", r)
-	}
-}
+import "testing"
 
 func TestEffectiveSampleSizeBounds(t *testing.T) {
 	// Alternating iid-ish series: ESS near total.
@@ -128,47 +25,5 @@ func TestEffectiveSampleSizeBounds(t *testing.T) {
 	constant := [][]float64{{1, 1, 1, 1}, {1, 1, 1, 1}}
 	if e := effectiveSampleSize(constant); e != 8 {
 		t.Errorf("constant ESS = %v, want 8", e)
-	}
-}
-
-func TestAutoTuneConverges(t *testing.T) {
-	m, _, _ := learnBN(t, "BN8", 5000, 64)
-	s, err := New(m, Config{Samples: 100, BurnIn: 20, Method: bestAveraged(), Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tu := relation.Tuple{relation.Missing, relation.Missing, 0, 1}
-	burnIn, samples, diag, err := s.AutoTune(tu, 1.05, 32, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples < 32 || samples > 4096 {
-		t.Errorf("samples = %d out of range", samples)
-	}
-	if burnIn < 20 {
-		t.Errorf("burn-in = %d below sampler default", burnIn)
-	}
-	if diag == nil || diag.RHat <= 0 {
-		t.Error("diagnostics missing")
-	}
-	if diag.RHat >= 1.05 && samples < 4096 {
-		t.Errorf("auto-tune stopped early: R-hat=%v at %d samples", diag.RHat, samples)
-	}
-}
-
-func TestAutoTuneParameterClamps(t *testing.T) {
-	m, _, _ := learnBN(t, "BN8", 1000, 65)
-	s, err := New(m, Config{Samples: 100, BurnIn: 10, Method: bestAveraged(), Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tu := relation.Tuple{relation.Missing, 0, 0, 0}
-	// Degenerate thresholds and budgets are clamped, not rejected.
-	_, samples, _, err := s.AutoTune(tu, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples < 8 {
-		t.Errorf("samples = %d, want >= clamped minimum", samples)
 	}
 }

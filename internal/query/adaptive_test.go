@@ -56,7 +56,7 @@ func TestAdaptiveMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, e := range engines {
-					res, err := Eval(ctx, e.eng, rel, q)
+					res, err := Eval(ctx, e.eng, rel, q, Options{})
 					if err != nil {
 						t.Fatalf("%s %v: %v", e.label, op, err)
 					}
@@ -89,7 +89,7 @@ func TestAdaptiveDegradedStaysSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(expiredCtx(t), eng, rel, query)
+		res, err := Eval(expiredCtx(t), eng, rel, query, Options{})
 		if err != nil {
 			t.Fatalf("degraded %s: %v", query.String(), err)
 		}
@@ -139,7 +139,7 @@ func TestEnvelopeSharingAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Eval(ctx, eng, rel, q)
+	first, err := Eval(ctx, eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestEnvelopeSharingAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Eval(ctx, eng, rel, q2)
+	second, err := Eval(ctx, eng, rel, q2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +202,14 @@ func TestIntervalCacheKeyAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Eval(ctx, eng, relOf(wide), first); err != nil {
+	if _, err := Eval(ctx, eng, relOf(wide), first, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	second, err := Compile(s, Spec{Op: Count, Preds: []Pred{{Attr: 0, Cmp: Eq, Value: 0}}, MinProb: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(ctx, eng, relOf(narrow), second)
+	res, err := Eval(ctx, eng, relOf(narrow), second, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestPlanIndependentOfOtherEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(ctx, eng, rel, q)
+		res, err := Eval(ctx, eng, rel, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestPlanIndependentOfOtherEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Stream(busy, func(derive.Item) error { return nil }); err != nil {
+	if err := other.Stream(context.Background(), busy, derive.Pools{}, derive.EmitFunc(func(derive.Item) error { return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if st := other.Stats(); st.VotesComputed < 32 || st.GibbsComputed < 8 {
@@ -314,11 +314,11 @@ func TestPlanPathAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Plan(ctx, eng, rel, q); err != nil { // warm envelopes + caches
+	if _, err := Eval(ctx, eng, rel, q, Options{PlanOnly: true}); err != nil { // warm envelopes + caches
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := Plan(ctx, eng, rel, q); err != nil {
+		if _, err := Eval(ctx, eng, rel, q, Options{PlanOnly: true}); err != nil {
 			t.Fatal(err)
 		}
 	})

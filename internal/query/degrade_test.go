@@ -55,7 +55,7 @@ func TestDegradedBoundsContainOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(expiredCtx(t), eng, rel, q)
+		res, err := Eval(expiredCtx(t), eng, rel, q, Options{})
 		if err != nil {
 			t.Fatalf("expired deadline failed instead of degrading: %v", err)
 		}
@@ -77,7 +77,7 @@ func TestDegradedBoundsContainOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(expiredCtx(t), eng, rel, q)
+		res, err := Eval(expiredCtx(t), eng, rel, q, Options{})
 		if err != nil {
 			t.Fatalf("expired deadline failed instead of degrading: %v", err)
 		}
@@ -102,7 +102,7 @@ func TestDegradedBoundsContainOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(expiredCtx(t), eng, rel, q)
+		res, err := Eval(expiredCtx(t), eng, rel, q, Options{})
 		if err != nil {
 			t.Fatalf("expired deadline failed instead of degrading: %v", err)
 		}
@@ -131,7 +131,7 @@ func TestDegradedBoundsContainOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(expiredCtx(t), eng, rel, q)
+		res, err := Eval(expiredCtx(t), eng, rel, q, Options{})
 		if err != nil {
 			t.Fatalf("expired deadline failed instead of degrading: %v", err)
 		}
@@ -177,7 +177,7 @@ func TestDegradedBoundsContainOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(expiredCtx(t), eng, rel, q)
+		res, err := Eval(expiredCtx(t), eng, rel, q, Options{})
 		if err != nil {
 			t.Fatalf("expired deadline failed instead of degrading: %v", err)
 		}
@@ -220,7 +220,7 @@ func TestGenerousDeadlineStaysExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Eval(ctx, eng, rel, q)
+		res, err := Eval(ctx, eng, rel, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

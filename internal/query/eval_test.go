@@ -75,10 +75,10 @@ func deriveAll(t testing.TB, m *core.Model, rel *relation.Relation, cfg derive.C
 		t.Fatal(err)
 	}
 	var items []derive.Item
-	if err := eng.Stream(rel, func(it derive.Item) error {
+	if err := eng.Stream(context.Background(), rel, derive.Pools{}, derive.EmitFunc(func(it derive.Item) error {
 		items = append(items, it)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	return items
@@ -358,10 +358,10 @@ func evalMatchesOracle(t *testing.T, model *core.Model, rel *relation.Relation, 
 		t.Fatal(err)
 	}
 	var items []derive.Item
-	if err := oracleEng.Stream(rel, func(it derive.Item) error {
+	if err := oracleEng.Stream(context.Background(), rel, derive.Pools{}, derive.EmitFunc(func(it derive.Item) error {
 		items = append(items, it)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -383,7 +383,7 @@ func evalMatchesOracle(t *testing.T, model *core.Model, rel *relation.Relation, 
 				t.Fatal(err)
 			}
 			for wi, eng := range engines {
-				res, err := Eval(ctx, eng, rel, q)
+				res, err := Eval(ctx, eng, rel, q, Options{})
 				if err != nil {
 					t.Fatalf("%v round %d workers %d: %v", op, round, wi, err)
 				}
@@ -433,7 +433,7 @@ func TestThresholdTouchesTupleProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestThresholdTouchesTupleProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Eval(context.Background(), eng, rel, q)
+	res, err = Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestSelectiveQueriesPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestSelectiveQueriesPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Eval(context.Background(), eng, rel, q)
+	res, err = Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestCappedEngineFallsBackToDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +674,7 @@ func TestBoundsPruneMultiMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +712,7 @@ func TestBoundsPruneMultiMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Eval(context.Background(), eng, rel2, q2)
+	res2, err := Eval(context.Background(), eng, rel2, q2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -746,7 +746,7 @@ func TestPlanInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,7 +775,7 @@ func TestPlanInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Eval(context.Background(), eng, rel, q2)
+	res2, err := Eval(context.Background(), eng, rel, q2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,7 +820,7 @@ func TestTopKCertainCutSkipsCheapTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -870,7 +870,7 @@ func TestCappedTopKTieAtProbabilityOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,26 +891,26 @@ func TestEvalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Eval(context.Background(), nil, rel, q); err == nil {
+	if _, err := Eval(context.Background(), nil, rel, q, Options{}); err == nil {
 		t.Error("nil engine should fail")
 	}
-	if _, err := Eval(context.Background(), eng, nil, q); err == nil {
+	if _, err := Eval(context.Background(), eng, nil, q, Options{}); err == nil {
 		t.Error("nil relation should fail")
 	}
-	if _, err := Eval(context.Background(), eng, rel, nil); err == nil {
+	if _, err := Eval(context.Background(), eng, rel, nil, Options{}); err == nil {
 		t.Error("nil query should fail")
 	}
 
 	other := relation.NewRelation(relation.MustSchema([]relation.Attribute{
 		{Name: "z", Domain: []string{"0", "1"}},
 	}))
-	if _, err := Eval(context.Background(), eng, other, q); err == nil {
+	if _, err := Eval(context.Background(), eng, other, q, Options{}); err == nil {
 		t.Error("schema mismatch should fail")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Eval(ctx, eng, rel, q); err != context.Canceled {
+	if _, err := Eval(ctx, eng, rel, q, Options{}); err != context.Canceled {
 		t.Errorf("canceled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -52,82 +52,123 @@ import (
 // error.
 type ProgressFunc func(*Result) error
 
-// Eval evaluates q over rel through eng with the engine's default pool
-// sizes. See EvalPools.
-func Eval(ctx context.Context, eng *derive.Engine, rel *relation.Relation, q *Query) (*Result, error) {
-	return EvalPools(ctx, eng, rel, q, derive.Pools{})
+// Options are the per-request settings of one Eval.
+type Options struct {
+	// Pools sizes the prefetch worker pools; zero fields inherit the
+	// engine's. Pool sizes affect scheduling only, never the answer.
+	Pools derive.Pools
+	// Progress, when non-nil, observes a TopK or GroupBy evaluation in
+	// flight; see ProgressFunc. Projected SPJ queries combine their
+	// distinct answers at the end of the scan and report nothing
+	// incremental.
+	Progress ProgressFunc
+	// PlanOnly compiles the plan without executing it: the Result carries
+	// only Plan, and nothing is folded into the engine's Query* counters.
+	// The envelope votes behind the bound tier do run, memoized in the
+	// engine's shared CPD cache, so planning honors ctx too.
+	PlanOnly bool
 }
 
-// EvalPools evaluates the compiled query over rel, extensionally, on top
-// of the engine's shared caches, through the plan/executor pipeline:
-// a planner orders predicate evaluation by estimated selectivity and
+// Eval evaluates the compiled query q over src, extensionally, on top of
+// the engine's shared caches, through the plan/executor pipeline: a
+// planner orders predicate evaluation by estimated selectivity and
 // classifies every tuple into a resolution tier (attaching sound
 // dissociation bound intervals to multi-missing tuples — see
 // derive.Engine.BoundCPD), and the executor consumes the tiers in
-// increasing cost order. Every answer is bit-identical to deriving the
-// full probabilistic database through the same engine and evaluating
-// naively over the stream, for every worker count — yet selective
-// queries derive only the tuples whose bounds leave the answer open.
+// increasing cost order. src is a relation, a dataset snapshot, or a
+// compiled SPJ, in which case q must be the SPJ's own query (SPJ.Query):
 //
-// The contract rests on the engine's multi-missing estimates being
-// content-seeded per tuple: a tuple's block does not depend on which
-// other tuples are resolved with it.
+//   - Over a relation, every answer is bit-identical to deriving the
+//     full probabilistic database through the same engine and evaluating
+//     naively over the stream, for every worker count — yet selective
+//     queries derive only the tuples whose bounds leave the answer open.
+//     The contract rests on the engine's multi-missing estimates being
+//     content-seeded per tuple: a tuple's block does not depend on which
+//     other tuples are resolved with it.
+//   - Over a snapshot (derive.Dataset.Snapshot), tuples with applied
+//     evidence resolve from their conditioned posterior blocks — exactly,
+//     for free, and without touching the engine's estimators. The answer
+//     is bit-identical to a fresh engine deriving the conditioned
+//     database and evaluating naively.
+//   - Over an SPJ, safe plans and linear operators over unsafe plans are
+//     exact like a relation; unsafe exists runs the dissociation
+//     pre-pass (deciding the threshold from the interval alone when it
+//     clears) before falling back to the exact dissociated product, and
+//     projected queries run the distinct-answer evaluator.
 //
-// Pool sizes affect prefetch scheduling only, never the answer.
-// Canceling ctx aborts evaluation with ctx.Err(). On success the
-// evaluation's counters are folded into the engine's stats (EngineStats'
-// Query* fields) and the compiled plan summary is attached to
-// Result.Plan.
-func EvalPools(ctx context.Context, eng *derive.Engine, rel *relation.Relation, q *Query, pools derive.Pools) (*Result, error) {
-	return EvalPoolsProgress(ctx, eng, rel, q, pools, nil)
-}
-
-// EvalPoolsProgress is EvalPools with a progress observer for streaming
-// consumers (nil disables it); see ProgressFunc.
-func EvalPoolsProgress(ctx context.Context, eng *derive.Engine, rel *relation.Relation, q *Query,
-	pools derive.Pools, progress ProgressFunc) (*Result, error) {
-	return evalOverrides(ctx, eng, rel, nil, q, pools, progress)
-}
-
-// EvalSnapshot evaluates q over a live dataset snapshot
-// (derive.Dataset.Snapshot): the snapshot's effective tuples are scanned
-// like any relation, except that tuples with applied evidence resolve
-// from their conditioned posterior blocks — exactly, for free, and
-// without touching the engine's estimators. The answer is bit-identical
-// to a fresh engine deriving the conditioned database and evaluating
-// naively (the conditioned blocks are deterministic replays, and their
-// satisfying mass folds in block order like every other tier's).
-func EvalSnapshot(ctx context.Context, eng *derive.Engine, snap *derive.DatasetSnapshot, q *Query,
-	pools derive.Pools, progress ProgressFunc) (*Result, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("query: nil snapshot")
-	}
-	return evalOverrides(ctx, eng, snap.Rel, snap.Overrides, q, pools, progress)
-}
-
-func evalOverrides(ctx context.Context, eng *derive.Engine, rel *relation.Relation, overrides map[int]*pdb.Block,
-	q *Query, pools derive.Pools, progress ProgressFunc) (*Result, error) {
+// A relation or a snapshot is a safe plan with no projection, so it
+// takes the same path as a safe SPJ. Canceling ctx aborts evaluation
+// with ctx.Err(). On success the evaluation's counters are folded into
+// the engine's stats (EngineStats' Query* fields) and the compiled plan
+// summary is attached to Result.Plan.
+func Eval(ctx context.Context, eng *derive.Engine, src derive.Source, q *Query, opts Options) (*Result, error) {
 	wallStart := time.Now()
-	if err := validate(eng, rel, q); err != nil {
-		return nil, err
-	}
-	pl, err := q.newPlan(ctx, eng, rel, overrides)
+	in, err := unpack(eng, src, q)
 	if err != nil {
 		return nil, err
+	}
+	pl, err := q.newPlan(ctx, eng, in.rel, in.observed)
+	if err != nil {
+		return nil, err
+	}
+	defer pl.release()
+	pl.info.Join = in.join
+	if opts.PlanOnly {
+		return &Result{Plan: pl.info}, nil
 	}
 	planDur := time.Since(wallStart)
 	planSeconds.Observe(planDur)
-	ex := newExecutor(ctx, q, eng, rel, pl, pools, progress)
+	ex := newExecutor(ctx, q, eng, in.rel, pl, opts)
 	ex.tm.start = wallStart
 	ex.tm.planNS = planDur.Nanoseconds()
-	res, err := ex.dispatch(ctx)
+	var res *Result
+	switch {
+	case len(in.project) > 0:
+		res, err = ex.evalProject(ctx, in.project)
+	case q.op == Exists && !in.safe:
+		res, err = ex.evalExistsDissociated(ctx)
+	default:
+		res, err = ex.dispatch(ctx)
+	}
 	if err != nil {
-		pl.release()
 		return nil, err
 	}
-	res = ex.finish(res, false)
-	pl.release()
-	return res, nil
+	return ex.finish(res, !in.safe && (q.op == Exists || len(in.project) > 0)), nil
+}
+
+// input is an Eval source unpacked: its relation, a snapshot's
+// conditioned blocks, and an SPJ's join summary, projection and safety
+// verdict. A relation or a snapshot is safe, with no join and no
+// projection.
+type input struct {
+	rel      *relation.Relation
+	observed map[int]*pdb.Block
+	join     *JoinPlanInfo
+	project  []int
+	safe     bool
+}
+
+// unpack turns src into an input, rejecting nil arguments and schema
+// mismatches before any planning or inference runs.
+func unpack(eng *derive.Engine, src derive.Source, q *Query) (input, error) {
+	if eng == nil || q == nil {
+		return input{}, fmt.Errorf("query: nil engine or query")
+	}
+	rel, observed, err := eng.Unpack(src)
+	if err != nil {
+		return input{}, err
+	}
+	if d := eng.Model().Schema.Diff(q.schema); d != "" {
+		return input{}, fmt.Errorf("query: compiled against a different schema: %s", d)
+	}
+	in := input{rel: rel, observed: observed, safe: true}
+	if spj, ok := src.(*SPJ); ok {
+		if q != spj.q {
+			return input{}, fmt.Errorf("query: an SPJ source evaluates its own compiled query")
+		}
+		in.join, in.project, in.safe = spj.JoinInfo(), spj.project, spj.safe
+	}
+	return in, nil
 }
 
 // dispatch runs the operator's evaluator over the compiled plan.
@@ -176,21 +217,6 @@ func (ex *executor) finish(res *Result, dissociated bool) *Result {
 	return res
 }
 
-// validate rejects nil arguments and schema mismatches before any
-// planning or inference runs; Plan and the Eval entry points share it.
-func validate(eng *derive.Engine, rel *relation.Relation, q *Query) error {
-	if eng == nil || rel == nil || q == nil {
-		return fmt.Errorf("query: nil engine, relation, or query")
-	}
-	if d := eng.Model().Schema.Diff(rel.Schema); d != "" {
-		return &derive.SchemaMismatchError{Model: eng.Model().Schema, Data: rel.Schema, Diff: d}
-	}
-	if d := eng.Model().Schema.Diff(q.schema); d != "" {
-		return fmt.Errorf("query: compiled against a different schema: %s", d)
-	}
-	return nil
-}
-
 // executor runs one evaluation over a compiled plan.
 type executor struct {
 	q        *Query
@@ -225,8 +251,8 @@ type executor struct {
 // remaining budget clamped to [2ms, 500ms]: wide enough to fold the
 // remaining scan from intervals before the context actually expires.
 func newExecutor(ctx context.Context, q *Query, eng *derive.Engine, rel *relation.Relation,
-	pl *plan, pools derive.Pools, progress ProgressFunc) *executor {
-	ex := &executor{q: q, eng: eng, rel: rel, plan: pl, pools: pools, progress: progress}
+	pl *plan, opts Options) *executor {
+	ex := &executor{q: q, eng: eng, rel: rel, plan: pl, pools: opts.Pools, progress: opts.Progress}
 	ex.tr = obs.TraceFrom(ctx)
 	ex.tm.enabled = q.analyze || ex.tr != nil
 	if dl, ok := ctx.Deadline(); ok {

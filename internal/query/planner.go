@@ -87,7 +87,8 @@ type PlanInfo struct {
 	// Timing holds the measured explain-analyze block — actual per-tier
 	// resolution durations next to the predicted tier counts above. Nil
 	// unless the evaluation requested timing (Spec.Analyze or a request
-	// trace) and actually executed (Plan alone never runs the executor).
+	// trace) and actually executed (a plan-only Eval never runs the
+	// executor).
 	Timing *PlanTiming
 	// Adaptive summarizes the adaptive execution layer: traffic on the
 	// shared envelope-interval cache and — after execution — the
@@ -410,42 +411,6 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 	s.buf = buf
 	p.info = info
 	return p, nil
-}
-
-// Plan compiles the evaluation plan of q over rel on eng without
-// executing it: the selectivity-ordered predicates, the resolution-tier
-// classification of every tuple, and the dissociation intervals behind
-// the bound tier (whose envelope votes do run, memoized in the engine's
-// shared CPD cache — so planning honors ctx). It is the -explain
-// primitive and the planner's benchmark surface.
-func Plan(ctx context.Context, eng *derive.Engine, rel *relation.Relation, q *Query) (*PlanInfo, error) {
-	if err := validate(eng, rel, q); err != nil {
-		return nil, err
-	}
-	pl, err := q.newPlan(ctx, eng, rel, nil)
-	if err != nil {
-		return nil, err
-	}
-	pl.release()
-	return pl.info, nil
-}
-
-// PlanSnapshot compiles the evaluation plan of q over a live dataset
-// snapshot: like Plan, with the snapshot's conditioned blocks classified
-// into the observed tier instead of the inference tiers.
-func PlanSnapshot(ctx context.Context, eng *derive.Engine, snap *derive.DatasetSnapshot, q *Query) (*PlanInfo, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("query: nil snapshot")
-	}
-	if err := validate(eng, snap.Rel, q); err != nil {
-		return nil, err
-	}
-	pl, err := q.newPlan(ctx, eng, snap.Rel, snap.Overrides)
-	if err != nil {
-		return nil, err
-	}
-	pl.release()
-	return pl.info, nil
 }
 
 // satisfies reports whether the complete tuple u passes every predicate,

@@ -169,7 +169,7 @@ func TestEvalSnapshotMatchesConditionedOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := EvalSnapshot(ctx, live, snap, q, derive.Pools{}, nil)
+					res, err := Eval(ctx, live, snap, q, Options{})
 					if err != nil {
 						t.Fatalf("%v round %d: %v", op, round, err)
 					}
@@ -230,7 +230,7 @@ func TestEvalSnapshotAfterEveryDelta(t *testing.T) {
 		}
 		items := conditionedItems(t, oracle, rel, script[:step+1])
 		for qi, q := range queries {
-			res, err := EvalSnapshot(ctx, live, snap, q, derive.Pools{}, nil)
+			res, err := Eval(ctx, live, snap, q, Options{})
 			if err != nil {
 				t.Fatalf("step %d query %d: %v", step, qi, err)
 			}

@@ -29,7 +29,7 @@
 // unsafe plans. Exists is the non-linear case: the independence product
 // 1 - prod(1 - p_i) over-counts shared tuples and is a sound *upper*
 // bound on the intensional existence probability, while any single row's
-// probability is a sound lower bound. EvalSPJ surfaces that as
+// probability is a sound lower bound. Eval surfaces that as
 // Result.Dissociated plus a [lo, hi] interval assembled from the
 // planner's per-row dissociation intervals — max_i lo_i on the low side,
 // the folded 1 - prod(1 - hi_i) on the high side — and a thresholded
@@ -50,7 +50,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/derive"
 	"repro/internal/pdb"
@@ -117,9 +116,15 @@ type SPJ struct {
 // model-aligned relation.
 func (s *SPJ) Query() *Query { return s.q }
 
-// Rel returns the joined relation, aligned to the model schema. Shared;
-// do not mutate.
-func (s *SPJ) Rel() *relation.Relation { return s.rel }
+// SourceRelation returns the joined relation, aligned to the model
+// schema, or nil for a nil SPJ. Shared; do not mutate. It makes a
+// compiled SPJ a source that Eval evaluates (derive.Source).
+func (s *SPJ) SourceRelation() *relation.Relation {
+	if s == nil {
+		return nil
+	}
+	return s.rel
+}
 
 // AnswerSchema returns the schema of projected answers (distinct-answer
 // mode), or nil when the query selects whole tuples.
@@ -542,67 +547,6 @@ func (s *SPJ) analyzeSafety(spec SPJSpec, clones []*relation.Relation, finalProv
 		}
 	}
 	s.safe = s.shared == 0
-}
-
-// EvalSPJ evaluates a compiled SPJ query. Safe plans (and linear
-// operators over unsafe plans) delegate to the extensional pipeline and
-// are exact; unsafe exists runs the dissociation pre-pass (deciding the
-// threshold from the interval alone when it clears) before falling back
-// to the exact dissociated product; projected queries run the
-// distinct-answer evaluator. Progress observers fire for unprojected
-// topk/groupby only — distinct-answer results are combined at the end of
-// the scan, so they stream as a single final record.
-func EvalSPJ(ctx context.Context, eng *derive.Engine, spj *SPJ, pools derive.Pools, progress ProgressFunc) (*Result, error) {
-	if spj == nil {
-		return nil, fmt.Errorf("query: nil spj")
-	}
-	wallStart := time.Now()
-	q := spj.q
-	if err := validate(eng, spj.rel, q); err != nil {
-		return nil, err
-	}
-	pl, err := q.newPlan(ctx, eng, spj.rel, nil)
-	if err != nil {
-		return nil, err
-	}
-	planDur := time.Since(wallStart)
-	planSeconds.Observe(planDur)
-	pl.info.Join = spj.JoinInfo()
-	ex := newExecutor(ctx, q, eng, spj.rel, pl, pools, progress)
-	ex.tm.start = wallStart
-	ex.tm.planNS = planDur.Nanoseconds()
-	var res *Result
-	switch {
-	case len(spj.project) > 0:
-		res, err = ex.evalProject(ctx, spj.project)
-	case q.op == Exists && !spj.safe:
-		res, err = ex.evalExistsDissociated(ctx)
-	default:
-		res, err = ex.dispatch(ctx)
-	}
-	if err != nil {
-		pl.release()
-		return nil, err
-	}
-	dissociated := !spj.safe && (q.op == Exists || len(spj.project) > 0)
-	res = ex.finish(res, dissociated)
-	pl.release()
-	return res, nil
-}
-
-// PlanSPJ compiles the evaluation plan of an SPJ query without executing
-// it — Plan over the joined relation, with the join/safety section
-// attached. The -explain primitive for SQL queries.
-func PlanSPJ(ctx context.Context, eng *derive.Engine, spj *SPJ) (*PlanInfo, error) {
-	if spj == nil {
-		return nil, fmt.Errorf("query: nil spj")
-	}
-	info, err := Plan(ctx, eng, spj.rel, spj.q)
-	if err != nil {
-		return nil, err
-	}
-	info.Join = spj.JoinInfo()
-	return info, nil
 }
 
 // evalExistsDissociated evaluates exists over an unsafe plan. A pre-pass

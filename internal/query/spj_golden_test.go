@@ -35,7 +35,7 @@ func formatTuple(s *relation.Schema, tu relation.Tuple) string {
 }
 
 // TestSPJGolden pins the whole SQL-statement path — CSV join inputs,
-// ParseSPJ, Bind, CompileSPJ, PlanSPJ, EvalSPJ — byte-for-byte against a
+// ParseSPJ, Bind, CompileSPJ, a plan-only Eval, Eval — byte-for-byte against a
 // golden transcript. The model is the paper's matchmaking example split
 // into people(age, edu, pid) and finance(pid, inc, nw) CSVs under
 // testdata; every stage is deterministic (exact solves and content-seeded
@@ -104,13 +104,13 @@ func TestSPJGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", qc.stmt, err)
 		}
-		info, err := PlanSPJ(ctx, eng, spj)
+		planned, err := Eval(ctx, eng, spj, spj.Query(), Options{PlanOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		joined = append(joined, spj.Rel())
-		buf.WriteString(info.String())
-		res, err := EvalSPJ(ctx, eng, spj, derive.Pools{}, nil)
+		joined = append(joined, spj.SourceRelation())
+		buf.WriteString(planned.Plan.String())
+		res, err := Eval(ctx, eng, spj, spj.Query(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // relations: BN8 (a0..a3, card 2) learned over its full schema becomes
 // people(a0, a1, joinkey) ⋈ cities(joinkey, a2, a3). CompileSPJ must
 // reassemble exactly the relation the model was learned over, so the
-// join-then-derive-everything oracle is deriveAll over spj.Rel().
+// join-then-derive-everything oracle is deriveAll over spj.SourceRelation().
 
 // spjModel learns a BN8 model; nLeft is the split point between the
 // people and cities halves of its schema.
@@ -151,10 +151,10 @@ func TestSPJSafeMatchesOracle(t *testing.T) {
 		if !probe.Safe() {
 			t.Fatalf("complete cities must make every plan safe: %+v", probe.JoinInfo())
 		}
-		if probe.Rel().Len() != people.Len() {
-			t.Fatalf("join changed the row count: %d vs %d", probe.Rel().Len(), people.Len())
+		if probe.SourceRelation().Len() != people.Len() {
+			t.Fatalf("join changed the row count: %d vs %d", probe.SourceRelation().Len(), people.Len())
 		}
-		items := deriveAll(t, model, probe.Rel(), engineConfig(4, 4))
+		items := deriveAll(t, model, probe.SourceRelation(), engineConfig(4, 4))
 
 		cfgs := []derive.Config{engineConfig(1, 2), engineConfig(2, 4), engineConfig(8, 8)}
 		evicting := engineConfig(2, 2)
@@ -181,7 +181,7 @@ func TestSPJSafeMatchesOracle(t *testing.T) {
 					t.Fatalf("%v round %d: plan over complete cities reported unsafe", op, round)
 				}
 				for wi, eng := range engines {
-					res, err := EvalSPJ(ctx, eng, spj, derive.Pools{}, nil)
+					res, err := Eval(ctx, eng, spj, spj.Query(), Options{})
 					if err != nil {
 						t.Fatalf("%v round %d engine %d: %v", op, round, wi, err)
 					}
@@ -272,7 +272,7 @@ func TestSPJUnsafeExistsBounds(t *testing.T) {
 	}
 
 	cfg := engineConfig(2, 2)
-	items := deriveAll(t, model, spj.Rel(), cfg)
+	items := deriveAll(t, model, spj.SourceRelation(), cfg)
 	prob := oracleExists(preds, items)
 	if !(prob > 0 && prob < 1) {
 		t.Fatalf("degenerate fixture: oracle existence mass %v", prob)
@@ -281,7 +281,7 @@ func TestSPJUnsafeExistsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalSPJ(ctx, eng, spj, derive.Pools{}, nil)
+	res, err := Eval(ctx, eng, spj, spj.Query(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSPJUnsafeExistsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resYes, err := EvalSPJ(ctx, eng, spjYes, derive.Pools{}, nil)
+	resYes, err := Eval(ctx, eng, spjYes, spjYes.Query(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestSPJUnsafeExistsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resNo, err := EvalSPJ(ctx, eng, spjNo, derive.Pools{}, nil)
+	resNo, err := Eval(ctx, eng, spjNo, spjNo.Query(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestSPJUnsafeExistsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resCount, err := EvalSPJ(ctx, eng, spjCount, derive.Pools{}, nil)
+	resCount, err := Eval(ctx, eng, spjCount, spjCount.Query(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestSPJProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := deriveAll(t, model, probe.Rel(), engineConfig(4, 4))
+	items := deriveAll(t, model, probe.SourceRelation(), engineConfig(4, 4))
 
 	var engines []*derive.Engine
 	for _, w := range [][2]int{{1, 2}, {8, 8}} {
@@ -477,7 +477,7 @@ func TestSPJProjection(t *testing.T) {
 		}
 		want := oracleProject(items, preds, projIdx, tc.spec.MinProb)
 		for wi, eng := range engines {
-			res, err := EvalSPJ(ctx, eng, spj, derive.Pools{}, nil)
+			res, err := Eval(ctx, eng, spj, spj.Query(), Options{})
 			if err != nil {
 				t.Fatalf("%s engine %d: %v", tc.name, wi, err)
 			}
@@ -530,12 +530,12 @@ func TestSPJProjection(t *testing.T) {
 		t.Fatal("projected unsafe fixture reported safe")
 	}
 	ucfg := engineConfig(2, 2)
-	uitems := deriveAll(t, um, uspj.Rel(), ucfg)
+	uitems := deriveAll(t, um, uspj.SourceRelation(), ucfg)
 	ueng, err := derive.New(um, ucfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ures, err := EvalSPJ(ctx, ueng, uspj, derive.Pools{}, nil)
+	ures, err := Eval(ctx, ueng, uspj, uspj.Query(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,11 +747,11 @@ func TestSPJTextBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalSPJ(context.Background(), eng, spj, derive.Pools{}, nil)
+	res, err := Eval(context.Background(), eng, spj, spj.Query(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := deriveAll(t, model, spj.Rel(), engineConfig(2, 2))
+	items := deriveAll(t, model, spj.SourceRelation(), engineConfig(2, 2))
 	checkOracle(t, "bound statement", spj.Query(), res, items, s)
 
 	// A where both in the statement and in the spec is ambiguous.
@@ -847,13 +847,13 @@ func TestCompileSPJValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Rel().Len() != withKeys.Rel().Len() {
-		t.Fatalf("KeepKeys changed the row count: %d vs %d", base.Rel().Len(), withKeys.Rel().Len())
+	if base.SourceRelation().Len() != withKeys.SourceRelation().Len() {
+		t.Fatalf("KeepKeys changed the row count: %d vs %d", base.SourceRelation().Len(), withKeys.SourceRelation().Len())
 	}
-	for i := range base.Rel().Tuples {
-		if !base.Rel().Tuples[i].Equal(withKeys.Rel().Tuples[i]) {
+	for i := range base.SourceRelation().Tuples {
+		if !base.SourceRelation().Tuples[i].Equal(withKeys.SourceRelation().Tuples[i]) {
 			t.Fatalf("KeepKeys changed aligned row %d: %v vs %v",
-				i, base.Rel().Tuples[i], withKeys.Rel().Tuples[i])
+				i, base.SourceRelation().Tuples[i], withKeys.SourceRelation().Tuples[i])
 		}
 	}
 

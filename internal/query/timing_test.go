@@ -29,7 +29,7 @@ func TestAnalyzeTimingAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTimingOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(context.Background(), eng, rel, q)
+	res, err := Eval(context.Background(), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTraceEnablesTimingAndRecordsSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace()
-	res, err := Eval(obs.WithTrace(context.Background(), tr), eng, rel, q)
+	res, err := Eval(obs.WithTrace(context.Background(), tr), eng, rel, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestAnalyzeNeverChangesAnswers(t *testing.T) {
 				if traced {
 					ctx = obs.WithTrace(ctx, obs.NewTrace())
 				}
-				res, err := Eval(ctx, eng, rel, q)
+				res, err := Eval(ctx, eng, rel, q, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

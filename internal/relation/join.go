@@ -7,9 +7,9 @@ import (
 // The paper assumes a single relation but notes (Section I-B) that
 // multi-relation databases can be handled by "computing a primary-foreign
 // key join when appropriate" and learning over the joined relation. This
-// file implements that preprocessing step; the intensional SPJ query
-// layer (internal/query) reuses it at query time through JoinTrace, which
-// additionally reports each output row's right-side provenance.
+// file implements that join; the intensional SPJ query layer
+// (internal/query) runs it at query time through JoinTrace, which also
+// reports each output row's right-side provenance.
 
 // JoinSpec describes a primary-foreign key equi-join between two relations.
 type JoinSpec struct {
@@ -32,11 +32,17 @@ type JoinSpec struct {
 	LeftPrefix, RightPrefix string
 }
 
-// JoinTrace is Join plus provenance: RightRow[i] is the right-relation
-// tuple index that output row i joined with, or -1 when the row's foreign
-// key was missing or dangling (the right side is then all-missing). The
-// output has exactly one row per left row, in left order, so the left
-// provenance of row i is i itself.
+// JoinTrace computes the PK-FK join of left and right, with provenance.
+// Key attributes must have identical domains (they refer to the same
+// entities). Left tuples with a missing foreign key, or with a foreign
+// key that has no right-side match, join to an all-missing right side —
+// the derived columns become inference targets rather than being
+// dropped, mirroring how incomplete data is handled everywhere else in
+// the pipeline. The second result is the provenance: its element i is
+// the right-relation tuple index that output row i joined with, or -1
+// when the row's foreign key was missing or dangling. The output has
+// exactly one row per left row, in left order, so the left provenance of
+// row i is i itself.
 func JoinTrace(left, right *Relation, spec JoinSpec) (*Relation, []int, error) {
 	if spec.LeftKey < 0 || spec.LeftKey >= left.Schema.NumAttrs() {
 		return nil, nil, fmt.Errorf("relation: left key %d out of range", spec.LeftKey)
@@ -140,15 +146,4 @@ func JoinTrace(left, right *Relation, spec JoinSpec) (*Relation, []int, error) {
 		trace = append(trace, rj)
 	}
 	return out, trace, nil
-}
-
-// Join computes the PK-FK join of left and right. Key attributes must have
-// identical domains (they refer to the same entities). Left tuples with a
-// missing foreign key, or with a foreign key that has no right-side match,
-// join to an all-missing right side — the derived columns become inference
-// targets rather than being dropped, mirroring how incomplete data is
-// handled everywhere else in the pipeline.
-func Join(left, right *Relation, spec JoinSpec) (*Relation, error) {
-	out, _, err := JoinTrace(left, right, spec)
-	return out, err
 }

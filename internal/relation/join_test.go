@@ -37,7 +37,7 @@ func joinFixture(t *testing.T) (*Relation, *Relation) {
 
 func TestJoinBasic(t *testing.T) {
 	left, right := joinFixture(t)
-	out, err := Join(left, right, JoinSpec{LeftKey: 1, RightKey: 0})
+	out, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 1, RightKey: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestJoinBasic(t *testing.T) {
 
 func TestJoinKeepKeys(t *testing.T) {
 	left, right := joinFixture(t)
-	out, err := Join(left, right, JoinSpec{LeftKey: 1, RightKey: 0, KeepKeys: true})
+	out, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 1, RightKey: 0, KeepKeys: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestJoinNameCollision(t *testing.T) {
 	if err := right.Append(Tuple{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Join(left, right, JoinSpec{LeftKey: 0, RightKey: 0})
+	out, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 0, RightKey: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestJoinNameCollisionAlreadyPrefixed(t *testing.T) {
 	if err := right.Append(Tuple{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Join(left, right, JoinSpec{LeftKey: 0, RightKey: 0})
+	out, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 0, RightKey: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestJoinNameCollisionAlreadyPrefixed(t *testing.T) {
 // names instead of the generic left/right.
 func TestJoinCustomPrefixes(t *testing.T) {
 	left, right := joinFixture(t)
-	out, err := Join(left, right, JoinSpec{
+	out, _, err := JoinTrace(left, right, JoinSpec{
 		LeftKey: 1, RightKey: 0, KeepKeys: true,
 		LeftPrefix: "people", RightPrefix: "cities",
 	})
@@ -198,10 +198,10 @@ func TestJoinTraceProvenance(t *testing.T) {
 
 func TestJoinValidation(t *testing.T) {
 	left, right := joinFixture(t)
-	if _, err := Join(left, right, JoinSpec{LeftKey: 9, RightKey: 0}); err == nil {
+	if _, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 9, RightKey: 0}); err == nil {
 		t.Error("bad left key should fail")
 	}
-	if _, err := Join(left, right, JoinSpec{LeftKey: 1, RightKey: 9}); err == nil {
+	if _, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 1, RightKey: 9}); err == nil {
 		t.Error("bad right key should fail")
 	}
 	// Domain mismatch.
@@ -209,7 +209,7 @@ func TestJoinValidation(t *testing.T) {
 		{Name: "city", Domain: []string{"nyc", "sfo"}}, // different card
 		{Name: "z", Domain: []string{"0"}},
 	}))
-	if _, err := Join(left, other, JoinSpec{LeftKey: 1, RightKey: 0}); err == nil {
+	if _, _, err := JoinTrace(left, other, JoinSpec{LeftKey: 1, RightKey: 0}); err == nil {
 		t.Error("key domain mismatch should fail")
 	}
 }
@@ -219,14 +219,14 @@ func TestJoinRejectsDuplicateOrMissingPK(t *testing.T) {
 	if err := right.Append(Tuple{1, 2, 1}); err != nil { // second nyc
 		t.Fatal(err)
 	}
-	if _, err := Join(left, right, JoinSpec{LeftKey: 1, RightKey: 0}); err == nil {
+	if _, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 1, RightKey: 0}); err == nil {
 		t.Error("duplicate primary key should fail")
 	}
 	_, right2 := joinFixture(t)
 	if err := right2.Append(Tuple{Missing, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Join(left, right2, JoinSpec{LeftKey: 1, RightKey: 0}); err == nil {
+	if _, _, err := JoinTrace(left, right2, JoinSpec{LeftKey: 1, RightKey: 0}); err == nil {
 		t.Error("missing primary key should fail")
 	}
 }
@@ -258,7 +258,7 @@ func TestJoinThenLearnEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := Join(left, right, JoinSpec{LeftKey: 1, RightKey: 0})
+	out, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 1, RightKey: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestQuickJoinPreservesRowCount(t *testing.T) {
 				}
 			}
 		}
-		out, err := Join(left, right, JoinSpec{LeftKey: 1, RightKey: 0})
+		out, _, err := JoinTrace(left, right, JoinSpec{LeftKey: 1, RightKey: 0})
 		if err != nil {
 			t.Fatal(err)
 		}

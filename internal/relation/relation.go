@@ -349,6 +349,11 @@ func (r *Relation) Append(t Tuple) error {
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
+// SourceRelation returns r, so a *Relation is a source that the
+// derivation engine streams and the query evaluator scans
+// (derive.Source).
+func (r *Relation) SourceRelation() *Relation { return r }
+
 // Split partitions r into its complete part Rc (points) and incomplete part
 // Ri, preserving tuple order within each part.
 func (r *Relation) Split() (rc, ri *Relation) {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/derive"
-	"repro/internal/query"
 )
 
 // This file exposes live evidence through the root package: registered
@@ -69,38 +68,13 @@ func (e *Engine) Dataset(id string) (*Dataset, bool) { return e.eng.Dataset(id) 
 // whether the id was registered.
 func (e *Engine) DropDataset(id string) bool { return e.eng.DropDataset(id) }
 
-// DeriveSnapshot derives the probabilistic database of a dataset
-// snapshot and streams it to the sink in input order: observed tuples
-// emit their conditioned posterior blocks (or pass through as certain
-// tuples after a collapse), and unobserved tuples resolve through the
-// engine's shared caches bit-identically to a batch derivation of the
-// same relation. Canceling ctx stops the stream and, like
-// DeriveToContext, leaves the sink unclosed.
+// DeriveSnapshot is Derive of a dataset snapshot.
 func (e *Engine) DeriveSnapshot(ctx context.Context, snap *DatasetSnapshot, pools Pools, sink Sink) error {
-	return e.eng.StreamSnapshotTo(ctx, snap, pools, sink)
+	return e.Derive(ctx, snap, pools, sink)
 }
 
-// DeriveSnapshotStream is DeriveSnapshot with a raw emit callback
-// instead of a Sink.
-func (e *Engine) DeriveSnapshotStream(ctx context.Context, snap *DatasetSnapshot, pools Pools, emit func(DeriveItem) error) error {
-	return e.eng.StreamSnapshot(ctx, snap, pools, derive.EmitFunc(emit))
-}
-
-// QuerySnapshot evaluates a compiled query over a dataset snapshot
-// through the plan/executor pipeline, like Engine.QueryStream over a
-// plain relation, except that observed tuples are decided from their
-// conditioned posterior blocks — exactly and for free, never from the
-// prior-evidence vote or bound estimators. Answers are bit-identical
-// to deriving the conditioned database naively; the number of tuples
-// the plan decided this way is QueryResult.Plan.Observed. progress may
-// be nil.
+// QuerySnapshot is Query of a dataset snapshot with the given pools and
+// progress observer (nil for none).
 func (e *Engine) QuerySnapshot(ctx context.Context, snap *DatasetSnapshot, q *CompiledQuery, pools Pools, progress QueryProgressFunc) (*QueryResult, error) {
-	return query.EvalSnapshot(ctx, e.eng, snap, q, pools, progress)
-}
-
-// PlanSnapshot compiles the evaluation plan of q over a dataset
-// snapshot without executing it, classifying conditioned tuples into
-// the observed tier. The explain primitive for live datasets.
-func (e *Engine) PlanSnapshot(ctx context.Context, snap *DatasetSnapshot, q *CompiledQuery) (*QueryPlanInfo, error) {
-	return query.PlanSnapshot(ctx, e.eng, snap, q)
+	return e.Query(ctx, snap, q, QueryOptions{Pools: pools, Progress: progress})
 }

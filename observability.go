@@ -56,8 +56,3 @@ func WriteEngineStatsMetrics(w io.Writer, prefix string, st EngineStats) {
 func EngineStatsMetricNames(prefix string) []string {
 	return obs.StructMetricNames(prefix, EngineStats{})
 }
-
-// BuildRevision reports the VCS revision baked into the running binary
-// ("unknown" outside a VCS build), as logged at mrslserve startup and
-// exported in its build-info metric.
-func BuildRevision() string { return obs.BuildRevision() }

@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 
-	"repro/internal/derive"
 	"repro/internal/query"
 )
 
@@ -61,11 +60,11 @@ type (
 	// bounds nor carried a deadline.
 	QueryAdaptiveInfo = query.AdaptiveInfo
 	// QueryProgressFunc observes a TopK or GroupBy evaluation in flight;
-	// see Engine.QueryStream.
+	// see QueryOptions.Progress.
 	QueryProgressFunc = query.ProgressFunc
-	// BoundInterval is a sound [Lo, Hi] probability interval from the
-	// engine's dissociation bound engine.
-	BoundInterval = derive.Interval
+	// QueryOptions are the per-request settings of one Engine.Query: the
+	// worker pools, the progress observer, and plan-only.
+	QueryOptions = query.Options
 )
 
 // Query operators.
@@ -90,14 +89,6 @@ const (
 // "groupby") into a QueryOp.
 func ParseQueryOp(s string) (QueryOp, error) { return query.ParseOp(s) }
 
-// ParseQueryWhere parses the textual conjunction syntax shared by the
-// mrslquery CLI and the mrslserve /query endpoint — comma-separated
-// conditions "attr=value", "attr!=value", "attr<value", "attr<=value",
-// "attr>value", "attr>=value" — against the schema.
-func ParseQueryWhere(s *Schema, where string) ([]QueryPred, error) {
-	return query.ParseWhere(s, where)
-}
-
 // CompileQuery validates spec against the schema (normally a model's) and
 // compiles it for evaluation. Count, Exists, and TopK require at least
 // one predicate; GroupBy requires a group attribute and accepts zero
@@ -106,52 +97,44 @@ func CompileQuery(s *Schema, spec QuerySpec) (*CompiledQuery, error) {
 	return query.Compile(s, spec)
 }
 
-// Query evaluates a compiled query over rel through the plan/executor
-// pipeline on the engine's shared caches: the planner orders predicate
-// evaluation by estimated selectivity and classifies every tuple into a
-// resolution tier (attaching sound dissociation bound intervals to
-// multi-missing tuples — see Engine.BoundCPD), and the executor consumes
-// the tiers in increasing cost order — tuples decided by evidence cost
+// Query evaluates the compiled query q over src — a *Relation, a
+// *DatasetSnapshot, or a *CompiledSPJ whose own query q is — through
+// the plan/executor pipeline on the engine's shared caches: the planner
+// orders predicate evaluation by estimated selectivity and classifies
+// every tuple into a resolution tier (attaching sound dissociation bound
+// intervals to multi-missing tuples), and the executor consumes the
+// tiers in increasing cost order — tuples decided by evidence cost
 // nothing, single-missing tuples are decided from the shared local-CPD
 // cache without expanding a block, multi-missing tuples whose interval
 // clears or refutes the threshold (or cannot reach TopK's rank k) are
 // decided without sampling, and only the remainder is scheduled for full
-// derivation. The answer is bit-identical to deriving rel completely
-// through this engine and evaluating the stream naively, for every worker
-// count. The compiled plan summary is attached to QueryResult.Plan.
-// Canceling ctx aborts the evaluation.
-func (e *Engine) Query(ctx context.Context, rel *Relation, q *CompiledQuery) (*QueryResult, error) {
-	return query.Eval(ctx, e.eng, rel, q)
-}
-
-// QueryPools is Query with per-request worker pool sizes for the
-// prefetched derivation worklist (sizes affect scheduling only, never
-// the answer).
-func (e *Engine) QueryPools(ctx context.Context, rel *Relation, q *CompiledQuery, pools Pools) (*QueryResult, error) {
-	return query.EvalPools(ctx, e.eng, rel, q, pools)
-}
-
-// QueryStream is QueryPools with a progress observer: for TopK and
-// GroupBy evaluations, progress is called after each resolved uncertain
-// tuple with the live, partially filled result, so serving paths can
-// stream partial rows and group histograms as blocks resolve. Read the
-// result synchronously inside the callback and do not retain it; a
-// progress error aborts the evaluation. Other operators fold scalars and
-// report nothing incremental.
-func (e *Engine) QueryStream(ctx context.Context, rel *Relation, q *CompiledQuery, pools Pools, progress QueryProgressFunc) (*QueryResult, error) {
-	return query.EvalPoolsProgress(ctx, e.eng, rel, q, pools, progress)
-}
-
-// PlanQuery compiles the evaluation plan of q over rel on this engine
-// without executing it: the selectivity-ordered predicates, the
-// per-tier tuple counts, and (for bound-capable operators) the
-// dissociation intervals' tier assignment. Planning can pay for
-// envelope votes on a cold cache, so it honors ctx like Query does.
-// Useful for explain tooling and planner benchmarks; Engine.Query runs
-// the same planner internally and attaches the summary to
-// QueryResult.Plan.
-func (e *Engine) PlanQuery(ctx context.Context, rel *Relation, q *CompiledQuery) (*QueryPlanInfo, error) {
-	return query.Plan(ctx, e.eng, rel, q)
+// derivation.
+//
+// Over a relation the answer is bit-identical to deriving it completely
+// through this engine and evaluating the stream naively, for every
+// worker count. Over a snapshot, observed tuples are decided from their
+// conditioned posterior blocks — exactly and for free, never from the
+// prior-evidence vote or bound estimators — and the answer is
+// bit-identical to deriving the conditioned database naively; the number
+// of tuples decided this way is QueryResult.Plan.Observed. Over an SPJ,
+// safe plans and linear operators (count, topk, groupby) answer
+// bit-identically to joining the inputs and deriving every tuple through
+// this engine; for unsafe exists plans the answer is the dissociated
+// existence mass — a sound upper bound on the intensional probability —
+// flagged on QueryResult.Dissociated with a sound [lo, hi] interval on
+// QueryResult.Bounds, and projected (distinct-answer) queries return one
+// row per distinct projected value.
+//
+// opts.Pools sizes the prefetch pools (scheduling only, never the
+// answer). opts.Progress, for TopK and GroupBy, is called after each
+// resolved uncertain tuple with the live, partially filled result, so
+// serving paths can stream partial rows and group histograms as blocks
+// resolve; read the result synchronously inside the callback and do not
+// retain it, and a progress error aborts the evaluation. opts.PlanOnly
+// returns the compiled plan without executing it. The plan summary is
+// attached to QueryResult.Plan. Canceling ctx aborts the evaluation.
+func (e *Engine) Query(ctx context.Context, src Source, q *CompiledQuery, opts QueryOptions) (*QueryResult, error) {
+	return query.Eval(ctx, e.eng, src, q, opts)
 }
 
 // Intensional SPJ types re-exported from the query package.
@@ -180,8 +163,9 @@ type (
 //
 //	[select <cols>|*] from <rel> [join <rel> on <left>=<right>]... [where <conds>]
 //
-// Keywords are case-insensitive; the where tail uses the ParseQueryWhere
-// conjunction syntax. The operator and its parameters stay outside the
+// Keywords are case-insensitive; the where tail is a comma-separated
+// conjunction of conditions "attr=value", "attr!=value", "attr<value",
+// "attr<=value", "attr>value" or "attr>=value". The operator and its parameters stay outside the
 // statement (CLI flags, HTTP parameters). Bind the result to concrete
 // input relations with SPJStatement.Bind, then compile with CompileSPJ.
 func ParseSPJ(s string) (*SPJStatement, error) { return query.ParseSPJ(s) }
@@ -192,50 +176,7 @@ func ParseSPJ(s string) (*SPJStatement, error) { return query.ParseSPJ(s) }
 // aligned to the model schema, and the safety analyzer classifies the
 // plan. Safe (hierarchical) plans evaluate extensionally with exact
 // answers; unsafe plans stay exact for linear operators and surface
-// dissociation bounds for exists (see Engine.QuerySPJ).
+// dissociation bounds for exists (see Engine.Query).
 func CompileSPJ(s *Schema, spec QuerySPJSpec) (*CompiledSPJ, error) {
 	return query.CompileSPJ(s, spec)
-}
-
-// QuerySPJ evaluates a compiled SPJ query on this engine. Safe plans and
-// linear operators (count, topk, groupby) answer bit-identically to
-// joining the inputs and deriving every tuple through this engine. For
-// unsafe exists plans the answer is the dissociated existence mass — a
-// sound upper bound on the intensional probability — flagged on
-// QueryResult.Dissociated with a sound [lo, hi] interval on
-// QueryResult.Bounds; a thresholded exists whose interval clears or
-// refutes the threshold is decided without any derivation. Projected
-// (distinct-answer) queries return one row per distinct projected value.
-func (e *Engine) QuerySPJ(ctx context.Context, spj *CompiledSPJ) (*QueryResult, error) {
-	return query.EvalSPJ(ctx, e.eng, spj, derive.Pools{}, nil)
-}
-
-// QuerySPJStream is QuerySPJ with per-request pools and a progress
-// observer (unprojected TopK/GroupBy only, like Engine.QueryStream).
-func (e *Engine) QuerySPJStream(ctx context.Context, spj *CompiledSPJ, pools Pools, progress QueryProgressFunc) (*QueryResult, error) {
-	return query.EvalSPJ(ctx, e.eng, spj, pools, progress)
-}
-
-// PlanSPJ compiles the evaluation plan of an SPJ query without executing
-// it: the single-relation plan over the joined relation plus the join
-// order, conditions, projection, and safety verdict — the -explain
-// primitive for SQL statements.
-func (e *Engine) PlanSPJ(ctx context.Context, spj *CompiledSPJ) (*QueryPlanInfo, error) {
-	return query.PlanSPJ(ctx, e.eng, spj)
-}
-
-// BoundCPD computes a sound dissociation-style probability interval for
-// a multi-missing tuple: the probability that every missing attribute
-// completes into its satisfying set (sat[a] per value code, nil =
-// unconstrained) is bracketed by [Lo, Hi] relative to the very block
-// this engine's derivation would produce. Built from per-attribute
-// conditional-CPD envelopes; the finished interval is memoized in the
-// engine's shared CPD cache — the interval cache the query planner
-// probes, so EngineStats.EnvelopeHits/EnvelopeMisses count these calls
-// too. Degrades to the vacuous [0, 1] on alternative-capped engines.
-// This is the primitive behind the query planner's multi-missing
-// pruning.
-func (e *Engine) BoundCPD(t Tuple, sat [][]bool) (BoundInterval, error) {
-	iv, _, err := e.eng.BoundCPD(t, sat)
-	return iv, err
 }

@@ -64,7 +64,7 @@ func BenchmarkQuerySelective(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return eng.Query(ctx, env.rel, q)
+		return eng.Query(ctx, env.rel, q, QueryOptions{})
 	}
 	filterOnce := func() (float64, error) {
 		eng, err := NewEngine(env.model, opt)
@@ -72,7 +72,7 @@ func BenchmarkQuerySelective(b *testing.B) {
 			return 0, err
 		}
 		var expected float64
-		err = eng.DeriveStream(env.rel, func(it DeriveItem) error {
+		err = eng.Derive(context.Background(), env.rel, Pools{}, EmitFunc(func(it DeriveItem) error {
 			if it.Certain() {
 				if matches(it.Tuple) {
 					expected++
@@ -90,7 +90,7 @@ func BenchmarkQuerySelective(b *testing.B) {
 			}
 			expected += p
 			return nil
-		})
+		}))
 		return expected, err
 	}
 
@@ -238,13 +238,13 @@ func BenchmarkQueryPlanner(b *testing.B) {
 	}
 	// Warm the interval and CPD caches once; the steady-state planner is
 	// what serving pays per query.
-	if _, err := eng.PlanQuery(ctx, rel, q); err != nil {
+	if _, err := eng.Query(ctx, rel, q, QueryOptions{PlanOnly: true}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.PlanQuery(ctx, rel, q); err != nil {
+		if _, err := eng.Query(ctx, rel, q, QueryOptions{PlanOnly: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func BenchmarkQueryBounded(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return eng.Query(ctx, rel, q)
+		return eng.Query(ctx, rel, q, QueryOptions{})
 	}
 	filterOnce := func() (int64, error) {
 		eng, err := NewEngine(env.model, boundedOpts())
@@ -282,7 +282,7 @@ func BenchmarkQueryBounded(b *testing.B) {
 			return 0, err
 		}
 		var count int64
-		err = eng.DeriveStream(rel, func(it DeriveItem) error {
+		err = eng.Derive(context.Background(), rel, Pools{}, EmitFunc(func(it DeriveItem) error {
 			var p float64
 			if it.Certain() {
 				if matches(it.Tuple) {
@@ -299,7 +299,7 @@ func BenchmarkQueryBounded(b *testing.B) {
 				count++
 			}
 			return nil
-		})
+		}))
 		return count, err
 	}
 

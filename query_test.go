@@ -3,8 +3,6 @@ package repro
 import (
 	"context"
 	"testing"
-
-	"repro/internal/relation"
 )
 
 // eqPredsHold reports whether the complete tuple u satisfies every
@@ -33,7 +31,7 @@ func queryMatchesDerivation(t *testing.T, m *Model, rel *Relation, opt DeriveOpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query(context.Background(), rel, q)
+	res, err := eng.Query(context.Background(), rel, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,7 @@ func queryMatchesDerivation(t *testing.T, m *Model, rel *Relation, opt DeriveOpt
 		t.Fatal(err)
 	}
 	var want float64
-	err = full.DeriveStream(rel, func(it DeriveItem) error {
+	err = full.Derive(context.Background(), rel, Pools{}, EmitFunc(func(it DeriveItem) error {
 		if it.Certain() {
 			if eqPredsHold(preds, it.Tuple) {
 				want++
@@ -58,7 +56,7 @@ func queryMatchesDerivation(t *testing.T, m *Model, rel *Relation, opt DeriveOpt
 		}
 		want += p
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,75 +78,6 @@ func TestLazyQueryFacade(t *testing.T) {
 	res := queryMatchesDerivation(t, m, rel, opt, []QueryPred{{Attr: inc, Cmp: QueryEq, Value: 0}})
 	if res.Expected <= 0 || res.Expected > float64(rel.Len()) {
 		t.Errorf("expected count = %v out of range", res.Expected)
-	}
-}
-
-func TestDiagnoseFacade(t *testing.T) {
-	m, _ := matchmakingModel(t)
-	tu := Tuple{Missing, Missing, 0, 1}
-	d, err := Diagnose(m, tu, GibbsOptions{Samples: 100, BurnIn: 20, Seed: 2}, 4, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.RHat <= 0 {
-		t.Errorf("R-hat = %v", d.RHat)
-	}
-	if d.Chains != 4 || d.SamplesPerChain != 200 {
-		t.Errorf("shape = %dx%d", d.Chains, d.SamplesPerChain)
-	}
-}
-
-func TestAutoTuneGibbsFacade(t *testing.T) {
-	m, _ := matchmakingModel(t)
-	tu := Tuple{Missing, 0, Missing, 1}
-	burnIn, samples, diag, err := AutoTuneGibbs(m, tu, GibbsOptions{Seed: 3}, 1.1, 16, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if burnIn <= 0 || samples < 16 || samples > 512 || diag == nil {
-		t.Errorf("autotune = %d, %d, %v", burnIn, samples, diag)
-	}
-}
-
-func TestJoinFacade(t *testing.T) {
-	keys := []string{"k0", "k1"}
-	left := NewRelation(relation.MustSchema([]Attribute{
-		{Name: "v", Domain: []string{"a", "b"}},
-		{Name: "fk", Domain: keys},
-	}))
-	right := NewRelation(relation.MustSchema([]Attribute{
-		{Name: "pk", Domain: keys},
-		{Name: "w", Domain: []string{"x", "y"}},
-	}))
-	if err := left.Append(Tuple{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := right.Append(Tuple{1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Join(left, right, JoinSpec{LeftKey: 1, RightKey: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Schema.NumAttrs() != 2 || out.Len() != 1 {
-		t.Errorf("joined = %v rows over %v", out.Len(), out.Schema.SortedAttrNames())
-	}
-}
-
-func TestDiscretizeTableFacade(t *testing.T) {
-	raw := RawTable{
-		Names: []string{"temp"},
-		Rows:  [][]string{{"1.5"}, {"2.5"}, {"8.0"}, {"9.5"}},
-	}
-	rel, err := DiscretizeTable(raw, 2, EqualWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Schema.Attrs[0].Card() != 2 {
-		t.Errorf("buckets = %d", rel.Schema.Attrs[0].Card())
-	}
-	if rel.Tuples[0][0] != 0 || rel.Tuples[3][0] != 1 {
-		t.Errorf("codes = %v, %v", rel.Tuples[0][0], rel.Tuples[3][0])
 	}
 }
 

@@ -155,23 +155,7 @@ func InferJoint(m *Model, t Tuple, opt GibbsOptions) (*Joint, error) {
 	return s.InferTuple(t)
 }
 
-// InferWorkload estimates distributions for a whole workload of incomplete
-// tuples with the tuple-DAG optimization (Algorithm 3), sharing samples
-// between tuples related by subsumption. Results align with the distinct
-// incomplete tuples in first-appearance order.
-func InferWorkload(m *Model, workload []Tuple, opt GibbsOptions) ([]Tuple, []*Joint, error) {
-	s, err := gibbs.New(m, opt.config())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.TupleDAGRun(workload)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Tuples, res.Dists, nil
-}
-
-// DeriveOptions configure Derive and DeriveStream.
+// DeriveOptions configure NewEngine and Derive.
 type DeriveOptions struct {
 	// Gibbs configures multi-attribute inference for tuples with more than
 	// one missing value. Its sweep count B+N also sets the exact tier: a
@@ -228,8 +212,8 @@ func (o DeriveOptions) config() derive.Config {
 // (copy before modifying).
 type DeriveItem = derive.Item
 
-// SchemaMismatchError is returned by Derive, DeriveStream, and the Engine
-// methods when the relation's schema is not attribute-for-attribute
+// SchemaMismatchError is returned by Derive and by the Engine's Derive
+// and Query when the source's schema is not attribute-for-attribute
 // identical to the model's (same names, same domains, same order — the
 // condition under which value codes mean the same thing in both). It is
 // detected up front, before any inference runs; match it with errors.As.
@@ -247,8 +231,18 @@ type PanicError = derive.PanicError
 // method; the stream calls it after the first item, and before it waits
 // on or computes inline an item that is not in the engine's caches yet,
 // so a finished record never waits in a buffer while the engine works.
-// See NewCollector, NewCSVSink, NewJSONLSink, and NewTextSink.
+// NewJSONLSink returns the NDJSON sink; an EmitFunc is a sink made of one
+// function.
 type Sink = derive.Sink
+
+// EmitFunc is a Sink made of one function: Emit calls it and Close does
+// nothing. Returning an error stops the stream.
+type EmitFunc = derive.EmitFunc
+
+// Source is what Engine.Derive derives and Engine.Query evaluates: a
+// *Relation, a *DatasetSnapshot (whose observed tuples carry their
+// conditioned posterior blocks) or, for Query, a *CompiledSPJ.
+type Source = derive.Source
 
 // EngineStats instruments an Engine's shared caches: distinct patterns
 // computed vs tuples served for both the single-missing vote cache and
@@ -262,16 +256,6 @@ type EngineStats = derive.Stats
 // stream, so per-request sharding is always safe.
 type Pools = derive.Pools
 
-// NewCollector returns the in-memory Sink: it materializes the stream
-// into a Database retrievable with its Database method.
-func NewCollector(s *Schema) *derive.Collector { return derive.NewCollector(s) }
-
-// NewCSVSink returns a Sink writing the stream to w as a complete CSV
-// relation: certain tuples pass through, each block is materialized as
-// its most probable completion (the most probable world — the paper's
-// single-imputation repair). The output round-trips through ReadCSV.
-func NewCSVSink(w io.Writer, s *Schema) *derive.CSVSink { return derive.NewCSVSink(w, s) }
-
 // NewJSONLSink returns a Sink writing the stream to w as NDJSON: a schema
 // record, then one record per item carrying either the certain tuple's
 // values or every block alternative with its probability. Each item is
@@ -283,19 +267,16 @@ func NewCSVSink(w io.Writer, s *Schema) *derive.CSVSink { return derive.NewCSVSi
 // format straight into its ResponseWriter).
 func NewJSONLSink(w io.Writer, s *Schema) *derive.JSONLSink { return derive.NewJSONLSink(w, s) }
 
-// NewTextSink returns a Sink writing a human-readable line per item.
-func NewTextSink(w io.Writer, s *Schema) *derive.TextSink { return derive.NewTextSink(w, s) }
-
 // Engine is a long-lived derivation service over one model: construct it
-// once with NewEngine and serve any number of DeriveStream/Derive calls,
+// once with NewEngine and serve any number of Derive and Query calls,
 // from any number of goroutines. Distinct evidence patterns are inferred
 // once per engine lifetime — the single-missing vote cache and the
 // multi-missing joint cache are shared across requests and persist
 // between them — so overlapping and repeated workloads are served mostly
 // from memory. Multi-missing tuples run independent content-seeded
 // chains, so every request's output is bit-identical no matter which
-// requests ran before or alongside it. The package-level
-// Derive/DeriveStream helpers construct a throwaway engine per call.
+// requests ran before or alongside it. The package-level Derive
+// constructs a throwaway engine per call.
 type Engine struct {
 	eng *derive.Engine
 }
@@ -311,88 +292,58 @@ func NewEngine(m *Model, opt DeriveOptions) (*Engine, error) {
 	return &Engine{eng: e}, nil
 }
 
-// DeriveStream derives rel and streams the result to emit in input order
-// without materializing it, using the engine's shared caches.
-func (e *Engine) DeriveStream(rel *Relation, emit func(DeriveItem) error) error {
-	return e.eng.Stream(rel, derive.EmitFunc(emit))
+// Derive derives the probabilistic database of src — a *Relation or a
+// *DatasetSnapshot — and streams it into sink in input order, without
+// materializing it, using the engine's shared caches: every complete
+// tuple passes through as a certain item, every incomplete tuple arrives
+// as a block of mutually exclusive completions distributed according to
+// the inferred Delta_t, and a snapshot's observed tuples emit their
+// conditioned posterior blocks (or pass through as certain items after a
+// collapse). Single-missing tuples use ensemble voting sharded across
+// the request's VoteWorkers; multi-missing tuples are solved exactly or
+// by independent Gibbs chains, scheduled per block across its Workers.
+// pools sizes the two pools for this request; zero fields inherit the
+// engine's DeriveOptions. The stream is bit-identical for every pool
+// size (exact solves use no randomness and chains are seeded by tuple
+// content). src's schema must match the model's, else a
+// SchemaMismatchError is returned before any inference runs.
+//
+// Derive closes sink after the last item. If the stream or the sink
+// fails, Derive returns that error without closing it, so a partial
+// output is never flushed as complete. Canceling ctx stops the stream
+// the same way: dispatchers stop scheduling, the emitter stops waiting,
+// and the call returns ctx.Err() once in-flight workers have drained.
+// Work already claimed when the cancel lands is completed and cached
+// rather than abandoned, so cancellation never poisons the shared
+// caches.
+func (e *Engine) Derive(ctx context.Context, src Source, pools Pools, sink Sink) error {
+	return e.eng.Stream(ctx, src, pools, sink)
 }
 
-// DeriveStreamPools is DeriveStream with per-request pool sizes.
-func (e *Engine) DeriveStreamPools(rel *Relation, pools Pools, emit func(DeriveItem) error) error {
-	return e.eng.StreamPools(rel, pools, derive.EmitFunc(emit))
-}
-
-// DeriveStreamContext is DeriveStream with a cancellation context and
-// per-request pool sizes. Canceling ctx stops the stream: dispatchers
-// stop scheduling, the emitter stops waiting, and the call returns
-// ctx.Err() once in-flight workers have drained. Work already claimed
-// when the cancel lands is completed and cached rather than abandoned,
-// so cancellation never poisons the shared caches.
-func (e *Engine) DeriveStreamContext(ctx context.Context, rel *Relation, pools Pools, emit func(DeriveItem) error) error {
-	return e.eng.StreamContext(ctx, rel, pools, derive.EmitFunc(emit))
-}
-
-// DeriveTo derives rel and pushes the stream into sink, closing it on
-// success.
+// DeriveTo is Derive of rel with the engine's default pools and no
+// cancellation.
 func (e *Engine) DeriveTo(rel *Relation, sink Sink) error {
-	return e.eng.StreamTo(rel, sink)
-}
-
-// DeriveToPools is DeriveTo with per-request pool sizes.
-func (e *Engine) DeriveToPools(rel *Relation, pools Pools, sink Sink) error {
-	return e.eng.StreamPoolsTo(rel, pools, sink)
-}
-
-// DeriveToContext is DeriveTo with a cancellation context and per-request
-// pool sizes (see DeriveStreamContext). On cancellation the sink is not
-// closed, so a partial output is never flushed as complete.
-func (e *Engine) DeriveToContext(ctx context.Context, rel *Relation, pools Pools, sink Sink) error {
-	return e.eng.StreamToContext(ctx, rel, pools, sink)
-}
-
-// Derive derives rel into a materialized database.
-func (e *Engine) Derive(rel *Relation) (*Database, error) {
-	return e.eng.Derive(rel)
+	return e.Derive(context.Background(), rel, Pools{}, sink)
 }
 
 // Stats returns a snapshot of the engine's cache instrumentation.
 func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 
-// DeriveStream runs the paper's end-to-end pipeline on rel and streams
-// the derived database to emit in input order, without materializing it:
-// every complete tuple is passed through as a certain item, every
-// incomplete tuple arrives as a block of mutually exclusive completions
-// distributed according to the inferred Delta_t. Single-missing tuples
-// use ensemble voting sharded across opt.VoteWorkers goroutines with a
-// shared memoization cache; multi-missing tuples are solved exactly or
-// by independent Gibbs chains, scheduled per block across opt.Workers
-// goroutines. The emitted stream does not depend on pool sizes: it is
-// bit-identical for every VoteWorkers and Workers value (exact solves use
-// no randomness and chains are seeded by tuple content). The
-// relation's schema must match the model's (else a SchemaMismatchError is
-// returned up front). If emit returns an error the stream stops and
-// DeriveStream returns that error. It runs on a throwaway engine;
-// long-lived callers should construct one Engine and reuse its caches
-// across calls.
-func DeriveStream(m *Model, rel *Relation, opt DeriveOptions, emit func(DeriveItem) error) error {
-	e, err := NewEngine(m, opt)
-	if err != nil {
-		return err
-	}
-	return e.DeriveStream(rel, emit)
-}
-
 // Derive runs the paper's end-to-end pipeline on rel and collects the
 // stream into a materialized database: every complete tuple becomes a
 // certain tuple of the output database; every incomplete tuple becomes a
-// block of mutually exclusive completions, both in input order. It is a
-// thin collector over DeriveStream; callers that can persist or serve
-// blocks incrementally should use DeriveStream directly, and long-lived
-// callers should construct an Engine and reuse its caches across calls.
+// block of mutually exclusive completions, both in input order. It runs
+// on a throwaway engine; callers that can persist or serve blocks
+// incrementally, and long-lived callers that should reuse the caches
+// across calls, construct an Engine and call its Derive.
 func Derive(m *Model, rel *Relation, opt DeriveOptions) (*Database, error) {
 	e, err := NewEngine(m, opt)
 	if err != nil {
 		return nil, err
 	}
-	return e.Derive(rel)
+	c := derive.NewCollector(m.Schema)
+	if err := e.Derive(context.Background(), rel, Pools{}, c); err != nil {
+		return nil, err
+	}
+	return c.Database(), nil
 }

@@ -79,28 +79,6 @@ func TestInferJointDefaults(t *testing.T) {
 	}
 }
 
-func TestInferWorkloadFacade(t *testing.T) {
-	m, rel := matchmakingModel(t)
-	_, ri := rel.Split()
-	var workload []Tuple
-	workload = append(workload, ri.Tuples...)
-	tuples, joints, err := InferWorkload(m, workload, GibbsOptions{Samples: 300, BurnIn: 30, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != len(joints) {
-		t.Fatal("misaligned results")
-	}
-	if len(tuples) != 9 { // the 9 distinct incomplete tuples of Fig. 1
-		t.Errorf("distinct tuples = %d, want 9", len(tuples))
-	}
-	for i := range joints {
-		if !joints[i].P.IsNormalized(1e-9) {
-			t.Errorf("tuple %v: joint not normalized", tuples[i])
-		}
-	}
-}
-
 // TestDeriveEndToEnd runs the paper's full pipeline on the Fig. 1 relation
 // and checks the output database structure.
 func TestDeriveEndToEnd(t *testing.T) {

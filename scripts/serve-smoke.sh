@@ -3,10 +3,10 @@
 # learns a model from the checked-in matchmaking relation, boots the
 # server on a kernel-assigned port, POSTs one derivation and one query,
 # drives the live-evidence loop — register a dataset, query it, observe
-# a delta, re-query — runs one intensional join query (multipart sql=
-# statement over two CSV fragments), checks the stream and stats
-# endpoints answer, and finally SIGTERMs the server expecting a clean
-# graceful drain. Exits non-zero on any failure.
+# a delta, derive it, re-query — runs one intensional join query
+# (multipart sql= statement over two CSV fragments), checks the stream
+# and stats endpoints answer, and finally SIGTERMs the server expecting
+# a clean graceful drain. Exits non-zero on any failure.
 set -eu
 
 tmp=$(mktemp -d)
@@ -86,6 +86,15 @@ curl -fsS -X POST -H 'Content-Type: application/json' \
 	-d "{\"dataset\":\"$sid\",\"observations\":[{\"index\":0,\"attr\":\"inc\",\"value\":\"$obsval\"}]}" \
 	"http://$addr/observe" | grep -q '"kind":"observed"' || { echo "serve-smoke: observe failed"; exit 1; }
 
+# Deriving the dataset streams its conditioned snapshot: the same 18
+# lines, except that tuple 0 now carries its posterior block, not the
+# batch stream's prior one.
+curl -fsS -X POST "http://$addr/derive?dataset=$sid" >"$tmp/dsderive.ndjson"
+dslines=$(wc -l <"$tmp/dsderive.ndjson")
+[ "$dslines" -eq 18 ] || { echo "serve-smoke: dataset derive got $dslines NDJSON lines, want 18"; cat "$tmp/dsderive.ndjson"; exit 1; }
+[ "$(sed -n '2p' "$tmp/dsderive.ndjson")" != "$(sed -n '2p' "$tmp/out.ndjson")" ] || {
+	echo "serve-smoke: dataset derive streamed tuple 0's prior block, not its posterior"; sed -n '2p' "$tmp/dsderive.ndjson"; exit 1; }
+
 curl -fsS -X POST "http://$addr/query?op=count&where=inc%3D50K&dataset=$sid" >"$tmp/post.ndjson"
 grep -q '"observed":1' "$tmp/post.ndjson" || { echo "serve-smoke: re-query did not use the observed tier"; cat "$tmp/post.ndjson"; exit 1; }
 
@@ -122,10 +131,10 @@ grep -q '"join"' "$tmp/sql.ndjson" || { echo "serve-smoke: sql join query summar
 grep -q '"verdict"' "$tmp/sql.ndjson" || { echo "serve-smoke: join plan has no safety verdict"; cat "$tmp/sql.ndjson"; exit 1; }
 
 curl -fsS "http://$addr/stats" >"$tmp/stats.json"
-# 6 offered inference requests: derive, batch query, pre-query, observe,
-# re-query, sql join query (dataset registration runs no inference and
-# is not counted).
-grep -q '"requests":6' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
+# 7 offered inference requests: derive, batch query, pre-query, observe,
+# dataset derive, re-query, sql join query (dataset registration runs no
+# inference and is not counted).
+grep -q '"requests":7' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
 grep -q '"Observations":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the observation"; cat "$tmp/stats.json"; exit 1; }
 grep -q '"Datasets":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the dataset"; cat "$tmp/stats.json"; exit 1; }
 

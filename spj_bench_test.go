@@ -92,7 +92,7 @@ func spjBenchOnce(eng *Engine, schema *Schema, inputs map[string]*Relation,
 	if err != nil {
 		return nil, err
 	}
-	return eng.QuerySPJ(context.Background(), spj)
+	return eng.Query(context.Background(), spj, spj.Query(), QueryOptions{})
 }
 
 // BenchmarkQuerySafeJoin measures the hierarchical fast path: every

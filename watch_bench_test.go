@@ -27,14 +27,14 @@ type watchDelta struct {
 func watchDeltas(b *testing.B, eng *Engine, rel *Relation) []watchDelta {
 	b.Helper()
 	var deltas []watchDelta
-	err := eng.DeriveStream(rel, func(it DeriveItem) error {
+	err := eng.Derive(context.Background(), rel, Pools{}, EmitFunc(func(it DeriveItem) error {
 		if it.Certain() {
 			return nil
 		}
 		a := it.Tuple.MissingAttrs()[0]
 		deltas = append(deltas, watchDelta{it.Index, a, int(it.Block.Alts[0].Tuple[a])})
 		return nil
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}
