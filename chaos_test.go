@@ -17,10 +17,9 @@ import (
 // so every successful answer is reproducible bit for bit.
 func chaosOptions() DeriveOptions {
 	return DeriveOptions{
-		Method:      BestAveraged(),
-		Workers:     4,
-		VoteWorkers: 4,
-		Gibbs:       GibbsOptions{Samples: 200, BurnIn: 20, Seed: 7, Method: BestAveraged()},
+		Method:  BestAveraged(),
+		Workers: 4,
+		Gibbs:   GibbsOptions{Samples: 200, BurnIn: 20, Seed: 7, Method: BestAveraged()},
 	}
 }
 

@@ -2,8 +2,8 @@
 // relation using a learned MRSL model. It is a thin client of the
 // engine-native query subsystem (repro.Engine.Query): tuples the query's
 // evidence refutes (and complete tuples) cost nothing, single-missing tuples are
-// decided from the engine's shared CPD cache without expanding a block,
-// and only tuples whose bounds leave the answer open pay for full
+// decided from their voted blocks in the engine's block cache without a
+// chain, and only tuples whose bounds leave the answer open pay for full
 // derivation — with early termination for exists and topk. Answers are
 // bit-identical to deriving the whole database and evaluating naively,
 // for every -workers value.
@@ -82,7 +82,7 @@ func main() {
 		samples   = flag.Int("samples", 1000, "Gibbs samples per distinct multi-missing tuple")
 		burnin    = flag.Int("burnin", 100, "Gibbs burn-in sweeps")
 		seed      = flag.Int64("seed", 1, "sampler seed")
-		workers   = flag.Int("workers", 4, "multi-missing pool size: exact solves and Gibbs chains (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 4, "inference pool size: votes, exact solves and Gibbs chains (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *modelPath == "" || (*in == "" && *sql == "") {

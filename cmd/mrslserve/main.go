@@ -26,9 +26,9 @@
 // in /stats server_panics); engine-side pool panics become typed request
 // errors (engine PanicsRecovered) — either way the process keeps serving.
 //
-// The engine's memoization caches (vote blocks, multi-missing joints,
-// local CPDs) are bounded to -cache-entries entries each with CLOCK
-// eviction, so the server runs in fixed memory under unbounded damage
+// The engine's memoization caches (completion blocks, single- and
+// multi-missing together; live datasets' conditioned blocks; local CPDs)
+// are bounded to -cache-entries entries each with CLOCK eviction, so the server runs in fixed memory under unbounded damage
 // pattern diversity; eviction never changes responses, it only costs
 // recomputation. With -max-inflight > 0 at most that many
 // derivation/query requests run concurrently; excess requests are
@@ -48,8 +48,8 @@
 //	               not ready, so clients read each block as soon as it is
 //	               inferred; lines served from the caches go out in
 //	               net/http's buffered writes. Query
-//	               parameters voteworkers and gibbsworkers override the
-//	               request's pool sizes (never the result). With
+//	               parameter workers overrides the request's pool size
+//	               (never the result). With
 //	               dataset=<id> the body is ignored and the registered
 //	               dataset's conditioned database is derived instead:
 //	               observed tuples emit their Bayesian posterior blocks,
@@ -58,7 +58,7 @@
 //	               parameters: op (count, exists, topk, groupby), where
 //	               (conjunctive conditions "attr=value,attr>=value,..."),
 //	               groupby (histogram attribute), k, minprob, plus the
-//	               same pool overrides as /derive. Streams NDJSON: a
+//	               same workers override as /derive. Streams NDJSON: a
 //	               query record, then result records, then a summary
 //	               record with the chosen plan (selectivity-ordered
 //	               predicates, resolution-tier counts) and the
@@ -181,10 +181,9 @@ func main() {
 		samples   = flag.Int("samples", 800, "Gibbs samples per distinct multi-missing tuple; with -burnin it also sets the exact tier's rule (kernels needing at most (burnin+samples)*k local CPDs are solved exactly)")
 		burnin    = flag.Int("burnin", 100, "Gibbs burn-in sweeps; burnin+samples also caps an exact solve's power-iteration sweeps")
 		seed      = flag.Int64("seed", 1, "sampler seed")
-		workers   = flag.Int("workers", 8, "default multi-missing pool size per request, running exact solves and Gibbs chains (0 = GOMAXPROCS)")
-		voters    = flag.Int("voteworkers", 0, "default voting pool size per request (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 8, "default inference pool size per request, running votes, exact solves and Gibbs chains; never more than GOMAXPROCS (0 = GOMAXPROCS)")
 		maxAlts   = flag.Int("maxalts", 0, "cap block alternatives (0 keeps all)")
-		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache (votes, joints, conditioned blocks, CPDs) to this many entries, CLOCK-evicted (0 = unbounded vote/joint/conditioned-block caches, default-capped CPD memo); eviction never changes results")
+		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache (completion blocks, conditioned blocks, CPDs) to this many entries, CLOCK-evicted (0 = unbounded block and conditioned-block caches, default-capped CPD memo); eviction never changes results")
 		inflight  = flag.Int("max-inflight", 0, "maximum concurrent derivation/query requests; excess requests get 429 with Retry-After (0 = unlimited)")
 
 		defTimeout = flag.Duration("default-timeout", 0, "default deadline budget per /derive and /query request; requests degrade to sound bounds instead of failing when it runs out (0 = none; timeout_ms= overrides per request)")
@@ -223,7 +222,6 @@ func main() {
 		Method:          repro.BestAveraged(),
 		MaxAlternatives: *maxAlts,
 		Workers:         *workers,
-		VoteWorkers:     *voters,
 		CacheEntries:    *cacheEnts,
 		Gibbs: repro.GibbsOptions{
 			Samples: *samples, BurnIn: *burnin, Seed: *seed, Method: repro.BestAveraged(),
@@ -1614,24 +1612,16 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "{\"status\":\"ok\"}\n")
 }
 
-// poolsFromQuery reads optional per-request pool overrides; pool sizes
-// affect scheduling only, never the derived stream.
+// poolsFromQuery reads the optional per-request pool override workers=;
+// the pool size affects scheduling only, never the derived stream.
 func poolsFromQuery(r *http.Request) (repro.Pools, error) {
-	var p repro.Pools
-	q := r.URL.Query()
-	for _, f := range []struct {
-		name string
-		dst  *int
-	}{{"voteworkers", &p.VoteWorkers}, {"gibbsworkers", &p.GibbsWorkers}} {
-		v := q.Get(f.name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return p, fmt.Errorf("query parameter %s must be a non-negative integer, got %q", f.name, v)
-		}
-		*f.dst = n
+	v := r.URL.Query().Get("workers")
+	if v == "" {
+		return repro.Pools{}, nil
 	}
-	return p, nil
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return repro.Pools{}, fmt.Errorf("query parameter workers must be a non-negative integer, got %q", v)
+	}
+	return repro.Pools{Workers: n}, nil
 }

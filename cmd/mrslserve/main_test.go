@@ -22,9 +22,8 @@ import (
 // long-lived engine and a fresh local one.
 func serveOptions() repro.DeriveOptions {
 	return repro.DeriveOptions{
-		Method:      repro.BestAveraged(),
-		Workers:     4,
-		VoteWorkers: 4,
+		Method:  repro.BestAveraged(),
+		Workers: 4,
 		Gibbs: repro.GibbsOptions{
 			Samples: 300, BurnIn: 30, Seed: 11, Method: repro.BestAveraged(),
 		},
@@ -172,7 +171,7 @@ func TestServeRepeatedRequestsShareCaches(t *testing.T) {
 	ts := startServer(t, model)
 
 	first := postDerive(t, ts, csvBody, "")
-	second := postDerive(t, ts, csvBody, "?voteworkers=1&gibbsworkers=2")
+	second := postDerive(t, ts, csvBody, "?workers=1")
 	if !bytes.Equal(first, second) {
 		t.Fatal("second (cache-served, differently sharded) request is not byte-identical to the first")
 	}
@@ -492,7 +491,7 @@ func TestServeRejectsBadInput(t *testing.T) {
 	if code := post("age,edu,inc,nw\n99,HS,50K,100K\n", ""); code != http.StatusBadRequest {
 		t.Errorf("out-of-domain label: status %d, want 400", code)
 	}
-	if code := post(string(csvBody), "?gibbsworkers=banana"); code != http.StatusBadRequest {
+	if code := post(string(csvBody), "?workers=banana"); code != http.StatusBadRequest {
 		t.Errorf("bad pool parameter: status %d, want 400", code)
 	}
 

@@ -191,10 +191,9 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
 			e := deriveBenchSetup(b)
 			eng, err := NewEngine(e.model, DeriveOptions{
-				Method:      BestAveraged(),
-				Gibbs:       benchGibbs(),
-				VoteWorkers: 4,
-				Workers:     4,
+				Method:  BestAveraged(),
+				Gibbs:   benchGibbs(),
+				Workers: 4,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -249,10 +248,9 @@ func BenchmarkEngineCold(b *testing.B) {
 		}
 	}
 	opt := DeriveOptions{
-		Method:      BestAveraged(),
-		Gibbs:       GibbsOptions{Samples: 800, BurnIn: 100, Seed: 31, Method: BestAveraged()},
-		VoteWorkers: 1,
-		Workers:     1,
+		Method:  BestAveraged(),
+		Gibbs:   GibbsOptions{Samples: 800, BurnIn: 100, Seed: 31, Method: BestAveraged()},
+		Workers: 1,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,10 +273,9 @@ func BenchmarkEngineCold(b *testing.B) {
 func BenchmarkDeriveParallel(b *testing.B) {
 	e := deriveBenchSetup(b)
 	opt := DeriveOptions{
-		Method:      BestAveraged(),
-		Gibbs:       benchGibbs(),
-		VoteWorkers: 8,
-		Workers:     8,
+		Method:  BestAveraged(),
+		Gibbs:   benchGibbs(),
+		Workers: 8,
 	}
 	b.ResetTimer()
 	var blocks int

@@ -87,7 +87,7 @@ func TestDeriveStreamEquivalenceMatchmaking(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := opt
-	par.VoteWorkers = 8
+	par.Workers = 8
 	requireSameDatabase(t, sequential, collectStream(t, m, rel, par), "matchmaking")
 }
 
@@ -147,6 +147,6 @@ func TestDeriveStreamEquivalenceLarge(t *testing.T) {
 			len(sequential.Certain), len(sequential.Blocks))
 	}
 	par := opt
-	par.VoteWorkers = 8
+	par.Workers = 8
 	requireSameDatabase(t, sequential, collectStream(t, m, rel, par), "1k relation")
 }

@@ -26,17 +26,16 @@
 // for the engine's lifetime. Engine.Derive is its one derivation call: it
 // streams certain tuples and completed blocks in input order into a
 // Sink, so large derivations can be persisted or served without ever
-// being held in memory, and each request can size its worker pools via
+// being held in memory, and each request can size its worker pool via
 // Pools. NewJSONLSink writes NDJSON; an EmitFunc is a sink made of one
 // function:
 //
 //	eng, _ := repro.NewEngine(model, repro.DeriveOptions{
-//		Method:      repro.BestAveraged(),
-//		VoteWorkers: 8, // single-missing voting pool (0 = GOMAXPROCS)
-//		Workers:     8, // multi-missing pool: exact solves and chains (0 = GOMAXPROCS)
+//		Method:  repro.BestAveraged(),
+//		Workers: 8, // inference pool: votes, exact solves and chains (0 = GOMAXPROCS)
 //	})
 //	err := eng.Derive(ctx, rel, repro.Pools{}, repro.NewJSONLSink(w, model.Schema))
-//	err = eng.Derive(ctx, rel, repro.Pools{VoteWorkers: 2}, repro.EmitFunc(func(it repro.DeriveItem) error {
+//	err = eng.Derive(ctx, rel, repro.Pools{Workers: 2}, repro.EmitFunc(func(it repro.DeriveItem) error {
 //		return persist(it) // blocks arrive in input order
 //	}))
 //	stats := eng.Stats() // cache hit rates, points sampled, streams served
@@ -52,11 +51,12 @@
 // EngineStats.ExactSolved counts the exact solves. InferJoint and the
 // Fig 10 and Fig 11 experiments (mrslbench) keep sampling.
 //
-// Distinct incomplete tuples are inferred once — duplicates are served
-// from the shared, synchronized memoization caches keyed by the tuple's
-// evidence — and the emitted stream does not depend on pool sizes: any
-// VoteWorkers and Workers values produce bit-identical databases, since
-// exact solves use no randomness and chains are seeded by tuple content.
+// Distinct incomplete tuples are inferred once — one pool prefetches them
+// in first-appearance order, and duplicates are served from the shared,
+// synchronized block cache keyed by the tuple's evidence — and the emitted
+// stream does not depend on the pool size: every Workers value produces a
+// bit-identical database, since votes and exact solves use no randomness
+// and chains are seeded by tuple content.
 // Relations must carry the model's schema; a mismatch fails up front
 // with *SchemaMismatchError, and ReadCSVInSchema parses serving-time
 // inputs against a model schema without re-inferring domains.
@@ -77,11 +77,12 @@
 //
 // Caching is a three-level hierarchy, shared and bounded. Each engine
 // owns one sharded local-CPD cache, shared by every exact solve, Gibbs
-// chain and bound envelope and by the single-missing vote path, plus two
-// single-flight request caches
-// (vote blocks and multi-missing joints) keyed by canonical evidence.
-// DeriveOptions.CacheEntries caps all of them with CLOCK eviction for
-// fixed-memory serving; EngineStats reports hits, misses, and evictions.
+// chain and bound envelope and by the single-missing vote path, plus one
+// single-flight block cache (a completion block per distinct incomplete
+// tuple, single- or multi-missing) keyed by canonical evidence, and the
+// live datasets' conditioned blocks. DeriveOptions.CacheEntries caps each
+// of them with CLOCK eviction for fixed-memory serving; EngineStats
+// reports hits, misses, and evictions.
 // Every cached value is a pure function of the model and its key, so
 // sharing and eviction never change results — the derived stream stays
 // bit-identical for any worker count, cache bound, and request
@@ -121,10 +122,9 @@
 // resolution tier of increasing cost — and, like the executor, honors
 // context cancellation while doing so:
 // refuted and certain tuples are decided by evidence for free;
-// single-missing tuples are decided from the voted marginal CPD served
-// by the engine's shared CPD cache — the same estimate full derivation
-// would expand into a block, summed in block-alternative order so not
-// even the last bit differs; multi-missing tuples receive a sound
+// single-missing tuples are decided from their voted block, served by
+// the engine's block cache exactly as full derivation would emit it, so
+// not even the last bit differs; multi-missing tuples receive a sound
 // dissociation-style [lo, hi] interval from the engine's bound engine,
 // built from per-attribute conditional-CPD envelopes (min/max
 // satisfying mass over every local CPD the tuple's chain could draw
@@ -143,6 +143,11 @@
 // against the derive-everything oracle, including bound soundness
 // itself, across worker counts and cache bounds. Expected counts,
 // unthresholded exists, and groupby need exact masses and scan fully.
+// Every operator reads a tuple's satisfying completions, in block order,
+// through one executor call that also owns the deadline fallback: once a
+// deadline budget is spent, bound- and derive-tier tuples answer from
+// their intervals, while single-missing tuples, which have none, stay
+// exact.
 //
 // QueryResult.Plan carries the compiled plan summary (mrslquery
 // -explain prints it), and EngineStats reports the achieved pruning
@@ -231,10 +236,9 @@
 //	ans, _ := eng.Query(ctx, snap, q, repro.QueryOptions{})
 //	err := eng.Derive(ctx, snap, repro.Pools{}, sink)
 //
-// Coherence is exact, not TTL-approximate. The engine's vote, joint,
-// and CPD caches are keyed by tuple content — pure functions of the
-// model that no observation can make stale — so they need no
-// invalidation at all; the one per-dataset artifact, a tuple's
+// Coherence is exact, not TTL-approximate. The engine's block and CPD
+// caches are keyed by tuple content — pure functions of the model that
+// no observation can make stale — so they need no invalidation at all; the one per-dataset artifact, a tuple's
 // conditioned posterior block, lives in a bounded engine cache tagged
 // with the tuple's observation epoch. Observe invalidates exactly the
 // superseded entry, a racing reader treats an epoch mismatch as a miss

@@ -46,10 +46,9 @@ func sameDatabase(want, got *Database) error {
 // request warmed the cache.
 func soakOptions() DeriveOptions {
 	return DeriveOptions{
-		Method:      BestAveraged(),
-		Workers:     2,
-		VoteWorkers: 2,
-		Gibbs:       GibbsOptions{Samples: 120, BurnIn: 15, Seed: 19, Method: BestAveraged()},
+		Method:  BestAveraged(),
+		Workers: 2,
+		Gibbs:   GibbsOptions{Samples: 120, BurnIn: 15, Seed: 19, Method: BestAveraged()},
 	}
 }
 
@@ -147,7 +146,7 @@ func TestEngineConcurrentSoak(t *testing.T) {
 				for it := 0; it < iterations; it++ {
 					c := derive.NewCollector(rels[r].Schema)
 					// Vary the request sharding too; it must not matter.
-					err := eng.Derive(context.Background(), rels[r], Pools{VoteWorkers: 1 + w, GibbsWorkers: 1 + it}, c)
+					err := eng.Derive(context.Background(), rels[r], Pools{Workers: 1 + w + it}, c)
 					if err != nil {
 						fails <- fmt.Errorf("relation %d worker %d: %v", r, w, err)
 						return

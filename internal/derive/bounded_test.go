@@ -1,7 +1,7 @@
 package derive
 
-// Tests for the bounded engine caches: CacheEntries caps the vote, joint,
-// and CPD caches; eviction is counted in Stats and never changes the
+// Tests for the bounded engine caches: CacheEntries caps the block and
+// CPD caches; eviction is counted in Stats and never changes the
 // emitted stream, because every cached value is a deterministic function
 // of the model and its key.
 
@@ -34,10 +34,9 @@ func TestBoundedCachesDeterministic(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 3000, 11)
 	rel := dirtyRelation(t, inst, rng, 120)
 	cfg := Config{
-		Method:       bestAveraged(),
-		Gibbs:        gibbs.Config{Samples: 40, BurnIn: 10, Method: bestAveraged(), Seed: 3},
-		VoteWorkers:  2,
-		GibbsWorkers: 2,
+		Method:  bestAveraged(),
+		Gibbs:   gibbs.Config{Samples: 40, BurnIn: 10, Method: bestAveraged(), Seed: 3},
+		Workers: 2,
 	}
 	unbounded, err := New(m, cfg)
 	if err != nil {
@@ -64,7 +63,7 @@ func TestBoundedCachesDeterministic(t *testing.T) {
 
 	st := tiny.Stats()
 	if st.Evictions == 0 {
-		t.Fatalf("tiny engine recorded no vote/joint evictions; Stats=%+v", st)
+		t.Fatalf("tiny engine recorded no block evictions; Stats=%+v", st)
 	}
 	if ust := unbounded.Stats(); ust.Evictions != 0 {
 		t.Fatalf("unbounded engine recorded %d evictions, want 0", ust.Evictions)
@@ -77,9 +76,9 @@ func TestCPDStatsExposed(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 13)
 	rel := dirtyRelation(t, inst, rng, 60)
 	e, err := New(m, Config{
-		Method:       bestAveraged(),
-		Gibbs:        gibbs.Config{Samples: 30, BurnIn: 5, Method: bestAveraged(), Seed: 9},
-		GibbsWorkers: 1,
+		Method:  bestAveraged(),
+		Gibbs:   gibbs.Config{Samples: 30, BurnIn: 5, Method: bestAveraged(), Seed: 9},
+		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestSingleMissingSharesCPDCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := New(m, Config{Method: bestAveraged(),
-		Gibbs: gibbs.Config{Samples: 10, Method: bestAveraged(), Seed: 1}, GibbsWorkers: 1})
+		Gibbs: gibbs.Config{Samples: 10, Method: bestAveraged(), Seed: 1}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestBoundCPDSoundness(t *testing.T) {
 			eng, err := New(m, Config{
 				Method:       voteMethod,
 				Gibbs:        gibbs.Config{Samples: 200, BurnIn: 20, Method: bestAveraged(), Seed: seed},
-				GibbsWorkers: cb.workers,
+				Workers:      cb.workers,
 				CacheEntries: cb.cacheEntries,
 			})
 			if err != nil {
@@ -194,9 +194,9 @@ func TestBoundCPDInformative(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 4000, 9)
 	cards := m.Schema.Cards()
 	eng, err := New(m, Config{
-		Method:       bestAveraged(),
-		Gibbs:        gibbs.Config{Samples: 800, BurnIn: 50, Method: bestAveraged(), Seed: 9},
-		GibbsWorkers: 2,
+		Method:  bestAveraged(),
+		Gibbs:   gibbs.Config{Samples: 800, BurnIn: 50, Method: bestAveraged(), Seed: 9},
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestBoundCPDGates(t *testing.T) {
 	sat[0][0] = true
 
 	gibbsCfg := gibbs.Config{Samples: 50, BurnIn: 5, Method: bestAveraged(), Seed: 1}
-	capped, err := New(m, Config{Method: bestAveraged(), Gibbs: gibbsCfg, GibbsWorkers: 2, MaxAlternatives: 2})
+	capped, err := New(m, Config{Method: bestAveraged(), Gibbs: gibbsCfg, Workers: 2, MaxAlternatives: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestBoundCPDGates(t *testing.T) {
 		t.Fatalf("capped engine: interval %+v err %v, want vacuous and nil", iv, err)
 	}
 
-	chains, err := New(m, Config{Method: bestAveraged(), Gibbs: gibbsCfg, GibbsWorkers: 2})
+	chains, err := New(m, Config{Method: bestAveraged(), Gibbs: gibbsCfg, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

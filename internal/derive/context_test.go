@@ -11,7 +11,7 @@ import (
 func TestStreamContextCancelBeforeStart(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 4000, 61)
 	rel := dirtyRelation(t, inst, rng, 60)
-	e, err := New(m, engineConfig(2, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestStreamContextCancelBeforeStart(t *testing.T) {
 func TestStreamContextCancelMidStream(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 4000, 62)
 	rel := dirtyRelation(t, inst, rng, 60)
-	e, err := New(m, engineConfig(2, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestStreamContextCancelMidStream(t *testing.T) {
 func TestResolveBlockMatchesStream(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 4000, 63)
 	rel := dirtyRelation(t, inst, rng, 40)
-	streamed, err := New(m, engineConfig(2, 2))
+	streamed, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := New(m, engineConfig(2, 2))
+	resolved, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // Coherence is the hard part, and the design keeps it exact by keying
 // carefully:
 //
-//   - The engine's vote/joint/CPD/bound caches are keyed by tuple
+//   - The engine's block, CPD and bound caches are keyed by tuple
 //     CONTENT (the canonical evidence key), so their entries are pure
 //     functions of the model — an observation never makes them stale.
 //     Conditioning changes which key a tuple resolves under, not what

@@ -162,9 +162,9 @@ func TestDatasetObserveBitIdenticalToColdEngine(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"chains", engineConfig(2, 3)},
+		{"chains", engineConfig(3)},
 		{"chains-evicting", func() Config {
-			c := engineConfig(2, 3)
+			c := engineConfig(3)
 			c.CacheEntries = 1 // every cache, including conditioned blocks, thrashes
 			return c
 		}()},
@@ -202,7 +202,7 @@ func TestDatasetObserveBitIdenticalToColdEngine(t *testing.T) {
 func TestDatasetObserveSemantics(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 59)
 	rel := dirtyRelation(t, inst, rng, 40)
-	e, err := New(m, engineConfig(2, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestDatasetObserveSemantics(t *testing.T) {
 func TestDatasetIsolation(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 61)
 	rel := dirtyRelation(t, inst, rng, 40)
-	e, err := New(m, engineConfig(2, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestDatasetIsolation(t *testing.T) {
 func TestDatasetStatsAndWatchers(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 67)
 	rel := dirtyRelation(t, inst, rng, 40)
-	e, err := New(m, engineConfig(2, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestStreamSnapshotPrefetchStopsWithStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := engineConfig(2, 2)
+	cfg := engineConfig(2)
 	cfg.Gibbs.Samples = 3000
 	e, err := New(m, cfg)
 	if err != nil {
@@ -451,7 +451,7 @@ func TestSnapshotSourceSchemaChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(m, engineConfig(1, 1))
+	e, err := New(m, engineConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}

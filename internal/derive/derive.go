@@ -4,28 +4,24 @@
 // output database, every incomplete tuple becomes a block of mutually
 // exclusive completions distributed according to the inferred Delta_t.
 //
-// The engine improves on a naive sequential derivation in four ways:
+// The engine improves on a naive sequential derivation in three ways:
 //
-//   - Single-missing voting is sharded across a pool of goroutines that
-//     share a synchronized, single-flight memoization cache keyed by the
-//     tuple's canonical evidence (relation.Tuple.Key). Distinct incomplete
-//     tuples are voted exactly once; duplicates hit the cache.
-//   - Multi-missing inference is scheduled per block: each distinct
-//     multi-missing tuple is one independent unit of work, prefetched
-//     ahead of the emitter through its own single-flight cache, so the
-//     first multi-missing block is ready as soon as its own unit has run —
-//     not when the whole workload batch has. gibbs.Infer picks the unit's
-//     tier: small kernels are solved exactly, as the stationary
-//     distribution of the chain's sweep kernel, and the rest run a
-//     content-seeded Gibbs chain.
+//   - Inference is scheduled per block: each distinct incomplete tuple is
+//     one independent unit of work, prefetched ahead of the emitter by one
+//     worker pool through one single-flight block cache keyed by the
+//     tuple's canonical evidence (relation.Tuple.Key), so duplicates hit
+//     the cache and each block is ready as soon as its own unit has run —
+//     not when the whole batch has. A single-missing unit is Algorithm 2's
+//     ensemble vote; a multi-missing one is gibbs.Infer, which solves small
+//     kernels exactly, as the stationary distribution of the chain's sweep
+//     kernel, and runs a content-seeded Gibbs chain for the rest.
 //   - Completed pdb.Blocks are streamed to the caller in input order
 //     into a Sink, so callers can persist or serve blocks without ever
 //     holding the whole database in memory.
-//   - Results do not depend on pool sizes: voting is deterministic for
-//     every VoteWorkers value, exact solves use no randomness and chains
-//     are seeded by tuple content, so every GibbsWorkers value is
-//     bit-identical, and emission order is the input order regardless of
-//     which goroutine finished first.
+//   - Results do not depend on the pool size: voting is deterministic,
+//     exact solves use no randomness and chains are seeded by tuple
+//     content, so every Workers value is bit-identical, and emission order
+//     is the input order regardless of which goroutine finished first.
 //
 // An Engine is safe for concurrent use: any number of goroutines may run
 // overlapping Stream calls against one engine. The memoization caches are
@@ -66,39 +62,34 @@ type Config struct {
 	// MaxAlternatives caps each emitted block's alternatives (most
 	// probable kept, renormalized); <= 0 keeps all combinations.
 	MaxAlternatives int
-	// VoteWorkers is the default size of the per-request single-missing
-	// voting pool; <= 0 selects GOMAXPROCS. The result does not depend on
-	// the pool size.
-	VoteWorkers int
-	// GibbsWorkers is the default size of the per-request multi-missing
-	// pool, which runs both exact solves and chains; <= 0 selects
-	// GOMAXPROCS. Each distinct multi-missing tuple is one independent
-	// unit — an exact solve with no randomness, or a chain seeded by its
-	// content — so the result does not depend on the pool size.
-	GibbsWorkers int
+	// Workers is the default size of the per-request prefetch pool, which
+	// infers every distinct incomplete tuple, votes, exact solves and
+	// chains alike; <= 0 selects GOMAXPROCS. Each distinct tuple is one
+	// independent unit — a deterministic vote, an exact solve with no
+	// randomness, or a chain seeded by its content — so the result does not
+	// depend on the pool size.
+	Workers int
 	// CacheEntries bounds each of the engine's memoization caches (the
-	// single-missing vote cache, the multi-missing joint cache, live
-	// datasets' conditioned-block cache, and the shared local-CPD cache)
-	// to that many entries, evicted CLOCK-wise. <= 0 leaves the vote,
-	// joint and conditioned-block caches unbounded (they hold one entry
-	// per distinct damage pattern or observed tuple) and caps the CPD
-	// cache at its default (gibbs.DefaultCPDCacheEntries; CPD entries grow
-	// with the sampled state space, not the workload, so they are always
-	// bounded).
+	// block cache as a whole, single- and multi-missing blocks together,
+	// live datasets' conditioned-block cache, and the shared local-CPD
+	// cache) to that many entries, evicted CLOCK-wise. <= 0 leaves the
+	// block and conditioned-block caches unbounded (they hold one entry per
+	// distinct damage pattern or observed tuple) and caps the CPD cache at
+	// its default (gibbs.DefaultCPDCacheEntries; CPD entries grow with the
+	// sampled state space, not the workload, so they are always bounded).
 	// Evictions never change emitted streams — every cached value is a
 	// deterministic function of the model and its key — they only cost
 	// recomputation.
 	CacheEntries int
 }
 
-// Pools sizes the worker pools of one Stream request. The zero value
-// inherits the engine Config's VoteWorkers/GibbsWorkers; positive fields
-// override them for this request only. Pool sizes never change the
-// emitted stream — only how many goroutines compute it — so per-request
-// sharding is always safe.
+// Pools sizes the worker pool of one Stream request. A zero Workers
+// inherits the engine Config's; a positive one overrides it for this
+// request only. The pool size never changes the emitted stream — only
+// how many goroutines compute it — so per-request sharding is always
+// safe.
 type Pools struct {
-	VoteWorkers  int
-	GibbsWorkers int
+	Workers int
 }
 
 // PanicError is the typed per-request error a recovered panic becomes:
@@ -191,9 +182,10 @@ type Stats struct {
 	// VotesComputed counts distinct single-missing evidence patterns that
 	// were actually voted (cache misses).
 	VotesComputed int64
-	// SingleTuples counts single-missing input tuples served. The
+	// SingleTuples counts single-missing input tuples served, by streams
+	// and by ResolveBlock (query scans and dataset snapshots alike). The
 	// difference SingleTuples - VotesComputed is the number of tuples
-	// answered purely from the memo cache (duplicates).
+	// answered purely from the block cache (duplicates).
 	SingleTuples int64
 	// GibbsComputed counts distinct multi-missing tuples actually
 	// inferred (cache misses), on either tier: solved exactly or sampled
@@ -203,7 +195,8 @@ type Stats struct {
 	// were solved exactly, as the stationary distribution of their
 	// chain's kernel, instead of sampled (see gibbs.Infer).
 	ExactSolved int64
-	// MultiTuples counts multi-missing input tuples served.
+	// MultiTuples counts multi-missing input tuples served, by streams
+	// and by ResolveBlock.
 	MultiTuples int64
 	// GibbsCacheHits counts multi-missing resolutions served from the
 	// engine's cache (in-flight or completed) rather than sampled by the
@@ -214,9 +207,8 @@ type Stats struct {
 	PointsSampled int64
 	// Streams counts completed Stream calls (successful or not).
 	Streams int64
-	// Evictions counts entries dropped from the engine's bounded vote,
-	// joint and conditioned-block caches (always 0 when
-	// Config.CacheEntries <= 0).
+	// Evictions counts entries dropped from the engine's bounded block and
+	// conditioned-block caches (always 0 when Config.CacheEntries <= 0).
 	Evictions int64
 	// CPDHits, CPDMisses, and CPDEvictions instrument the shared local-CPD
 	// cache: probes served, probes missed, and entries dropped by its
@@ -278,10 +270,9 @@ type Stats struct {
 	// empty satisfying set) refuted the predicates outright, and tuples
 	// early termination made irrelevant.
 	QueryPruned int64
-	// QueryBounded counts tuples decided without a block expansion or a
-	// Gibbs chain: single-missing tuples answered from the shared CPD
-	// cache, and multi-missing tuples decided by a dissociation bound
-	// interval.
+	// QueryBounded counts tuples decided without a Gibbs chain or an
+	// exact solve: single-missing tuples answered from their voted block,
+	// and multi-missing tuples decided by a dissociation bound interval.
 	QueryBounded int64
 	// QueryDerived counts tuples queries sent to full block derivation.
 	QueryDerived int64
@@ -303,8 +294,8 @@ type Stats struct {
 }
 
 // VoteHitRate returns the fraction of single-missing input tuples served
-// from the shared memo cache rather than voted afresh. Clamped at 0: the
-// prefetch pools run ahead of the emitters, so a snapshot taken
+// from the shared block cache rather than voted afresh. Clamped at 0: the
+// prefetch pool runs ahead of the emitters, so a snapshot taken
 // mid-stream (or after an aborted stream) can have computed more
 // patterns than it has served tuples.
 func (s Stats) VoteHitRate() float64 {
@@ -312,7 +303,7 @@ func (s Stats) VoteHitRate() float64 {
 }
 
 // GibbsHitRate returns the fraction of multi-missing input tuples served
-// from the shared joint cache rather than sampled afresh, clamped at 0
+// from the shared block cache rather than inferred afresh, clamped at 0
 // like VoteHitRate.
 func (s Stats) GibbsHitRate() float64 {
 	return hitRate(s.MultiTuples, s.GibbsComputed)
@@ -338,9 +329,8 @@ type Engine struct {
 	// locking.
 	cpd *gibbs.CPDCache
 
-	mu    sync.Mutex
-	votes *clockcache.Map[*entry] // single-missing joints by evidence key
-	gibbs *clockcache.Map[*entry] // multi-missing joints by evidence key
+	mu     sync.Mutex
+	blocks *clockcache.Map[*entry] // completion blocks by evidence key
 	// observed caches conditioned posterior blocks of live datasets, keyed
 	// "dataset\x00index" and tagged with the block's observation epoch;
 	// see dataset.go for the coherence story.
@@ -388,8 +378,7 @@ func New(model *core.Model, cfg Config) (*Engine, error) {
 		model:    model,
 		cfg:      cfg,
 		cpd:      gibbs.NewCPDCache(cfg.CacheEntries),
-		votes:    clockcache.New[*entry](cfg.CacheEntries, entryDone),
-		gibbs:    clockcache.New[*entry](cfg.CacheEntries, entryDone),
+		blocks:   clockcache.New[*entry](cfg.CacheEntries, entryDone),
 		observed: clockcache.New[*pdb.Block](cfg.CacheEntries, nil),
 		datasets: make(map[string]*Dataset),
 	}
@@ -401,18 +390,12 @@ func New(model *core.Model, cfg Config) (*Engine, error) {
 // Model returns the model the engine serves.
 func (e *Engine) Model() *core.Model { return e.model }
 
-// MaxAlternatives returns the engine's block-alternative cap (<= 0 keeps
-// every completion). The query evaluator consults it: only uncapped
-// blocks equal the marginal CPD, so bound-based pruning is sound only
-// when it is <= 0.
-func (e *Engine) MaxAlternatives() int { return e.cfg.MaxAlternatives }
-
 // Stats returns a snapshot of the engine's cache instrumentation.
 func (e *Engine) Stats() Stats {
 	cpd := e.cpd.Stats()
 	e.mu.Lock()
 	st := e.stats
-	st.Evictions = e.votes.Evictions() + e.gibbs.Evictions() + e.observed.Evictions()
+	st.Evictions = e.blocks.Evictions() + e.observed.Evictions()
 	st.InvalidatedEntries = e.observed.Invalidations()
 	st.CPDHits = cpd.Hits
 	st.CPDMisses = cpd.Misses
@@ -424,11 +407,11 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// lookup returns the cache entry for key in m, creating and claiming it if
-// absent. claimed is true when the caller must compute the entry and close
-// ready. The nilable counters are bumped under the same lock — computed
-// on a claim, served once per call, hits once per found entry — so
-// resolve paths pay a single lock acquisition. The byte key is copied
+// lookup returns the block cache entry for key, creating and claiming it
+// if absent. claimed is true when the caller must compute the entry and
+// close ready. The nilable counters are bumped under the same lock —
+// computed on a claim, served once per call, hits once per found entry —
+// so resolve paths pay a single lock acquisition. The byte key is copied
 // only when a new entry is claimed; the hit path does not allocate.
 //
 // o is the calling stream (nil outside one). When key is absent and o has
@@ -436,34 +419,34 @@ func (e *Engine) Stats() Stats {
 // released, and then looks again: a flush is a socket write that blocks
 // while the client is not reading, and every request that needs a
 // claimed slot waits for its claimer.
-func (e *Engine) lookup(m *clockcache.Map[*entry], key []byte, o *out, computed, served, hits *int64) (en *entry, claimed bool) {
+func (e *Engine) lookup(key []byte, o *out, computed, served, hits *int64) (en *entry, claimed bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if faultinject.Enabled() && faultinject.Fire("cache.storm") {
 		// Chaos harness: an eviction storm drops every completed entry of
-		// the probed cache. In-flight single-flight slots are spared so a
+		// the block cache. In-flight single-flight slots are spared so a
 		// claimer's pending write is never orphaned mid-computation; the
 		// storm costs recomputation, never changes answers.
 		var doomed []string
-		m.Range(func(k string, v *entry) bool {
+		e.blocks.Range(func(k string, v *entry) bool {
 			if entryDone(v) {
 				doomed = append(doomed, k)
 			}
 			return true
 		})
 		for _, k := range doomed {
-			m.Invalidate(k)
+			e.blocks.Invalidate(k)
 		}
 	}
 	if served != nil {
 		*served++
 	}
-	en, ok := m.Get(key)
+	en, ok := e.blocks.Get(key)
 	if !ok && o.dirty() {
 		e.mu.Unlock()
 		o.idle() // recovers its own panics, so the lock is always retaken
 		e.mu.Lock()
-		en, ok = m.Get(key)
+		en, ok = e.blocks.Get(key)
 	}
 	if ok {
 		if hits != nil {
@@ -472,7 +455,7 @@ func (e *Engine) lookup(m *clockcache.Map[*entry], key []byte, o *out, computed,
 		return en, false
 	}
 	en = &entry{ready: make(chan struct{})}
-	m.Put(key, en)
+	e.blocks.Put(key, en)
 	if computed != nil {
 		*computed++
 	}
@@ -524,15 +507,14 @@ func (e *Engine) RecordQuery(r QueryRecord) {
 
 // MarginalCPD returns the voted distribution of attribute attr — which
 // must be missing in t — given t's known values, through the engine's
-// shared local-CPD cache: the same estimate, from the same cache slot, the
-// single-missing derivation path uses. hit reports whether it was served
-// from cache. The returned distribution is shared and must not be mutated.
+// shared local-CPD cache. hit reports whether it was served from cache.
+// The returned distribution is shared and must not be mutated.
 //
-// For a single-missing tuple this marginal is exactly the derived block's
-// distribution, so query evaluation can decide such tuples without ever
-// expanding a block. For multi-missing tuples the voted marginal is a
-// different estimator than the Gibbs joint's marginal — an approximation,
-// not a bound — so exact evaluation must not prune on it.
+// A single-missing tuple's block is voted through it, so the block holds
+// exactly this distribution's positive values. Query evaluation reads
+// those blocks through ResolveBlock; the query planner calls MarginalCPD
+// only for the evidence-free marginals behind its selectivity estimates. For multi-missing tuples the voted marginal is a different
+// estimator than the joint's marginal — an approximation, not a bound.
 func (e *Engine) MarginalCPD(t relation.Tuple, attr int) (d dist.Dist, hit bool, err error) {
 	if attr < 0 || attr >= len(t) || t[attr] != relation.Missing {
 		return nil, false, fmt.Errorf("derive: attribute %d is not missing in %v", attr, t)
@@ -549,60 +531,57 @@ func (e *Engine) MarginalCPD(t relation.Tuple, attr int) (d dist.Dist, hit bool,
 	return d, false, nil
 }
 
-// voteJoint runs single-attribute ensemble voting (Algorithm 2) for the
-// one missing attribute of t and lifts the estimate into a 1-attribute
-// joint. It shares the engine's CPD cache with the Gibbs chains: a
-// single-missing tuple's evidence state is exactly a chain state with one
-// attribute under resampling, so whichever path sees the pattern first
-// spares the other the vote.
-func (e *Engine) voteJoint(t relation.Tuple) (*dist.Joint, error) {
-	faultinject.Fire("derive.vote")
-	attr := t.MissingAttrs()[0]
-	d, _, err := e.MarginalCPD(t, attr)
-	if err != nil {
-		return nil, err
+// counters returns the Stats counters a lookup of incomplete tuple t
+// bumps, chosen by its number of missing values: a single-missing tuple
+// counts VotesComputed when claimed and SingleTuples when served; a
+// multi-missing one MultiTuples when served and GibbsCacheHits when
+// found (infer counts its GibbsComputed, on success only).
+func (e *Engine) counters(t relation.Tuple) (computed, served, hits *int64) {
+	if t.NumMissing() == 1 {
+		return &e.stats.VotesComputed, &e.stats.SingleTuples, nil
 	}
-	j, err := dist.NewJoint([]int{attr}, []int{e.model.Schema.Attrs[attr].Card()})
-	if err != nil {
-		return nil, err
-	}
-	copy(j.P, d)
-	return j, nil
+	return nil, &e.stats.MultiTuples, &e.stats.GibbsCacheHits
 }
 
-// chainJoint infers the joint of one distinct multi-missing tuple — the
-// per-block unit of multi-missing work — through gibbs.Infer, which
-// solves small kernels exactly and runs the content-seeded chain for the
-// rest.
-func (e *Engine) chainJoint(t relation.Tuple) (*dist.Joint, error) {
-	faultinject.Fire("derive.chain")
-	j, points, exact, err := gibbs.Infer(e.model, e.cfg.Gibbs, t)
-	e.mu.Lock()
-	e.stats.PointsSampled += int64(points)
-	if err == nil {
-		e.stats.GibbsComputed++
-		if exact {
-			e.stats.ExactSolved++
-		}
+// ResolveBlock returns the completion block of one incomplete tuple
+// through the engine's block cache, exactly as a Stream over a relation
+// containing t would emit it. hit reports whether the answer was served
+// from the cache rather than inferred by this call. It is the per-tuple
+// entry point of the query evaluator and of dataset snapshots; the
+// returned block is shared and must be treated as immutable.
+func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple) (b *pdb.Block, hit bool, err error) {
+	if t.IsComplete() {
+		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
 	}
-	e.mu.Unlock()
-	return j, err
+	return e.resolve(ctx, t, t.AppendKey(nil), nil)
 }
 
-// resolveVote returns the memoized vote joint for t, computing it if this
-// caller claims the cache slot and waiting for the in-flight computation
-// otherwise (or until ctx is canceled). It is the emitter's fetch path, so
-// it counts served tuples. hit reports whether the entry already existed.
-// Before it computes or waits it lets o flush what the stream has emitted
-// so far (see lookup and waitReady); o is nil outside a stream.
-func (e *Engine) resolveVote(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
-	en, claimed := e.lookup(e.votes, key, o, &e.stats.VotesComputed, &e.stats.SingleTuples, nil)
+// resolve returns the memoized block of incomplete tuple t, inferring it
+// inline if this caller claims the cache slot (the emitter steals work
+// the prefetch pool has not reached) and waiting for the in-flight
+// computation otherwise (or until ctx is canceled). It is the fetch path
+// of streams and ResolveBlock, so it counts served tuples. key is t's
+// evidence key. hit reports whether the entry already existed. Before it
+// computes or waits it lets o, the calling stream (nil outside one),
+// flush what the stream has emitted so far (see lookup and waitReady).
+func (e *Engine) resolve(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
+	computed, served, hits := e.counters(t)
+	en, claimed := e.lookup(key, o, computed, served, hits)
 	if claimed {
-		e.fillVote(en, t, key)
+		e.fill(en, t, key)
 	} else if err := waitReady(ctx, en.ready, o); err != nil {
 		return nil, true, err
 	}
 	return en.block, !claimed, en.err
+}
+
+// warm is the prefetch pool's resolve: it fills t's cache slot if it can
+// claim it and never waits on a slot another goroutine claimed.
+func (e *Engine) warm(t relation.Tuple, key []byte) {
+	computed, _, _ := e.counters(t)
+	if en, claimed := e.lookup(key, nil, computed, nil, nil); claimed {
+		e.fill(en, t, key)
+	}
 }
 
 // waitReady blocks until ready closes or ctx is canceled. A canceled wait
@@ -628,27 +607,66 @@ func waitReady(ctx context.Context, ready <-chan struct{}, o *out) error {
 	}
 }
 
-// prefetchVote warms the vote cache slot for t without blocking on entries
-// another goroutine already claimed.
-func (e *Engine) prefetchVote(t relation.Tuple, key []byte) {
-	en, claimed := e.lookup(e.votes, key, nil, &e.stats.VotesComputed, nil, nil)
-	if claimed {
-		e.fillVote(en, t, key)
+// fill computes a claimed entry: t's block, inferred by infer and timed
+// in mrsl_derive_vote_seconds when t is single-missing and in
+// mrsl_derive_chain_seconds otherwise, on either multi-missing tier. A
+// panic during the computation is recovered into en.err as a *PanicError
+// with Op "vote" or "chain", and the slot is invalidated; the deferred
+// close always runs (after the recovery, so waiters never observe a
+// half-written entry).
+func (e *Engine) fill(en *entry, t relation.Tuple, key []byte) {
+	op, seconds := "chain", chainSeconds
+	if t.NumMissing() == 1 {
+		op, seconds = "vote", voteSeconds
 	}
+	defer close(en.ready)
+	defer e.recoverEntry(en, key, op)
+	defer seconds.Since(time.Now())
+	en.block, en.err = e.infer(t)
 }
 
-// fillVote computes a claimed vote entry: the 1-attribute joint, expanded
-// into its block. A panic during the computation is recovered into
-// en.err and the slot is invalidated; the deferred close always runs
-// (after the recovery, so waiters never observe a half-written entry).
-func (e *Engine) fillVote(en *entry, t relation.Tuple, key []byte) {
-	defer close(en.ready)
-	defer e.recoverEntry(en, e.votes, key, "vote")
-	defer voteSeconds.Since(time.Now())
+// infer computes the completion block of incomplete tuple t, one unit of
+// per-block work. A single-missing tuple is voted by Algorithm 2 through
+// MarginalCPD, which shares the engine's CPD cache with the Gibbs
+// chains: its evidence state is exactly a chain state with one attribute
+// under resampling, so whichever path sees the pattern first spares the
+// other the vote. A multi-missing tuple goes through gibbs.Infer, which
+// solves small kernels exactly and runs the content-seeded chain for the
+// rest; GibbsComputed and ExactSolved count its successes only, so a
+// tuple whose inference failed is not reported as computed.
+func (e *Engine) infer(t relation.Tuple) (*pdb.Block, error) {
 	var j *dist.Joint
-	if j, en.err = e.voteJoint(t); en.err == nil {
-		en.block, en.err = e.block(t, j)
+	if missing := t.MissingAttrs(); len(missing) == 1 {
+		faultinject.Fire("derive.vote")
+		attr := missing[0]
+		d, _, err := e.MarginalCPD(t, attr)
+		if err != nil {
+			return nil, err
+		}
+		if j, err = dist.NewJoint(missing, []int{e.model.Schema.Attrs[attr].Card()}); err != nil {
+			return nil, err
+		}
+		copy(j.P, d)
+	} else {
+		faultinject.Fire("derive.chain")
+		var points int
+		var exact bool
+		var err error
+		j, points, exact, err = gibbs.Infer(e.model, e.cfg.Gibbs, t)
+		e.mu.Lock()
+		e.stats.PointsSampled += int64(points)
+		if err == nil {
+			e.stats.GibbsComputed++
+			if exact {
+				e.stats.ExactSolved++
+			}
+		}
+		e.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
+	return pdb.NewBlock(t, j, e.cfg.MaxAlternatives)
 }
 
 // recoverEntry is the deferred panic boundary of a single-flight
@@ -657,7 +675,7 @@ func (e *Engine) fillVote(en *entry, t relation.Tuple, key []byte) {
 // poisoned result is never memoized — the next identical request claims
 // a fresh slot and recomputes. Registered after the close defer, so it
 // runs first and the entry is complete when ready closes.
-func (e *Engine) recoverEntry(en *entry, m *clockcache.Map[*entry], key []byte, op string) {
+func (e *Engine) recoverEntry(en *entry, key []byte, op string) {
 	r := recover()
 	if r == nil {
 		return
@@ -666,152 +684,73 @@ func (e *Engine) recoverEntry(en *entry, m *clockcache.Map[*entry], key []byte, 
 	en.err = &PanicError{Op: op, Value: r, Stack: debug.Stack()}
 	e.mu.Lock()
 	e.stats.PanicsRecovered++
-	m.Invalidate(string(key))
+	e.blocks.Invalidate(string(key))
 	e.mu.Unlock()
 }
 
-// resolveGibbs returns the memoized multi-missing joint for t, sampling
-// inline if this caller claims the slot (the emitter steals work the
-// prefetch pool has not reached) and waiting otherwise (or until ctx is
-// canceled). It is the emitter's fetch path, so it counts served tuples
-// and cache hits. o flushes first, as in resolveVote.
-func (e *Engine) resolveGibbs(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
-	en, claimed := e.lookup(e.gibbs, key, o, nil, &e.stats.MultiTuples, &e.stats.GibbsCacheHits)
-	if claimed {
-		e.fillGibbs(en, t, key)
-	} else if err := waitReady(ctx, en.ready, o); err != nil {
-		return nil, true, err
-	}
-	return en.block, !claimed, en.err
-}
-
-// resolveTier names the engine path that resolves one incomplete tuple.
-// The same classification schedules the prefetch pools, drives the emit
-// loop and serves ResolveBlock, so the query executor's tier ordering
-// and the streaming path always agree on where a tuple's work happens.
-type resolveTier uint8
-
-const (
-	// tierComplete: nothing to resolve.
-	tierComplete resolveTier = iota
-	// tierVote: single-missing, decided by the shared vote path.
-	tierVote
-	// tierChain: multi-missing — one gibbs.Infer unit per distinct
-	// tuple (an exact solve or a content-seeded chain), shardable across
-	// pools.
-	tierChain
-)
-
-// tier classifies t onto its resolution path.
-func (e *Engine) tier(t relation.Tuple) resolveTier {
-	switch {
-	case t.IsComplete():
-		return tierComplete
-	case t.NumMissing() == 1:
-		return tierVote
-	default:
-		return tierChain
-	}
-}
-
-// ResolveBlock returns the completion block of one incomplete tuple
-// through the engine's caches, exactly as a Stream over a relation
-// containing t would emit it: single-missing tuples via the shared vote
-// path, multi-missing tuples via their content-seeded chain. hit reports
-// whether the answer was served from a cache rather than inferred by this
-// call. It is the per-tuple entry point of the query evaluator and of
-// dataset snapshots; the returned block is shared and must be treated as
-// immutable.
-func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple) (b *pdb.Block, hit bool, err error) {
-	tier := e.tier(t)
-	if tier == tierComplete {
-		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
-	}
-	return e.resolve(ctx, tier, t, t.AppendKey(nil), nil)
-}
-
-// resolve serves an incomplete tuple t of the given tier on that tier's
-// path. key is t's evidence key; o is the calling stream, nil outside
-// one.
-func (e *Engine) resolve(ctx context.Context, tier resolveTier, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
-	if tier == tierVote {
-		return e.resolveVote(ctx, t, key, o)
-	}
-	return e.resolveGibbs(ctx, t, key, o)
-}
-
-// PrefetchBlocks warms the engine's caches for the given incomplete
-// tuples across the request's worker pools, in order, until every tuple is
-// claimed or ctx is canceled. Pool sizes affect scheduling only — a
-// subsequent ResolveBlock serves bit-identical results whether or not the
-// prefetch ran. Complete tuples are skipped. It blocks until its workers
-// have drained.
+// PrefetchBlocks warms the engine's block cache for the given tuples
+// across the request's worker pool, in order, until every distinct
+// incomplete tuple is claimed or ctx is canceled. The pool size affects
+// scheduling only — a subsequent ResolveBlock serves bit-identical
+// results whether or not the prefetch ran. Complete tuples are skipped.
+// It blocks until its workers have drained.
 func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, pools Pools) {
-	// quit is never closed here: the dispatchers run to the end of their
-	// tuple lists unless ctx cancels them.
+	// quit is never closed here: the dispatcher runs to the end of its
+	// tuple list unless ctx cancels it.
 	var wg sync.WaitGroup
 	e.prefetch(ctx, &wg, make(chan struct{}), tuples, pools)
 	wg.Wait()
 }
 
-// prefetch starts a pool per resolution path that warms the path's
-// tuples in first-appearance order until quit closes or ctx is canceled;
-// wg tracks the pools' goroutines. The chain pool starts first, since
-// chains are the long pole. Only distinct damage patterns are dispatched
-// — duplicates would be single-probe no-ops, but even those probes cost
-// a channel handoff and an engine-lock acquisition each.
+// prefetch starts one pool — a dispatcher plus workers goroutines, each
+// reusing one key buffer — that warms the distinct incomplete tuples of
+// tuples in first-appearance order until done, quit closes, or ctx is
+// canceled; wg tracks its goroutines. Only distinct damage patterns are
+// dispatched — duplicates would be single-probe no-ops, but even those
+// probes cost a channel handoff and an engine-lock acquisition each.
 func (e *Engine) prefetch(ctx context.Context, wg *sync.WaitGroup, quit chan struct{}, tuples []relation.Tuple, pools Pools) {
-	var singles, multis []relation.Tuple
+	seen := make(map[string]bool, len(tuples))
+	var distinct []relation.Tuple
+	var keyBuf []byte
 	for _, t := range tuples {
-		switch e.tier(t) {
-		case tierVote:
-			singles = append(singles, t)
-		case tierChain:
-			multis = append(multis, t)
+		if t.IsComplete() {
+			continue
+		}
+		keyBuf = t.AppendKey(keyBuf[:0])
+		if !seen[string(keyBuf)] {
+			seen[string(keyBuf)] = true
+			distinct = append(distinct, t)
 		}
 	}
-	if len(multis) > 0 {
-		multis = distinctTuples(multis)
-		e.spawnPool(ctx, wg, quit, poolSize(pools.GibbsWorkers, e.cfg.GibbsWorkers, len(multis)),
-			multis, e.prefetchGibbs)
+	if len(distinct) == 0 {
+		return
 	}
-	if len(singles) > 0 {
-		singles = distinctTuples(singles)
-		e.spawnPool(ctx, wg, quit, poolSize(pools.VoteWorkers, e.cfg.VoteWorkers, len(singles)),
-			singles, e.prefetchVote)
+	work := make(chan relation.Tuple)
+	for w := poolSize(pools.Workers, e.cfg.Workers, len(distinct)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var keyBuf []byte
+			for t := range work {
+				keyBuf = t.AppendKey(keyBuf[:0])
+				e.safeWarm(t, keyBuf)
+			}
+		}()
 	}
-}
-
-// prefetchGibbs warms the joint cache slot for t without blocking on
-// entries another goroutine already claimed.
-func (e *Engine) prefetchGibbs(t relation.Tuple, key []byte) {
-	en, claimed := e.lookup(e.gibbs, key, nil, nil, nil, nil)
-	if claimed {
-		e.fillGibbs(en, t, key)
-	}
-}
-
-// fillGibbs computes a claimed multi-missing entry: the inferred joint,
-// expanded into its block, timed in mrsl_derive_chain_seconds on either
-// tier. GibbsComputed is counted by chainJoint on success instead of at
-// claim time, so a tuple whose inference failed is not reported as
-// computed. Panics recover into en.err like fillVote's.
-func (e *Engine) fillGibbs(en *entry, t relation.Tuple, key []byte) {
-	defer close(en.ready)
-	defer e.recoverEntry(en, e.gibbs, key, "chain")
-	defer chainSeconds.Since(time.Now())
-	var j *dist.Joint
-	if j, en.err = e.chainJoint(t); en.err == nil {
-		en.block, en.err = e.block(t, j)
-	}
-}
-
-// block expands a memoized joint into the completion block of t.
-func (e *Engine) block(t relation.Tuple, j *dist.Joint) (*pdb.Block, error) {
-	if j == nil {
-		return nil, fmt.Errorf("derive: no inferred joint for tuple %v", t)
-	}
-	return pdb.NewBlock(t, j, e.cfg.MaxAlternatives)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(work)
+		for _, t := range distinct {
+			select {
+			case work <- t:
+			case <-quit:
+				return
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
 }
 
 // out is the consumer end of one emit loop: the sink's Emit behind a
@@ -961,10 +900,10 @@ func (e *Engine) Stream(ctx context.Context, src Source, pools Pools, sink Sink)
 // certain item once evidence has collapsed it, and is neither prefetched
 // nor resolved.
 func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides map[int]*pdb.Block, pools Pools, o *out) error {
-	// The pools prefetch chains and votes ahead of the emitter, through
-	// the same single-flight caches the emitter resolves from. quit stops
-	// their dispatchers early when emission fails, and the loop returns
-	// only after they have drained.
+	// The pool prefetches blocks ahead of the emitter, through the same
+	// single-flight cache the emitter resolves from. quit stops its
+	// dispatcher early when emission fails, and the loop returns only
+	// after it has drained.
 	work := tuples
 	if overrides != nil {
 		work = make([]relation.Tuple, 0, len(tuples))
@@ -978,10 +917,10 @@ func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides 
 	var wg sync.WaitGroup
 	e.prefetch(ctx, &wg, quit, work, pools)
 
-	// Emit in input order. The emitter steals unclaimed work (resolveVote
-	// and resolveGibbs compute inline when a pool has not reached the
-	// entry yet), so it never idles behind the pools. Evidence keys are
-	// built into one reused buffer; cache hits never copy them.
+	// Emit in input order. The emitter steals unclaimed work (resolve
+	// computes inline when the pool has not reached the entry yet), so it
+	// never idles behind the pool. Evidence keys are built into one reused
+	// buffer; cache hits never copy them.
 	var err error
 	var keyBuf []byte
 	for i, t := range tuples {
@@ -994,9 +933,9 @@ func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides 
 			if t.IsComplete() {
 				b = nil
 			}
-		} else if tier := e.tier(t); tier != tierComplete {
+		} else if !t.IsComplete() {
 			keyBuf = t.AppendKey(keyBuf[:0])
-			b, _, err = e.resolve(ctx, tier, t, keyBuf, o)
+			b, _, err = e.resolve(ctx, t, keyBuf, o)
 		}
 		if err == nil {
 			err = o.put(Item{Index: i, Tuple: t, Block: b})
@@ -1010,47 +949,14 @@ func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides 
 	return err
 }
 
-// spawnPool starts a dispatcher plus workers goroutines that prefetch the
-// given tuples (in order) through warm, until done, quit closes, or ctx is
-// canceled. Each worker reuses one key buffer across its tuples.
-func (e *Engine) spawnPool(ctx context.Context, wg *sync.WaitGroup, quit chan struct{}, workers int,
-	tuples []relation.Tuple, warm func(relation.Tuple, []byte)) {
-	work := make(chan relation.Tuple)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var keyBuf []byte
-			for t := range work {
-				keyBuf = t.AppendKey(keyBuf[:0])
-				e.safeWarm(t, keyBuf, warm)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(work)
-		for _, t := range tuples {
-			select {
-			case work <- t:
-			case <-quit:
-				return
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-}
-
 // safeWarm runs one prefetch item behind a panic boundary, so a worker
 // survives a panicking item and moves on to the next. Panics inside the
 // single-flight computation itself are already recovered into the claimed
-// entry by fillVote/fillGibbs; this boundary catches everything outside
-// it — including the derive.prefetch injection point, which fires before
-// the slot is claimed, leaving the tuple for the emitter to compute
-// inline (the stream stays bit-identical, the pool merely lost a warm-up).
-func (e *Engine) safeWarm(t relation.Tuple, key []byte, warm func(relation.Tuple, []byte)) {
+// entry by fill; this boundary catches everything outside it — including
+// the derive.prefetch injection point, which fires before the slot is
+// claimed, leaving the tuple for the emitter to compute inline (the
+// stream stays bit-identical, the pool merely lost a warm-up).
+func (e *Engine) safeWarm(t relation.Tuple, key []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.mu.Lock()
@@ -1059,7 +965,7 @@ func (e *Engine) safeWarm(t relation.Tuple, key []byte, warm func(relation.Tuple
 		}
 	}()
 	faultinject.Fire("derive.prefetch")
-	warm(t, key)
+	e.warm(t, key)
 }
 
 // poolSize resolves a per-request pool size: a positive request override
@@ -1081,20 +987,4 @@ func poolSize(request, engine, items int) int {
 		n = items
 	}
 	return n
-}
-
-// distinctTuples returns the distinct tuples of ts by evidence key, in
-// first-appearance order.
-func distinctTuples(ts []relation.Tuple) []relation.Tuple {
-	seen := make(map[string]bool, len(ts))
-	var out []relation.Tuple
-	var keyBuf []byte
-	for _, t := range ts {
-		keyBuf = t.AppendKey(keyBuf[:0])
-		if !seen[string(keyBuf)] {
-			seen[string(keyBuf)] = true
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -69,12 +69,11 @@ func dirtyRelation(t testing.TB, inst *bn.Instance, rng *rand.Rand, n int) *rela
 	return rel
 }
 
-func engineConfig(voteWorkers, gibbsWorkers int) Config {
+func engineConfig(workers int) Config {
 	return Config{
-		Method:       bestAveraged(),
-		Gibbs:        gibbs.Config{Samples: 150, BurnIn: 20, Method: bestAveraged(), Seed: 7},
-		VoteWorkers:  voteWorkers,
-		GibbsWorkers: gibbsWorkers,
+		Method:  bestAveraged(),
+		Gibbs:   gibbs.Config{Samples: 150, BurnIn: 20, Method: bestAveraged(), Seed: 7},
+		Workers: workers,
 	}
 }
 
@@ -87,9 +86,9 @@ func deriveDB(e *Engine, src Source) (*pdb.Database, error) {
 	return c.Database(), nil
 }
 
-func deriveWith(t *testing.T, m *core.Model, rel *relation.Relation, voteWorkers, gibbsWorkers int) *pdb.Database {
+func deriveWith(t *testing.T, m *core.Model, rel *relation.Relation, workers int) *pdb.Database {
 	t.Helper()
-	e, err := New(m, engineConfig(voteWorkers, gibbsWorkers))
+	e, err := New(m, engineConfig(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,25 +125,20 @@ func requireIdentical(t *testing.T, a, b *pdb.Database, label string) {
 }
 
 // TestDeriveDeterministicAcrossWorkerCounts is the engine's core contract:
-// the derived database is bit-identical for every combination of voting
-// pool size and gibbs worker count (the parallel chains are seeded per
-// tuple, voting is deterministic, and emission is input-ordered). Run it
-// under -race to also exercise the cache synchronization.
+// the derived database is bit-identical for every pool size (the parallel
+// chains are seeded per tuple, voting is deterministic, and emission is
+// input-ordered). Run it under -race to also exercise the cache
+// synchronization.
 func TestDeriveDeterministicAcrossWorkerCounts(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN9", 3000, 41)
 	rel := dirtyRelation(t, inst, rng, 120)
 
-	base := deriveWith(t, m, rel, 1, 2)
-	for _, workers := range []int{2, 8} {
-		got := deriveWith(t, m, rel, workers, 2)
-		requireIdentical(t, base, got, fmt.Sprintf("voteWorkers=%d", workers))
-	}
-	// Every gibbs worker count is interchangeable, 0 (GOMAXPROCS)
-	// included: chains are seeded by tuple content, not by position or
-	// pool size.
-	for _, workers := range []int{0, 1, 4, 8} {
-		got := deriveWith(t, m, rel, 4, workers)
-		requireIdentical(t, base, got, fmt.Sprintf("gibbsWorkers=%d", workers))
+	base := deriveWith(t, m, rel, 1)
+	// Every worker count is interchangeable, 0 (GOMAXPROCS) included:
+	// chains are seeded by tuple content, not by position or pool size.
+	for _, workers := range []int{0, 2, 4, 8} {
+		got := deriveWith(t, m, rel, workers)
+		requireIdentical(t, base, got, fmt.Sprintf("workers=%d", workers))
 	}
 }
 
@@ -177,12 +171,12 @@ func tieredRelation(t testing.TB, inst *bn.Instance, rng *rand.Rand, n int) *rel
 }
 
 // TestBothTiersBitIdentical: with exact solves and chains in one
-// relation, the derived stream is bit-identical across Gibbs worker
+// relation, the derived stream is bit-identical across worker
 // counts, cache bounds down to one entry, and a dataset snapshot stream.
 func TestBothTiersBitIdentical(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN10", 3000, 29)
 	rel := tieredRelation(t, inst, rng, 60)
-	ref, err := New(m, engineConfig(2, 2))
+	ref, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +187,13 @@ func TestBothTiersBitIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 4, 8} {
 		for _, entries := range []int{0, 1} {
-			cfg := engineConfig(2, workers)
+			cfg := engineConfig(workers)
 			cfg.CacheEntries = entries
 			e, err := New(m, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("gibbsWorkers=%d cacheEntries=%d", workers, entries)
+			label := fmt.Sprintf("workers=%d cacheEntries=%d", workers, entries)
 			requireItemsIdentical(t, collect(t, e, rel), want, label)
 			ds, err := e.RegisterDataset(rel)
 			if err != nil {
@@ -217,7 +211,7 @@ func TestStreamMatchesCollected(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 43)
 	rel := dirtyRelation(t, inst, rng, 80)
 
-	e, err := New(m, engineConfig(4, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +237,7 @@ func TestStreamMatchesCollected(t *testing.T) {
 		t.Fatalf("last emitted index = %d, want %d", lastIndex, rel.Len()-1)
 	}
 
-	collected := deriveWith(t, m, rel, 4, 2)
+	collected := deriveWith(t, m, rel, 2)
 	requireIdentical(t, streamed, collected, "stream vs collect")
 }
 
@@ -264,7 +258,7 @@ func TestVoteCacheDedup(t *testing.T) {
 		}
 	}
 
-	e, err := New(m, engineConfig(8, 1))
+	e, err := New(m, engineConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +298,7 @@ func TestGibbsCacheAcrossStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := New(m, engineConfig(1, 1))
+	e, err := New(m, engineConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +327,7 @@ func TestGibbsCacheAcrossStreams(t *testing.T) {
 func TestEmitErrorStopsStream(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 1500, 59)
 	rel := dirtyRelation(t, inst, rng, 50)
-	e, err := New(m, engineConfig(4, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +351,7 @@ func TestEmitErrorStopsStream(t *testing.T) {
 // TestEmptyAndCompleteRelations: degenerate inputs stream cleanly.
 func TestEmptyAndCompleteRelations(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 1000, 61)
-	e, err := New(m, engineConfig(0, 0))
+	e, err := New(m, engineConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +378,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil model should fail")
 	}
 	m, _, _ := learnBN(t, "BN8", 500, 67)
-	e, err := New(m, engineConfig(1, 1))
+	e, err := New(m, engineConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +395,7 @@ func TestNewValidation(t *testing.T) {
 func TestNewRejectsGibbsConfigChainsReject(t *testing.T) {
 	m, _, _ := learnBN(t, "BN8", 500, 67)
 	for _, samples := range []int{0, -5} {
-		cfg := engineConfig(1, 1)
+		cfg := engineConfig(1)
 		cfg.Gibbs.Samples = samples
 		_, err := New(m, cfg)
 		if err == nil || !strings.Contains(err.Error(), "Samples") {

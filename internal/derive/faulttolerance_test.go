@@ -43,14 +43,14 @@ func faultFixture(t *testing.T, seed int64) (*core.Model, *relation.Relation) {
 // reproduces the fault-free oracle bit for bit.
 func TestPanicBecomesTypedError(t *testing.T) {
 	m, rel := faultFixture(t, 71)
-	oracle := deriveWith(t, m, rel, 4, 4)
+	oracle := deriveWith(t, m, rel, 4)
 
 	for _, tc := range []struct{ point, op string }{
 		{"derive.vote", "vote"},
 		{"derive.chain", "chain"},
 	} {
 		t.Run(tc.point, func(t *testing.T) {
-			e, err := New(m, engineConfig(4, 4))
+			e, err := New(m, engineConfig(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,9 +95,9 @@ func TestPanicBecomesTypedError(t *testing.T) {
 // fault-free run, with the panics recovered and counted.
 func TestPrefetchPanicKeepsStreamExact(t *testing.T) {
 	m, rel := faultFixture(t, 73)
-	oracle := deriveWith(t, m, rel, 4, 4)
+	oracle := deriveWith(t, m, rel, 4)
 
-	e, err := New(m, engineConfig(4, 4))
+	e, err := New(m, engineConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +153,9 @@ func streamInputs(t *testing.T, e *Engine, rel *relation.Relation) []streamInput
 // re-streams exactly.
 func TestSinkPanicBecomesEmitError(t *testing.T) {
 	m, rel := faultFixture(t, 79)
-	oracle := deriveWith(t, m, rel, 4, 4)
+	oracle := deriveWith(t, m, rel, 4)
 
-	e, err := New(m, engineConfig(4, 4))
+	e, err := New(m, engineConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSinkPanicBecomesEmitError(t *testing.T) {
 // JSONLSink alike.
 func TestStreamDeadlineCounted(t *testing.T) {
 	m, rel := faultFixture(t, 81)
-	e, err := New(m, engineConfig(4, 4))
+	e, err := New(m, engineConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}

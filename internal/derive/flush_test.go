@@ -101,9 +101,9 @@ func TestFlushBeforeSlowChain(t *testing.T) {
 	}{
 		// Every prefetch panics before it claims, so the emitter
 		// computes the chain inline.
-		{"chains/inline", engineConfig(2, 2), "derive.chain=sleep:200ms/1,derive.prefetch=panic/1", false, false},
-		{"chains/wait", engineConfig(2, 2), "derive.chain=sleep:200ms/1", true, false},
-		{"snapshot/chains", engineConfig(2, 2), "derive.chain=sleep:200ms/1,derive.prefetch=panic/1", false, true},
+		{"chains/inline", engineConfig(2), "derive.chain=sleep:200ms/1,derive.prefetch=panic/1", false, false},
+		{"chains/wait", engineConfig(2), "derive.chain=sleep:200ms/1", true, false},
+		{"snapshot/chains", engineConfig(2), "derive.chain=sleep:200ms/1,derive.prefetch=panic/1", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := faultinject.Configure(tc.faults); err != nil {
@@ -216,7 +216,7 @@ func TestStalledFlushHoldsNoClaim(t *testing.T) {
 			name = "snapshot"
 		}
 		t.Run(name, func(t *testing.T) {
-			e, err := New(m, engineConfig(2, 2))
+			e, err := New(m, engineConfig(2))
 			if err != nil {
 				t.Fatal(err)
 			}

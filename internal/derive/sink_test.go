@@ -35,10 +35,9 @@ func matchmakingEngine(t *testing.T) (*Engine, *relation.Relation) {
 		t.Fatal(err)
 	}
 	e, err := New(m, Config{
-		Method:       bestAveraged(),
-		Gibbs:        gibbs.Config{Samples: 200, BurnIn: 20, Method: bestAveraged(), Seed: 5},
-		GibbsWorkers: 2,
-		VoteWorkers:  4,
+		Method:  bestAveraged(),
+		Gibbs:   gibbs.Config{Samples: 200, BurnIn: 20, Method: bestAveraged(), Seed: 5},
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +239,7 @@ func checkEmitMatchesOracle(t *testing.T, s *relation.Schema, items []Item) {
 func TestJSONLSinkMatchesEncodingJSON(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 89)
 	rel := dirtyRelation(t, inst, rng, 200)
-	e, err := New(m, engineConfig(2, 2))
+	e, err := New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}

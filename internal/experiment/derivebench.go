@@ -107,8 +107,7 @@ func RunAblationDerive(opt Options, networks []string, workerCounts []int) ([]De
 					Method:  defaultMethod(),
 					Seed:    seedFor(opt.Seed, "deriverng:"+id),
 				},
-				VoteWorkers:  workers,
-				GibbsWorkers: workers,
+				Workers: workers,
 			})
 			if err != nil {
 				return nil, nil, err

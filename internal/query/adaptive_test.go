@@ -26,21 +26,21 @@ func TestAdaptiveMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{17, 18} {
 		model, rel := fixture(t, seed)
-		items := deriveAll(t, model, rel, engineConfig(4, 4))
+		items := deriveAll(t, model, rel, engineConfig(4))
 
 		type labeled struct {
 			label string
 			eng   *derive.Engine
 		}
 		var engines []labeled
-		for _, w := range [][2]int{{1, 1}, {2, 2}, {8, 8}} {
-			eng, err := derive.New(model, engineConfig(w[0], w[1]))
+		for _, w := range []int{1, 2, 8} {
+			eng, err := derive.New(model, engineConfig(w))
 			if err != nil {
 				t.Fatal(err)
 			}
 			engines = append(engines, labeled{label: "workers", eng: eng})
 		}
-		thrashCfg := engineConfig(2, 2)
+		thrashCfg := engineConfig(2)
 		thrashCfg.CacheEntries = 1
 		thrash, err := derive.New(model, thrashCfg)
 		if err != nil {
@@ -74,7 +74,7 @@ func TestAdaptiveMatchesOracle(t *testing.T) {
 // the oracle.
 func TestAdaptiveDegradedStaysSound(t *testing.T) {
 	model, rel := fixture(t, 23)
-	items := deriveAll(t, model, rel, engineConfig(4, 4))
+	items := deriveAll(t, model, rel, engineConfig(4))
 
 	for _, spec := range []Spec{
 		{Op: Count, Preds: []Pred{{Attr: 0, Cmp: Le, Value: 1}}},
@@ -85,7 +85,7 @@ func TestAdaptiveDegradedStaysSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := derive.New(model, engineConfig(2, 2))
+		eng, err := derive.New(model, engineConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestAdaptiveDegradedStaysSound(t *testing.T) {
 func TestEnvelopeSharingAcrossQueries(t *testing.T) {
 	ctx := context.Background()
 	model, rel := fixture(t, 29)
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestIntervalCacheKeyAcrossQueries(t *testing.T) {
 	narrow := wide.Clone()
 	narrow[1] = 1
 
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestIntervalCacheKeyAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := deriveAll(t, model, relOf(narrow), engineConfig(2, 2))
+	items := deriveAll(t, model, relOf(narrow), engineConfig(2))
 	checkOracle(t, "after "+first.String()+": "+second.String(), second, res, items, s)
 	if a := res.Plan.Adaptive; a == nil || a.EnvelopeMisses != 1 {
 		t.Fatalf("second query's interval was not computed afresh: %+v", a)
@@ -237,7 +237,7 @@ func TestPlanIndependentOfOtherEngines(t *testing.T) {
 	}
 	planOnFreshEngine := func() PlanInfo {
 		t.Helper()
-		eng, err := derive.New(model, engineConfig(2, 2))
+		eng, err := derive.New(model, engineConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestPlanIndependentOfOtherEngines(t *testing.T) {
 			}
 		}
 	}
-	other, err := derive.New(model, engineConfig(2, 2))
+	other, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestPlanIndependentOfOtherEngines(t *testing.T) {
 func TestPlanPathAllocations(t *testing.T) {
 	ctx := context.Background()
 	model, rel := fixture(t, 43)
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,13 @@ package query
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/derive"
+	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // expiredCtx carries a deadline that has already passed: the
@@ -43,8 +46,8 @@ func requireDegraded(t *testing.T, label string, res *Result) {
 // lower side.
 func TestDegradedBoundsContainOracle(t *testing.T) {
 	model, rel := fixture(t, 31)
-	items := deriveAll(t, model, rel, engineConfig(2, 4))
-	eng, err := derive.New(model, engineConfig(2, 4))
+	items := deriveAll(t, model, rel, engineConfig(4))
+	eng, err := derive.New(model, engineConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +204,8 @@ func TestDegradedBoundsContainOracle(t *testing.T) {
 // degraded, even though the planner computed the extra envelopes.
 func TestGenerousDeadlineStaysExact(t *testing.T) {
 	model, rel := fixture(t, 32)
-	items := deriveAll(t, model, rel, engineConfig(2, 4))
-	eng, err := derive.New(model, engineConfig(2, 4))
+	items := deriveAll(t, model, rel, engineConfig(4))
+	eng, err := derive.New(model, engineConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,5 +231,162 @@ func TestGenerousDeadlineStaysExact(t *testing.T) {
 			t.Fatalf("%s: degraded under a generous deadline", q.String())
 		}
 		checkOracle(t, q.String(), q, res, items, model.Schema)
+	}
+}
+
+// TestUnsafeExistsDegradesUnderSpentDeadline: the dissociation pre-pass
+// of an unsafe SPJ exists treats a spent deadline like every other scan
+// does, so under an already expired deadline the query answers at every
+// threshold instead of failing: flagged Dissociated, with Bounds that
+// contain both the oracle mass and the reported probability, and Degraded
+// exactly when an expensive tuple was answered from its interval.
+func TestUnsafeExistsDegradesUnderSpentDeadline(t *testing.T) {
+	model, people, cities, pa, v := spjUnsafeFixture(t, 111)
+	preds := []Pred{{Attr: pa, Cmp: Eq, Value: v}}
+	cfg := engineConfig(2)
+	var prob float64
+	for i, minProb := range []float64{0, 0.3, 0.999} {
+		spj, err := CompileSPJ(model.Schema, spjSpec(Spec{Op: Exists, Preds: preds, MinProb: minProb}, people, cities))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spj.Safe() {
+			t.Fatal("shared uncertain cities must make the plan unsafe")
+		}
+		if i == 0 {
+			prob = oracleExists(preds, deriveAll(t, model, spj.SourceRelation(), cfg))
+		}
+		eng, err := derive.New(model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Eval(expiredCtx(t), eng, spj, spj.Query(), Options{})
+		if err != nil {
+			t.Fatalf("minprob %v: expired deadline failed instead of degrading: %v", minProb, err)
+		}
+		if !res.Dissociated {
+			t.Fatalf("minprob %v: unsafe exists not flagged dissociated: %+v", minProb, res)
+		}
+		if b := res.Bounds; b == nil || b.Lo > prob+degradeEps || b.Hi < prob-degradeEps ||
+			b.Lo > res.Prob || b.Hi < res.Prob {
+			t.Fatalf("minprob %v: bounds %+v do not contain the oracle mass %v and the reported %v",
+				minProb, res.Bounds, prob, res.Prob)
+		}
+		if res.Degraded != (res.DegradedTuples > 0) || res.Counters.Derived != 0 {
+			t.Fatalf("minprob %v: degraded %v with %d degraded tuples and %d derived under an expired deadline",
+				minProb, res.Degraded, res.DegradedTuples, res.Counters.Derived)
+		}
+		if c := res.Counters; c.Pruned+c.Bounded+c.Derived != c.Scanned {
+			t.Fatalf("minprob %v: counters do not partition the scan: %+v", minProb, c)
+		}
+	}
+}
+
+// TestSingleMissingWaitsOutDeadline pins the first deadline rule of the
+// executor's resolve: a single-missing tuple has no interval to fall
+// back on, so it never degrades and never fails on the budget. Its vote
+// is claimed, and held in flight by an injected sleep, on another
+// goroutine; a count under an expired deadline whose only incomplete
+// tuple it is reaches it while the claimer still sleeps, waits for the
+// vote, and answers exactly.
+func TestSingleMissingWaitsOutDeadline(t *testing.T) {
+	model, rel := fixture(t, 31)
+	sub := relation.NewRelation(rel.Schema)
+	var single relation.Tuple
+	for _, tu := range rel.Tuples {
+		if tu.IsComplete() || (single == nil && tu.NumMissing() == 1) {
+			if !tu.IsComplete() {
+				single = tu
+			}
+			if err := sub.Append(tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if single == nil {
+		t.Fatal("fixture has no single-missing tuple")
+	}
+	cfg := engineConfig(2)
+	items := deriveAll(t, model, sub, cfg)
+	eng, err := derive.New(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Compile(model.Schema, Spec{Op: Count, Preds: []Pred{{Attr: single.MissingAttrs()[0], Cmp: Ge, Value: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := faultinject.Configure("derive.vote=sleep:50ms/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	claimed := make(chan error, 1)
+	go func() {
+		_, _, err := eng.ResolveBlock(context.Background(), single)
+		claimed <- err
+	}()
+	for eng.Stats().VotesComputed < 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	res, err := Eval(expiredCtx(t), eng, sub, q, Options{})
+	if err != nil {
+		t.Fatalf("single-missing tuple failed on a spent budget: %v", err)
+	}
+	if res.Degraded {
+		t.Fatalf("single-missing tuple degraded: %+v", res)
+	}
+	checkOracle(t, "single-missing under an expired deadline", q, res, items, model.Schema)
+	if err := <-claimed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProjectedSPJNeverDegrades pins the second deadline rule: the
+// projected distinct-answer evaluator folds no interval, so a tuple
+// answered from one would silently drop mass. Under a deadline inside
+// the budget's 2 ms safety margin, a projected SPJ with multi-missing
+// rows returns the deadline error or the exact answer, never a degraded
+// one.
+func TestProjectedSPJNeverDegrades(t *testing.T) {
+	model, people, cities := spjSafeFixture(t, 131)
+	nAttrs := model.Schema.NumAttrs()
+	preds := []Pred{{Attr: 1, Cmp: Ge, Value: 1}}
+	ss := spjSpec(Spec{Op: Count, Preds: preds}, people, cities)
+	ss.Project = []string{model.Schema.Attrs[0].Name, model.Schema.Attrs[nAttrs-1].Name}
+	spj, err := CompileSPJ(model.Schema, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := 0
+	for _, tu := range spj.SourceRelation().Tuples {
+		if c, _ := spj.Query().classify(tu, nil); c != refuted && tu.NumMissing() > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("fixture has no multi-missing row")
+	}
+	cfg := engineConfig(2)
+	var want float64
+	for _, r := range oracleProject(deriveAll(t, model, spj.SourceRelation(), cfg), preds, []int{0, nAttrs - 1}, 0) {
+		want += r.Prob
+	}
+	eng, err := derive.New(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	res, err := Eval(ctx, eng, spj, spj.Query(), Options{})
+	switch {
+	case err != nil:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("projected SPJ under a 1ms deadline: %v", err)
+		}
+	case res.Degraded || res.DegradedTuples != 0:
+		t.Fatalf("projected SPJ answered degraded: %+v", res)
+	case res.Expected != want:
+		t.Fatalf("projected SPJ expected count %v, want bit-identical %v", res.Expected, want)
 	}
 }

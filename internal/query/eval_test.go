@@ -19,12 +19,11 @@ func bestAveraged() vote.Method {
 	return vote.Method{Choice: core.BestVoters, Scheme: vote.Averaged}
 }
 
-func engineConfig(voteWorkers, gibbsWorkers int) derive.Config {
+func engineConfig(workers int) derive.Config {
 	return derive.Config{
-		Method:       bestAveraged(),
-		Gibbs:        gibbs.Config{Samples: 120, BurnIn: 20, Method: bestAveraged(), Seed: 7},
-		VoteWorkers:  voteWorkers,
-		GibbsWorkers: gibbsWorkers,
+		Method:  bestAveraged(),
+		Gibbs:   gibbs.Config{Samples: 120, BurnIn: 20, Method: bestAveraged(), Seed: 7},
+		Workers: workers,
 	}
 }
 
@@ -353,7 +352,7 @@ func tieredFixture(t testing.TB, seed int64) (*core.Model, *relation.Relation) {
 func evalMatchesOracle(t *testing.T, model *core.Model, rel *relation.Relation, seed int64) derive.Stats {
 	t.Helper()
 	ctx := context.Background()
-	oracleEng, err := derive.New(model, engineConfig(4, 4))
+	oracleEng, err := derive.New(model, engineConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,8 +365,8 @@ func evalMatchesOracle(t *testing.T, model *core.Model, rel *relation.Relation, 
 	}
 
 	var engines []*derive.Engine
-	for _, w := range [][2]int{{1, 2}, {2, 4}, {8, 8}} {
-		eng, err := derive.New(model, engineConfig(w[0], w[1]))
+	for _, w := range []int{2, 4, 8} {
+		eng, err := derive.New(model, engineConfig(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +409,7 @@ func evalMatchesOracle(t *testing.T, model *core.Model, rel *relation.Relation, 
 // the evaluator and the oracle.
 func TestThresholdTouchesTupleProbability(t *testing.T) {
 	model, rel := fixture(t, 21)
-	items := deriveAll(t, model, rel, engineConfig(4, 4))
+	items := deriveAll(t, model, rel, engineConfig(4))
 	preds := []Pred{{Attr: 0, Cmp: Eq, Value: 1}}
 
 	// Find an inferred, strictly fractional tuple probability.
@@ -425,7 +424,7 @@ func TestThresholdTouchesTupleProbability(t *testing.T) {
 		t.Fatal("fixture has no fractional tuple probability")
 	}
 
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +465,7 @@ func TestThresholdTouchesTupleProbability(t *testing.T) {
 // derivation while still answering exactly.
 func TestSelectiveQueriesPrune(t *testing.T) {
 	model, rel := fixture(t, 31)
-	items := deriveAll(t, model, rel, engineConfig(4, 4))
+	items := deriveAll(t, model, rel, engineConfig(4))
 	var incomplete int64
 	for _, tu := range rel.Tuples {
 		if !tu.IsComplete() {
@@ -490,7 +489,7 @@ func TestSelectiveQueriesPrune(t *testing.T) {
 		{Attr: 0, Cmp: Eq, Value: witness[0]},
 		{Attr: 1, Cmp: Eq, Value: witness[1]},
 	}
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,12 +536,13 @@ func TestSelectiveQueriesPrune(t *testing.T) {
 }
 
 // TestCappedEngineFallsBackToDerivation: with a block-alternative cap the
-// marginal CPD no longer equals the (renormalized) block, so bound-based
-// pruning must be disabled — and answers must still match the naive
-// oracle over the capped stream.
+// multi-missing blocks are renormalized, so dissociation bounds are off
+// and they fall back to derivation; single-missing tuples stay on the
+// vote tier and read the capped block itself. Every operator's answer
+// must still match the naive oracle over the capped stream.
 func TestCappedEngineFallsBackToDerivation(t *testing.T) {
 	model, rel := fixture(t, 41)
-	cfg := engineConfig(4, 4)
+	cfg := engineConfig(4)
 	cfg.MaxAlternatives = 2
 	items := deriveAll(t, model, rel, cfg)
 
@@ -559,12 +559,31 @@ func TestCappedEngineFallsBackToDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters.Bounded != 0 {
-		t.Fatalf("capped engine still used CPD bounds: %+v", res.Counters)
+	singles := 0
+	for _, tu := range rel.Tuples {
+		if c, _ := q.classify(tu, nil); c != refuted && tu.NumMissing() == 1 {
+			singles++
+		}
 	}
-	expected, _ := oracleCount(preds, items, 0)
-	if res.Expected != expected {
-		t.Fatalf("capped count = %v, want bit-identical %v", res.Expected, expected)
+	if singles == 0 || res.Plan.SingleMissing != singles {
+		t.Fatalf("plan puts %d single-missing tuples on the vote tier, want all %d: %+v",
+			res.Plan.SingleMissing, singles, res.Plan)
+	}
+	checkOracle(t, "capped count", q, res, items, model.Schema)
+	for _, spec := range []Spec{
+		{Op: Count, Preds: preds, MinProb: 0.5},
+		{Op: TopK, Preds: preds, K: 5},
+		{Op: GroupBy, Preds: preds, GroupBy: model.Schema.Attrs[1].Name},
+	} {
+		q, err := Compile(model.Schema, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Eval(context.Background(), eng, rel, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOracle(t, "capped "+q.String(), q, res, items, model.Schema)
 	}
 }
 
@@ -625,10 +644,9 @@ func TestBoundsPruneMultiMissing(t *testing.T) {
 	a1, v1, a2, v2 := rareValues(t, inst, rng, s)
 
 	cfg := derive.Config{
-		Method:       bestAveraged(),
-		Gibbs:        gibbs.Config{Samples: 800, BurnIn: 50, Method: bestAveraged(), Seed: 7},
-		VoteWorkers:  2,
-		GibbsWorkers: 4,
+		Method:  bestAveraged(),
+		Gibbs:   gibbs.Config{Samples: 800, BurnIn: 50, Method: bestAveraged(), Seed: 7},
+		Workers: 4,
 	}
 
 	// A multi-missing-heavy relation: half the tuples miss both predicate
@@ -734,7 +752,7 @@ func TestBoundsPruneMultiMissing(t *testing.T) {
 // the scan, and the predicate order is sorted by estimated selectivity.
 func TestPlanInfo(t *testing.T) {
 	model, rel := fixture(t, 61)
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -812,7 +830,7 @@ func TestTopKCertainCutSkipsCheapTiers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -839,7 +857,7 @@ func TestTopKCertainCutSkipsCheapTiers(t *testing.T) {
 // (probability, input order) tie-break against a held certain row.
 func TestCappedTopKTieAtProbabilityOne(t *testing.T) {
 	model, _ := fixture(t, 81)
-	cfg := engineConfig(2, 2)
+	cfg := engineConfig(2)
 	cfg.MaxAlternatives = 1
 
 	rng := rand.New(rand.NewSource(83))
@@ -883,7 +901,7 @@ func TestCappedTopKTieAtProbabilityOne(t *testing.T) {
 // TestEvalValidation covers the evaluator's own error paths.
 func TestEvalValidation(t *testing.T) {
 	model, rel := fixture(t, 51)
-	eng, err := derive.New(model, engineConfig(1, 1))
+	eng, err := derive.New(model, engineConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 // Executor: the second stage of the query pipeline. It consumes the
 // planner's tiers in increasing cost order — evidence-decided tuples for
-// free, single-missing tuples from the shared CPD cache, bound-tier
-// tuples from their dissociation intervals, and only the remainder
-// through full block derivation — while keeping every answer
-// bit-identical to deriving the whole relation and evaluating the stream
-// naively:
+// free, single-missing tuples from their voted blocks, bound-tier tuples
+// from their dissociation intervals, and only the remainder through full
+// block derivation — while keeping every answer bit-identical to deriving
+// the whole relation and evaluating the stream naively:
 //
 //   - Thresholded count decides a tuple in when its interval's lower
 //     bound reaches MinProb and out when the upper bound stays below —
@@ -24,7 +23,13 @@
 //     reject anyway, so the cut is exact.
 //   - Expected count, unthresholded exists, and groupby need exact
 //     masses for every open tuple; they scan fully with a prefetched
-//     worklist, as before.
+//     worklist.
+//
+// Every operator reads a tuple's completions through one call, resolve:
+// it hands the operator's fold the tuple's satisfying alternatives in
+// block order — from an observed tuple's conditioned block, or from the
+// engine's cached block on the vote, bound and derive tiers — and owns
+// the deadline fallback.
 package query
 
 import (
@@ -37,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/derive"
-	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/pdb"
@@ -308,35 +312,6 @@ func (ex *executor) degrade(c *Counters, iv derive.Interval) {
 	c.BoundWidth += iv.Width()
 }
 
-// expensiveTier reports a tier whose exact resolution runs block
-// derivation (and so can be refused or interrupted by the budget). The
-// cheap tiers — skip, certain, observed, vote — stay exact even after
-// exhaustion: they cost no context-bound inference.
-func expensiveTier(t tupleTier) bool { return t == tierBound || t == tierDerive }
-
-// probOrDegrade resolves planned tuple i exactly unless the deadline
-// budget is spent, in which case an expensive tuple is answered from its
-// planned interval: the bool result reports that degradation, and the
-// caller folds act.iv instead of a point mass. An in-flight derivation
-// killed by the deadline is converted the same way (its derive accounting
-// is undone first).
-func (ex *executor) probOrDegrade(ctx context.Context, i int, c *Counters) (float64, bool, error) {
-	act := ex.plan.acts[i]
-	if expensiveTier(act.tier) && ex.budgetExhausted() {
-		ex.degrade(c, act.iv)
-		return 0, true, nil
-	}
-	p, err := ex.exactProb(ctx, i, c)
-	if err != nil && expensiveTier(act.tier) && ex.hasDL && errors.Is(err, context.DeadlineExceeded) {
-		c.Derived--
-		c.BoundWidth -= act.iv.Width()
-		ex.exhausted = true
-		ex.degrade(c, act.iv)
-		return 0, true, nil
-	}
-	return p, false, err
-}
-
 // clamp1 caps an interval's upper side at 1: the dissociation envelopes
 // carry a float-margin ceiling just above 1, but no satisfaction
 // probability exceeds 1, so degraded folds tighten to min(Hi, 1).
@@ -350,118 +325,73 @@ func (ex *executor) emit(res *Result) error {
 	return ex.progress(res)
 }
 
-// valueMass is one positive-mass completion value of a marginal CPD.
-type valueMass struct {
-	v int
-	p float64
-}
-
-// orderedMass lists d's positive-mass values in the exact order
-// pdb.NewBlock would emit them as alternatives: built in value order,
-// stable-sorted by descending probability (so equal-probability values
-// keep value order). Replicating the order matters — float sums are
-// order-sensitive, and the evaluator's contract is bit-identity with the
-// derived block.
-func orderedMass(d dist.Dist) []valueMass {
-	ord := make([]valueMass, 0, len(d))
-	for v, p := range d {
-		if p > 0 {
-			ord = append(ord, valueMass{v: v, p: p})
-		}
-	}
-	slices.SortStableFunc(ord, func(x, y valueMass) int {
-		switch {
-		case x.p > y.p:
-			return -1
-		case x.p < y.p:
-			return 1
-		}
-		return 0
-	})
-	return ord
-}
-
-// altsProb sums the probability of the satisfying alternatives, in block
-// order — exactly the naive evaluation of a derived block.
-func (ex *executor) altsProb(alts []pdb.Alternative) float64 {
-	var s float64
-	for _, a := range alts {
-		if ex.plan.satisfies(a.Tuple) {
-			s += a.Prob
-		}
-	}
-	return s
-}
-
-// distProb is the satisfaction probability of a single-missing tuple
-// whose missing attribute attr completes according to d: the sum of the
-// satisfying completions' mass, in block-alternative order, bit-identical
-// to altsProb over the block the derivation path would expand.
-func (ex *executor) distProb(attr int, d dist.Dist) float64 {
-	set := ex.q.sat[attr]
-	var s float64
-	for _, vm := range orderedMass(d) {
-		if set == nil || set.contains(vm.v) {
-			s += vm.p
-		}
-	}
-	return s
-}
-
-// distAlts expands the marginal CPD of a single-missing tuple into the
-// same completions, in the same order, as the derived block's
-// alternatives.
-func distAlts(t relation.Tuple, attr int, d dist.Dist) []pdb.Alternative {
-	ord := orderedMass(d)
-	alts := make([]pdb.Alternative, len(ord))
-	for i, vm := range ord {
-		tu := t.Clone()
-		tu[attr] = vm.v
-		alts[i] = pdb.Alternative{Tuple: tu, Prob: vm.p}
-	}
-	return alts
-}
-
-// exactProb resolves the exact satisfaction probability of planned
-// tuple i, bumping the evaluation counters: tierVote from the shared
-// CPD cache, tierBound and tierDerive through full block derivation
-// (the bound tier's re-measured interval width feeds the tightness
-// stats; a vacuous derive-tier tuple reports width 1).
-func (ex *executor) exactProb(ctx context.Context, i int, c *Counters) (float64, error) {
-	t := ex.rel.Tuples[i]
-	switch act := ex.plan.acts[i]; act.tier {
+// resolve hands fold the satisfying alternatives of planned tuple i, in
+// block order, and bumps the evaluation counters: a certain tuple is its
+// own alternative at probability 1, an observed tuple reads its
+// conditioned block, and the vote, bound and derive tiers read the block
+// Engine.ResolveBlock serves (the vote tier counts as Bounded, the other
+// two as Derived with their interval's width). The timed tiers' clocks
+// cover the fold.
+//
+// resolve owns the deadline fallback. Once the budget is spent, or the
+// deadline cuts a wait, a bound- or derive-tier tuple folds nothing: it
+// is accounted degraded and ok is false, so the caller folds the tuple's
+// planned interval instead. A single-missing tuple has no interval to
+// fall back on, so it never degrades and never fails on the budget: its
+// block is read under context.WithoutCancel, since a wait on one vote is
+// short.
+func (ex *executor) resolve(ctx context.Context, i int, c *Counters, fold func(pdb.Alternative)) (ok bool, err error) {
+	act := ex.plan.acts[i]
+	switch act.tier {
 	case tierSkip:
-		return 0, nil
+		return true, nil
 	case tierCertain:
-		return 1, nil
+		fold(pdb.Alternative{Tuple: ex.rel.Tuples[i], Prob: 1})
+		return true, nil
+	}
+	start := ex.tm.tick()
+	var b *pdb.Block
+	ns, n := &ex.tm.deriveNS, &ex.tm.deriveN
+	switch act.tier {
 	case tierObserved:
-		// The conditioned posterior is already materialized; the exact
-		// satisfying mass was folded at plan time (in block order). Free:
-		// counts as pruned.
-		return act.iv.Lo, nil
+		b, ns, n = act.blk, &ex.tm.observedNS, &ex.tm.observedN
 	case tierVote:
 		c.Bounded++
-		attr := t.MissingAttrs()[0]
-		start := ex.tm.tick()
-		d, _, err := ex.eng.MarginalCPD(t, attr)
-		if err != nil {
-			return 0, err
+		if b, _, err = ex.eng.ResolveBlock(context.WithoutCancel(ctx), ex.rel.Tuples[i]); err != nil {
+			return false, err
 		}
-		p := ex.distProb(attr, d)
-		ex.tm.tock(start, &ex.tm.voteNS, &ex.tm.voteN)
-		return p, nil
+		ns, n = &ex.tm.voteNS, &ex.tm.voteN
 	default: // tierBound (undecided), tierDerive
+		if ex.budgetExhausted() {
+			ex.degrade(c, act.iv)
+			return false, nil
+		}
+		if b, _, err = ex.eng.ResolveBlock(ctx, ex.rel.Tuples[i]); err != nil {
+			if ex.hasDL && errors.Is(err, context.DeadlineExceeded) {
+				ex.exhausted = true
+				ex.degrade(c, act.iv)
+				return false, nil
+			}
+			return false, err
+		}
 		c.Derived++
 		c.BoundWidth += act.iv.Width()
-		start := ex.tm.tick()
-		b, _, err := ex.eng.ResolveBlock(ctx, t)
-		if err != nil {
-			return 0, err
-		}
-		p := ex.altsProb(b.Alts)
-		ex.tm.tock(start, &ex.tm.deriveNS, &ex.tm.deriveN)
-		return p, nil
 	}
+	for _, a := range b.Alts {
+		if ex.plan.satisfies(a.Tuple) {
+			fold(a)
+		}
+	}
+	ex.tm.tock(start, ns, n)
+	return true, nil
+}
+
+// prob is resolve folded into planned tuple i's satisfaction
+// probability: its satisfying alternatives' mass summed in block order,
+// exactly the naive evaluation of its block.
+func (ex *executor) prob(ctx context.Context, i int, c *Counters) (p float64, ok bool, err error) {
+	ok, err = ex.resolve(ctx, i, c, func(a pdb.Alternative) { p += a.Prob })
+	return p, ok, err
 }
 
 // boundDecides reports whether an interval alone answers the MinProb
@@ -543,11 +473,11 @@ func (ex *executor) evalCount(ctx context.Context) (*Result, error) {
 				continue
 			}
 		}
-		p, deg, err := ex.probOrDegrade(ctx, i, &res.Counters)
+		p, ok, err := ex.prob(ctx, i, &res.Counters)
 		if err != nil {
 			return nil, err
 		}
-		if deg {
+		if !ok {
 			// Fold the interval instead of the point mass: the expected
 			// count takes the lower side (Bounds carries the slack); a
 			// thresholded count leaves the tuple undecided.
@@ -610,8 +540,9 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 		// in input order, each checked against the threshold so the pass
 		// stops at the earliest crossing. Counters land in a scratch:
 		// they only count if this pass decides. (When neither pass-1
-		// source crosses, the votes were still not wasted — they sit in
-		// the shared CPD cache for pass 2 and every later query.)
+		// source crosses, the votes were still not wasted — their blocks
+		// sit in the engine's block cache for pass 2 and every later
+		// query.)
 		var c Counters
 		miss := 1.0 // upper bound on the probability that no tuple satisfies
 		crossed := false
@@ -644,7 +575,7 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 			if ex.plan.acts[i].tier != tierVote {
 				continue
 			}
-			p, err := ex.exactProb(ctx, i, &c)
+			p, _, err := ex.prob(ctx, i, &c)
 			if err != nil {
 				return nil, err
 			}
@@ -672,17 +603,17 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 			if ex.plan.acts[i].tier == tierSkip {
 				continue // factor 1 - 0: multiplying by 1 is exact
 			}
-			p, deg, err := ex.probOrDegrade(ctx, i, &res.Counters)
+			p, ok, err := ex.prob(ctx, i, &res.Counters)
 			if err != nil {
 				return nil, err
 			}
-			if deg {
+			if ok {
+				miss *= 1 - p
+				missLo *= 1 - p
+			} else {
 				iv := ex.plan.acts[i].iv
 				miss *= 1 - iv.Lo
 				missLo *= 1 - clamp1(iv.Hi)
-			} else {
-				miss *= 1 - p
-				missLo *= 1 - p
 			}
 			if 1-miss >= ex.q.minProb {
 				res.Prob, res.Exists, res.EarlyStop = 1-miss, true, true
@@ -715,17 +646,17 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 		if ex.plan.acts[i].tier == tierSkip {
 			continue
 		}
-		p, deg, err := ex.probOrDegrade(ctx, i, &res.Counters)
+		p, ok, err := ex.prob(ctx, i, &res.Counters)
 		if err != nil {
 			return nil, err
 		}
-		if deg {
+		if ok {
+			miss *= 1 - p
+			missLo *= 1 - p
+		} else {
 			iv := ex.plan.acts[i].iv
 			miss *= 1 - iv.Lo
 			missLo *= 1 - clamp1(iv.Hi)
-		} else {
-			miss *= 1 - p
-			missLo *= 1 - p
 		}
 	}
 	res.Prob = 1 - miss
@@ -773,49 +704,12 @@ func (ex *executor) insert(res *Result, r Row) {
 	}
 }
 
-// insertResolved resolves planned tuple i exactly and inserts its
-// satisfying completions.
-func (ex *executor) insertResolved(ctx context.Context, res *Result, i int) error {
-	t := ex.rel.Tuples[i]
-	switch act := ex.plan.acts[i]; act.tier {
-	case tierObserved:
-		start := ex.tm.tick()
-		for _, a := range act.blk.Alts {
-			if ex.plan.satisfies(a.Tuple) {
-				ex.insert(res, Row{Index: i, Tuple: a.Tuple, Prob: a.Prob})
-			}
-		}
-		ex.tm.tock(start, &ex.tm.observedNS, &ex.tm.observedN)
-	case tierVote:
-		res.Counters.Bounded++
-		attr := t.MissingAttrs()[0]
-		start := ex.tm.tick()
-		d, _, err := ex.eng.MarginalCPD(t, attr)
-		if err != nil {
-			return err
-		}
-		for _, a := range distAlts(t, attr, d) {
-			if ex.plan.satisfies(a.Tuple) {
-				ex.insert(res, Row{Index: i, Tuple: a.Tuple, Prob: a.Prob})
-			}
-		}
-		ex.tm.tock(start, &ex.tm.voteNS, &ex.tm.voteN)
-	default: // tierBound, tierDerive
-		res.Counters.Derived++
-		res.Counters.BoundWidth += act.iv.Width()
-		start := ex.tm.tick()
-		b, _, err := ex.eng.ResolveBlock(ctx, t)
-		if err != nil {
-			return err
-		}
-		for _, a := range b.Alts {
-			if ex.plan.satisfies(a.Tuple) {
-				ex.insert(res, Row{Index: i, Tuple: a.Tuple, Prob: a.Prob})
-			}
-		}
-		ex.tm.tock(start, &ex.tm.deriveNS, &ex.tm.deriveN)
-	}
-	return nil
+// insertResolved resolves planned tuple i and inserts its satisfying
+// completions; ok is resolve's.
+func (ex *executor) insertResolved(ctx context.Context, res *Result, i int) (ok bool, err error) {
+	return ex.resolve(ctx, i, &res.Counters, func(a pdb.Alternative) {
+		ex.insert(res, Row{Index: i, Tuple: a.Tuple, Prob: a.Prob})
+	})
 }
 
 // cutDecides reports whether the held rank-k row already decides
@@ -933,7 +827,7 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 		case tierCertain:
 			ex.insert(res, Row{Index: i, Tuple: ex.rel.Tuples[i], Prob: 1, Certain: true})
 		case tierVote, tierObserved:
-			if err := ex.insertResolved(ctx, res, i); err != nil {
+			if _, err := ex.insertResolved(ctx, res, i); err != nil {
 				return nil, err
 			}
 			resolved++
@@ -1008,25 +902,16 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 				decideBound(&res.Counters, act.iv, false)
 				continue
 			}
-			if ex.budgetExhausted() {
-				// Budget spent: stop resolving candidates. The rows already
-				// held are exact; every unresolved candidate's completions are
-				// capped by its interval upper side, reported through Bounds.
-				ex.degrade(&res.Counters, act.iv)
+			ok, err := ex.insertResolved(ctx, res, i)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				// Budget spent: the rows already held are exact; every
+				// unresolved candidate's completions are capped by its
+				// interval upper side, reported through Bounds.
 				degHi = math.Max(degHi, clamp1(act.iv.Hi))
 				continue
-			}
-			err := ex.insertResolved(ctx, res, i)
-			if err != nil {
-				if ex.hasDL && errors.Is(err, context.DeadlineExceeded) {
-					res.Counters.Derived--
-					res.Counters.BoundWidth -= act.iv.Width()
-					ex.exhausted = true
-					ex.degrade(&res.Counters, act.iv)
-					degHi = math.Max(degHi, clamp1(act.iv.Hi))
-					continue
-				}
-				return nil, err
 			}
 			resolved++
 			if err := ex.emit(res); err != nil {
@@ -1076,7 +961,6 @@ func (ex *executor) evalGroupBy(ctx context.Context) (*Result, error) {
 	var degHi []float64
 	degradeGroup := func(i int, t relation.Tuple) {
 		iv := ex.plan.acts[i].iv
-		ex.degrade(&res.Counters, iv)
 		if degHi == nil {
 			degHi = make([]float64, card)
 		}
@@ -1100,65 +984,16 @@ func (ex *executor) evalGroupBy(ctx context.Context) (*Result, error) {
 		case tierCertain:
 			res.Groups[t[g]].Expected++
 			continue
-		case tierObserved:
-			start := ex.tm.tick()
-			clear(perValue)
-			for _, a := range ex.plan.acts[i].blk.Alts {
-				if ex.plan.satisfies(a.Tuple) {
-					perValue[a.Tuple[g]] += a.Prob
-				}
-			}
+		}
+		clear(perValue)
+		ok, err := ex.resolve(ctx, i, &res.Counters, func(a pdb.Alternative) { perValue[a.Tuple[g]] += a.Prob })
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			fold()
-			ex.tm.tock(start, &ex.tm.observedNS, &ex.tm.observedN)
-		case tierVote:
-			res.Counters.Bounded++
-			attr := t.MissingAttrs()[0]
-			start := ex.tm.tick()
-			d, _, err := ex.eng.MarginalCPD(t, attr)
-			if err != nil {
-				return nil, err
-			}
-			clear(perValue)
-			set := ex.q.sat[attr]
-			for _, vm := range orderedMass(d) {
-				if set != nil && !set.contains(vm.v) {
-					continue
-				}
-				gv := t[g]
-				if attr == g {
-					gv = vm.v
-				}
-				perValue[gv] += vm.p
-			}
-			fold()
-			ex.tm.tock(start, &ex.tm.voteNS, &ex.tm.voteN)
-		default: // tierDerive (groupby plans no bound tier)
-			if ex.budgetExhausted() {
-				degradeGroup(i, t)
-				break
-			}
-			res.Counters.Derived++
-			res.Counters.BoundWidth += ex.plan.acts[i].iv.Width()
-			start := ex.tm.tick()
-			b, _, err := ex.eng.ResolveBlock(ctx, t)
-			if err != nil {
-				if ex.hasDL && errors.Is(err, context.DeadlineExceeded) {
-					res.Counters.Derived--
-					res.Counters.BoundWidth -= ex.plan.acts[i].iv.Width()
-					ex.exhausted = true
-					degradeGroup(i, t)
-					break
-				}
-				return nil, err
-			}
-			clear(perValue)
-			for _, a := range b.Alts {
-				if ex.plan.satisfies(a.Tuple) {
-					perValue[a.Tuple[g]] += a.Prob
-				}
-			}
-			fold()
-			ex.tm.tock(start, &ex.tm.deriveNS, &ex.tm.deriveN)
+		} else {
+			degradeGroup(i, t)
 		}
 		if err := ex.emit(res); err != nil {
 			return nil, err

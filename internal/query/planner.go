@@ -32,8 +32,9 @@ const (
 	// tierCertain: a complete tuple satisfying every predicate —
 	// probability exactly 1, no inference.
 	tierCertain
-	// tierVote: a single-missing tuple decidable from the voted marginal
-	// CPD, bit-identically to its derived block.
+	// tierVote: a single-missing tuple, read from its voted block (capped
+	// like every block on a capped engine). A vote costs no chain and the
+	// tuple carries no interval, so it never degrades.
 	tierVote
 	// tierBound: a multi-missing tuple carrying a non-vacuous
 	// dissociation interval; the executor decides it from the interval
@@ -316,12 +317,6 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 		}
 	}
 
-	// Single-missing tuples take the CPD path only when the engine keeps
-	// full blocks: a capped block is renormalized, so only the block
-	// itself reproduces the derived answer. The same cap disables
-	// dissociation bounds inside BoundCPD.
-	useVote := eng.MaxAlternatives() <= 0
-
 	// sat in the [][]bool shape BoundCPD consumes, built once per plan.
 	wantIV := info.BoundsUsed || hasDL
 	var satBools [][]bool
@@ -377,7 +372,7 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 			}
 			p.acts[i] = planned{tier: tierObserved, iv: derive.Interval{Lo: mass, Hi: mass}, blk: overrides[i]}
 			info.Observed++
-		case useVote && t.NumMissing() == 1:
+		case t.NumMissing() == 1:
 			p.acts[i] = planned{tier: tierVote}
 			info.SingleMissing++
 		default:

@@ -46,10 +46,10 @@ type Counters struct {
 	// refuted by evidence or structure, and tuples skipped once early
 	// termination made their contribution irrelevant.
 	Pruned int64
-	// Bounded tuples were decided without a block expansion or a Gibbs
-	// chain: single-missing tuples answered from the per-attribute
-	// marginal in the engine's shared CPD cache, and multi-missing tuples
-	// decided by their dissociation bound interval.
+	// Bounded tuples were decided without a Gibbs chain or an exact
+	// solve: single-missing tuples answered from their voted block in the
+	// engine's block cache, and multi-missing tuples decided by their
+	// dissociation bound interval.
 	Bounded int64
 	// Derived tuples were sent to full block derivation.
 	Derived int64

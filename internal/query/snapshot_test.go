@@ -131,9 +131,9 @@ func TestEvalSnapshotMatchesConditionedOracle(t *testing.T) {
 		name string
 		cfg  derive.Config
 	}{
-		{"chains", engineConfig(2, 4)},
+		{"chains", engineConfig(4)},
 		{"chains-evicting", func() derive.Config {
-			c := engineConfig(2, 4)
+			c := engineConfig(4)
 			c.CacheEntries = 1
 			return c
 		}()},
@@ -190,11 +190,11 @@ func TestEvalSnapshotMatchesConditionedOracle(t *testing.T) {
 // long-lived engine takes deltas one at a time, and after EVERY delta a
 // fresh snapshot's answers are bit-identical to the fresh-engine oracle
 // of the conditioned database at that prefix. A stale conditioned-block,
-// vote, joint, or CPD entry surviving any delta would surface here.
+// block, or CPD entry surviving any delta would surface here.
 func TestEvalSnapshotAfterEveryDelta(t *testing.T) {
 	ctx := context.Background()
 	model, rel := fixture(t, 37)
-	cfg := engineConfig(2, 4)
+	cfg := engineConfig(4)
 	live := newEngine(t, model, cfg)
 	oracle := newEngine(t, model, cfg) // content-keyed caches: equivalent to per-prefix fresh engines
 	ds, err := live.RegisterDataset(rel)

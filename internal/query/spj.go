@@ -563,7 +563,7 @@ func (ex *executor) evalExistsDissociated(ctx context.Context) (*Result, error) 
 	var c Counters
 	lo, hiMiss := 0.0, 1.0
 	for i := range ex.rel.Tuples {
-		if err := ctx.Err(); err != nil {
+		if err := ex.scanErr(ctx); err != nil {
 			return nil, err
 		}
 		act := ex.plan.acts[i]
@@ -576,14 +576,10 @@ func (ex *executor) evalExistsDissociated(ctx context.Context) (*Result, error) 
 		case tierObserved:
 			l, h = act.iv.Lo, act.iv.Hi // exact [p, p]
 		case tierVote:
-			t := ex.rel.Tuples[i]
-			attr := t.MissingAttrs()[0]
-			d, _, err := ex.eng.MarginalCPD(t, attr)
+			p, _, err := ex.prob(ctx, i, &c)
 			if err != nil {
 				return nil, err
 			}
-			p := ex.distProb(attr, d)
-			c.Bounded++
 			l, h = p, p
 		case tierBound:
 			c.Bounded++
@@ -613,7 +609,7 @@ func (ex *executor) evalExistsDissociated(ctx context.Context) (*Result, error) 
 	}
 	// Undecided (or unthresholded): evaluate the dissociated product
 	// exactly. The pre-pass counters are discarded — evalExists recounts,
-	// and its votes were already paid into the shared CPD cache.
+	// and the blocks it read are already in the engine's cache.
 	res, err := ex.evalExists(ctx)
 	if err != nil {
 		return nil, err
@@ -639,6 +635,10 @@ type spjAnswer struct {
 // bit-identical. Bounds are off (boundsOff): every non-refuted row
 // resolves exactly.
 func (ex *executor) evalProject(ctx context.Context, project []int) (*Result, error) {
+	// The distinct-answer fold has no interval to fall back on, so it runs
+	// without a deadline budget: resolve never degrades a tuple here, and a
+	// spent deadline fails the evaluation instead of dropping mass.
+	ex.hasDL = false
 	res := &Result{Op: ex.q.op}
 	var work []int
 	for i := range ex.rel.Tuples {
@@ -659,29 +659,37 @@ func (ex *executor) evalProject(ctx context.Context, project []int) (*Result, er
 	}
 	var entries []rowEntry
 	rowIdx := make(map[string]int)
+	// addAlt folds one satisfying completion of the current row into its
+	// projected value's mass, in block-alternative order.
+	addAlt := func(a pdb.Alternative) {
+		keyBuf = keyBuf[:0]
+		for _, p := range project {
+			keyBuf = appendKeyCode(keyBuf, a.Tuple[p])
+		}
+		if j, ok := rowIdx[string(keyBuf)]; ok {
+			entries[j].mass += a.Prob
+			return
+		}
+		proj := make(relation.Tuple, len(project))
+		for pi, p := range project {
+			proj[pi] = a.Tuple[p]
+		}
+		k := string(keyBuf)
+		rowIdx[k] = len(entries)
+		entries = append(entries, rowEntry{key: k, proj: proj, mass: a.Prob})
+	}
 
-	foldRow := func(i int, alts []pdb.Alternative) {
+	for i := range ex.rel.Tuples {
+		if err := ex.scanErr(ctx); err != nil {
+			return nil, err
+		}
+		if ex.plan.acts[i].tier == tierSkip {
+			continue
+		}
 		entries = entries[:0]
 		clear(rowIdx)
-		for _, a := range alts {
-			if !ex.plan.satisfies(a.Tuple) {
-				continue
-			}
-			keyBuf = keyBuf[:0]
-			for _, p := range project {
-				keyBuf = appendKeyCode(keyBuf, a.Tuple[p])
-			}
-			k := string(keyBuf)
-			if j, ok := rowIdx[k]; ok {
-				entries[j].mass += a.Prob
-				continue
-			}
-			proj := make(relation.Tuple, len(project))
-			for pi, p := range project {
-				proj[pi] = a.Tuple[p]
-			}
-			rowIdx[k] = len(entries)
-			entries = append(entries, rowEntry{key: k, proj: proj, mass: a.Prob})
+		if _, err := ex.resolve(ctx, i, &res.Counters, addAlt); err != nil {
+			return nil, err
 		}
 		for _, e := range entries {
 			ans := seen[e.key]
@@ -691,36 +699,6 @@ func (ex *executor) evalProject(ctx context.Context, project []int) (*Result, er
 				order = append(order, ans)
 			}
 			ans.miss *= 1 - e.mass
-		}
-	}
-
-	for i, t := range ex.rel.Tuples {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		switch act := ex.plan.acts[i]; act.tier {
-		case tierSkip:
-			continue
-		case tierCertain:
-			foldRow(i, []pdb.Alternative{{Tuple: t, Prob: 1}})
-		case tierObserved:
-			foldRow(i, act.blk.Alts)
-		case tierVote:
-			res.Counters.Bounded++
-			attr := t.MissingAttrs()[0]
-			d, _, err := ex.eng.MarginalCPD(t, attr)
-			if err != nil {
-				return nil, err
-			}
-			foldRow(i, distAlts(t, attr, d))
-		default: // tierBound, tierDerive (bounds are off: tierBound never occurs)
-			res.Counters.Derived++
-			res.Counters.BoundWidth += act.iv.Width()
-			b, _, err := ex.eng.ResolveBlock(ctx, t)
-			if err != nil {
-				return nil, err
-			}
-			foldRow(i, b.Alts)
 		}
 	}
 

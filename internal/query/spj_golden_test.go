@@ -52,10 +52,9 @@ func TestSPJGolden(t *testing.T) {
 	method := vote.Method{Choice: core.BestVoters, Scheme: vote.Averaged}
 	gibbsCfg := gibbs.Config{Samples: 200, BurnIn: 20, Method: method, Seed: 5}
 	eng, err := derive.New(m, derive.Config{
-		Method:       method,
-		Gibbs:        gibbsCfg,
-		VoteWorkers:  4,
-		GibbsWorkers: 2,
+		Method:  method,
+		Gibbs:   gibbsCfg,
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

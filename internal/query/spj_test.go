@@ -154,10 +154,10 @@ func TestSPJSafeMatchesOracle(t *testing.T) {
 		if probe.SourceRelation().Len() != people.Len() {
 			t.Fatalf("join changed the row count: %d vs %d", probe.SourceRelation().Len(), people.Len())
 		}
-		items := deriveAll(t, model, probe.SourceRelation(), engineConfig(4, 4))
+		items := deriveAll(t, model, probe.SourceRelation(), engineConfig(4))
 
-		cfgs := []derive.Config{engineConfig(1, 2), engineConfig(2, 4), engineConfig(8, 8)}
-		evicting := engineConfig(2, 2)
+		cfgs := []derive.Config{engineConfig(2), engineConfig(4), engineConfig(8)}
+		evicting := engineConfig(2)
 		evicting.CacheEntries = 1
 		cfgs = append(cfgs, evicting)
 		var engines []*derive.Engine
@@ -271,7 +271,7 @@ func TestSPJUnsafeExistsBounds(t *testing.T) {
 		t.Fatalf("join conditions %v", ji.Conditions)
 	}
 
-	cfg := engineConfig(2, 2)
+	cfg := engineConfig(2)
 	items := deriveAll(t, model, spj.SourceRelation(), cfg)
 	prob := oracleExists(preds, items)
 	if !(prob > 0 && prob < 1) {
@@ -440,11 +440,11 @@ func TestSPJProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := deriveAll(t, model, probe.SourceRelation(), engineConfig(4, 4))
+	items := deriveAll(t, model, probe.SourceRelation(), engineConfig(4))
 
 	var engines []*derive.Engine
-	for _, w := range [][2]int{{1, 2}, {8, 8}} {
-		eng, err := derive.New(model, engineConfig(w[0], w[1]))
+	for _, w := range []int{2, 8} {
+		eng, err := derive.New(model, engineConfig(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,7 +529,7 @@ func TestSPJProjection(t *testing.T) {
 	if uspj.Safe() {
 		t.Fatal("projected unsafe fixture reported safe")
 	}
-	ucfg := engineConfig(2, 2)
+	ucfg := engineConfig(2)
 	uitems := deriveAll(t, um, uspj.SourceRelation(), ucfg)
 	ueng, err := derive.New(um, ucfg)
 	if err != nil {
@@ -743,7 +743,7 @@ func TestSPJTextBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := derive.New(model, engineConfig(2, 2))
+	eng, err := derive.New(model, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +751,7 @@ func TestSPJTextBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := deriveAll(t, model, spj.SourceRelation(), engineConfig(2, 2))
+	items := deriveAll(t, model, spj.SourceRelation(), engineConfig(2))
 	checkOracle(t, "bound statement", spj.Query(), res, items, s)
 
 	// A where both in the statement and in the spec is ambiguous.

@@ -21,7 +21,7 @@ import (
 // judged by how often a scheduler stall lands there.
 func TestAnalyzeTimingAttached(t *testing.T) {
 	m, rel := tieredFixture(t, 17)
-	eng, err := derive.New(m, engineConfig(2, 2))
+	eng, err := derive.New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAnalyzeTimingAttached(t *testing.T) {
 // pre-observability plan output.
 func TestTimingOffByDefault(t *testing.T) {
 	m, rel := fixture(t, 31)
-	eng, err := derive.New(m, engineConfig(2, 2))
+	eng, err := derive.New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTimingOffByDefault(t *testing.T) {
 // the recorder, ending with query.wall.
 func TestTraceEnablesTimingAndRecordsSpans(t *testing.T) {
 	m, rel := fixture(t, 31)
-	eng, err := derive.New(m, engineConfig(2, 2))
+	eng, err := derive.New(m, engineConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestAnalyzeNeverChangesAnswers(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Fresh engine per run: identical cold-cache estimator state.
-				eng, err := derive.New(m, engineConfig(2, 2))
+				eng, err := derive.New(m, engineConfig(2))
 				if err != nil {
 					t.Fatal(err)
 				}

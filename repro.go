@@ -170,26 +170,25 @@ type DeriveOptions struct {
 	// MaxAlternatives caps each block's alternatives (most probable kept,
 	// renormalized); <= 0 keeps all combinations.
 	MaxAlternatives int
-	// Workers sizes the goroutine pool that infers multi-missing tuples,
-	// one independent unit per distinct tuple: an exact solve when the
-	// tuple's chain kernel is small (see Gibbs), a Gibbs chain otherwise;
-	// <= 0 selects GOMAXPROCS. Exact solves use no randomness and chains
-	// are seeded by tuple content, so the derived database is
+	// Workers sizes the goroutine pool that infers the distinct
+	// incomplete tuples of a request, one independent unit per distinct
+	// tuple: an ensemble vote for a single-missing tuple, and for a
+	// multi-missing one an exact solve when its chain kernel is small (see
+	// Gibbs), a Gibbs chain otherwise; <= 0 selects GOMAXPROCS, and the
+	// pool never exceeds it. Each distinct tuple is inferred once through
+	// the engine's block cache; votes and exact solves use no randomness
+	// and chains are seeded by tuple content, so the derived database is
 	// bit-identical for every pool size.
 	Workers int
-	// VoteWorkers sizes the goroutine pool that shards single-missing
-	// voting; <= 0 selects GOMAXPROCS. Distinct incomplete tuples are
-	// voted once through a shared memoization cache, and the derived
-	// database is bit-identical for every pool size.
-	VoteWorkers int
-	// CacheEntries bounds each engine cache (single-missing votes,
-	// multi-missing joints, live datasets' conditioned blocks, and the
-	// shared local-CPD memo) to that many entries with CLOCK eviction, so
-	// long-lived engines serving unbounded pattern diversity run in fixed
-	// memory. <= 0 leaves the vote, joint and conditioned-block caches
-	// unbounded and keeps the CPD memo at its large default cap. Eviction
-	// never changes the derived stream — cached values are deterministic
-	// functions of the model and their key — it only costs recomputation.
+	// CacheEntries bounds each engine cache (the block cache, single- and
+	// multi-missing blocks together; live datasets' conditioned blocks;
+	// and the shared local-CPD memo) to that many entries with CLOCK
+	// eviction, so long-lived engines serving unbounded pattern diversity
+	// run in fixed memory. <= 0 leaves the block and conditioned-block
+	// caches unbounded and keeps the CPD memo at its large default cap.
+	// Eviction never changes the derived stream — cached values are
+	// deterministic functions of the model and their key — it only costs
+	// recomputation.
 	CacheEntries int
 }
 
@@ -198,8 +197,7 @@ func (o DeriveOptions) config() derive.Config {
 		Method:          o.Method,
 		Gibbs:           o.Gibbs.config(),
 		MaxAlternatives: o.MaxAlternatives,
-		VoteWorkers:     o.VoteWorkers,
-		GibbsWorkers:    o.Workers,
+		Workers:         o.Workers,
 		CacheEntries:    o.CacheEntries,
 	}
 }
@@ -245,15 +243,15 @@ type EmitFunc = derive.EmitFunc
 type Source = derive.Source
 
 // EngineStats instruments an Engine's shared caches: distinct patterns
-// computed vs tuples served for both the single-missing vote cache and
-// the multi-missing joint cache, how many joints were solved exactly,
+// computed vs tuples served for the single-missing and the multi-missing
+// blocks of the block cache, how many joints were solved exactly,
 // Gibbs points drawn, and streams run. All
 // counters are monotonically non-decreasing over the engine's lifetime.
 type EngineStats = derive.Stats
 
-// Pools sizes the worker pools of a single Engine request; zero fields
-// inherit the engine's DeriveOptions. Pool sizes never change the emitted
-// stream, so per-request sharding is always safe.
+// Pools sizes the worker pool of a single Engine request; a zero Workers
+// inherits the engine's DeriveOptions. The pool size never changes the
+// emitted stream, so per-request sharding is always safe.
 type Pools = derive.Pools
 
 // NewJSONLSink returns a Sink writing the stream to w as NDJSON: a schema
@@ -270,12 +268,12 @@ func NewJSONLSink(w io.Writer, s *Schema) *derive.JSONLSink { return derive.NewJ
 // Engine is a long-lived derivation service over one model: construct it
 // once with NewEngine and serve any number of Derive and Query calls,
 // from any number of goroutines. Distinct evidence patterns are inferred
-// once per engine lifetime — the single-missing vote cache and the
-// multi-missing joint cache are shared across requests and persist
+// once per engine lifetime — the block cache, which holds single- and
+// multi-missing blocks alike, is shared across requests and persists
 // between them — so overlapping and repeated workloads are served mostly
-// from memory. Multi-missing tuples run independent content-seeded
-// chains, so every request's output is bit-identical no matter which
-// requests ran before or alongside it. The package-level Derive
+// from memory. Votes and exact solves are deterministic and chains are
+// seeded by tuple content, so every request's output is bit-identical no
+// matter which requests ran before or alongside it. The package-level Derive
 // constructs a throwaway engine per call.
 type Engine struct {
 	eng *derive.Engine
@@ -299,12 +297,13 @@ func NewEngine(m *Model, opt DeriveOptions) (*Engine, error) {
 // as a block of mutually exclusive completions distributed according to
 // the inferred Delta_t, and a snapshot's observed tuples emit their
 // conditioned posterior blocks (or pass through as certain items after a
-// collapse). Single-missing tuples use ensemble voting sharded across
-// the request's VoteWorkers; multi-missing tuples are solved exactly or
-// by independent Gibbs chains, scheduled per block across its Workers.
-// pools sizes the two pools for this request; zero fields inherit the
-// engine's DeriveOptions. The stream is bit-identical for every pool
-// size (exact solves use no randomness and chains are seeded by tuple
+// collapse). Each distinct incomplete tuple is one unit of work,
+// scheduled per block across the request's pool of Workers:
+// single-missing tuples use ensemble voting, and multi-missing tuples
+// are solved exactly or by independent Gibbs chains. pools sizes the
+// pool for this request; a zero Workers inherits the engine's
+// DeriveOptions. The stream is bit-identical for every pool size (votes
+// and exact solves use no randomness and chains are seeded by tuple
 // content). src's schema must match the model's, else a
 // SchemaMismatchError is returned before any inference runs.
 //

@@ -50,10 +50,9 @@ func BenchmarkWatchFanout(b *testing.B) {
 	for _, subs := range []int{1, 16, 128} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			eng, err := NewEngine(e.model, DeriveOptions{
-				Method:      BestAveraged(),
-				Gibbs:       benchGibbs(),
-				VoteWorkers: 4,
-				Workers:     4,
+				Method:  BestAveraged(),
+				Gibbs:   benchGibbs(),
+				Workers: 4,
 			})
 			if err != nil {
 				b.Fatal(err)
