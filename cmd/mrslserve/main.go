@@ -64,24 +64,27 @@
 //	               predicates, resolution-tier counts) and the
 //	               evaluation's pruning/bound counters. count and exists
 //	               emit one result record; topk and groupby stream
-//	               incrementally as blocks resolve — in-flight snapshots
-//	               are marked "partial":true (topk re-emits the current
-//	               rows when they move, groupby emits only the buckets
-//	               that changed) and the settled results follow with
-//	               "final":true. Answers are bit-identical to deriving
-//	               the posted relation through /derive and evaluating
-//	               the stream naively, but selective queries infer only
-//	               the tuples the bounds leave undecided — multi-missing
-//	               tuples whose dissociation interval already decides
-//	               the threshold are never sampled. With dataset=<id>
-//	               the body is ignored and the query evaluates over the
-//	               dataset's conditioned snapshot; adding watch=1 turns
-//	               it into a subscription: the connection stays open and
-//	               after every /observe delta only the result records
-//	               the delta actually changed are re-emitted, marked
-//	               "partial":true and stamped with the dataset version,
-//	               until the client disconnects or the dataset is
-//	               dropped (which appends an "end" record).
+//	               incrementally while the evaluation waits on inference
+//	               — before each prefetch and each block it computes or
+//	               waits on, the result folded so far goes out marked
+//	               "partial":true (topk re-emits the current rows when
+//	               they moved, groupby emits only the buckets that
+//	               changed) — and the settled results follow with
+//	               "final":true; a query served from the caches sends
+//	               only its final records. Answers are bit-identical to
+//	               deriving the posted relation through /derive and
+//	               evaluating the stream naively, but selective queries
+//	               infer only the tuples the bounds leave undecided —
+//	               multi-missing tuples whose dissociation interval
+//	               already decides the threshold are never sampled. With
+//	               dataset=<id> the body is ignored and the query
+//	               evaluates over the dataset's conditioned snapshot;
+//	               adding watch=1 turns it into a subscription: the
+//	               connection stays open and after every /observe delta
+//	               only the result records the delta actually changed are
+//	               re-emitted, marked "partial":true and stamped with the
+//	               dataset version, until the client disconnects or the
+//	               dataset is dropped (which appends an "end" record).
 //
 //	               With sql=<statement> (URL parameter, or an "sql"
 //	               field of a multipart/form-data body) the query is
@@ -704,12 +707,13 @@ func (s *server) writeTrace(w io.Writer, r *http.Request) {
 //
 // Count and exists fold scalars, so their evaluation completes before
 // the first byte is written (and failures carry real status codes).
-// TopK and groupby stream incrementally: as blocks resolve, the current
-// rows (and the group buckets that changed) are flushed as records
-// marked "partial":true, and the settled results follow with
-// "final":true before the summary — so a client watching a long
-// evaluation sees the answer take shape instead of waiting for the
-// buffer.
+// TopK and groupby stream incrementally: whenever the evaluation is
+// about to wait on inference, the current rows (and the group buckets
+// that changed) are flushed as records marked "partial":true, and the
+// settled results follow with "final":true before the summary — so a
+// client watching a long evaluation sees the answer take shape instead
+// of waiting for the buffer, and a query served from the caches sends
+// only its final records.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	pools, err := poolsFromQuery(r)
 	if err != nil {
@@ -985,12 +989,14 @@ func (s *server) resolveSQLInput(r *http.Request, name string) (*repro.Relation,
 }
 
 // streamQuery runs a topk or groupby evaluation with incremental NDJSON
-// output: partial records as blocks resolve, final records once the
-// evaluation settles, then the summary. Each progress callback flushes
-// what it wrote; the handler's return sends the rest. The stream is
-// already under way when inference runs, so evaluation errors append a
-// terminal error record instead of a status code; a disconnected client
-// aborts the evaluation through the progress callback.
+// output: partial records whenever the evaluation is about to wait on
+// inference, final records once it settles, then the summary. Each
+// progress callback writes what changed since the last one and flushes
+// it; the handler's return sends the rest, so an evaluation served from
+// the caches writes its final records in one go. The stream is already
+// under way when inference runs, so evaluation errors append a terminal
+// error record instead of a status code; a disconnected client aborts
+// the evaluation through the progress callback.
 func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, q *repro.CompiledQuery,
 	schema *repro.Schema, head map[string]any,
 	eval func(repro.QueryProgressFunc) (*repro.QueryResult, error)) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/faultinject"
 	"repro/internal/relation"
 )
 
@@ -303,9 +304,11 @@ func TestServeQueryEndpoint(t *testing.T) {
 }
 
 // TestServeQueryStreamsIncrementally checks the incremental NDJSON
-// contract of topk and groupby: partial records precede the final ones,
-// the final records agree with a buffered evaluation on a fresh local
-// engine, and the summary carries the plan and bound counters.
+// contract of topk and groupby: partial records go out only while the
+// evaluation waits on inference and precede the final ones, a query
+// served from the caches sends only its final records, the final records
+// agree with a buffered evaluation on a fresh local engine, and the
+// summary carries the plan and bound counters.
 func TestServeQueryStreamsIncrementally(t *testing.T) {
 	model, rel, csvBody := matchmakingFixture(t)
 	ts := startServer(t, model)
@@ -335,10 +338,17 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 		return recs
 	}
 
-	// An unselective groupby forces block resolution, so partial group
-	// records must appear before the final histogram.
+	// A cold groupby whose prefetch items all panic before they claim
+	// computes every block inline, and reports the histogram folded so
+	// far before each computation: partial group records must appear
+	// before the final histogram.
+	if err := faultinject.Configure("derive.prefetch=panic/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
 	attr := model.Schema.Attrs[0].Name
 	recs := post("op=groupby&groupby=" + url.QueryEscape(attr))
+	faultinject.Disable()
 	var partials, finals int
 	lastPartial, firstFinal := -1, -1
 	finalGroups := map[string]float64{}
@@ -386,6 +396,22 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 		if got, ok := finalGroups[g.Label]; !ok || got != g.Expected {
 			t.Errorf("final group %q = %v, want bit-identical %v", g.Label, got, g.Expected)
 		}
+	}
+
+	// The same groupby again is served from the caches: it never waits on
+	// inference, so it sends its final records and no partial one.
+	recs = post("op=groupby&groupby=" + url.QueryEscape(attr))
+	finals = 0
+	for _, r := range recs {
+		switch {
+		case r["kind"] == "group" && r["partial"] == true:
+			t.Fatalf("warm groupby streamed a partial record %v:\n%v", r, recs)
+		case r["kind"] == "group" && r["final"] == true:
+			finals++
+		}
+	}
+	if finals != model.Schema.Attrs[0].Card() {
+		t.Fatalf("warm groupby streamed %d final groups, want %d", finals, model.Schema.Attrs[0].Card())
 	}
 
 	// TopK: partial row snapshots stream ahead of the finals.

@@ -109,7 +109,8 @@
 // Engine.Query is the one query call: its source is a relation, a live
 // dataset's snapshot, or a compiled SPJ statement (below), and
 // QueryOptions carry the request's pools, a progress observer for topk
-// and groupby, and plan-only. Evaluation runs through a plan/executor pipeline and is extensional
+// and groupby, which sees the live result only while the evaluation
+// waits on inference, and plan-only. Evaluation runs through a plan/executor pipeline and is extensional
 // and exact with pruning: every answer is bit-identical to deriving the
 // full database through the same engine and evaluating the stream
 // naively, yet selective queries infer only a fraction of the tuples.

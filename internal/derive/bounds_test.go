@@ -113,7 +113,7 @@ func TestBoundCPDSoundness(t *testing.T) {
 						t.Fatalf("workers=%d cache=%d: malformed interval %+v for %v",
 							cb.workers, cb.cacheEntries, iv, tu)
 					}
-					b, _, err := eng.ResolveBlock(context.Background(), tu)
+					b, _, err := eng.ResolveBlock(context.Background(), tu, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -86,7 +86,7 @@ func TestResolveBlockMatchesStream(t *testing.T) {
 		if it.Certain() {
 			return nil
 		}
-		b, _, err := resolved.ResolveBlock(ctx, it.Tuple)
+		b, _, err := resolved.ResolveBlock(ctx, it.Tuple, nil)
 		if err != nil {
 			return err
 		}
@@ -106,7 +106,7 @@ func TestResolveBlockMatchesStream(t *testing.T) {
 	}
 
 	// Complete tuples are rejected.
-	if _, _, err := resolved.ResolveBlock(ctx, inst.Sample(rng)); err == nil {
+	if _, _, err := resolved.ResolveBlock(ctx, inst.Sample(rng), nil); err == nil {
 		t.Error("ResolveBlock on a complete tuple should fail")
 	}
 }

@@ -330,7 +330,7 @@ func (d *Dataset) conditionedLocked(ctx context.Context, index int, log []Obs) (
 	t := d.rel.Tuples[index]
 	epoch := uint64(len(log))
 	if epoch == 0 {
-		b, _, err := d.eng.ResolveBlock(ctx, t)
+		b, _, err := d.eng.ResolveBlock(ctx, t, nil)
 		return b, err
 	}
 	key := d.key(index)
@@ -342,7 +342,7 @@ func (d *Dataset) conditionedLocked(ctx context.Context, index int, log []Obs) (
 	// racing concurrent observes (the epoch tag is the correctness
 	// backstop either way).
 	faultinject.Fire("observe.replay")
-	b, _, err := d.eng.ResolveBlock(ctx, t)
+	b, _, err := d.eng.ResolveBlock(ctx, t, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func scriptObservations(t *testing.T, e *Engine, rel *relation.Relation, every i
 		if n%every != 0 {
 			continue
 		}
-		b, _, err := e.ResolveBlock(ctx, tu)
+		b, _, err := e.ResolveBlock(ctx, tu, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func conditionedOracle(t *testing.T, m *core.Model, cfg Config, rel *relation.Re
 	for _, o := range script {
 		b, ok := blocks[o.index]
 		if !ok {
-			if b, _, err = cold.ResolveBlock(ctx, rel.Tuples[o.index]); err != nil {
+			if b, _, err = cold.ResolveBlock(ctx, rel.Tuples[o.index], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -95,7 +95,7 @@ func conditionedOracle(t *testing.T, m *core.Model, cfg Config, rel *relation.Re
 			items = append(items, Item{Index: i, Tuple: tu})
 			continue
 		}
-		b, _, err := cold.ResolveBlock(ctx, tu)
+		b, _, err := cold.ResolveBlock(ctx, tu, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestDatasetObserveSemantics(t *testing.T) {
 
 	// Observing a single-missing tuple's most probable completion
 	// collapses it.
-	b, _, err := e.ResolveBlock(ctx, rel.Tuples[single])
+	b, _, err := e.ResolveBlock(ctx, rel.Tuples[single], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestDatasetObserveSemantics(t *testing.T) {
 
 	// Zero-remaining-mass: find a value no alternative of the multi
 	// block carries, if the domain admits one.
-	mb, _, err := e.ResolveBlock(ctx, rel.Tuples[multi])
+	mb, _, err := e.ResolveBlock(ctx, rel.Tuples[multi], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -414,8 +414,9 @@ func (e *Engine) Stats() Stats {
 // so resolve paths pay a single lock acquisition. The byte key is copied
 // only when a new entry is claimed; the hit path does not allocate.
 //
-// o is the calling stream (nil outside one). When key is absent and o has
-// items to flush, lookup flushes them before it claims, with the lock
+// o is the calling stream or a ResolveBlock caller's idle hook (nil for
+// a prefetch worker). When key is absent and o has items to flush (or a
+// report pending), lookup flushes them before it claims, with the lock
 // released, and then looks again: a flush is a socket write that blocks
 // while the client is not reading, and every request that needs a
 // claimed slot waits for its claimer.
@@ -549,11 +550,24 @@ func (e *Engine) counters(t relation.Tuple) (computed, served, hits *int64) {
 // from the cache rather than inferred by this call. It is the per-tuple
 // entry point of the query evaluator and of dataset snapshots; the
 // returned block is shared and must be treated as immutable.
-func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple) (b *pdb.Block, hit bool, err error) {
+//
+// idle (nil for none) is the caller's hook for the moment it would wait:
+// ResolveBlock calls it at most once, on the caller's goroutine, just
+// before it computes t's block inline or waits on another goroutine's
+// computation of it, and never on a cache hit. It runs with the engine
+// lock released and where a stream flushes its sink, behind the same
+// panic boundary: a panic in idle becomes a *PanicError with Op "emit".
+// An error from idle, or that panic, is returned instead of the block.
+func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple, idle func() error) (b *pdb.Block, hit bool, err error) {
 	if t.IsComplete() {
 		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
 	}
-	return e.resolve(ctx, t, t.AppendKey(nil), nil)
+	o := &out{e: e, flush: idle, pending: true}
+	b, hit, err = e.resolve(ctx, t, t.AppendKey(nil), o)
+	if o.err != nil {
+		return nil, hit, o.err
+	}
+	return b, hit, err
 }
 
 // resolve returns the memoized block of incomplete tuple t, inferring it
@@ -562,8 +576,9 @@ func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple) (b *pdb.Blo
 // computation otherwise (or until ctx is canceled). It is the fetch path
 // of streams and ResolveBlock, so it counts served tuples. key is t's
 // evidence key. hit reports whether the entry already existed. Before it
-// computes or waits it lets o, the calling stream (nil outside one),
-// flush what the stream has emitted so far (see lookup and waitReady).
+// computes or waits it lets o, the calling stream or a ResolveBlock
+// caller's idle hook, flush what the stream has emitted so far (see
+// lookup and waitReady).
 func (e *Engine) resolve(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
 	computed, served, hits := e.counters(t)
 	en, claimed := e.lookup(key, o, computed, served, hits)
@@ -694,12 +709,20 @@ func (e *Engine) recoverEntry(en *entry, key []byte, op string) {
 // scheduling only — a subsequent ResolveBlock serves bit-identical
 // results whether or not the prefetch ran. Complete tuples are skipped.
 // It blocks until its workers have drained.
-func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, pools Pools) {
+//
+// idle (nil for none) is ResolveBlock's hook: PrefetchBlocks calls it
+// once, on the caller's goroutine while the pool works, behind the same
+// panic boundary, and returns its error once the pool has drained. The
+// workers never call it.
+func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, pools Pools, idle func() error) error {
 	// quit is never closed here: the dispatcher runs to the end of its
 	// tuple list unless ctx cancels it.
 	var wg sync.WaitGroup
 	e.prefetch(ctx, &wg, make(chan struct{}), tuples, pools)
+	o := &out{e: e, flush: idle, pending: true}
+	o.idle()
 	wg.Wait()
+	return o.err
 }
 
 // prefetch starts one pool — a dispatcher plus workers goroutines, each
@@ -755,10 +778,13 @@ func (e *Engine) prefetch(ctx context.Context, wg *sync.WaitGroup, quit chan str
 
 // out is the consumer end of one emit loop: the sink's Emit behind a
 // panic boundary, and its optional Flush (nil for an EmitFunc or another
-// sink without one). A panic in either (a broken Sink implementation,
-// an injected fault) becomes the request's *PanicError with Op "emit"
-// instead of crashing the process; the engine and its caches are
-// unaffected.
+// sink without one). The idle hook of a ResolveBlock or PrefetchBlocks
+// caller is an out with no sink, the hook as its Flush (nil for none) and
+// one report pending, so lookup and waitReady call it where they would
+// flush a stream. A panic in either (a broken Sink implementation, a
+// panicking hook, an injected fault) becomes the request's *PanicError
+// with Op "emit" instead of crashing the process; the engine and its
+// caches are unaffected.
 type out struct {
 	e       *Engine
 	sink    Sink
@@ -804,8 +830,9 @@ func (o *out) idle() {
 }
 
 // dirty reports whether idle would flush: items were emitted since the
-// last flush, the sink has a Flush, and no flush has failed. It is false
-// on a nil out (ResolveBlock).
+// last flush (or a hook's report is pending), the sink has a Flush, and
+// no flush has failed. It is false on a nil out (a prefetch worker) and
+// on one without a Flush (an EmitFunc sink, a caller without a hook).
 func (o *out) dirty() bool {
 	return o != nil && o.pending && o.flush != nil && o.err == nil
 }

@@ -116,7 +116,7 @@ func TestFlushBeforeSlowChain(t *testing.T) {
 			claimed := make(chan error, 1)
 			if tc.claim {
 				go func() {
-					_, _, err := e.ResolveBlock(context.Background(), multi)
+					_, _, err := e.ResolveBlock(context.Background(), multi, nil)
 					claimed <- err
 				}()
 				// The lookup that claims the slot counts the tuple served.
@@ -234,7 +234,7 @@ func TestStalledFlushHoldsNoClaim(t *testing.T) {
 					t.Fatalf("no flush before the inline computation of %v", tu)
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				_, _, err := e.ResolveBlock(ctx, tu)
+				_, _, err := e.ResolveBlock(ctx, tu, nil)
 				cancel()
 				if err != nil {
 					t.Errorf("ResolveBlock(%v) while the stream's flush is stalled: %v", tu, err)

@@ -323,7 +323,7 @@ func TestSingleMissingWaitsOutDeadline(t *testing.T) {
 	defer faultinject.Disable()
 	claimed := make(chan error, 1)
 	go func() {
-		_, _, err := eng.ResolveBlock(context.Background(), single)
+		_, _, err := eng.ResolveBlock(context.Background(), single, nil)
 		claimed <- err
 	}()
 	for eng.Stats().VotesComputed < 1 {
@@ -388,5 +388,46 @@ func TestProjectedSPJNeverDegrades(t *testing.T) {
 		t.Fatalf("projected SPJ answered degraded: %+v", res)
 	case res.Expected != want:
 		t.Fatalf("projected SPJ expected count %v, want bit-identical %v", res.Expected, want)
+	}
+}
+
+// TestProjectedSPJComputesNoEnvelope: the projected distinct-answer
+// evaluator folds no interval, not even as a deadline fallback, so under
+// a deadline the planner computes no dissociation envelope for its
+// multi-missing rows, and the answer stays exact.
+func TestProjectedSPJComputesNoEnvelope(t *testing.T) {
+	model, people, cities := spjSafeFixture(t, 131)
+	nAttrs := model.Schema.NumAttrs()
+	preds := []Pred{{Attr: 1, Cmp: Ge, Value: 1}}
+	ss := spjSpec(Spec{Op: Count, Preds: preds}, people, cities)
+	ss.Project = []string{model.Schema.Attrs[0].Name, model.Schema.Attrs[nAttrs-1].Name}
+	spj, err := CompileSPJ(model.Schema, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engineConfig(2)
+	var want float64
+	for _, r := range oracleProject(deriveAll(t, model, spj.SourceRelation(), cfg), preds, []int{0, nAttrs - 1}, 0) {
+		want += r.Prob
+	}
+	eng, err := derive.New(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := Eval(ctx, eng, spj, spj.Query(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan.Derive == 0 {
+		t.Fatal("fixture has no multi-missing row on the derive tier")
+	}
+	if st := eng.Stats(); res.Plan.Adaptive != nil || st.EnvelopeHits+st.EnvelopeMisses != 0 {
+		t.Errorf("projected SPJ under a deadline probed %d envelopes (plan adaptive block %+v), want none",
+			st.EnvelopeHits+st.EnvelopeMisses, res.Plan.Adaptive)
+	}
+	if res.Expected != want {
+		t.Errorf("projected SPJ expected count %v, want bit-identical %v", res.Expected, want)
 	}
 }

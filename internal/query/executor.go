@@ -48,12 +48,16 @@ import (
 	"repro/internal/relation"
 )
 
-// ProgressFunc observes an evaluation in flight: the executor calls it
-// after each resolved uncertain tuple of a TopK or GroupBy evaluation
-// (other operators fold scalars and report nothing incremental). The
-// *Result is the live, partially filled result — read it synchronously,
-// do not retain it. Returning an error aborts the evaluation with that
-// error.
+// ProgressFunc observes a TopK or GroupBy evaluation while it waits on
+// inference (other operators fold scalars and report nothing
+// incremental). The executor calls it only just before it blocks — before
+// it prefetches a non-empty worklist, and before a tuple's block must be
+// computed inline or waited on — and only when the result changed since
+// the last call, so an evaluation served from the engine's caches calls
+// it at most once per topk wave and never for a groupby. The *Result is
+// the live, partially filled result — read it synchronously, do not
+// retain it. Returning an error aborts the evaluation with that error; a
+// panic aborts it with a *derive.PanicError whose Op is "emit".
 type ProgressFunc func(*Result) error
 
 // Options are the per-request settings of one Eval.
@@ -61,10 +65,10 @@ type Options struct {
 	// Pools sizes the prefetch worker pools; zero fields inherit the
 	// engine's. Pool sizes affect scheduling only, never the answer.
 	Pools derive.Pools
-	// Progress, when non-nil, observes a TopK or GroupBy evaluation in
-	// flight; see ProgressFunc. Projected SPJ queries combine their
-	// distinct answers at the end of the scan and report nothing
-	// incremental.
+	// Progress, when non-nil, observes a TopK or GroupBy evaluation while
+	// it waits on inference; see ProgressFunc. Projected SPJ queries
+	// combine their distinct answers at the end of the scan and report
+	// nothing incremental.
 	Progress ProgressFunc
 	// PlanOnly compiles the plan without executing it: the Result carries
 	// only Plan, and nothing is folded into the engine's Query* counters.
@@ -230,6 +234,13 @@ type executor struct {
 	pools    derive.Pools
 	progress ProgressFunc
 
+	// The progress report (see report): live is the TopK or GroupBy result
+	// in flight, changed marks a fold into it since the last report, and
+	// idle is report as the engine's idle hook, nil without an observer.
+	live    *Result
+	changed bool
+	idle    func() error
+
 	// Deadline budget (fail-soft degradation). When the evaluation context
 	// carries a deadline, the executor watches the remaining budget and —
 	// once it dips under the safety margin — answers the remaining
@@ -257,6 +268,9 @@ type executor struct {
 func newExecutor(ctx context.Context, q *Query, eng *derive.Engine, rel *relation.Relation,
 	pl *plan, opts Options) *executor {
 	ex := &executor{q: q, eng: eng, rel: rel, plan: pl, pools: opts.Pools, progress: opts.Progress}
+	if ex.progress != nil {
+		ex.idle = ex.report
+	}
 	ex.tr = obs.TraceFrom(ctx)
 	ex.tm.enabled = q.analyze || ex.tr != nil
 	if dl, ok := ctx.Deadline(); ok {
@@ -317,12 +331,17 @@ func (ex *executor) degrade(c *Counters, iv derive.Interval) {
 // probability exceeds 1, so degraded folds tighten to min(Hi, 1).
 func clamp1(hi float64) float64 { return math.Min(hi, 1) }
 
-// emit reports progress to the streaming observer, if any.
-func (ex *executor) emit(res *Result) error {
-	if ex.progress == nil {
+// report hands the live result to the progress observer if a fold
+// changed it since the last report. It is the idle hook the executor
+// passes to Engine.ResolveBlock and Engine.PrefetchBlocks, so it runs
+// only when the evaluation is about to wait on inference, behind the
+// engine's emit panic boundary.
+func (ex *executor) report() error {
+	if !ex.changed {
 		return nil
 	}
-	return ex.progress(res)
+	ex.changed = false
+	return ex.progress(ex.live)
 }
 
 // resolve hands fold the satisfying alternatives of planned tuple i, in
@@ -357,7 +376,7 @@ func (ex *executor) resolve(ctx context.Context, i int, c *Counters, fold func(p
 		b, ns, n = act.blk, &ex.tm.observedNS, &ex.tm.observedN
 	case tierVote:
 		c.Bounded++
-		if b, _, err = ex.eng.ResolveBlock(context.WithoutCancel(ctx), ex.rel.Tuples[i]); err != nil {
+		if b, _, err = ex.eng.ResolveBlock(context.WithoutCancel(ctx), ex.rel.Tuples[i], ex.idle); err != nil {
 			return false, err
 		}
 		ns, n = &ex.tm.voteNS, &ex.tm.voteN
@@ -366,7 +385,7 @@ func (ex *executor) resolve(ctx context.Context, i int, c *Counters, fold func(p
 			ex.degrade(c, act.iv)
 			return false, nil
 		}
-		if b, _, err = ex.eng.ResolveBlock(ctx, ex.rel.Tuples[i]); err != nil {
+		if b, _, err = ex.eng.ResolveBlock(ctx, ex.rel.Tuples[i], ex.idle); err != nil {
 			if ex.hasDL && errors.Is(err, context.DeadlineExceeded) {
 				ex.exhausted = true
 				ex.degrade(c, act.iv)
@@ -418,21 +437,23 @@ func decideBound(c *Counters, iv derive.Interval, in bool) {
 }
 
 // prefetch warms the engine caches for the given tuple indices across
-// the request pools.
-func (ex *executor) prefetch(ctx context.Context, idx []int) {
+// the request pools, reporting progress while the pool works. Its error
+// is the progress observer's.
+func (ex *executor) prefetch(ctx context.Context, idx []int) error {
 	if len(idx) == 0 {
-		return
+		return nil
 	}
 	work := make([]relation.Tuple, len(idx))
 	for i, j := range idx {
 		work[i] = ex.rel.Tuples[j]
 	}
 	start := ex.tm.tick()
-	ex.eng.PrefetchBlocks(ctx, work, ex.pools)
+	err := ex.eng.PrefetchBlocks(ctx, work, ex.pools, ex.idle)
 	if ex.tm.enabled {
 		ex.tm.prefetchNS += time.Since(start).Nanoseconds()
 		ex.tm.prefetchN += int64(len(idx))
 	}
+	return err
 }
 
 // evalCount folds per-tuple satisfaction probabilities in input order:
@@ -453,7 +474,9 @@ func (ex *executor) evalCount(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	ex.prefetch(ctx, work)
+	if err := ex.prefetch(ctx, work); err != nil {
+		return nil, err
+	}
 	var degExtra float64   // expected mode: sum of min(Hi,1)-Lo over degraded tuples
 	var degUndecided int64 // thresholded mode: degraded tuples the interval leaves open
 	for i := range ex.rel.Tuples {
@@ -636,7 +659,9 @@ func (ex *executor) evalExists(ctx context.Context) (*Result, error) {
 			work = append(work, i)
 		}
 	}
-	ex.prefetch(ctx, work)
+	if err := ex.prefetch(ctx, work); err != nil {
+		return nil, err
+	}
 	miss := 1.0
 	missLo := 1.0
 	for i := range ex.rel.Tuples {
@@ -702,6 +727,7 @@ func (ex *executor) insert(res *Result, r Row) {
 	if ex.q.k > 0 && len(res.Rows) > ex.q.k {
 		res.Rows = res.Rows[:ex.q.k]
 	}
+	ex.changed = true
 }
 
 // insertResolved resolves planned tuple i and inserts its satisfying
@@ -740,7 +766,7 @@ func (ex *executor) cutDecides(res *Result, i int) bool {
 // round changes scheduling only, never answers. A round that cut
 // candidates after fresh resolutions counts as a re-plan on
 // PlanInfo.Adaptive.
-func (ex *executor) replanWave(ctx context.Context, res *Result, wave []int, resolved int) {
+func (ex *executor) replanWave(ctx context.Context, res *Result, wave []int, resolved int) error {
 	var live []int
 	cut := 0
 	for _, i := range wave {
@@ -760,9 +786,10 @@ func (ex *executor) replanWave(ctx context.Context, res *Result, wave []int, res
 		a.Replans++
 		a.ReplanCut = append(a.ReplanCut, cut)
 	}
-	if !ex.budgetExhausted() {
-		ex.prefetch(ctx, live)
+	if ex.budgetExhausted() {
+		return nil
 	}
+	return ex.prefetch(ctx, live)
 }
 
 // evalTopK folds the satisfying completions into the k most probable
@@ -781,6 +808,7 @@ func (ex *executor) replanWave(ctx context.Context, res *Result, wave []int, res
 // prefetched only when the certain rows cannot already fill the cut.
 func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 	res := &Result{Op: TopK}
+	ex.live = res
 	certains := 0
 	for _, act := range ex.plan.acts {
 		if act.tier == tierCertain {
@@ -808,7 +836,9 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	ex.prefetch(ctx, work)
+	if err := ex.prefetch(ctx, work); err != nil {
+		return nil, err
+	}
 
 	// Cheap tiers in input order. Once rank k is held at probability 1,
 	// every later cheap-tier row ties at best and loses the input-order
@@ -831,9 +861,6 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 				return nil, err
 			}
 			resolved++
-			if err := ex.emit(res); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -864,7 +891,9 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 			end = len(cands)
 		}
 		if ex.q.k > 0 {
-			ex.replanWave(ctx, res, cands[w:end], resolved)
+			if err := ex.replanWave(ctx, res, cands[w:end], resolved); err != nil {
+				return nil, err
+			}
 			resolved = 0
 		}
 		for _, i := range cands[w:end] {
@@ -914,9 +943,6 @@ func (ex *executor) evalTopK(ctx context.Context) (*Result, error) {
 				continue
 			}
 			resolved++
-			if err := ex.emit(res); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if ex.degraded {
@@ -940,10 +966,13 @@ func (ex *executor) evalGroupBy(ctx context.Context) (*Result, error) {
 			work = append(work, i)
 		}
 	}
-	ex.prefetch(ctx, work)
+	if err := ex.prefetch(ctx, work); err != nil {
+		return nil, err
+	}
 	g := ex.q.groupAttr
 	card := ex.q.schema.Attrs[g].Card()
 	res := &Result{Op: GroupBy, Groups: make([]Group, card)}
+	ex.live = res
 	for v := range res.Groups {
 		res.Groups[v] = Group{Value: v, Label: ex.q.schema.Attrs[g].Domain[v]}
 	}
@@ -983,6 +1012,7 @@ func (ex *executor) evalGroupBy(ctx context.Context) (*Result, error) {
 			continue
 		case tierCertain:
 			res.Groups[t[g]].Expected++
+			ex.changed = true
 			continue
 		}
 		clear(perValue)
@@ -995,9 +1025,7 @@ func (ex *executor) evalGroupBy(ctx context.Context) (*Result, error) {
 		} else {
 			degradeGroup(i, t)
 		}
-		if err := ex.emit(res); err != nil {
-			return nil, err
-		}
+		ex.changed = true
 	}
 	if ex.degraded {
 		for v := range res.Groups {

@@ -94,7 +94,8 @@ type PlanInfo struct {
 	// Adaptive summarizes the adaptive execution layer: traffic on the
 	// shared envelope-interval cache and — after execution — the
 	// executor's re-plan rounds. Nil when the evaluation never consulted
-	// bounds and carried no deadline.
+	// bounds and carried no deadline, and for a projected SPJ, whose
+	// distinct-answer evaluator folds no interval.
 	Adaptive *AdaptiveInfo
 }
 
@@ -318,7 +319,9 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 	}
 
 	// sat in the [][]bool shape BoundCPD consumes, built once per plan.
-	wantIV := info.BoundsUsed || hasDL
+	// With bounds off (a projected SPJ) nothing folds an interval, not
+	// even a deadline fallback, so none is computed.
+	wantIV := !q.boundsOff && (info.BoundsUsed || hasDL)
 	var satBools [][]bool
 	if wantIV {
 		s.satBools = grow(s.satBools, q.schema.NumAttrs())

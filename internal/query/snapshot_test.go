@@ -37,7 +37,7 @@ func buildScript(t *testing.T, eng *derive.Engine, rel *relation.Relation, every
 		if n%every != 0 {
 			continue
 		}
-		b, _, err := eng.ResolveBlock(ctx, tu)
+		b, _, err := eng.ResolveBlock(ctx, tu, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func conditionedItems(t *testing.T, oracle *derive.Engine, rel *relation.Relatio
 		b, ok := blocks[o.index]
 		var err error
 		if !ok {
-			if b, _, err = oracle.ResolveBlock(ctx, rel.Tuples[o.index]); err != nil {
+			if b, _, err = oracle.ResolveBlock(ctx, rel.Tuples[o.index], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func conditionedItems(t *testing.T, oracle *derive.Engine, rel *relation.Relatio
 			items = append(items, derive.Item{Index: i, Tuple: tu})
 			continue
 		}
-		b, _, err := oracle.ResolveBlock(ctx, tu)
+		b, _, err := oracle.ResolveBlock(ctx, tu, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -647,7 +647,9 @@ func (ex *executor) evalProject(ctx context.Context, project []int) (*Result, er
 			work = append(work, i)
 		}
 	}
-	ex.prefetch(ctx, work)
+	if err := ex.prefetch(ctx, work); err != nil {
+		return nil, err
+	}
 
 	var order []*spjAnswer
 	seen := make(map[string]*spjAnswer)

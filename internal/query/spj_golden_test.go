@@ -147,7 +147,7 @@ func TestSPJGolden(t *testing.T) {
 			if tu.NumMissing() < 2 {
 				continue
 			}
-			b, _, err := eng.ResolveBlock(ctx, tu)
+			b, _, err := eng.ResolveBlock(ctx, tu, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,7 +74,8 @@ func (e *Engine) DeriveSnapshot(ctx context.Context, snap *DatasetSnapshot, pool
 }
 
 // QuerySnapshot is Query of a dataset snapshot with the given pools and
-// progress observer (nil for none).
+// progress observer (nil for none), which sees the live result only while
+// the evaluation waits on inference.
 func (e *Engine) QuerySnapshot(ctx context.Context, snap *DatasetSnapshot, q *CompiledQuery, pools Pools, progress QueryProgressFunc) (*QueryResult, error) {
 	return e.Query(ctx, snap, q, QueryOptions{Pools: pools, Progress: progress})
 }

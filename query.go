@@ -57,10 +57,10 @@ type (
 	// QueryAdaptiveInfo is the adaptive-execution block on
 	// QueryPlanInfo.Adaptive: shared envelope-cache traffic and the
 	// executor's re-plan rounds. Nil when the evaluation neither used
-	// bounds nor carried a deadline.
+	// bounds nor carried a deadline, and for a projected SPJ.
 	QueryAdaptiveInfo = query.AdaptiveInfo
-	// QueryProgressFunc observes a TopK or GroupBy evaluation in flight;
-	// see QueryOptions.Progress.
+	// QueryProgressFunc observes a TopK or GroupBy evaluation while it
+	// waits on inference; see QueryOptions.Progress.
 	QueryProgressFunc = query.ProgressFunc
 	// QueryOptions are the per-request settings of one Engine.Query: the
 	// worker pools, the progress observer, and plan-only.
@@ -126,11 +126,14 @@ func CompileQuery(s *Schema, spec QuerySpec) (*CompiledQuery, error) {
 // row per distinct projected value.
 //
 // opts.Pools sizes the prefetch pools (scheduling only, never the
-// answer). opts.Progress, for TopK and GroupBy, is called after each
-// resolved uncertain tuple with the live, partially filled result, so
-// serving paths can stream partial rows and group histograms as blocks
-// resolve; read the result synchronously inside the callback and do not
-// retain it, and a progress error aborts the evaluation. opts.PlanOnly
+// answer). opts.Progress, for TopK and GroupBy, is called with the live,
+// partially filled result only while the evaluation waits on inference —
+// just before a prefetch or a block it must compute or wait on, when the
+// result changed since the last call — so serving paths can stream
+// partial rows and group histograms while the engine works, and a query
+// served from the caches reports at most once per topk wave and never
+// for a groupby; read the result synchronously inside the callback and
+// do not retain it, and a progress error aborts the evaluation. opts.PlanOnly
 // returns the compiled plan without executing it. The plan summary is
 // attached to QueryResult.Plan. Canceling ctx aborts the evaluation.
 func (e *Engine) Query(ctx context.Context, src Source, q *CompiledQuery, opts QueryOptions) (*QueryResult, error) {

@@ -3,7 +3,8 @@
 # learns a model from the checked-in matchmaking relation, boots the
 # server on a kernel-assigned port, POSTs one derivation and one query,
 # drives the live-evidence loop — register a dataset, query it, observe
-# a delta, derive it, re-query — runs one intensional join query
+# a delta, derive it, re-query, and check that a groupby served from the
+# caches sends no partial record — runs one intensional join query
 # (multipart sql= statement over two CSV fragments), checks the stream
 # and stats endpoints answer, and finally SIGTERMs the server expecting
 # a clean graceful drain. Exits non-zero on any failure.
@@ -98,6 +99,16 @@ dslines=$(wc -l <"$tmp/dsderive.ndjson")
 curl -fsS -X POST "http://$addr/query?op=count&where=inc%3D50K&dataset=$sid" >"$tmp/post.ndjson"
 grep -q '"observed":1' "$tmp/post.ndjson" || { echo "serve-smoke: re-query did not use the observed tier"; cat "$tmp/post.ndjson"; exit 1; }
 
+# A groupby streams partial records only while its evaluation waits on
+# inference. Posted a second time it is served from the caches, so the
+# second response carries its final group records and no partial one.
+curl -fsS -X POST "http://$addr/query?op=groupby&groupby=inc&dataset=$sid" >/dev/null
+curl -fsS -X POST "http://$addr/query?op=groupby&groupby=inc&dataset=$sid" >"$tmp/groupby.ndjson"
+grep '"kind":"group"' "$tmp/groupby.ndjson" | grep -q '"final":true' || {
+	echo "serve-smoke: warm groupby sent no final group record"; cat "$tmp/groupby.ndjson"; exit 1; }
+! grep -q '"partial":true' "$tmp/groupby.ndjson" || {
+	echo "serve-smoke: warm groupby sent a partial record"; cat "$tmp/groupby.ndjson"; exit 1; }
+
 # Intensional round trip: one SQL join query over HTTP, shipping both
 # input fragments as multipart CSV files. The summary must carry the
 # join plan block with the safety verdict.
@@ -131,10 +142,10 @@ grep -q '"join"' "$tmp/sql.ndjson" || { echo "serve-smoke: sql join query summar
 grep -q '"verdict"' "$tmp/sql.ndjson" || { echo "serve-smoke: join plan has no safety verdict"; cat "$tmp/sql.ndjson"; exit 1; }
 
 curl -fsS "http://$addr/stats" >"$tmp/stats.json"
-# 7 offered inference requests: derive, batch query, pre-query, observe,
-# dataset derive, re-query, sql join query (dataset registration runs no
-# inference and is not counted).
-grep -q '"requests":7' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
+# 9 offered inference requests: derive, batch query, pre-query, observe,
+# dataset derive, re-query, two groupbys, sql join query (dataset
+# registration runs no inference and is not counted).
+grep -q '"requests":9' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
 grep -q '"Observations":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the observation"; cat "$tmp/stats.json"; exit 1; }
 grep -q '"Datasets":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the dataset"; cat "$tmp/stats.json"; exit 1; }
 
