@@ -508,6 +508,150 @@ func TestServeWatchQuery(t *testing.T) {
 	}
 }
 
+// TestServeWatchTopKRetracts subscribes a topk watch whose k exceeds the
+// number of satisfying completions, then observes a value that moves an
+// incomplete tuple's income off the predicate's. The watch re-sends
+// exactly the ranks whose row changed and retracts exactly the ranks past
+// the new end with "removed":true records, all stamped with the new
+// version.
+func TestServeWatchTopKRetracts(t *testing.T) {
+	model, rel, csvBody := matchmakingFixture(t)
+	ts := startServer(t, model)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	id := registerDataset(t, ts.URL, csvBody)
+
+	inc := model.Schema.AttrIndex("inc")
+	where := "inc=" + model.Schema.Attrs[inc].Domain[0]
+	// Pick an incomplete tuple whose block splits on the missing income,
+	// and an income it supports other than the predicate's.
+	db, err := repro.Derive(model, rel, serveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, other := -1, -1
+search:
+	for i, tu := range rel.Tuples {
+		if tu[inc] != repro.Missing {
+			continue
+		}
+		for _, b := range db.Blocks {
+			if !b.Base.Equal(tu) {
+				continue
+			}
+			matches := false
+			for _, a := range b.Alts {
+				if a.Tuple[inc] == 0 {
+					matches = true
+				} else {
+					other = a.Tuple[inc]
+				}
+			}
+			if matches && other >= 0 {
+				index = i
+				break search
+			}
+			other = -1
+		}
+	}
+	if index < 0 {
+		t.Fatal("no tuple with a split missing income in fixture")
+	}
+
+	// Local reference: the rows before and after the delta.
+	eng, err := repro.NewEngine(model, serveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lds, err := eng.RegisterDataset(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := repro.CompileQuery(model.Schema, repro.QuerySpec{Op: repro.QueryTopK, Where: where, K: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalRows := func() []repro.QueryRow {
+		t.Helper()
+		snap, err := lds.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Query(ctx, snap, q, repro.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	before := evalRows()
+	if len(before) >= 50 {
+		t.Fatalf("fixture has %d satisfying completions, want fewer than k=50", len(before))
+	}
+	if _, err := lds.Observe(ctx, index, inc, other); err != nil {
+		t.Fatal(err)
+	}
+	after := evalRows()
+	if len(after) >= len(before) {
+		t.Fatalf("delta left %d rows of %d: nothing to retract", len(after), len(before))
+	}
+	changed := map[int]bool{}
+	for rank, row := range after {
+		b := before[rank]
+		if b.Index != row.Index || b.Prob != row.Prob || !b.Tuple.Equal(row.Tuple) {
+			changed[rank] = true
+		}
+	}
+
+	ch := watchLines(t, ctx, ts.URL, "op=topk&k=50&where="+url.QueryEscape(where)+"&dataset="+id+"&watch=1")
+	nextRecord(t, ch, "watch header")
+	for range before {
+		if rec := nextRecord(t, ch, "initial row"); rec["kind"] != "row" || rec["version"] != 0.0 {
+			t.Fatalf("initial record = %v, want a row at version 0", rec)
+		}
+	}
+	status, out := postObserve(t, ts.URL, fmt.Sprintf(
+		`{"dataset":%q,"observations":[{"index":%d,"attr":"inc","value":%q}]}`,
+		id, index, model.Schema.Attrs[inc].Domain[other]))
+	if status != http.StatusOK {
+		t.Fatalf("POST /observe: status %d: %s", status, out)
+	}
+
+	removed := map[int]bool{}
+	for range len(changed) + len(before) - len(after) {
+		rec := nextRecord(t, ch, "update record")
+		if rec["kind"] != "row" || rec["partial"] != true || rec["version"] != 1.0 {
+			t.Fatalf("update record = %v, want a partial row at version 1", rec)
+		}
+		rank := int(rec["rank"].(float64))
+		switch {
+		case rec["removed"] == true:
+			if rank < len(after) || rank >= len(before) || removed[rank] {
+				t.Errorf("retracted rank %d, want each of [%d, %d) once", rank, len(after), len(before))
+			}
+			removed[rank] = true
+		case !changed[rank]:
+			t.Errorf("re-sent rank %d, whose row the delta left unchanged: %v", rank, rec)
+		case rec["index"].(float64) != float64(after[rank].Index) || rec["p"].(float64) != after[rank].Prob:
+			t.Errorf("rank %d = %v, want index %d p %v", rank, rec, after[rank].Index, after[rank].Prob)
+		}
+	}
+	if len(removed) != len(before)-len(after) {
+		t.Errorf("retracted ranks %v, want [%d, %d)", removed, len(after), len(before))
+	}
+
+	// Dropping the dataset ends the stream, with nothing in between.
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/datasets/"+id, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, dresp.Body)
+	dresp.Body.Close()
+	if rec := nextRecord(t, ch, "end record"); rec["kind"] != "end" {
+		t.Fatalf("record after drop = %v, want end", rec)
+	}
+}
+
 // TestServeWatchRequiresDataset: watch without a dataset is a 400 — a
 // posted CSV body cannot receive evidence.
 func TestServeWatchRequiresDataset(t *testing.T) {

@@ -14,10 +14,11 @@
 // Fail-soft serving. With -default-timeout (or a per-request timeout_ms=
 // parameter on /derive and /query) every inference request runs under a
 // deadline budget: when it nears exhaustion, queries answer the remaining
-// expensive tuples from their sound dissociation intervals — records
-// flagged "degraded":true with [lo, hi] brackets — and derive streams end
-// with a terminal "truncated" record; the lines already emitted are
-// exact. SIGTERM/SIGINT drains gracefully: /healthz flips to 503
+// expensive tuples from their sound dissociation intervals — the result
+// records of such an answer, batch, final or watch alike, are flagged
+// "degraded":true, and count, exists and group records carry [lo, hi]
+// brackets — and derive streams end with a terminal "truncated" record;
+// the lines already emitted are exact. SIGTERM/SIGINT drains gracefully: /healthz flips to 503
 // draining, new inference requests shed with 503 + Retry-After, watch
 // subscriptions receive their "end" record, and in-flight requests get
 // -drain-timeout to finish. With -shed-after-misses N, N consecutive
@@ -53,7 +54,9 @@
 //	               dataset=<id> the body is ignored and the registered
 //	               dataset's conditioned database is derived instead:
 //	               observed tuples emit their Bayesian posterior blocks,
-//	               the rest resolve exactly as a batch derivation would.
+//	               the rest resolve exactly as a batch derivation would;
+//	               the snapshot is taken under the request context, and
+//	               only the derivation runs under the deadline budget.
 //	POST /query    body: CSV relation over the model's schema. Query
 //	               parameters: op (count, exists, topk, groupby), where
 //	               (conjunctive conditions "attr=value,attr>=value,..."),
@@ -66,12 +69,12 @@
 //	               emit one result record; topk and groupby stream
 //	               incrementally while the evaluation waits on inference
 //	               — before each prefetch and each block it computes or
-//	               waits on, the result folded so far goes out marked
-//	               "partial":true (topk re-emits the current rows when
-//	               they moved, groupby emits only the buckets that
-//	               changed) — and the settled results follow with
-//	               "final":true; a query served from the caches sends
-//	               only its final records. Answers are bit-identical to
+//	               waits on, the records of the result folded so far that
+//	               changed since the last report (topk rows by rank,
+//	               groupby buckets) go out marked "partial":true — and
+//	               all the settled records follow with "final":true; a
+//	               query served from the caches sends only its final
+//	               records. Answers are bit-identical to
 //	               deriving the posted relation through /derive and
 //	               evaluating the stream naively, but selective queries
 //	               infer only the tuples the bounds leave undecided —
@@ -82,9 +85,11 @@
 //	               adding watch=1 turns it into a subscription: the
 //	               connection stays open and after every /observe delta
 //	               only the result records the delta actually changed are
-//	               re-emitted, marked "partial":true and stamped with the
-//	               dataset version, until the client disconnects or the
-//	               dataset is dropped (which appends an "end" record).
+//	               re-emitted by the same rule, topk rows included, marked
+//	               "partial":true and stamped with the dataset version
+//	               (topk ranks the result no longer holds are retracted
+//	               with "removed":true), until the client disconnects or
+//	               the dataset is dropped (which appends an "end" record).
 //
 //	               With sql=<statement> (URL parameter, or an "sql"
 //	               field of a multipart/form-data body) the query is
@@ -161,6 +166,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	netpprof "net/http/pprof"
@@ -441,17 +447,15 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			panic(rec)
 		}
 		s.panics.Add(1)
-		s.failed.Add(1)
 		if !tw.wrote {
-			http.Error(tw, fmt.Sprintf("internal error: recovered panic: %v", rec), http.StatusInternalServerError)
+			s.fail(tw, http.StatusInternalServerError, fmt.Errorf("internal error: recovered panic: %v", rec))
 			return
 		}
 		// The response is already under way (possibly an NDJSON stream):
 		// append a terminal error record instead of a status the client
 		// can no longer see.
-		json.NewEncoder(tw).Encode(map[string]string{
-			"kind": "error", "error": fmt.Sprintf("recovered panic: %v", rec), "request_id": id,
-		})
+		s.failed.Add(1)
+		json.NewEncoder(tw).Encode(errRecord(r, fmt.Errorf("recovered panic: %v", rec)))
 	}()
 	s.mux.ServeHTTP(tw, r)
 }
@@ -573,317 +577,275 @@ func (s *server) noteBudget(missed bool) {
 	}
 }
 
-// budget reads the request's deadline budget: timeout_ms= overrides the
-// server's -default-timeout, 0 disables. The budget bounds inference
-// wall-clock — when it runs out, queries degrade to sound bounds and
-// derive streams truncate with a terminal record instead of erroring.
-func (s *server) budget(r *http.Request) (time.Duration, error) {
-	d := s.defaultTimeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
+// call is one admitted /derive or /query request as the shared front
+// read it: the request (its context carrying a span recorder when
+// trace=1), the workers= pool override and the deadline budget.
+type call struct {
+	r      *http.Request
+	pools  repro.Pools
+	budget time.Duration
+}
+
+// front reads the parameters /derive and /query share: workers= sizes the
+// request's pool (scheduling only, never the result), timeout_ms= sets
+// the deadline budget (overriding -default-timeout; 0 disables), and
+// trace=1 attaches a span recorder that engine and executor stages
+// observe into (it also turns on per-tier timing, like explain=analyze)
+// and whose {"kind":"trace"} record ends the response. A malformed
+// parameter fails the request with 400.
+func (s *server) front(w http.ResponseWriter, r *http.Request) (*call, bool) {
+	c := &call{r: r, budget: s.defaultTimeout}
+	vals := r.URL.Query()
+	for _, p := range []string{"workers", "timeout_ms"} {
+		v := vals.Get(p)
+		if v == "" {
+			continue
+		}
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return 0, fmt.Errorf("query parameter timeout_ms must be a non-negative integer, got %q", v)
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("query parameter %s must be a non-negative integer, got %q", p, v))
+			return nil, false
 		}
-		d = time.Duration(n) * time.Millisecond
+		if p == "workers" {
+			c.pools.Workers = n
+		} else {
+			c.budget = time.Duration(n) * time.Millisecond
+		}
 	}
-	return d, nil
+	if vals.Get("trace") == "1" {
+		c.r = r.WithContext(repro.WithTrace(r.Context(), repro.NewTrace()))
+	}
+	return c, true
 }
 
-// withBudget derives the evaluation context for one inference pass.
-func withBudget(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
+// ctx is the evaluation context of one inference pass: the request
+// context under the deadline budget. When the budget runs out, queries
+// degrade to sound bounds and derive streams truncate with a terminal
+// record instead of erroring.
+func (c *call) ctx() (context.Context, context.CancelFunc) {
+	if c.budget <= 0 {
+		return c.r.Context(), func() {}
 	}
-	return context.WithTimeout(ctx, d)
+	return context.WithTimeout(c.r.Context(), c.budget)
 }
 
-// handleDerive parses the posted CSV against the model schema — or, with
-// dataset=<id>, snapshots a registered dataset — and streams the derived
-// database back as NDJSON, one line per item, written to the
+// source resolves the tuples a /derive or /query request reads. With
+// dataset=<id> it is that registered dataset — 404 when unknown, 400 when
+// it is a join input — and, unless the request watches it, the dataset's
+// conditioned snapshot, taken under the request context (the body is
+// ignored); without it, the posted CSV relation in the model schema.
+func (s *server) source(w http.ResponseWriter, c *call, watch bool) (*repro.Dataset, repro.Source, bool) {
+	id := c.r.URL.Query().Get("dataset")
+	if id == "" {
+		if watch {
+			s.fail(w, http.StatusBadRequest, errors.New("watch=1 requires dataset=<id>: only registered datasets receive evidence"))
+			return nil, nil, false
+		}
+		rel, err := repro.ReadCSVInSchema(c.r.Body, s.model.Schema)
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return nil, nil, false
+		}
+		return nil, rel, true
+	}
+	ds, ok := s.eng.Dataset(id)
+	if !ok {
+		s.fail(w, http.StatusNotFound, errors.New("unknown dataset "+id))
+		return nil, nil, false
+	}
+	if ds.JoinInput() {
+		s.fail(w, http.StatusBadRequest, errors.New("dataset "+id+" is a join input (schema=own): bind it in an sql= query instead"))
+		return nil, nil, false
+	}
+	if watch {
+		return ds, nil, true
+	}
+	snap, err := ds.Snapshot(c.r.Context())
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return nil, nil, false
+	}
+	return ds, snap, true
+}
+
+// fail ends an accepted request whose response has not started with an
+// error status, counting it in /stats failed.
+func (s *server) fail(w http.ResponseWriter, code int, err error) {
+	s.failed.Add(1)
+	http.Error(w, err.Error(), code)
+}
+
+// handleDerive streams the derived database of the request's source —
+// the posted CSV, or with dataset=<id> a registered dataset's conditioned
+// snapshot — back as NDJSON, one line per item, written to the
 // ResponseWriter and flushed by the engine when it would otherwise wait
 // (see repro.Sink). The stream runs under the request context, so a client
 // disconnect cancels in-flight derivation work; a deadline budget that
 // runs out ends the stream with a terminal "truncated" record — the
 // lines already emitted are exact and usable.
 func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
-	pools, err := poolsFromQuery(r)
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	c, ok := s.front(w, r)
+	if !ok {
 		return
 	}
-	d, err := s.budget(r)
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	_, src, ok := s.source(w, c, false)
+	if !ok {
 		return
 	}
-	// trace=1: record engine stage spans and append a {"kind":"trace"}
-	// record after the stream.
-	if r.URL.Query().Get("trace") == "1" {
-		r = r.WithContext(repro.WithTrace(r.Context(), repro.NewTrace()))
-	}
-	ctx, cancel := withBudget(r.Context(), d)
+	ctx, cancel := c.ctx()
 	defer cancel()
-	// The source is the posted relation or, with dataset=<id>, the
-	// registered dataset's conditioned snapshot (the body is ignored).
-	var src repro.Source
-	if id := r.URL.Query().Get("dataset"); id != "" {
-		ds, ok := s.eng.Dataset(id)
-		if !ok {
-			s.failed.Add(1)
-			http.Error(w, "unknown dataset "+id, http.StatusNotFound)
-			return
-		}
-		if ds.JoinInput() {
-			s.failed.Add(1)
-			http.Error(w, "dataset "+id+" is a join input (schema=own): bind it in an sql= query instead", http.StatusBadRequest)
-			return
-		}
-		snap, err := ds.Snapshot(ctx)
-		if err != nil {
-			s.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		src = snap
-	} else {
-		rel, err := repro.ReadCSVInSchema(r.Body, s.model.Schema)
-		if err != nil {
-			s.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		src = rel
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc := json.NewEncoder(w)
 	var mismatch *repro.SchemaMismatchError
-	switch err := s.eng.Derive(ctx, src, pools, repro.NewJSONLSink(w, s.model.Schema)); {
+	switch err := s.eng.Derive(ctx, src, c.pools, repro.NewJSONLSink(w, s.model.Schema)); {
 	case err == nil:
 		s.noteBudget(false)
 	case errors.As(err, &mismatch):
 		// The engine checks the schema before it emits anything, so the
 		// failure still gets a 4xx. ReadCSVInSchema and the join-input
 		// check make it unreachable in practice.
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, err)
 		return
-	case d > 0 && errors.Is(err, context.DeadlineExceeded):
+	case c.budget > 0 && errors.Is(err, context.DeadlineExceeded):
 		// A spent budget is a soft, bounded outcome, not a failure: the
 		// NDJSON stream may already be under way, so a terminal truncated
 		// record follows the exact lines already emitted.
 		s.noteBudget(true)
-		json.NewEncoder(w).Encode(map[string]any{
+		enc.Encode(map[string]any{
 			"kind": "truncated", "reason": "deadline budget exhausted",
-			"timeout_ms": d.Milliseconds(),
+			"timeout_ms": c.budget.Milliseconds(),
 		})
 	default:
 		// Past the first record a status code can no longer reach the
 		// client; a terminal error record does.
 		s.failed.Add(1)
-		json.NewEncoder(w).Encode(errRecord(r, err))
+		enc.Encode(errRecord(c.r, err))
 	}
-	s.writeTrace(w, r)
+	writeTrace(enc, c.r)
 }
 
 // writeTrace appends the request's {"kind":"trace"} record when trace=1
-// attached a span recorder (streams without a summary record, like
-// /derive, end with it).
-func (s *server) writeTrace(w io.Writer, r *http.Request) {
-	tr := repro.TraceFrom(r.Context())
-	if tr == nil {
-		return
+// attached a span recorder. It ends a /derive stream, and follows a
+// /query response's summary.
+func writeTrace(enc *json.Encoder, r *http.Request) {
+	if tr := repro.TraceFrom(r.Context()); tr != nil {
+		enc.Encode(map[string]any{
+			"kind": "trace", "request_id": obs.RequestIDFrom(r.Context()), "spans": tr.Spans(),
+		})
 	}
-	json.NewEncoder(w).Encode(map[string]any{
-		"kind": "trace", "request_id": obs.RequestIDFrom(r.Context()), "spans": tr.Spans(),
-	})
 }
 
 // handleQuery compiles the query expressed in the URL parameters,
-// evaluates it over the posted CSV on the engine's caches, and streams
-// the answer as NDJSON: a query record, one record per result, and a
-// summary record with the chosen plan and the pruning counters.
-// Evaluation runs under the request context.
-//
-// Count and exists fold scalars, so their evaluation completes before
-// the first byte is written (and failures carry real status codes).
-// TopK and groupby stream incrementally: whenever the evaluation is
-// about to wait on inference, the current rows (and the group buckets
-// that changed) are flushed as records marked "partial":true, and the
-// settled results follow with "final":true before the summary — so a
-// client watching a long evaluation sees the answer take shape instead
-// of waiting for the buffer, and a query served from the caches sends
-// only its final records.
+// evaluates it over the request's source on the engine's caches, and
+// streams the answer as NDJSON: a query record, the result records, and a
+// summary record with the chosen plan and the pruning counters (see
+// answerQuery). With dataset=<id>&watch=1 the request subscribes to the
+// dataset instead (see watchQuery). Evaluation runs under the request
+// context.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	pools, err := poolsFromQuery(r)
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	c, ok := s.front(w, r)
+	if !ok {
 		return
 	}
-	d, err := s.budget(r)
-	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// trace=1 attaches a span recorder: engine and executor stages
-	// observe into it, and the summary is followed by a {"kind":"trace"}
-	// record. Tracing also enables per-tier timing, like explain=analyze.
-	if r.URL.Query().Get("trace") == "1" {
-		r = r.WithContext(repro.WithTrace(r.Context(), repro.NewTrace()))
-	}
+	r = c.r // carries the trace recorder
 	// Intensional SQL statements (sql= URL parameter, or an sql field of
 	// a multipart body) take a different front half — multi-relation
 	// inputs, SPJ compilation, safety analysis — and share the back half.
 	sqlText := r.URL.Query().Get("sql")
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "multipart/form-data") {
 		if err := r.ParseMultipartForm(32 << 20); err != nil {
-			s.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
 		if v := r.PostFormValue("sql"); v != "" {
 			sqlText = v
 		}
 		if sqlText == "" {
-			s.failed.Add(1)
-			http.Error(w, "multipart /query requires an sql statement (sql field or URL parameter)", http.StatusBadRequest)
+			s.fail(w, http.StatusBadRequest, errors.New("multipart /query requires an sql statement (sql field or URL parameter)"))
 			return
 		}
 	}
 	if sqlText != "" {
-		s.handleSQLQuery(w, r, sqlText, pools, d)
+		s.handleSQLQuery(w, c, sqlText)
 		return
 	}
-	q, err := queryFromRequest(s.model.Schema, r)
+	spec, err := specFromRequest(r)
 	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	// The source is the posted relation (batch) or, with dataset=<id>, a
-	// registered dataset's conditioned snapshot. Both run the same
-	// plan/executor pipeline and stream the same records.
-	var src repro.Source
-	if id := r.URL.Query().Get("dataset"); id != "" {
-		ds, ok := s.eng.Dataset(id)
-		if !ok {
-			s.failed.Add(1)
-			http.Error(w, "unknown dataset "+id, http.StatusNotFound)
-			return
-		}
-		if ds.JoinInput() {
-			s.failed.Add(1)
-			http.Error(w, "dataset "+id+" is a join input (schema=own): bind it in an sql= query instead", http.StatusBadRequest)
-			return
-		}
-		if r.URL.Query().Get("watch") == "1" {
-			s.watchQuery(w, r, ds, q, pools, d)
-			return
-		}
-		snap, err := ds.Snapshot(r.Context())
-		if err != nil {
-			s.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		src = snap
-	} else {
-		if r.URL.Query().Get("watch") == "1" {
-			s.failed.Add(1)
-			http.Error(w, "watch=1 requires dataset=<id>: only registered datasets receive evidence", http.StatusBadRequest)
-			return
-		}
-		rel, err := repro.ReadCSVInSchema(r.Body, s.model.Schema)
-		if err != nil {
-			s.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		src = rel
+	q, err := repro.CompileQuery(s.model.Schema, spec)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	watch := r.URL.Query().Get("watch") == "1"
+	ds, src, ok := s.source(w, c, watch)
+	if !ok {
+		return
 	}
 	head := map[string]any{"kind": "query", "op": q.Op().String(), "query": q.String()}
-	s.answerQuery(w, r, src, q, s.model.Schema, head, pools, d)
+	if watch {
+		head["dataset"], head["watch"] = ds.ID(), true
+		s.watchQuery(w, c, ds, q, head)
+		return
+	}
+	s.answerQuery(w, c, src, q, s.model.Schema, head)
 }
 
 // answerQuery evaluates q over src under the request's budget and writes
-// the NDJSON answer: the head record, the result records, and the
-// summary. TopK and groupby stream incrementally (see streamQuery).
-// Count and exists fold scalars, so their evaluation completes before
-// the first byte is written, and a failure carries a real status code.
-func (s *server) answerQuery(w http.ResponseWriter, r *http.Request, src repro.Source, q *repro.CompiledQuery,
-	schema *repro.Schema, head map[string]any, pools repro.Pools, d time.Duration) {
-	eval := func(progress repro.QueryProgressFunc) (*repro.QueryResult, error) {
-		ctx, cancel := withBudget(r.Context(), d)
-		defer cancel()
-		return s.eng.Query(ctx, src, q, repro.QueryOptions{Pools: pools, Progress: progress})
-	}
-	if q.Op() == repro.QueryTopK || q.Op() == repro.QueryGroupBy {
-		s.streamQuery(w, r, q, schema, head, eval)
-		return
-	}
-	res, err := eval(nil)
-	if err != nil {
-		s.failed.Add(1)
-		var mismatch *repro.SchemaMismatchError
-		if errors.As(err, &mismatch) {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+// the NDJSON answer through one answer writer: the head record, the
+// result records and the summary. Count and exists fold scalars, so their
+// evaluation completes before the first byte is written, a failure
+// carries a real status code, and their one record goes out unmarked.
+// TopK and groupby stream: the head goes out first, each progress report —
+// made only while the evaluation waits on inference — writes the records
+// that changed since the last report marked "partial":true and flushes
+// them, and all the settled records follow marked "final":true, so a
+// query served from the caches sends only its final records. Past the
+// head a status code can no longer reach the client, so a streamed
+// failure appends a terminal error record, and a disconnected client
+// aborts the evaluation through the progress callback.
+func (s *server) answerQuery(w http.ResponseWriter, c *call, src repro.Source, q *repro.CompiledQuery,
+	schema *repro.Schema, head map[string]any) {
+	a := newAnswer(w, q, schema)
+	opts := repro.QueryOptions{Pools: c.pools}
+	streamed := q.Op() == repro.QueryTopK || q.Op() == repro.QueryGroupBy
+	if streamed {
+		a.enc.Encode(head)
+		opts.Progress = func(res *repro.QueryResult) error {
+			a.write(res, true, map[string]any{"partial": true})
+			return a.ew.flush()
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+	ctx, cancel := c.ctx()
+	res, err := s.eng.Query(ctx, src, q, opts)
+	cancel()
+	var mismatch *repro.SchemaMismatchError
+	switch {
+	case err != nil && streamed:
+		s.failed.Add(1)
+		a.enc.Encode(errRecord(c.r, err))
+		return
+	case errors.As(err, &mismatch):
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	case err != nil:
+		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.noteBudget(res.Degraded)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: w}
-	enc := json.NewEncoder(ew)
-	enc.Encode(head)
-	writeScalar(enc, q, res)
-	s.writeSummary(enc, r, res)
-	if ew.err != nil {
+	if streamed {
+		a.write(res, false, map[string]any{"final": true})
+	} else {
+		a.enc.Encode(head)
+		a.write(res, false, nil)
+	}
+	writeSummary(a.enc, c.r, res)
+	if a.ew.err != nil {
 		// The client went away mid-stream: the response is truncated, so
 		// the request did not succeed.
 		s.failed.Add(1)
-	}
-}
-
-// writeScalar emits the single result record of a count or exists
-// evaluation. A dissociated exists answer (unsafe SPJ plan) carries the
-// flag and the sound [lo, hi] interval around the intensional mass;
-// extensional queries never set either. A degraded answer (deadline
-// budget ran out) is flagged degraded:true with the sound [lo, hi]
-// bracket around the exact value — the point answer is its lower side.
-func writeScalar(enc *json.Encoder, q *repro.CompiledQuery, res *repro.QueryResult) {
-	switch q.Op() {
-	case repro.QueryCount:
-		var rec map[string]any
-		if q.MinProb() > 0 {
-			rec = map[string]any{"kind": "count", "count": res.Count, "minprob": q.MinProb()}
-		} else {
-			rec = map[string]any{"kind": "count", "expected": res.Expected}
-		}
-		if res.Degraded {
-			rec["degraded"] = true
-			if res.Bounds != nil {
-				rec["lo"], rec["hi"] = res.Bounds.Lo, res.Bounds.Hi
-			}
-		}
-		enc.Encode(rec)
-	case repro.QueryExists:
-		rec := map[string]any{
-			"kind": "exists", "exists": res.Exists, "p": res.Prob, "early_stop": res.EarlyStop,
-		}
-		if res.Dissociated {
-			rec["dissociated"] = true
-		}
-		if res.Degraded {
-			rec["degraded"] = true
-		}
-		if res.Bounds != nil {
-			rec["lo"], rec["hi"] = res.Bounds.Lo, res.Bounds.Hi
-		}
-		enc.Encode(rec)
 	}
 }
 
@@ -897,27 +859,24 @@ func writeScalar(enc *json.Encoder, q *repro.CompiledQuery, res *repro.QueryResu
 // the same record kinds; the summary carries the join order and safety
 // verdict, and unsafe exists answers are flagged dissociated with their
 // sound interval.
-func (s *server) handleSQLQuery(w http.ResponseWriter, r *http.Request, sqlText string, pools repro.Pools, d time.Duration) {
+func (s *server) handleSQLQuery(w http.ResponseWriter, c *call, sqlText string) {
+	r := c.r
 	if r.URL.Query().Get("watch") == "1" {
-		s.failed.Add(1)
-		http.Error(w, "watch=1 applies to single-relation dataset queries, not sql statements", http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, errors.New("watch=1 applies to single-relation dataset queries, not sql statements"))
 		return
 	}
 	if r.URL.Query().Get("dataset") != "" {
-		s.failed.Add(1)
-		http.Error(w, "sql statements name their inputs (<relation>=<dataset id>); dataset= applies to single-relation queries", http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, errors.New("sql statements name their inputs (<relation>=<dataset id>); dataset= applies to single-relation queries"))
 		return
 	}
 	stmt, err := repro.ParseSPJ(sqlText)
 	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	spec, err := specFromRequest(r)
 	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	inputs := make(map[string]*repro.Relation)
@@ -927,22 +886,19 @@ func (s *server) handleSQLQuery(w http.ResponseWriter, r *http.Request, sqlText 
 		}
 		rel, err := s.resolveSQLInput(r, name)
 		if err != nil {
-			s.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
 		inputs[name] = rel
 	}
 	spjSpec, err := stmt.Bind(inputs, spec, r.FormValue("keepkeys") == "1")
 	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	spj, err := repro.CompileSPJ(s.model.Schema, spjSpec)
 	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	q := spj.Query()
@@ -956,7 +912,7 @@ func (s *server) handleSQLQuery(w http.ResponseWriter, r *http.Request, sqlText 
 		"kind": "query", "op": q.Op().String(), "query": q.String(),
 		"sql": sqlText, "safe": spj.Safe(),
 	}
-	s.answerQuery(w, r, spj, q, schema, head, pools, d)
+	s.answerQuery(w, c, spj, q, schema, head)
 }
 
 // resolveSQLInput resolves one statement relation name against the
@@ -988,89 +944,6 @@ func (s *server) resolveSQLInput(r *http.Request, name string) (*repro.Relation,
 	return nil, fmt.Errorf("relation %s has no input: attach a multipart CSV file field %q or name a registered dataset (%s=<id>)", name, name, name)
 }
 
-// streamQuery runs a topk or groupby evaluation with incremental NDJSON
-// output: partial records whenever the evaluation is about to wait on
-// inference, final records once it settles, then the summary. Each
-// progress callback writes what changed since the last one and flushes
-// it; the handler's return sends the rest, so an evaluation served from
-// the caches writes its final records in one go. The stream is already
-// under way when inference runs, so evaluation errors append a terminal
-// error record instead of a status code; a disconnected client aborts
-// the evaluation through the progress callback.
-func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, q *repro.CompiledQuery,
-	schema *repro.Schema, head map[string]any,
-	eval func(repro.QueryProgressFunc) (*repro.QueryResult, error)) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: w}
-	enc := json.NewEncoder(ew)
-	enc.Encode(head)
-
-	var (
-		lastRows   []repro.QueryRow
-		lastGroups []repro.QueryGroup
-	)
-	progress := func(res *repro.QueryResult) error {
-		switch q.Op() {
-		case repro.QueryTopK:
-			if slicesEqualRows(res.Rows, lastRows) {
-				break
-			}
-			lastRows = append(lastRows[:0], res.Rows...)
-			for rank, row := range res.Rows {
-				enc.Encode(map[string]any{
-					"kind": "row", "partial": true, "rank": rank, "index": row.Index,
-					"values": labelsIn(schema, row.Tuple), "p": row.Prob, "certain": row.Certain,
-				})
-			}
-		case repro.QueryGroupBy:
-			for i, g := range res.Groups {
-				if i < len(lastGroups) && g == lastGroups[i] {
-					continue
-				}
-				enc.Encode(map[string]any{
-					"kind": "group", "partial": true, "value": g.Label,
-					"expected": g.Expected, "variance": g.Variance,
-				})
-			}
-			lastGroups = append(lastGroups[:0], res.Groups...)
-		}
-		ew.flush()
-		return ew.err
-	}
-	res, err := eval(progress)
-	if err != nil {
-		s.failed.Add(1)
-		enc.Encode(errRecord(r, err))
-		return
-	}
-	s.noteBudget(res.Degraded)
-	switch q.Op() {
-	case repro.QueryTopK:
-		for rank, row := range res.Rows {
-			enc.Encode(map[string]any{
-				"kind": "row", "final": true, "rank": rank, "index": row.Index,
-				"values": labelsIn(schema, row.Tuple), "p": row.Prob, "certain": row.Certain,
-			})
-		}
-	case repro.QueryGroupBy:
-		for _, g := range res.Groups {
-			rec := map[string]any{
-				"kind": "group", "final": true, "value": g.Label,
-				"expected": g.Expected, "variance": g.Variance,
-			}
-			if res.Degraded {
-				// Degraded buckets bracket the exact expectation.
-				rec["degraded"], rec["lo"], rec["hi"] = true, g.Lo, g.Hi
-			}
-			enc.Encode(rec)
-		}
-	}
-	s.writeSummary(enc, r, res)
-	if ew.err != nil {
-		s.failed.Add(1)
-	}
-}
-
 // errRecord is the terminal NDJSON error record, stamped with the
 // request id so mid-stream failures correlate with the request log.
 func errRecord(r *http.Request, err error) map[string]string {
@@ -1079,19 +952,110 @@ func errRecord(r *http.Request, err error) map[string]string {
 	}
 }
 
-// slicesEqualRows reports whether two row snapshots are identical, so
-// the streamer only re-emits partial rows that actually moved.
-func slicesEqualRows(a, b []repro.QueryRow) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Prob != b[i].Prob || a[i].Index != b[i].Index || a[i].Certain != b[i].Certain ||
-			!a[i].Tuple.Equal(b[i].Tuple) {
-			return false
+// resultRecords is the one place a QueryResult becomes NDJSON result
+// records, unmarked: one count or exists record, one row per topk rank,
+// or one group per histogram bucket. A dissociated exists answer (unsafe
+// SPJ plan) is flagged with its sound [lo, hi] interval around the
+// intensional mass. Every record of a degraded answer (the deadline
+// budget ran out) is flagged "degraded":true, and a scalar or bucket
+// carries its sound [lo, hi] bracket around the exact value, whose lower
+// side is the point answer; a degraded topk's bound is on the summary.
+func resultRecords(q *repro.CompiledQuery, schema *repro.Schema, res *repro.QueryResult) []map[string]any {
+	var recs []map[string]any
+	switch q.Op() {
+	case repro.QueryCount, repro.QueryExists:
+		var rec map[string]any
+		switch {
+		case q.Op() == repro.QueryExists:
+			rec = map[string]any{"kind": "exists", "exists": res.Exists, "p": res.Prob, "early_stop": res.EarlyStop}
+		case q.MinProb() > 0:
+			rec = map[string]any{"kind": "count", "count": res.Count, "minprob": q.MinProb()}
+		default:
+			rec = map[string]any{"kind": "count", "expected": res.Expected}
+		}
+		if res.Dissociated {
+			rec["dissociated"] = true
+		}
+		if res.Bounds != nil {
+			rec["lo"], rec["hi"] = res.Bounds.Lo, res.Bounds.Hi
+		}
+		recs = append(recs, rec)
+	case repro.QueryTopK:
+		for rank, row := range res.Rows {
+			recs = append(recs, map[string]any{
+				"kind": "row", "rank": rank, "index": row.Index,
+				"values": labelsIn(schema, row.Tuple), "p": row.Prob, "certain": row.Certain,
+			})
+		}
+	case repro.QueryGroupBy:
+		for _, g := range res.Groups {
+			rec := map[string]any{"kind": "group", "value": g.Label, "expected": g.Expected, "variance": g.Variance}
+			if res.Degraded {
+				rec["lo"], rec["hi"] = g.Lo, g.Hi
+			}
+			recs = append(recs, rec)
 		}
 	}
-	return true
+	if res.Degraded {
+		for _, rec := range recs {
+			rec["degraded"] = true
+		}
+	}
+	return recs
+}
+
+// answer writes the NDJSON records of one /query response — head,
+// result records, summary, and terminal error or end records — through an
+// errWriter, so a client that went away stops the stream. Result records
+// go out only through write.
+type answer struct {
+	q      *repro.CompiledQuery
+	schema *repro.Schema
+	ew     *errWriter
+	enc    *json.Encoder
+	// sent holds, by position, the unmarked encoding of each result
+	// record the client holds after the last diffed write.
+	sent []string
+}
+
+// newAnswer starts an NDJSON response on w for q's records, labeled in
+// schema.
+func newAnswer(w http.ResponseWriter, q *repro.CompiledQuery, schema *repro.Schema) *answer {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	ew := &errWriter{w: w}
+	return &answer{q: q, schema: schema, ew: ew, enc: json.NewEncoder(ew)}
+}
+
+// write renders res through resultRecords and writes its records with
+// marks merged into each: none on a batch count or exists, "final":true
+// at the end of a topk or groupby stream. With diff set — the
+// "partial":true writes of stream progress and of a watch — only the
+// records that differ from the last diffed write at their position go
+// out, and the topk ranks the result no longer holds (the only records a
+// result can lose) are retracted with "removed":true.
+func (a *answer) write(res *repro.QueryResult, diff bool, marks map[string]any) {
+	recs := resultRecords(a.q, a.schema, res)
+	var sent []string
+	for i, rec := range recs {
+		if diff {
+			b, _ := json.Marshal(rec)
+			sent = append(sent, string(b))
+			if i < len(a.sent) && a.sent[i] == sent[i] {
+				continue
+			}
+		}
+		maps.Copy(rec, marks)
+		a.enc.Encode(rec)
+	}
+	if !diff {
+		return
+	}
+	for rank := len(recs); rank < len(a.sent); rank++ {
+		rec := map[string]any{"kind": "row", "rank": rank, "removed": true}
+		maps.Copy(rec, marks)
+		a.enc.Encode(rec)
+	}
+	a.sent = sent
 }
 
 // handleRegisterDataset registers the posted CSV relation as a live
@@ -1197,14 +1161,12 @@ func parseObserveRequest(schema *repro.Schema, body io.Reader) (string, []observ
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	id, deltas, err := parseObserveRequest(s.model.Schema, r.Body)
 	if err != nil {
-		s.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	ds, ok := s.eng.Dataset(id)
 	if !ok {
-		s.failed.Add(1)
-		http.Error(w, "unknown dataset "+id, http.StatusNotFound)
+		s.fail(w, http.StatusNotFound, errors.New("unknown dataset "+id))
 		return
 	}
 	n := len(ds.Relation().Tuples)
@@ -1212,9 +1174,7 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var version uint64
 	for applied, d := range deltas {
 		if d.Index >= n {
-			s.failed.Add(1)
-			http.Error(w, fmt.Sprintf("observe: tuple index %d out of range [0, %d)", d.Index, n),
-				http.StatusBadRequest)
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("observe: tuple index %d out of range [0, %d)", d.Index, n))
 			return
 		}
 		res, err := ds.Observe(r.Context(), d.Index, d.Attr, d.Val)
@@ -1245,160 +1205,59 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 // watchQuery serves /query?dataset=<id>&watch=1: a long-lived
 // subscription that evaluates the query over the dataset's conditioned
-// snapshot, emits the full result once, then re-evaluates after every
-// observation and re-emits ONLY the records the delta actually changed,
-// marked "partial":true and stamped with the dataset version. The
-// stream ends when the client disconnects or the dataset is dropped
-// (an "end" record). Observation signals are coalesced: a burst of
-// deltas may surface as one re-evaluation of the latest snapshot. The
-// head and every diff are flushed as soon as they are written, since the
-// stream then waits for the next observation.
-func (s *server) watchQuery(w http.ResponseWriter, r *http.Request,
-	ds *repro.Dataset, q *repro.CompiledQuery, pools repro.Pools, d time.Duration) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	ew := &errWriter{w: w}
-	enc := json.NewEncoder(ew)
-	enc.Encode(map[string]any{
-		"kind": "query", "op": q.Op().String(), "query": q.String(),
-		"dataset": ds.ID(), "watch": true,
-	})
-	ew.flush()
-
-	var st watchState
+// snapshot and writes every result record, then re-evaluates after every
+// observation and writes only the records the delta changed (retracting
+// the topk ranks it no longer holds), marked "partial":true and stamped
+// with the dataset version. The stream ends when the client disconnects,
+// the dataset is dropped or the server drains (an "end" record).
+// Observation signals are coalesced: a burst of deltas may surface as one
+// re-evaluation of the latest snapshot, and the subscription opens before
+// the first evaluation, so no delta slips between them. The head and
+// every diff are flushed as soon as they are written, since the stream
+// then waits for the next observation.
+func (s *server) watchQuery(w http.ResponseWriter, c *call, ds *repro.Dataset, q *repro.CompiledQuery, head map[string]any) {
+	a := newAnswer(w, q, s.model.Schema)
+	a.enc.Encode(head)
+	a.ew.flush()
 	// The deadline budget applies per re-evaluation, not to the stream:
 	// a subscription lives until disconnect, drop, or drain, but each
 	// answer it pushes is bounded.
 	reval := func() error {
-		ctx, cancel := withBudget(r.Context(), d)
+		ctx, cancel := c.ctx()
 		defer cancel()
 		snap, err := ds.Snapshot(ctx)
 		if err != nil {
 			return err
 		}
-		res, err := s.eng.Query(ctx, snap, q, repro.QueryOptions{Pools: pools})
+		res, err := s.eng.Query(ctx, snap, q, repro.QueryOptions{Pools: c.pools})
 		if err != nil {
 			return err
 		}
 		s.noteBudget(res.Degraded)
-		s.emitWatchDiff(enc, q, res, snap.Version, &st)
-		ew.flush()
-		return ew.err
+		a.write(res, true, map[string]any{"partial": true, "version": snap.Version})
+		return a.ew.flush()
 	}
-	if err := reval(); err != nil {
-		s.failed.Add(1)
-		enc.Encode(errRecord(r, err))
-		return
-	}
-	ch, cancel := ds.Subscribe()
-	defer cancel()
-	// An observe between the first evaluation and the subscription would
-	// be missed; re-check once now that the signal channel is live.
-	if err := reval(); err != nil {
-		s.failed.Add(1)
-		enc.Encode(errRecord(r, err))
-		return
-	}
+	ch, unsubscribe := ds.Subscribe()
+	defer unsubscribe()
 	for {
+		if err := reval(); err != nil {
+			s.failed.Add(1)
+			a.enc.Encode(errRecord(c.r, err))
+			return
+		}
 		select {
-		case <-r.Context().Done():
+		case <-c.r.Context().Done():
 			return // client disconnected; nothing left to tell it
 		case <-s.drain:
 			// Server draining: end the subscription cleanly so Shutdown can
-			// finish. The last emitted results stand.
-			enc.Encode(map[string]any{"kind": "end", "reason": "server draining", "dataset": ds.ID()})
+			// finish. The last written results stand.
+			a.enc.Encode(map[string]any{"kind": "end", "reason": "server draining", "dataset": ds.ID()})
 			return
 		case <-ds.Done():
-			enc.Encode(map[string]any{"kind": "end", "reason": "dataset dropped", "dataset": ds.ID()})
+			a.enc.Encode(map[string]any{"kind": "end", "reason": "dataset dropped", "dataset": ds.ID()})
 			return
 		case <-ch:
-			if err := reval(); err != nil {
-				s.failed.Add(1)
-				enc.Encode(errRecord(r, err))
-				return
-			}
 		}
-	}
-}
-
-// watchState is the last emitted result of a watch stream, diffed
-// against each re-evaluation so unchanged records are never re-sent.
-type watchState struct {
-	init     bool
-	count    float64 // Expected, or Count when thresholded
-	exists   bool
-	prob     float64
-	earlyCut bool
-	rows     []repro.QueryRow
-	groups   []repro.QueryGroup
-}
-
-// emitWatchDiff emits the result records of res that differ from the
-// previous evaluation in st, marked partial and stamped with the
-// dataset version, then updates st. The first call emits everything.
-func (s *server) emitWatchDiff(enc *json.Encoder, q *repro.CompiledQuery,
-	res *repro.QueryResult, version uint64, st *watchState) {
-	first := !st.init
-	st.init = true
-	switch q.Op() {
-	case repro.QueryCount:
-		val := res.Expected
-		if q.MinProb() > 0 {
-			val = float64(res.Count)
-		}
-		if first || val != st.count {
-			st.count = val
-			rec := map[string]any{"kind": "count", "partial": true, "version": version}
-			if q.MinProb() > 0 {
-				rec["count"] = res.Count
-				rec["minprob"] = q.MinProb()
-			} else {
-				rec["expected"] = res.Expected
-			}
-			enc.Encode(rec)
-		}
-	case repro.QueryExists:
-		if first || res.Exists != st.exists || res.Prob != st.prob || res.EarlyStop != st.earlyCut {
-			st.exists, st.prob, st.earlyCut = res.Exists, res.Prob, res.EarlyStop
-			enc.Encode(map[string]any{
-				"kind": "exists", "partial": true, "version": version,
-				"exists": res.Exists, "p": res.Prob, "early_stop": res.EarlyStop,
-			})
-		}
-	case repro.QueryTopK:
-		for rank, row := range res.Rows {
-			if !first && rank < len(st.rows) {
-				p := st.rows[rank]
-				if p.Prob == row.Prob && p.Index == row.Index && p.Certain == row.Certain &&
-					p.Tuple.Equal(row.Tuple) {
-					continue
-				}
-			}
-			enc.Encode(map[string]any{
-				"kind": "row", "partial": true, "version": version, "rank": rank,
-				"index": row.Index, "values": labelsIn(s.model.Schema, row.Tuple),
-				"p": row.Prob, "certain": row.Certain,
-			})
-		}
-		// Evidence can disqualify rows: retract ranks past the new end.
-		for rank := len(res.Rows); rank < len(st.rows); rank++ {
-			enc.Encode(map[string]any{
-				"kind": "row", "partial": true, "version": version, "rank": rank, "removed": true,
-			})
-		}
-		st.rows = append(st.rows[:0], res.Rows...)
-	case repro.QueryGroupBy:
-		// Groups cover the grouping attribute's domain in order, so the
-		// diff is positional, like the batch streamer's.
-		for i, g := range res.Groups {
-			if !first && i < len(st.groups) && g == st.groups[i] {
-				continue
-			}
-			enc.Encode(map[string]any{
-				"kind": "group", "partial": true, "version": version,
-				"value": g.Label, "expected": g.Expected, "variance": g.Variance,
-			})
-		}
-		st.groups = append(st.groups[:0], res.Groups...)
 	}
 }
 
@@ -1409,7 +1268,7 @@ func (s *server) emitWatchDiff(enc *json.Encoder, q *repro.CompiledQuery,
 // explain=analyze (or trace=1) the plan block carries the measured
 // timing section, and a trace on the request context is flushed as a
 // {"kind":"trace"} record after the summary.
-func (s *server) writeSummary(enc *json.Encoder, r *http.Request, res *repro.QueryResult) {
+func writeSummary(enc *json.Encoder, r *http.Request, res *repro.QueryResult) {
 	c := res.Counters
 	summary := map[string]any{
 		"kind": "summary", "scanned": c.Scanned, "pruned": c.Pruned,
@@ -1466,11 +1325,7 @@ func (s *server) writeSummary(enc *json.Encoder, r *http.Request, res *repro.Que
 		summary["plan"] = plan
 	}
 	enc.Encode(summary)
-	if tr := repro.TraceFrom(r.Context()); tr != nil {
-		enc.Encode(map[string]any{
-			"kind": "trace", "request_id": obs.RequestIDFrom(r.Context()), "spans": tr.Spans(),
-		})
-	}
+	writeTrace(enc, r)
 }
 
 // errWriter records the first write error and drops everything after it,
@@ -1483,11 +1338,13 @@ type errWriter struct {
 	err error
 }
 
-// flush sends what the ResponseWriter has buffered to the client.
-func (e *errWriter) flush() {
+// flush sends what the ResponseWriter has buffered to the client and
+// reports the first write error.
+func (e *errWriter) flush() error {
 	if f, ok := e.w.(http.Flusher); ok && e.err == nil {
 		f.Flush()
 	}
+	return e.err
 }
 
 func (e *errWriter) Write(p []byte) (int, error) {
@@ -1551,16 +1408,6 @@ func specFromRequest(r *http.Request) (repro.QuerySpec, error) {
 	return spec, nil
 }
 
-// queryFromRequest builds a compiled single-relation query from the
-// request's URL parameters.
-func queryFromRequest(schema *repro.Schema, r *http.Request) (*repro.CompiledQuery, error) {
-	spec, err := specFromRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	return repro.CompileQuery(schema, spec)
-}
-
 // statsResponse is the /stats payload: the engine's counters, exactly
 // as EngineStats carries them (the same snapshot /metrics exports as
 // mrsl_engine_* gauges), plus serving-level bookkeeping.
@@ -1616,18 +1463,4 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	io.WriteString(w, "{\"status\":\"ok\"}\n")
-}
-
-// poolsFromQuery reads the optional per-request pool override workers=;
-// the pool size affects scheduling only, never the derived stream.
-func poolsFromQuery(r *http.Request) (repro.Pools, error) {
-	v := r.URL.Query().Get("workers")
-	if v == "" {
-		return repro.Pools{}, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return repro.Pools{}, fmt.Errorf("query parameter workers must be a non-negative integer, got %q", v)
-	}
-	return repro.Pools{Workers: n}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -441,6 +442,50 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 	plan, ok := summary["plan"].(map[string]any)
 	if !ok || plan["tiers"] == nil {
 		t.Errorf("summary missing plan tiers: %v", summary)
+	}
+}
+
+// TestServeTopKPartialsSendOnlyChangedRanks checks that streamed topk
+// partials follow the watch's per-rank rule: a progress report re-sends
+// only the ranks whose row moved, so no partial row equals the one last
+// sent at its rank, and the final rows still follow.
+func TestServeTopKPartialsSendOnlyChangedRanks(t *testing.T) {
+	model, _, csvBody := matchmakingFixture(t)
+	ts := startServer(t, model)
+
+	// A cold topk whose prefetch items all panic before they claim
+	// computes every block inline, and reports the rows held so far before
+	// each computation.
+	if err := faultinject.Configure("derive.prefetch=panic/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	attr := model.Schema.Attrs[0]
+	code, recs := postQueryRecords(t, ts, "op=topk&k=4&where="+url.QueryEscape(attr.Name+"!="+attr.Domain[0]), csvBody)
+	faultinject.Disable()
+	if code != http.StatusOK {
+		t.Fatalf("cold topk: status %d: %v", code, recs)
+	}
+	var partials, finals int
+	lastAt := map[float64]map[string]any{}
+	for _, r := range recs {
+		switch {
+		case r["kind"] == "row" && r["partial"] == true:
+			partials++
+			rank := r["rank"].(float64)
+			if reflect.DeepEqual(r, lastAt[rank]) {
+				t.Errorf("partial row %v re-sent unchanged at its rank", r)
+			}
+			lastAt[rank] = r
+		case r["kind"] == "row" && r["final"] == true:
+			finals++
+		}
+	}
+	if partials == 0 {
+		t.Fatalf("cold topk streamed no partial rows:\n%v", recs)
+	}
+	if finals == 0 || finals > 4 {
+		t.Fatalf("topk streamed %d final rows, want 1..4", finals)
 	}
 }
 

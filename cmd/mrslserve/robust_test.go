@@ -129,6 +129,70 @@ func TestServeDeadlineBudgetDegrades(t *testing.T) {
 	}
 }
 
+// TestServeWatchReportsDegradation: a watch whose per-evaluation budget
+// is already spent pushes the records a batch query writes for a
+// degraded answer — flagged degraded:true, with [lo, hi] brackets that
+// contain an unbudgeted local evaluation's answer — for a count and for
+// every groupby bucket, never the bracket's lower side passed off as
+// exact.
+func TestServeWatchReportsDegradation(t *testing.T) {
+	model, rel, csvBody := matchmakingFixture(t)
+	ts := startServer(t, model)
+	id := registerDataset(t, ts.URL, csvBody)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	eng, err := repro.NewEngine(model, serveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := func(spec repro.QuerySpec) *repro.QueryResult {
+		t.Helper()
+		q, err := repro.CompileQuery(model.Schema, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Query(context.Background(), rel, q, repro.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	brackets := func(rec map[string]any, want float64) {
+		t.Helper()
+		lo, okLo := rec["lo"].(float64)
+		hi, okHi := rec["hi"].(float64)
+		if rec["degraded"] != true || !okLo || !okHi {
+			t.Fatalf("watch record = %v, want degraded:true with [lo, hi]", rec)
+		}
+		if lo > want || hi < want {
+			t.Errorf("exact answer %v outside the watch record's bracket [%v, %v]: %v", want, lo, hi, rec)
+		}
+	}
+
+	where := "age=20"
+	count := local(repro.QuerySpec{Op: repro.QueryCount, Where: where})
+	ch := watchLines(t, ctx, ts.URL, "op=count&where="+url.QueryEscape(where)+"&dataset="+id+"&watch=1&timeout_ms=1")
+	nextRecord(t, ch, "count watch head")
+	rec := nextRecord(t, ch, "count watch record")
+	if rec["kind"] != "count" || rec["partial"] != true || rec["version"] != 0.0 {
+		t.Fatalf("count watch record = %v, want a partial count at version 0", rec)
+	}
+	brackets(rec, count.Expected)
+
+	groupAttr := model.Schema.Attrs[0].Name
+	hist := local(repro.QuerySpec{Op: repro.QueryGroupBy, GroupBy: groupAttr})
+	ch = watchLines(t, ctx, ts.URL, "op=groupby&groupby="+url.QueryEscape(groupAttr)+"&dataset="+id+"&watch=1&timeout_ms=1")
+	nextRecord(t, ch, "groupby watch head")
+	for _, g := range hist.Groups {
+		rec := nextRecord(t, ch, "groupby watch record")
+		if rec["kind"] != "group" || rec["value"] != g.Label || rec["partial"] != true {
+			t.Fatalf("groupby watch record = %v, want the partial %q bucket", rec, g.Label)
+		}
+		brackets(rec, g.Expected)
+	}
+}
+
 // TestServeDeriveTruncates: a derive stream that outlives its budget
 // ends with a terminal "truncated" record — a soft outcome, not a
 // failure — and the lines before it are exact records.

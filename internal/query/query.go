@@ -30,11 +30,11 @@
 //     pruned to 1: its block's probability mass need not sum to exactly
 //     1.0 in floats, so pinning it would break bit-identity — it is
 //     resolved like any open tuple instead.)
-//   - Point bounds: a single-missing tuple's completion distribution is
-//     the voted CPD itself, served from the engine's shared local-CPD
-//     cache — the same estimate, from the same cache slot, full
-//     derivation would use — so its satisfaction probability is an exact
-//     point bound and the tuple never needs a block expansion.
+//   - Votes: a single-missing tuple's completion block is one voted CPD,
+//     read through derive.Engine.ResolveBlock from the engine's one block
+//     cache — the block, from the cache slot, full derivation would emit
+//     — so its satisfaction probability is exact for the cost of one vote
+//     and the tuple never needs a dissociation interval or a chain.
 //   - Dissociation intervals: a multi-missing tuple's satisfying mass is
 //     bracketed by combining per-attribute conditional-CPD envelopes
 //     with Frechet bounds (derive.Engine.BoundCPD) — sound for the very
@@ -52,9 +52,10 @@
 //
 // Expected counts, unthresholded exists, and groupby need every open
 // tuple's exact mass, so they scan fully — the deliberate limit of
-// interval pruning. (Intensional, lineage-based evaluation for
-// joins/projections and cross-block correlations remain ROADMAP
-// follow-ups.)
+// interval pruning. Select-project-join queries (spj.go) fold their join
+// chain with per-row lineage and evaluate through the same pipeline:
+// safe plans and linear operators answer exactly, and unsafe exists
+// plans report the dissociated mass with a sound [lo, hi] interval.
 package query
 
 import (

@@ -104,11 +104,12 @@ func CompileQuery(s *Schema, spec QuerySpec) (*CompiledQuery, error) {
 // every tuple into a resolution tier (attaching sound dissociation bound
 // intervals to multi-missing tuples), and the executor consumes the
 // tiers in increasing cost order — tuples decided by evidence cost
-// nothing, single-missing tuples are decided from the shared local-CPD
-// cache without expanding a block, multi-missing tuples whose interval
-// clears or refutes the threshold (or cannot reach TopK's rank k) are
-// decided without sampling, and only the remainder is scheduled for full
-// derivation.
+// nothing, single-missing tuples read their voted block from the
+// engine's one block cache (the derivation engine's ResolveBlock, as a
+// stream would) and never need an interval or a chain, multi-missing
+// tuples whose interval clears or refutes the threshold (or cannot reach
+// TopK's rank k) are decided without sampling, and only the remainder is
+// scheduled for full derivation.
 //
 // Over a relation the answer is bit-identical to deriving it completely
 // through this engine and evaluating the stream naively, for every

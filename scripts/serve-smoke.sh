@@ -4,7 +4,9 @@
 # server on a kernel-assigned port, POSTs one derivation and one query,
 # drives the live-evidence loop — register a dataset, query it, observe
 # a delta, derive it, re-query, and check that a groupby served from the
-# caches sends no partial record — runs one intensional join query
+# caches sends no partial record — holds a count watch on a second
+# dataset through one observation and the dataset's drop, runs one
+# intensional join query
 # (multipart sql= statement over two CSV fragments), checks the stream
 # and stats endpoints answer, and finally SIGTERMs the server expecting
 # a clean graceful drain. Exits non-zero on any failure.
@@ -12,7 +14,9 @@ set -eu
 
 tmp=$(mktemp -d)
 pid=""
+wpid=""
 cleanup() {
+	[ -n "$wpid" ] && kill "$wpid" 2>/dev/null || true
 	[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
 	rm -rf "$tmp"
 }
@@ -109,6 +113,34 @@ grep '"kind":"group"' "$tmp/groupby.ndjson" | grep -q '"final":true' || {
 ! grep -q '"partial":true' "$tmp/groupby.ndjson" || {
 	echo "serve-smoke: warm groupby sent a partial record"; cat "$tmp/groupby.ndjson"; exit 1; }
 
+# Watch round trip: a count watch on a second dataset, held open by a
+# background curl, sends its answer at version 0; an observation that
+# moves the count re-sends it as a partial record stamped version 1, and
+# dropping the dataset ends the stream with an "end" record.
+wid=$(curl -fsS -X POST --data-binary @testdata/matchmaking.csv "http://$addr/datasets" \
+	| sed 's/.*"id":"\([^"]*\)".*/\1/')
+[ -n "$wid" ] || { echo "serve-smoke: second dataset registration returned no id"; exit 1; }
+curl -fsS -N -X POST "http://$addr/query?op=count&where=inc%3D50K&dataset=$wid&watch=1" >"$tmp/watch.ndjson" &
+wpid=$!
+# watch_for PATTERN WHAT waits up to 10s for a watch line matching PATTERN.
+watch_for() {
+	i=0
+	until grep -q "$1" "$tmp/watch.ndjson"; do
+		[ $i -lt 100 ] || { echo "serve-smoke: watch stream never sent $2"; cat "$tmp/watch.ndjson"; exit 1; }
+		sleep 0.1
+		i=$((i + 1))
+	done
+}
+watch_for '"version":0' "its initial count record"
+curl -fsS -X POST -H 'Content-Type: application/json' \
+	-d "{\"dataset\":\"$wid\",\"observations\":[{\"index\":0,\"attr\":\"inc\",\"value\":\"$obsval\"}]}" \
+	"http://$addr/observe" | grep -q '"kind":"observed"' || { echo "serve-smoke: watch dataset observe failed"; exit 1; }
+watch_for '"partial":true.*"version":1' "a partial record at version 1 after the observation"
+curl -fsS -X DELETE "http://$addr/datasets/$wid" >/dev/null
+watch_for '"kind":"end"' "its end record after the drop"
+wait "$wpid" || { echo "serve-smoke: watch curl failed"; cat "$tmp/watch.ndjson"; exit 1; }
+wpid=""
+
 # Intensional round trip: one SQL join query over HTTP, shipping both
 # input fragments as multipart CSV files. The summary must carry the
 # join plan block with the safety verdict.
@@ -142,11 +174,12 @@ grep -q '"join"' "$tmp/sql.ndjson" || { echo "serve-smoke: sql join query summar
 grep -q '"verdict"' "$tmp/sql.ndjson" || { echo "serve-smoke: join plan has no safety verdict"; cat "$tmp/sql.ndjson"; exit 1; }
 
 curl -fsS "http://$addr/stats" >"$tmp/stats.json"
-# 9 offered inference requests: derive, batch query, pre-query, observe,
-# dataset derive, re-query, two groupbys, sql join query (dataset
-# registration runs no inference and is not counted).
-grep -q '"requests":9' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
-grep -q '"Observations":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the observation"; cat "$tmp/stats.json"; exit 1; }
+# 11 offered inference requests: derive, batch query, pre-query, observe,
+# dataset derive, re-query, two groupbys, watch, watch observe, sql join
+# query (dataset registration and drop run no inference and are not
+# counted). The watched dataset is dropped, so one dataset remains.
+grep -q '"requests":11' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
+grep -q '"Observations":2' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the observations"; cat "$tmp/stats.json"; exit 1; }
 grep -q '"Datasets":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the dataset"; cat "$tmp/stats.json"; exit 1; }
 
 # Prometheus exposition: the per-endpoint request histogram must have
@@ -168,4 +201,4 @@ pid=""
 [ "$status" -eq 0 ] || { echo "serve-smoke: server exited $status on SIGTERM, want clean drain"; cat "$tmp/log"; exit 1; }
 grep -q '^mrslserve: drained, bye$' "$tmp/log" || { echo "serve-smoke: no drain farewell after SIGTERM:"; cat "$tmp/log"; exit 1; }
 
-echo "serve-smoke: ok ($lines lines from $addr, dataset $sid observed inc=$obsval, drained clean)"
+echo "serve-smoke: ok ($lines lines from $addr, dataset $sid observed inc=$obsval, watch on $wid ended, drained clean)"
