@@ -48,9 +48,10 @@ serve-smoke:
 # Fault-injection soak under the race detector: concurrent derive,
 # query, observe, and snapshot traffic on one engine while injected
 # faults force panics in every worker pool, cache eviction storms, and
-# scheduling delays. Asserts the process survives, every non-degraded
-# answer stays bit-identical to a fault-free oracle, and every degraded
-# [lo, hi] interval contains the oracle mass. -count=1 defeats the test
+# scheduling delays. Asserts every armed fault point saw enough arrivals
+# to fire, the process survives, every non-degraded answer stays
+# bit-identical to a fault-free oracle, and every degraded [lo, hi]
+# interval contains the oracle mass. -count=1 defeats the test
 # cache so the soak actually runs every time.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,10 +155,26 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := faultinject.Configure(
-		"derive.vote=panic/3,derive.chain=panic/5,derive.prefetch=panic/4," +
-			"gibbs.chain=panic/9,gibbs.sweep=sleep:300us/7,sink.write=sleep:100us/5," +
-			"cache.storm=fire/11,observe.replay=sleep:300us/2,query.replan=sleep:200us/3"); err != nil {
+	// Each fault fires on every Nth arrival at its point; after the storm
+	// every point must have seen at least N arrivals, so each one fired.
+	faults := []struct {
+		point, action string
+		every         uint64
+	}{
+		{"derive.vote", "panic", 3},
+		{"derive.chain", "panic", 5},
+		{"derive.prefetch", "panic", 4},
+		{"gibbs.chain", "panic", 9},
+		{"gibbs.sweep", "sleep:300us", 7},
+		{"sink.write", "sleep:100us", 5},
+		{"cache.storm", "fire", 11},
+		{"query.replan", "sleep:200us", 3},
+	}
+	var spec []string
+	for _, f := range faults {
+		spec = append(spec, fmt.Sprintf("%s=%s/%d", f.point, f.action, f.every))
+	}
+	if err := faultinject.Configure(strings.Join(spec, ",")); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Disable()
@@ -289,6 +306,11 @@ func TestChaosSoak(t *testing.T) {
 	}()
 
 	wg.Wait()
+	for _, f := range faults {
+		if n := faultinject.Arrivals(f.point); n < f.every {
+			t.Errorf("fault point %s: %d arrivals, want at least %d (the fault never fired)", f.point, n, f.every)
+		}
+	}
 	faultinject.Disable()
 
 	mu.Lock()

@@ -652,6 +652,101 @@ search:
 	}
 }
 
+// TestServeWatchTracesEachEvaluation: a traced watch writes one
+// {"kind":"trace"} record per evaluation, after its diff, holding only
+// that evaluation's spans — so a long-lived subscription never grows a
+// recorder nobody reads.
+func TestServeWatchTracesEachEvaluation(t *testing.T) {
+	model, rel, csvBody := matchmakingFixture(t)
+	ts := startServer(t, model)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	id := registerDataset(t, ts.URL, csvBody)
+
+	// Two applied deltas: firstObservation's, and the most probable value
+	// of another incomplete tuple's first missing attribute.
+	index, attrName, valLabel := firstObservation(t, model, rel)
+	db, err := repro.Derive(model, rel, serveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := ""
+search:
+	for i, tu := range rel.Tuples {
+		if i == index || tu.IsComplete() {
+			continue
+		}
+		for _, b := range db.Blocks {
+			if b.Base.Equal(tu) {
+				a := tu.MissingAttrs()[0]
+				second = fmt.Sprintf(`{"index":%d,"attr":%q,"value":%q}`,
+					i, model.Schema.Attrs[a].Name, model.Schema.Attrs[a].Domain[b.Alts[0].Tuple[a]])
+				break search
+			}
+		}
+	}
+	if second == "" {
+		t.Fatal("fixture has a single incomplete tuple")
+	}
+	deltas := []string{
+		fmt.Sprintf(`{"index":%d,"attr":%q,"value":%q}`, index, attrName, valLabel),
+		second,
+	}
+
+	ch := watchLines(t, ctx, ts.URL, "op=count&where="+url.QueryEscape(attrName+"="+valLabel)+
+		"&dataset="+id+"&watch=1&trace=1")
+	if rec := nextRecord(t, ch, "watch header"); rec["kind"] != "query" {
+		t.Fatalf("watch header = %v", rec)
+	}
+	// awaitTrace reads one evaluation's records up to its trace record and
+	// checks the trace holds exactly one query evaluation.
+	awaitTrace := func(eval int) {
+		t.Helper()
+		for {
+			rec := nextRecord(t, ch, fmt.Sprintf("evaluation %d's trace", eval))
+			switch rec["kind"] {
+			case "count":
+				continue
+			case "trace":
+			default:
+				t.Fatalf("evaluation %d: record %v, want count records then a trace", eval, rec)
+			}
+			walls := 0
+			for _, sp := range rec["spans"].([]any) {
+				if sp.(map[string]any)["name"] == "query.wall" {
+					walls++
+				}
+			}
+			if walls != 1 {
+				t.Fatalf("evaluation %d's trace has %d query.wall spans, want 1: %v", eval, walls, rec)
+			}
+			return
+		}
+	}
+	awaitTrace(0)
+	for i, d := range deltas {
+		status, out := postObserve(t, ts.URL, fmt.Sprintf(`{"dataset":%q,"observations":[%s]}`, id, d))
+		if status != http.StatusOK {
+			t.Fatalf("POST /observe: status %d: %s", status, out)
+		}
+		awaitTrace(i + 1)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/datasets/"+id, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, dresp.Body)
+	dresp.Body.Close()
+	if rec := nextRecord(t, ch, "end record"); rec["kind"] != "end" {
+		t.Fatalf("record after drop = %v, want end", rec)
+	}
+	if rec, ok := <-ch; ok {
+		t.Errorf("watch stream sent %v after its end record", rec)
+	}
+}
+
 // TestServeWatchRequiresDataset: watch without a dataset is a 400 — a
 // posted CSV body cannot receive evidence.
 func TestServeWatchRequiresDataset(t *testing.T) {

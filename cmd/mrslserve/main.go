@@ -28,10 +28,12 @@
 // errors (engine PanicsRecovered) — either way the process keeps serving.
 //
 // The engine's memoization caches (completion blocks, single- and
-// multi-missing together; live datasets' conditioned blocks; local CPDs)
-// are bounded to -cache-entries entries each with CLOCK eviction, so the server runs in fixed memory under unbounded damage
-// pattern diversity; eviction never changes responses, it only costs
-// recomputation. With -max-inflight > 0 at most that many
+// multi-missing together; local CPDs) are bounded to -cache-entries
+// entries each with CLOCK eviction, so the server runs in fixed memory
+// under unbounded damage pattern diversity; eviction never changes
+// responses, it only costs recomputation. A live dataset's conditioned
+// posteriors are not cached: the dataset owns one block per observed
+// tuple. With -max-inflight > 0 at most that many
 // derivation/query requests run concurrently; excess requests are
 // rejected immediately with 429 and a Retry-After header instead of
 // queuing without bound. Client disconnects cancel in-flight work: both
@@ -90,6 +92,9 @@
 //	               (topk ranks the result no longer holds are retracted
 //	               with "removed":true), until the client disconnects or
 //	               the dataset is dropped (which appends an "end" record).
+//	               With trace=1 every evaluation of the subscription
+//	               writes its own {"kind":"trace"} record after its
+//	               result records.
 //
 //	               With sql=<statement> (URL parameter, or an "sql"
 //	               field of a multipart/form-data body) the query is
@@ -121,8 +126,8 @@
 //	               "attr":"income","value":"50K"}]} with attributes and
 //	               values as schema labels. Deltas apply in order;
 //	               conditioning is exact Bayesian filtering of the
-//	               tuple's block, and the engine invalidates exactly the
-//	               superseded conditioned entry — nothing else. A
+//	               tuple's block, and the conditioned block replaces the
+//	               tuple's posterior in the dataset — nothing else. A
 //	               conflicting or zero-remaining-mass delta stops the
 //	               batch with 409 and reports how many applied.
 //	GET  /stats    "engine": the EngineStats snapshot under its Go
@@ -192,7 +197,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "sampler seed")
 		workers   = flag.Int("workers", 8, "default inference pool size per request, running votes, exact solves and Gibbs chains; never more than GOMAXPROCS (0 = GOMAXPROCS)")
 		maxAlts   = flag.Int("maxalts", 0, "cap block alternatives (0 keeps all)")
-		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache (completion blocks, conditioned blocks, CPDs) to this many entries, CLOCK-evicted (0 = unbounded block and conditioned-block caches, default-capped CPD memo); eviction never changes results")
+		cacheEnts = flag.Int("cache-entries", 1<<16, "bound each engine cache (completion blocks, CPDs) to this many entries, CLOCK-evicted (0 = unbounded block cache, default-capped CPD memo); eviction never changes results")
 		inflight  = flag.Int("max-inflight", 0, "maximum concurrent derivation/query requests; excess requests get 429 with Retry-After (0 = unlimited)")
 
 		defTimeout = flag.Duration("default-timeout", 0, "default deadline budget per /derive and /query request; requests degrade to sound bounds instead of failing when it runs out (0 = none; timeout_ms= overrides per request)")
@@ -721,16 +726,16 @@ func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 		s.failed.Add(1)
 		enc.Encode(errRecord(c.r, err))
 	}
-	writeTrace(enc, c.r)
+	writeTrace(c.r.Context(), enc)
 }
 
-// writeTrace appends the request's {"kind":"trace"} record when trace=1
-// attached a span recorder. It ends a /derive stream, and follows a
-// /query response's summary.
-func writeTrace(enc *json.Encoder, r *http.Request) {
-	if tr := repro.TraceFrom(r.Context()); tr != nil {
+// writeTrace appends the {"kind":"trace"} record of the span recorder on
+// ctx, if trace=1 attached one. It ends a /derive stream, follows a
+// /query response's summary, and follows each watch evaluation's diff.
+func writeTrace(ctx context.Context, enc *json.Encoder) {
+	if tr := repro.TraceFrom(ctx); tr != nil {
 		enc.Encode(map[string]any{
-			"kind": "trace", "request_id": obs.RequestIDFrom(r.Context()), "spans": tr.Spans(),
+			"kind": "trace", "request_id": obs.RequestIDFrom(ctx), "spans": tr.Spans(),
 		})
 	}
 }
@@ -1093,7 +1098,7 @@ func (s *server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDropDataset unregisters a dataset: its watch streams end with
-// an "end" record and its conditioned cache entries are invalidated.
+// an "end" record.
 func (s *server) handleDropDataset(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.eng.DropDataset(id) {
@@ -1154,7 +1159,7 @@ func parseObserveRequest(schema *repro.Schema, body io.Reader) (string, []observ
 
 // handleObserve applies a batch of evidence deltas to a registered
 // dataset, in order. Each delta conditions the tuple's block exactly
-// and invalidates exactly the superseded conditioned cache entry. A
+// and replaces the tuple's posterior in the dataset. A
 // delta the evidence rules out (conflict or zero remaining mass) stops
 // the batch with 409, reporting how many deltas applied before it —
 // those stay applied; deltas are not a transaction.
@@ -1212,19 +1217,25 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 // the dataset is dropped or the server drains (an "end" record).
 // Observation signals are coalesced: a burst of deltas may surface as one
 // re-evaluation of the latest snapshot, and the subscription opens before
-// the first evaluation, so no delta slips between them. The head and
-// every diff are flushed as soon as they are written, since the stream
-// then waits for the next observation.
+// the first evaluation, so no delta slips between them. With trace=1
+// each evaluation records into its own span recorder and writes its
+// {"kind":"trace"} record after its diff. The head and every diff are
+// flushed as soon as they are written, since the stream then waits for
+// the next observation.
 func (s *server) watchQuery(w http.ResponseWriter, c *call, ds *repro.Dataset, q *repro.CompiledQuery, head map[string]any) {
 	a := newAnswer(w, q, s.model.Schema)
 	a.enc.Encode(head)
 	a.ew.flush()
+	traced := repro.TraceFrom(c.r.Context()) != nil
 	// The deadline budget applies per re-evaluation, not to the stream:
 	// a subscription lives until disconnect, drop, or drain, but each
 	// answer it pushes is bounded.
 	reval := func() error {
 		ctx, cancel := c.ctx()
 		defer cancel()
+		if traced {
+			ctx = repro.WithTrace(ctx, repro.NewTrace())
+		}
 		snap, err := ds.Snapshot(ctx)
 		if err != nil {
 			return err
@@ -1235,6 +1246,7 @@ func (s *server) watchQuery(w http.ResponseWriter, c *call, ds *repro.Dataset, q
 		}
 		s.noteBudget(res.Degraded)
 		a.write(res, true, map[string]any{"partial": true, "version": snap.Version})
+		writeTrace(ctx, a.enc)
 		return a.ew.flush()
 	}
 	ch, unsubscribe := ds.Subscribe()
@@ -1325,7 +1337,7 @@ func writeSummary(enc *json.Encoder, r *http.Request, res *repro.QueryResult) {
 		summary["plan"] = plan
 	}
 	enc.Encode(summary)
-	writeTrace(enc, r)
+	writeTrace(r.Context(), enc)
 }
 
 // errWriter records the first write error and drops everything after it,

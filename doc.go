@@ -79,10 +79,11 @@
 // owns one sharded local-CPD cache, shared by every exact solve, Gibbs
 // chain and bound envelope and by the single-missing vote path, plus one
 // single-flight block cache (a completion block per distinct incomplete
-// tuple, single- or multi-missing) keyed by canonical evidence, and the
-// live datasets' conditioned blocks. DeriveOptions.CacheEntries caps each
-// of them with CLOCK eviction for fixed-memory serving; EngineStats
-// reports hits, misses, and evictions.
+// tuple, single- or multi-missing) keyed by canonical evidence.
+// DeriveOptions.CacheEntries caps both with CLOCK eviction for
+// fixed-memory serving; EngineStats reports hits, misses, and evictions.
+// Live datasets' conditioned posteriors are not cached: each dataset owns
+// one block per observed tuple.
 // Every cached value is a pure function of the model and its key, so
 // sharing and eviction never change results — the derived stream stays
 // bit-identical for any worker count, cache bound, and request
@@ -239,21 +240,22 @@
 //
 // Coherence is exact, not TTL-approximate. The engine's block and CPD
 // caches are keyed by tuple content — pure functions of the model that
-// no observation can make stale — so they need no invalidation at all; the one per-dataset artifact, a tuple's
-// conditioned posterior block, lives in a bounded engine cache tagged
-// with the tuple's observation epoch. Observe invalidates exactly the
-// superseded entry, a racing reader treats an epoch mismatch as a miss
-// and recomputes deterministically (resolve the base block, replay the
-// observation log), and eviction never changes answers. The query
-// planner classifies conditioned tuples into an "observed" tier whose
-// satisfying mass is exact and free. After any sequence of deltas,
-// answers are bit-identical to a fresh engine evaluating the
-// conditioned database naively — the property the live-evidence tests
-// re-check after every delta, on unbounded and always-evicting
-// engines. Dataset.Subscribe delivers a coalesced signal per applied
-// observation (the primitive behind mrslserve's watch queries), and
-// EngineStats adds Observations, InvalidatedEntries, Watchers, and
-// Datasets. Over HTTP: POST /datasets registers, POST /observe
+// no observation can make stale — so they need no invalidation at all.
+// The one per-dataset artifact, a tuple's conditioned posterior block,
+// belongs to the dataset: one block per observed tuple, which Observe
+// conditions and replaces (the derived database is disjoint-independent,
+// so conditioning one block touches no other). Snapshot copies the
+// posteriors under the dataset's lock: it runs no inference and never
+// sees a superseded posterior. The query planner classifies conditioned
+// tuples into an "observed" tier whose satisfying mass is exact and
+// free. After any sequence of deltas, answers are bit-identical to a
+// fresh engine evaluating the conditioned database naively — the
+// property the live-evidence tests re-check after every delta, on
+// unbounded engines and on engines whose caches hold one entry.
+// Dataset.Subscribe delivers a coalesced signal per applied observation
+// (the primitive behind mrslserve's watch queries), and EngineStats adds
+// Observations, InvalidatedEntries (posteriors a later observation
+// superseded), Watchers, and Datasets. Over HTTP: POST /datasets registers, POST /observe
 // mutates, dataset=<id> selects the conditioned snapshot on /derive
 // and /query, and watch=1 subscribes.
 //

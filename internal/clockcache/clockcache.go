@@ -15,22 +15,14 @@ package clockcache
 
 // Map is a bounded string-keyed map with CLOCK eviction. The zero Map is
 // not usable; construct with New.
-//
-// Entries optionally carry a caller-chosen tag (an epoch, a version): a
-// tagged lookup treats a tag mismatch as proof the entry is stale,
-// removes it, and reports a miss. Together with Invalidate this gives
-// callers exact invalidation — eager when the invalidating event names
-// the key, lazy when only the reader knows the current epoch.
 type Map[V any] struct {
-	cap           int
-	pos           map[string]int
-	keys          []string
-	vals          []V
-	ref           []bool
-	tags          []uint64
-	hand          int
-	evictions     int64
-	invalidations int64
+	cap       int
+	pos       map[string]int
+	keys      []string
+	vals      []V
+	ref       []bool
+	hand      int
+	evictions int64
 	// evictable, when non-nil, guards slots from eviction (e.g. in-flight
 	// single-flight entries the computing goroutine will still write).
 	evictable func(V) bool
@@ -59,18 +51,13 @@ func (m *Map[V]) Get(key []byte) (V, bool) {
 	return m.vals[i], true
 }
 
-// Put stores v under key (copying the byte key), evicting one entry via
-// the clock sweep when the map is at capacity.
-func (m *Map[V]) Put(key []byte, v V) { m.PutString(string(key), v) }
-
-// PutString is Put with a string key.
-func (m *Map[V]) PutString(key string, v V) { m.putString(key, v, 0) }
-
-func (m *Map[V]) putString(key string, v V, tag uint64) {
+// Put stores v under the key b (copying it), evicting one entry via the
+// clock sweep when the map is at capacity.
+func (m *Map[V]) Put(b []byte, v V) {
+	key := string(b)
 	if i, ok := m.pos[key]; ok {
 		m.vals[i] = v
 		m.ref[i] = true
-		m.tags[i] = tag
 		return
 	}
 	if m.cap > 0 && len(m.keys) >= m.cap {
@@ -96,7 +83,6 @@ func (m *Map[V]) putString(key string, v V, tag uint64) {
 			m.keys[h] = key
 			m.vals[h] = v
 			m.ref[h] = true
-			m.tags[h] = tag
 			m.pos[key] = h
 			return
 		}
@@ -105,46 +91,17 @@ func (m *Map[V]) putString(key string, v V, tag uint64) {
 	m.keys = append(m.keys, key)
 	m.vals = append(m.vals, v)
 	m.ref = append(m.ref, true)
-	m.tags = append(m.tags, tag)
-}
-
-// PutTagged stores v under key with an epoch tag. A later GetTagged with
-// a different tag treats the entry as invalidated. Untagged Put stores
-// tag 0, so mixing tagged and untagged access on one key is equivalent to
-// tagging with epoch 0.
-func (m *Map[V]) PutTagged(key string, v V, tag uint64) { m.putString(key, v, tag) }
-
-// GetTagged returns the value stored under key if its tag equals tag. A
-// present entry with a different tag is stale by definition — it was
-// written before the epoch advanced — so GetTagged removes it, counts an
-// invalidation, and reports a miss. This is the lazy half of exact
-// invalidation: even if the eager Invalidate call was skipped (or raced),
-// a stale entry can never be served.
-func (m *Map[V]) GetTagged(key string, tag uint64) (V, bool) {
-	var zero V
-	i, ok := m.pos[key]
-	if !ok {
-		return zero, false
-	}
-	if m.tags[i] != tag {
-		m.remove(i)
-		m.invalidations++
-		return zero, false
-	}
-	m.ref[i] = true
-	return m.vals[i], true
 }
 
 // Invalidate removes the entry stored under key, reporting whether one
-// was present. Unlike eviction, invalidation is a correctness event — the
-// entry's value no longer reflects the world — and is counted separately.
+// was present. Unlike eviction, invalidation is the caller's decision and
+// is not counted in Evictions.
 func (m *Map[V]) Invalidate(key string) bool {
 	i, ok := m.pos[key]
 	if !ok {
 		return false
 	}
 	m.remove(i)
-	m.invalidations++
 	return true
 }
 
@@ -158,18 +115,15 @@ func (m *Map[V]) remove(i int) {
 		m.keys[i] = m.keys[last]
 		m.vals[i] = m.vals[last]
 		m.ref[i] = m.ref[last]
-		m.tags[i] = m.tags[last]
 		m.pos[m.keys[i]] = i
 	}
 	var zero V
 	m.keys[last] = ""
 	m.vals[last] = zero
 	m.ref[last] = false
-	m.tags[last] = 0
 	m.keys = m.keys[:last]
 	m.vals = m.vals[:last]
 	m.ref = m.ref[:last]
-	m.tags = m.tags[:last]
 	if m.hand >= last {
 		m.hand = 0
 	}
@@ -178,17 +132,8 @@ func (m *Map[V]) remove(i int) {
 // Len returns the number of stored entries.
 func (m *Map[V]) Len() int { return len(m.keys) }
 
-// Cap returns the configured capacity (<= 0: unbounded).
-func (m *Map[V]) Cap() int { return m.cap }
-
 // Evictions returns the number of entries evicted over the map's lifetime.
 func (m *Map[V]) Evictions() int64 { return m.evictions }
-
-// Invalidations returns the number of entries removed for correctness
-// (explicit Invalidate calls plus tag-mismatch removals in GetTagged)
-// over the map's lifetime. Disjoint from Evictions, which counts
-// capacity-pressure drops.
-func (m *Map[V]) Invalidations() int64 { return m.invalidations }
 
 // Range calls f for every entry until f returns false. Iteration order is
 // slot order, not insertion order.

@@ -24,7 +24,7 @@ func TestUnboundedActsLikeMap(t *testing.T) {
 func TestBoundedEvictsAtCap(t *testing.T) {
 	m := New[int](4, nil)
 	for i := 0; i < 100; i++ {
-		m.PutString(string(rune('a'+i)), i)
+		m.Put([]byte(string(rune('a'+i))), i)
 	}
 	if m.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", m.Len())
@@ -40,17 +40,17 @@ func TestBoundedEvictsAtCap(t *testing.T) {
 // unreferenced one is the victim.
 func TestClockPrefersUnreferenced(t *testing.T) {
 	m := New[int](2, nil)
-	m.PutString("a", 1)
-	m.PutString("b", 2)
+	m.Put([]byte("a"), 1)
+	m.Put([]byte("b"), 2)
 	// Full map, both referenced: the sweep clears both bits and evicts the
 	// slot the hand returns to first ("a").
-	m.PutString("c", 3)
+	m.Put([]byte("c"), 3)
 	if _, ok := m.Get([]byte("a")); ok {
 		t.Fatalf("expected 'a' to be the first victim")
 	}
 	// Now "c" carries a fresh reference bit and "b" does not: the next
 	// insert must evict "b" and spare "c".
-	m.PutString("d", 4)
+	m.Put([]byte("d"), 4)
 	if _, ok := m.Get([]byte("b")); ok {
 		t.Fatalf("unreferenced 'b' survived the sweep")
 	}
@@ -61,8 +61,8 @@ func TestClockPrefersUnreferenced(t *testing.T) {
 
 func TestUpdateInPlace(t *testing.T) {
 	m := New[int](2, nil)
-	m.PutString("k", 1)
-	m.PutString("k", 2)
+	m.Put([]byte("k"), 1)
+	m.Put([]byte("k"), 2)
 	if v, _ := m.Get([]byte("k")); v != 2 {
 		t.Fatalf("update lost: got %d", v)
 	}
@@ -76,16 +76,16 @@ func TestUpdateInPlace(t *testing.T) {
 func TestUnevictableGuard(t *testing.T) {
 	evictable := func(v int) bool { return v >= 0 }
 	m := New[int](2, evictable)
-	m.PutString("pin1", -1)
-	m.PutString("pin2", -2)
-	m.PutString("x", 1) // nothing evictable: must grow
+	m.Put([]byte("pin1"), -1)
+	m.Put([]byte("pin2"), -2)
+	m.Put([]byte("x"), 1) // nothing evictable: must grow
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (grow past cap)", m.Len())
 	}
 	if m.Evictions() != 0 {
 		t.Fatalf("evicted a guarded slot")
 	}
-	m.PutString("y", 2) // "x" (evictable) can now be displaced eventually
+	m.Put([]byte("y"), 2) // "x" (evictable) can now be displaced eventually
 	if _, ok := m.Get([]byte("pin1")); !ok {
 		t.Fatalf("guarded entry lost")
 	}
@@ -96,8 +96,8 @@ func TestUnevictableGuard(t *testing.T) {
 
 func TestRange(t *testing.T) {
 	m := New[int](0, nil)
-	m.PutString("a", 1)
-	m.PutString("b", 2)
+	m.Put([]byte("a"), 1)
+	m.Put([]byte("b"), 2)
 	sum := 0
 	m.Range(func(_ string, v int) bool { sum += v; return true })
 	if sum != 3 {
@@ -105,36 +105,10 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestTaggedHitAndStale(t *testing.T) {
-	m := New[int](4, nil)
-	m.PutTagged("k", 1, 3)
-	if v, ok := m.GetTagged("k", 3); !ok || v != 1 {
-		t.Fatalf("GetTagged same epoch = %d, %v", v, ok)
-	}
-	// Epoch advanced: the entry is stale, must be removed and counted.
-	if _, ok := m.GetTagged("k", 4); ok {
-		t.Fatal("stale entry served across epochs")
-	}
-	if m.Len() != 0 {
-		t.Fatalf("stale entry retained: Len = %d", m.Len())
-	}
-	if m.Invalidations() != 1 {
-		t.Fatalf("Invalidations = %d, want 1", m.Invalidations())
-	}
-	if m.Evictions() != 0 {
-		t.Fatalf("tag mismatch counted as eviction")
-	}
-	// A fresh put at the new epoch works.
-	m.PutTagged("k", 2, 4)
-	if v, ok := m.GetTagged("k", 4); !ok || v != 2 {
-		t.Fatalf("re-put after invalidation = %d, %v", v, ok)
-	}
-}
-
 func TestInvalidateRemovesExactly(t *testing.T) {
 	m := New[int](0, nil)
 	for i := 0; i < 8; i++ {
-		m.PutTagged(string(rune('a'+i)), i, uint64(i))
+		m.Put([]byte{byte('a' + i)}, i)
 	}
 	if !m.Invalidate("c") {
 		t.Fatal("Invalidate missed a present key")
@@ -145,10 +119,10 @@ func TestInvalidateRemovesExactly(t *testing.T) {
 	if m.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", m.Len())
 	}
-	// Every other entry survives under its own tag.
+	// Every other entry survives.
 	for i := 0; i < 8; i++ {
 		k := string(rune('a' + i))
-		v, ok := m.GetTagged(k, uint64(i))
+		v, ok := m.Get([]byte(k))
 		if k == "c" {
 			if ok {
 				t.Fatal("invalidated entry still present")
@@ -159,8 +133,8 @@ func TestInvalidateRemovesExactly(t *testing.T) {
 			t.Fatalf("entry %q lost by unrelated invalidation: %d, %v", k, v, ok)
 		}
 	}
-	if m.Invalidations() != 1 {
-		t.Fatalf("Invalidations = %d, want 1", m.Invalidations())
+	if m.Evictions() != 0 {
+		t.Fatalf("invalidation counted as eviction")
 	}
 }
 
@@ -170,16 +144,16 @@ func TestInvalidateRemovesExactly(t *testing.T) {
 func TestRemoveKeepsClockConsistent(t *testing.T) {
 	m := New[int](4, nil)
 	for i := 0; i < 4; i++ {
-		m.PutTagged(string(rune('a'+i)), i, 1)
+		m.Put([]byte{byte('a' + i)}, i)
 	}
 	m.Invalidate("a") // moves "d" into slot 0
-	if v, ok := m.GetTagged("d", 1); !ok || v != 3 {
+	if v, ok := m.Get([]byte("d")); !ok || v != 3 {
 		t.Fatalf("moved entry lost: %d, %v", v, ok)
 	}
 	// Fill back to capacity and beyond: sweeps must still terminate and
 	// keep Len at cap.
 	for i := 0; i < 20; i++ {
-		m.PutTagged(string(rune('A'+i)), 100+i, 2)
+		m.Put([]byte{byte('A' + i)}, 100+i)
 	}
 	if m.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", m.Len())
@@ -187,23 +161,8 @@ func TestRemoveKeepsClockConsistent(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Invalidate(string(rune('a' + i))) // mostly absent; must not corrupt
 	}
-	m.PutTagged("z", 999, 9)
-	if v, ok := m.GetTagged("z", 9); !ok || v != 999 {
+	m.Put([]byte("z"), 999)
+	if v, ok := m.Get([]byte("z")); !ok || v != 999 {
 		t.Fatalf("post-churn put lost: %d, %v", v, ok)
-	}
-}
-
-// TestUntaggedPutResetsTag: overwriting a tagged entry through the
-// untagged API drops it to epoch 0, so a tagged reader at a later epoch
-// treats it as stale rather than current.
-func TestUntaggedPutResetsTag(t *testing.T) {
-	m := New[int](0, nil)
-	m.PutTagged("k", 1, 5)
-	m.PutString("k", 2)
-	if _, ok := m.GetTagged("k", 5); ok {
-		t.Fatal("untagged overwrite kept the old epoch")
-	}
-	if v, ok := m.Get([]byte("k")); ok {
-		t.Fatalf("tag-mismatch removal should have dropped the entry, got %d", v)
 	}
 }

@@ -3,12 +3,11 @@ package derive
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/pdb"
 	"repro/internal/relation"
 )
@@ -19,39 +18,25 @@ import (
 // deltas, and every later derivation or query over the dataset sees the
 // Bayesian-conditioned posterior blocks instead of the priors.
 //
-// Coherence is the hard part, and the design keeps it exact by keying
-// carefully:
+// Coherence is exact by ownership:
 //
 //   - The engine's block, CPD and bound caches are keyed by tuple
 //     CONTENT (the canonical evidence key), so their entries are pure
 //     functions of the model — an observation never makes them stale.
-//     Conditioning changes which key a tuple resolves under, not what
-//     any key means, so those caches need no invalidation at all; the
-//     planner's BoundCPD intervals likewise can never be reused stale,
-//     because an observed tuple either routes through its conditioned
-//     block (no bound computed) or presents post-observation evidence
-//     (a different key).
-//   - The one derived artifact that IS per-dataset state — the
-//     conditioned posterior of block i after its observation log — lives
-//     in a bounded engine cache keyed "dataset\x00index" and tagged with
-//     the block's observation epoch (the length of its log). Observe
-//     eagerly invalidates the superseded entry (exact: only the touched
-//     block's key) and installs the new posterior at the next epoch; the
-//     epoch tag is the lazy backstop — a reader that races an observe
-//     treats the mismatched entry as invalid and recomputes, so a stale
-//     posterior is never served. Both paths are counted in
-//     Stats.InvalidatedEntries.
-//
-// A cache miss recomputes the posterior by resolving the base block
-// through the engine and replaying the observation log in order. Both
-// steps are deterministic (chains are content-seeded; conditioning is
-// arithmetic), so eviction never changes answers — only their cost.
-
-// Obs is one applied observation: attribute Attr was seen to be value
-// Val (a domain code).
-type Obs struct {
-	Attr, Val int
-}
+//     Conditioning changes which block a tuple reads, not what any key
+//     means, so those caches need no invalidation at all; the planner's
+//     BoundCPD intervals likewise can never be reused stale, because an
+//     observed tuple routes through its conditioned block (no bound
+//     computed).
+//   - The one per-dataset artifact, the conditioned posterior of each
+//     observed tuple, belongs to the dataset: one block per observed
+//     tuple, in a map under the dataset's lock. The derived database is
+//     disjoint-independent, so conditioning a block on an observed value
+//     is a Bayesian update inside that block: a posterior depends only on
+//     its tuple's prior block and its own observations. Observe
+//     conditions the stored posterior (on a first observation, the block
+//     ResolveBlock serves) and replaces it; Snapshot copies the map, so
+//     it runs no inference and can never read a superseded posterior.
 
 // Dataset is a registered relation with live evidence. Create with
 // Engine.RegisterDataset; safe for concurrent use.
@@ -61,13 +46,13 @@ type Dataset struct {
 	rel       *relation.Relation
 	joinInput bool // registered under its own schema; SPJ input only
 
-	mu      sync.Mutex
-	obs     map[int][]Obs // observation log per source tuple index
-	version uint64        // total observations applied
-	subs    map[int]chan struct{}
-	subSeq  int
-	closed  bool
-	done    chan struct{}
+	mu        sync.Mutex
+	posterior map[int]*pdb.Block // conditioned block per observed source tuple index
+	version   uint64             // total observations applied
+	subs      map[int]chan struct{}
+	subSeq    int
+	closed    bool
+	done      chan struct{}
 }
 
 // ObserveResult reports one applied observation.
@@ -83,7 +68,8 @@ type ObserveResult struct {
 	// Alternatives is the number of completions remaining in the
 	// conditioned block (1 when Collapsed).
 	Alternatives int
-	// Epoch is the tuple's observation count after this delta; Version is
+	// Epoch is the tuple's observation count after this delta (its missing
+	// values in the source less those left in its posterior); Version is
 	// the dataset's.
 	Epoch, Version uint64
 }
@@ -152,7 +138,7 @@ func (e *Engine) register(rel *relation.Relation, joinInput bool) *Dataset {
 		eng:       e,
 		rel:       rel,
 		joinInput: joinInput,
-		obs:       make(map[int][]Obs),
+		posterior: make(map[int]*pdb.Block),
 		subs:      make(map[int]chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -168,9 +154,10 @@ func (e *Engine) Dataset(id string) (*Dataset, bool) {
 	return ds, ok
 }
 
-// DropDataset unregisters a dataset, wakes its watchers (whose
-// subscriptions report closure), and drops its conditioned blocks from
-// the engine cache. Reports whether the id was registered.
+// DropDataset unregisters a dataset and wakes its watchers (whose
+// subscriptions report closure). The posteriors stay with the handle, so
+// a dropped dataset still snapshots its last state. Reports whether the
+// id was registered.
 func (e *Engine) DropDataset(id string) bool {
 	e.dsMu.Lock()
 	ds, ok := e.datasets[id]
@@ -183,7 +170,6 @@ func (e *Engine) DropDataset(id string) bool {
 	ds.closed = true
 	close(ds.done)
 	ds.mu.Unlock()
-	e.observedDropPrefix(id + "\x00")
 	return true
 }
 
@@ -233,17 +219,12 @@ func (d *Dataset) Subscribe() (<-chan struct{}, func()) {
 	return ch, cancel
 }
 
-// key returns the engine-cache key of the dataset's conditioned block
-// for the source tuple at index.
-func (d *Dataset) key(index int) string {
-	return d.id + "\x00" + strconv.Itoa(index)
-}
-
 // Observe applies one evidence delta: the tuple at source index has
-// attribute attr equal to val. The conditioned posterior replaces the
-// prior for every later snapshot; watchers are signaled. Observing an
-// already-known value is a no-op; a conflicting or zero-remaining-mass
-// observation is an error and changes nothing.
+// attribute attr equal to val. The tuple's posterior (on its first
+// observation, the block ResolveBlock serves) is conditioned, and the
+// result replaces it for every later snapshot; watchers are signaled.
+// Observing an already-known value is a no-op; a conflicting or
+// zero-remaining-mass observation is an error and changes nothing.
 func (d *Dataset) Observe(ctx context.Context, index, attr, val int) (ObserveResult, error) {
 	var res ObserveResult
 	if d.joinInput {
@@ -267,7 +248,6 @@ func (d *Dataset) Observe(ctx context.Context, index, attr, val int) (ObserveRes
 	if d.closed {
 		return res, fmt.Errorf("derive: dataset %s is dropped", d.id)
 	}
-	log := d.obs[index]
 	if t.IsComplete() {
 		// A certain tuple accepts only confirming evidence.
 		if t[attr] == val {
@@ -278,114 +258,49 @@ func (d *Dataset) Observe(ctx context.Context, index, attr, val int) (ObserveRes
 		return res, fmt.Errorf("derive: observation %d conflicts with certain value %d of tuple %d",
 			val, t[attr], index)
 	}
-	cur, err := d.conditionedLocked(ctx, index, log)
-	if err != nil {
-		return res, err
-	}
-	if cur.Base[attr] == val {
-		res.Noop = true
-		res.Alternatives = len(cur.Alts)
-		res.Collapsed = cur.Base.IsComplete()
-		res.Epoch = uint64(len(log))
-		res.Version = d.version
-		return res, nil
-	}
-	nb, err := cur.Observe(attr, val)
-	if err != nil {
-		return res, err
-	}
-	d.obs[index] = append(log, Obs{Attr: attr, Val: val})
-	epoch := uint64(len(d.obs[index]))
-	key := d.key(index)
-	// Exact invalidation: the one cache entry superseded by this delta is
-	// dropped eagerly, and the new posterior installed under the new
-	// epoch tag. Readers racing this update hit the tag mismatch and
-	// recompute; nothing else in the engine is touched.
-	d.eng.observedReplace(key, nb, epoch)
-	d.version++
-	d.eng.countObservation()
-	res.Collapsed = nb.Base.IsComplete()
-	res.Alternatives = len(nb.Alts)
-	res.Epoch = epoch
-	res.Version = d.version
-	// Subscription delivery is observed once per applied delta (the whole
-	// fan-out, not per subscriber): the sends are non-blocking, so the
-	// histogram tracks signal latency under many watchers.
-	notifyStart := time.Now()
-	for _, ch := range d.subs {
-		select {
-		case ch <- struct{}{}:
-		default: // watcher already has a pending signal
+	cur, observed := d.posterior[index]
+	var err error
+	if !observed {
+		if cur, _, err = d.eng.ResolveBlock(ctx, t, nil); err != nil {
+			return res, err
 		}
 	}
-	watchNotifySeconds.Since(notifyStart)
+	res.Noop = cur.Base[attr] == val
+	if !res.Noop {
+		if cur, err = cur.Observe(attr, val); err != nil {
+			return res, err
+		}
+		d.posterior[index] = cur
+		d.version++
+		d.eng.countObservation(observed)
+		// Subscription delivery is observed once per applied delta (the
+		// whole fan-out, not per subscriber): the sends are non-blocking,
+		// so the histogram tracks signal latency under many watchers.
+		notifyStart := time.Now()
+		for _, ch := range d.subs {
+			select {
+			case ch <- struct{}{}:
+			default: // watcher already has a pending signal
+			}
+		}
+		watchNotifySeconds.Since(notifyStart)
+	}
+	res.Collapsed = cur.Base.IsComplete()
+	res.Alternatives = len(cur.Alts)
+	res.Epoch = uint64(t.NumMissing() - cur.Base.NumMissing())
+	res.Version = d.version
 	return res, nil
 }
 
-// conditionedLocked returns the conditioned block of the tuple at index
-// under the given observation log, from the engine's tagged cache or by
-// deterministic recomputation (resolve the base block, replay the log).
-// Called with d.mu held or with a log slice captured under it.
-func (d *Dataset) conditionedLocked(ctx context.Context, index int, log []Obs) (*pdb.Block, error) {
-	t := d.rel.Tuples[index]
-	epoch := uint64(len(log))
-	if epoch == 0 {
-		b, _, err := d.eng.ResolveBlock(ctx, t, nil)
-		return b, err
-	}
-	key := d.key(index)
-	if b, ok := d.eng.observedGet(key, epoch); ok {
-		return b, nil
-	}
-	// Chaos harness: widen the window between the tagged-cache miss and
-	// the recomputed posterior's install, so the soak exercises readers
-	// racing concurrent observes (the epoch tag is the correctness
-	// backstop either way).
-	faultinject.Fire("observe.replay")
-	b, _, err := d.eng.ResolveBlock(ctx, t, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range log {
-		if b, err = b.Observe(o.Attr, o.Val); err != nil {
-			// Unreachable for logs this dataset applied: the base block is
-			// bit-identical on re-derivation and each delta was accepted
-			// once already.
-			return nil, fmt.Errorf("derive: replaying observation log of tuple %d: %w", index, err)
-		}
-	}
-	d.eng.observedPut(key, b, epoch)
-	return b, nil
-}
-
-// Snapshot materializes a consistent view of the dataset: effective
-// tuples plus conditioned blocks for every observed tuple. Conditioned
-// blocks come from the tagged cache when fresh, otherwise by replay;
-// the snapshot never blocks observes for the duration of inference on
-// unobserved tuples (those resolve lazily at evaluation time).
-func (d *Dataset) Snapshot(ctx context.Context) (*DatasetSnapshot, error) {
+// Snapshot materializes a consistent view of the dataset: the effective
+// tuples plus the posterior of every observed tuple, copied under the
+// dataset's lock. It runs no inference and takes no engine lock; the
+// unobserved tuples resolve lazily at evaluation time. The context is
+// not used.
+func (d *Dataset) Snapshot(context.Context) (*DatasetSnapshot, error) {
 	d.mu.Lock()
-	version := d.version
-	logs := make(map[int][]Obs, len(d.obs))
-	for i, log := range d.obs {
-		logs[i] = log // per-index logs are append-only; the header is a stable view
-	}
+	overrides, version := maps.Clone(d.posterior), d.version
 	d.mu.Unlock()
-
-	overrides := make(map[int]*pdb.Block, len(logs))
-	// Deterministic resolution order keeps replay costs predictable.
-	idxs := make([]int, 0, len(logs))
-	for i := range logs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		b, err := d.conditionedLocked(ctx, i, logs[i])
-		if err != nil {
-			return nil, err
-		}
-		overrides[i] = b
-	}
 	rel := d.rel
 	if len(overrides) > 0 {
 		tuples := make([]relation.Tuple, len(d.rel.Tuples))
@@ -398,51 +313,14 @@ func (d *Dataset) Snapshot(ctx context.Context) (*DatasetSnapshot, error) {
 	return &DatasetSnapshot{Rel: rel, Overrides: overrides, Version: version}, nil
 }
 
-// Engine-side accessors for the conditioned-block cache and the live
-// gauges. All take e.mu; none are called with it held.
-
-func (e *Engine) observedGet(key string, epoch uint64) (*pdb.Block, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.observed.GetTagged(key, epoch)
-}
-
-func (e *Engine) observedPut(key string, b *pdb.Block, epoch uint64) {
-	e.mu.Lock()
-	e.observed.PutTagged(key, b, epoch)
-	e.mu.Unlock()
-}
-
-// observedReplace invalidates the superseded entry under key (if
-// present) and installs the new posterior at the next epoch, atomically
-// under the engine lock.
-func (e *Engine) observedReplace(key string, b *pdb.Block, epoch uint64) {
-	e.mu.Lock()
-	e.observed.Invalidate(key)
-	e.observed.PutTagged(key, b, epoch)
-	e.mu.Unlock()
-}
-
-// observedDropPrefix invalidates every conditioned-block entry of a
-// dropped dataset.
-func (e *Engine) observedDropPrefix(prefix string) {
-	e.mu.Lock()
-	var keys []string
-	e.observed.Range(func(k string, _ *pdb.Block) bool {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			keys = append(keys, k)
-		}
-		return true
-	})
-	for _, k := range keys {
-		e.observed.Invalidate(k)
-	}
-	e.mu.Unlock()
-}
-
-func (e *Engine) countObservation() {
+// countObservation counts one applied observation, and a superseded
+// posterior when the tuple had one.
+func (e *Engine) countObservation(superseded bool) {
 	e.mu.Lock()
 	e.stats.Observations++
+	if superseded {
+		e.stats.InvalidatedEntries++
+	}
 	e.mu.Unlock()
 }
 

@@ -3,10 +3,13 @@ package derive
 import (
 	"context"
 	"errors"
+	"maps"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/pdb"
 	"repro/internal/relation"
 )
@@ -149,11 +152,11 @@ func collectSnapshot(t *testing.T, e *Engine, ds *Dataset) []Item {
 	return items
 }
 
-// TestDatasetObserveBitIdenticalToColdEngine is the PR's central property:
-// after any sequence of observation deltas, the live dataset's derived
-// database is bit-identical to a fresh engine deriving the base relation
-// and conditioning it directly — on an unbounded engine and under an
-// always-evicting conditioned-block cache, so no stale or evicted cache
+// TestDatasetObserveBitIdenticalToColdEngine is the live-evidence
+// contract: after any sequence of observation deltas, the live dataset's
+// derived database is bit-identical to a fresh engine deriving the base
+// relation and conditioning it directly — on an unbounded engine and on
+// one whose block and CPD caches hold one entry each, so no evicted cache
 // state can ever influence an answer.
 func TestDatasetObserveBitIdenticalToColdEngine(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2500, 53)
@@ -165,7 +168,7 @@ func TestDatasetObserveBitIdenticalToColdEngine(t *testing.T) {
 		{"chains", engineConfig(3)},
 		{"chains-evicting", func() Config {
 			c := engineConfig(3)
-			c.CacheEntries = 1 // every cache, including conditioned blocks, thrashes
+			c.CacheEntries = 1 // the block and CPD caches thrash
 			return c
 		}()},
 	}
@@ -189,8 +192,8 @@ func TestDatasetObserveBitIdenticalToColdEngine(t *testing.T) {
 			want := conditionedOracle(t, m, mode.cfg, rel, script)
 			requireItemsIdentical(t, got, want, mode.name)
 
-			// A second snapshot — now served via the conditioned-block
-			// cache or recomputed after eviction — is identical again.
+			// A second snapshot, copied from the same posteriors the
+			// dataset owns, is identical again.
 			requireItemsIdentical(t, collectSnapshot(t, live, ds), want, mode.name+"/resnap")
 		})
 	}
@@ -296,6 +299,71 @@ func TestDatasetObserveSemantics(t *testing.T) {
 	}
 }
 
+// TestDatasetConcurrentObserveSnapshot: observers and snapshot readers on
+// one dataset at once. Every snapshot is a consistent cut (never more
+// observed tuples than applied observations, versions never going back
+// for one reader), and once the observers are done the dataset derives
+// bit-identically to the cold oracle.
+func TestDatasetConcurrentObserveSnapshot(t *testing.T) {
+	m, inst, rng := learnBN(t, "BN8", 2000, 79)
+	rel := dirtyRelation(t, inst, rng, 60)
+	cfg := engineConfig(2)
+	e, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := e.RegisterDataset(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := scriptObservations(t, e, rel, 2)
+	ctx := context.Background()
+	done := make(chan struct{})
+	var observers, readers sync.WaitGroup
+	for part := 0; part < 2; part++ {
+		observers.Add(1)
+		go func() {
+			defer observers.Done()
+			for _, o := range script {
+				if o.index%2 != part {
+					continue // each tuple's deltas stay in order on one goroutine
+				}
+				if _, err := ds.Observe(ctx, o.index, o.attr, o.val); err != nil {
+					t.Errorf("observe %+v: %v", o, err)
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint64
+			for {
+				snap, err := ds.Snapshot(ctx)
+				if err != nil {
+					t.Errorf("snapshot: %v", err)
+					return
+				}
+				if snap.Version < last || uint64(len(snap.Overrides)) > snap.Version {
+					t.Errorf("snapshot at version %d (after %d) with %d observed tuples", snap.Version, last, len(snap.Overrides))
+					return
+				}
+				last = snap.Version
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	observers.Wait()
+	close(done)
+	readers.Wait()
+	requireItemsIdentical(t, collectSnapshot(t, e, ds), conditionedOracle(t, m, cfg, rel, script), "after concurrent observes")
+}
+
 // TestDatasetIsolation: two datasets over the same relation share every
 // content-keyed cache but never each other's evidence.
 func TestDatasetIsolation(t *testing.T) {
@@ -365,8 +433,8 @@ func TestDatasetStatsAndWatchers(t *testing.T) {
 	if st.Observations != int64(len(script)) {
 		t.Fatalf("Observations = %d, want %d", st.Observations, len(script))
 	}
-	// Every second observation of a two-step script supersedes a cached
-	// posterior: the eager invalidation must have fired at least once.
+	// Every second observation of a two-step script supersedes the
+	// tuple's posterior, which InvalidatedEntries counts.
 	if st.InvalidatedEntries == 0 {
 		t.Fatal("no conditioned-block entry was invalidated")
 	}
@@ -396,6 +464,51 @@ func TestDatasetStatsAndWatchers(t *testing.T) {
 	}
 	if st := e.Stats(); st.Datasets != 0 {
 		t.Fatalf("datasets gauge = %d after drop", st.Datasets)
+	}
+}
+
+// TestSnapshotRunsNoInference: a snapshot copies the posteriors the
+// dataset owns and infers nothing, so on an engine whose block cache
+// holds one entry, with every inference fault point panicking, it still
+// returns the posteriors it returned before the faults were armed.
+func TestSnapshotRunsNoInference(t *testing.T) {
+	m, inst, rng := learnBN(t, "BN8", 2000, 73)
+	rel := dirtyRelation(t, inst, rng, 40)
+	cfg := engineConfig(2)
+	cfg.CacheEntries = 1
+	e, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := e.RegisterDataset(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, o := range scriptObservations(t, e, rel, 2) {
+		if _, err := ds.Observe(ctx, o.index, o.attr, o.val); err != nil {
+			t.Fatalf("observe %+v: %v", o, err)
+		}
+	}
+	before, err := ds.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Overrides) < 2 {
+		t.Fatalf("%d observed tuples, want at least 2", len(before.Overrides))
+	}
+	if err := faultinject.Configure("derive.vote=panic/1,derive.chain=panic/1,gibbs.chain=panic/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	after, err := ds.Snapshot(ctx)
+	faultinject.Disable()
+	if err != nil {
+		t.Fatalf("snapshot under inference faults: %v", err)
+	}
+	if after.Version != before.Version || !maps.Equal(after.Overrides, before.Overrides) {
+		t.Fatalf("snapshot under inference faults: version %d with %d overrides, want version %d with the same %d",
+			after.Version, len(after.Overrides), before.Version, len(before.Overrides))
 	}
 }
 

@@ -71,15 +71,15 @@ type Config struct {
 	Workers int
 	// CacheEntries bounds each of the engine's memoization caches (the
 	// block cache as a whole, single- and multi-missing blocks together,
-	// live datasets' conditioned-block cache, and the shared local-CPD
-	// cache) to that many entries, evicted CLOCK-wise. <= 0 leaves the
-	// block and conditioned-block caches unbounded (they hold one entry per
-	// distinct damage pattern or observed tuple) and caps the CPD cache at
-	// its default (gibbs.DefaultCPDCacheEntries; CPD entries grow with the
-	// sampled state space, not the workload, so they are always bounded).
+	// and the shared local-CPD cache) to that many entries, evicted
+	// CLOCK-wise. <= 0 leaves the block cache unbounded (one entry per
+	// distinct damage pattern) and caps the CPD cache at its default
+	// (gibbs.DefaultCPDCacheEntries; CPD entries grow with the sampled
+	// state space, not the workload, so they are always bounded).
 	// Evictions never change emitted streams — every cached value is a
 	// deterministic function of the model and its key — they only cost
-	// recomputation.
+	// recomputation. Live datasets' conditioned posteriors are not cached:
+	// each dataset owns one block per observed tuple.
 	CacheEntries int
 }
 
@@ -207,8 +207,8 @@ type Stats struct {
 	PointsSampled int64
 	// Streams counts completed Stream calls (successful or not).
 	Streams int64
-	// Evictions counts entries dropped from the engine's bounded block and
-	// conditioned-block caches (always 0 when Config.CacheEntries <= 0).
+	// Evictions counts entries dropped from the engine's bounded block
+	// cache (always 0 when Config.CacheEntries <= 0).
 	Evictions int64
 	// CPDHits, CPDMisses, and CPDEvictions instrument the shared local-CPD
 	// cache: probes served, probes missed, and entries dropped by its
@@ -247,10 +247,9 @@ type Stats struct {
 	// Observations counts evidence deltas applied to live datasets
 	// (no-ops and rejected observations excluded).
 	Observations int64
-	// InvalidatedEntries counts conditioned-block cache entries removed
-	// for correctness: superseded by a newer observation epoch (eagerly on
-	// observe, lazily on a tag-mismatch read) or dropped with their
-	// dataset. Disjoint from Evictions.
+	// InvalidatedEntries counts live datasets' conditioned posteriors that
+	// a later observation of the same tuple superseded. Disjoint from
+	// Evictions.
 	InvalidatedEntries int64
 	// Watchers is the number of live watch subscriptions (a gauge).
 	Watchers int64
@@ -331,11 +330,7 @@ type Engine struct {
 
 	mu     sync.Mutex
 	blocks *clockcache.Map[*entry] // completion blocks by evidence key
-	// observed caches conditioned posterior blocks of live datasets, keyed
-	// "dataset\x00index" and tagged with the block's observation epoch;
-	// see dataset.go for the coherence story.
-	observed *clockcache.Map[*pdb.Block]
-	stats    Stats
+	stats  Stats
 
 	// dsMu guards the live-dataset registry. Never held together with mu.
 	dsMu     sync.Mutex
@@ -379,7 +374,6 @@ func New(model *core.Model, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		cpd:      gibbs.NewCPDCache(cfg.CacheEntries),
 		blocks:   clockcache.New[*entry](cfg.CacheEntries, entryDone),
-		observed: clockcache.New[*pdb.Block](cfg.CacheEntries, nil),
 		datasets: make(map[string]*Dataset),
 	}
 	// Every chain the engine runs shares the engine-level CPD memo.
@@ -395,8 +389,7 @@ func (e *Engine) Stats() Stats {
 	cpd := e.cpd.Stats()
 	e.mu.Lock()
 	st := e.stats
-	st.Evictions = e.blocks.Evictions() + e.observed.Evictions()
-	st.InvalidatedEntries = e.observed.Invalidations()
+	st.Evictions = e.blocks.Evictions()
 	st.CPDHits = cpd.Hits
 	st.CPDMisses = cpd.Misses
 	st.CPDEvictions = cpd.Evictions

@@ -12,7 +12,7 @@
 //
 // where point names an injection site (derive.vote, derive.chain,
 // derive.prefetch, gibbs.chain, gibbs.sweep, sink.write, cache.storm,
-// observe.replay, query.replan; derive.chain arrives once per chain),
+// query.replan; derive.chain arrives once per chain),
 // kind is one of
 //
 //	panic  — panic with a faultinject.Panic value at the site
@@ -26,7 +26,9 @@
 //	MRSL_FAULTS='derive.vote=panic/50,sink.write=sleep:2ms/10,cache.storm=fire/20'
 //
 // Arrival counting is per point and atomic, so a given traffic mix hits
-// faults deterministically up to goroutine interleaving.
+// faults deterministically up to goroutine interleaving; Arrivals reads
+// the count, so a test can check that its traffic reached every point it
+// armed.
 package faultinject
 
 import (
@@ -135,6 +137,18 @@ func Disable() {
 // Enabled reports whether any injection point is armed. Sites guard on
 // it so the disarmed hot path costs one atomic load.
 func Enabled() bool { return enabled.Load() }
+
+// Arrivals returns the number of arrivals Fire has recorded at point
+// since Configure armed it, 0 for a point that is not armed.
+func Arrivals(point string) uint64 {
+	mu.RLock()
+	d := points[point]
+	mu.RUnlock()
+	if d == nil {
+		return 0
+	}
+	return d.count.Load()
+}
 
 // Fire records one arrival at the named point and carries out its armed
 // directive if this arrival is the Nth: panic directives panic with a

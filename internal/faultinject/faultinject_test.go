@@ -71,6 +71,27 @@ func TestConfigureAndFire(t *testing.T) {
 	}
 }
 
+func TestArrivals(t *testing.T) {
+	defer Disable()
+	if err := Configure("cache.storm=fire/3"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		Fire("cache.storm")
+		Fire("derive.vote") // not armed: not counted
+	}
+	if n := Arrivals("cache.storm"); n != 5 {
+		t.Fatalf("Arrivals(cache.storm) = %d after 5 arrivals, want 5", n)
+	}
+	if n := Arrivals("derive.vote"); n != 0 {
+		t.Fatalf("Arrivals of an unarmed point = %d, want 0", n)
+	}
+	Disable()
+	if n := Arrivals("cache.storm"); n != 0 {
+		t.Fatalf("Arrivals after Disable = %d, want 0", n)
+	}
+}
+
 func TestConfigureRejectsBadSpecs(t *testing.T) {
 	defer Disable()
 	for _, spec := range []string{

@@ -99,32 +99,3 @@ func (b *Block) dedup() {
 	}
 	b.Alts = out
 }
-
-// ObserveBlock conditions block index bi of the database in place. If the
-// observation completes the tuple (no alternatives remain distinct), the
-// block collapses into a certain tuple and later blocks shift down one
-// index — positional indices are NOT stable across collapses. Callers
-// that hand out long-lived block handles (the derivation engine's
-// datasets) must key blocks by a stable identity of their own, such as
-// the source tuple's input position.
-func (db *Database) ObserveBlock(bi, attr, val int) error {
-	if bi < 0 || bi >= len(db.Blocks) {
-		return fmt.Errorf("pdb: block %d out of range", bi)
-	}
-	nb, err := db.Blocks[bi].Observe(attr, val)
-	if err != nil {
-		return err
-	}
-	if nb.Base.IsComplete() {
-		// The observation determined the last missing value: the block
-		// collapses to a certain tuple (Observe already merged equal
-		// completions, so exactly one alternative remains).
-		db.Certain = append(db.Certain, nb.Alts[0].Tuple)
-		copy(db.Blocks[bi:], db.Blocks[bi+1:])
-		db.Blocks[len(db.Blocks)-1] = nil // unpin the removed block
-		db.Blocks = db.Blocks[:len(db.Blocks)-1]
-		return nil
-	}
-	db.Blocks[bi] = nb
-	return nil
-}

@@ -88,54 +88,17 @@ func TestObserveZeroProbabilityValue(t *testing.T) {
 	}
 }
 
-func TestObserveBlockCollapsesToCertain(t *testing.T) {
-	s := relation.MustSchema([]relation.Attribute{
-		{Name: "x", Domain: []string{"0", "1"}},
-		{Name: "y", Domain: []string{"0", "1"}},
-	})
-	db := NewDatabase(s)
-	m := relation.Missing
-	j, err := dist.NewJoint([]int{1}, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.P = dist.Dist{0.3, 0.7}
-	b, err := NewBlock(relation.Tuple{0, m}, j, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddBlock(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.ObserveBlock(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Blocks) != 0 {
-		t.Fatalf("block did not collapse: %d blocks", len(db.Blocks))
-	}
-	if len(db.Certain) != 1 || !db.Certain[0].Equal(relation.Tuple{0, 1}) {
-		t.Errorf("certain = %v", db.Certain)
-	}
-	if err := db.ObserveBlock(5, 0, 0); err == nil {
-		t.Error("bad block index should fail")
-	}
-}
-
 // TestObservePartialKeepsBlock: observing one of two missing attributes
-// leaves a smaller, renormalized block in place.
+// leaves a smaller, renormalized block.
 func TestObservePartialKeepsBlock(t *testing.T) {
 	b, s := paperBlock(t)
-	db := NewDatabase(s)
-	if err := db.AddBlock(b); err != nil {
+	nb, err := b.Observe(s.AttrIndex("inc"), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ObserveBlock(0, s.AttrIndex("inc"), 1); err != nil {
-		t.Fatal(err)
+	if nb.Base.IsComplete() {
+		t.Fatalf("one of two missing values observed, but the block collapsed: %v", nb.Base)
 	}
-	if len(db.Blocks) != 1 || len(db.Certain) != 0 {
-		t.Fatalf("blocks=%d certain=%d", len(db.Blocks), len(db.Certain))
-	}
-	nb := db.Blocks[0]
 	if math.Abs(nb.ProbSum()-1) > 1e-12 {
 		t.Errorf("posterior not normalized: %v", nb.ProbSum())
 	}
@@ -296,41 +259,5 @@ func TestObserveDedupsEqualAlternatives(t *testing.T) {
 	}
 	if len(final.Alts) != 1 || final.Alts[0].Prob != 1 {
 		t.Fatalf("collapsed block = %+v, want one certain alternative", final.Alts)
-	}
-}
-
-// TestObserveBlockUnpinsRemovedSlot: the collapse path zeroes the stale
-// tail slot, so a removed block is not kept alive by the shifted slice's
-// backing array.
-func TestObserveBlockUnpinsRemovedSlot(t *testing.T) {
-	s := relation.MustSchema([]relation.Attribute{
-		{Name: "x", Domain: []string{"0", "1"}},
-		{Name: "y", Domain: []string{"0", "1"}},
-	})
-	db := NewDatabase(s)
-	m := relation.Missing
-	for i := 0; i < 3; i++ {
-		j, err := dist.NewJoint([]int{1}, []int{2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.P = dist.Dist{0.4, 0.6}
-		b, err := NewBlock(relation.Tuple{i % 2, m}, j, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.AddBlock(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	backing := db.Blocks // shares the backing array the delete shifts
-	if err := db.ObserveBlock(1, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Blocks) != 2 {
-		t.Fatalf("blocks = %d, want 2", len(db.Blocks))
-	}
-	if backing[2] != nil {
-		t.Error("stale tail slot still pins the removed block")
 	}
 }

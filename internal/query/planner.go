@@ -212,7 +212,6 @@ type planScratch struct {
 	order      []int
 	sel        []float64
 	satBools   [][]bool
-	buf        []int
 	allMissing relation.Tuple
 }
 
@@ -338,27 +337,21 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 		info.Adaptive = &AdaptiveInfo{}
 	}
 
-	buf := s.buf
-	exhausted := false // deadline spent mid-plan: classify on, stop paying for envelopes
+	exhausted := false // deadline spent mid-plan: plan on, stop paying for envelopes
 	for i, t := range rel.Tuples {
 		if err := ctx.Err(); err != nil {
 			// A spent deadline budget degrades planning instead of failing
-			// it: the remaining tuples classify without envelope votes
+			// it: the remaining tuples are planned without envelope votes
 			// (vacuous intervals — still sound), and the executor degrades
 			// from there. Plain cancellation still aborts.
 			if !hasDL || !errors.Is(err, context.DeadlineExceeded) {
-				s.buf = buf
 				p.release()
 				return nil, err
 			}
 			exhausted = true
 		}
-		c, open := q.classify(t, buf)
-		if open != nil {
-			buf = open[:0]
-		}
 		switch {
-		case c == refuted:
+		case q.refutes(t):
 			p.acts[i] = planned{tier: tierSkip}
 			info.Refuted++
 		case t.IsComplete():
@@ -385,7 +378,6 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 				var err error
 				iv, hit, err = eng.BoundCPD(t, satBools)
 				if err != nil {
-					s.buf = buf
 					p.release()
 					return nil, err
 				}
@@ -406,7 +398,6 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 			}
 		}
 	}
-	s.buf = buf
 	p.info = info
 	return p, nil
 }

@@ -26,10 +26,10 @@
 //     satisfaction probability exactly 0 — no inference at all.
 //     Structural analysis extends this to open attributes whose compiled
 //     satisfying set is empty. Complete tuples are likewise decided for
-//     free in either direction. (An *incomplete* entailed tuple is not
-//     pruned to 1: its block's probability mass need not sum to exactly
-//     1.0 in floats, so pinning it would break bit-identity — it is
-//     resolved like any open tuple instead.)
+//     free in either direction. (An *incomplete* tuple that every
+//     completion satisfies is not pruned to 1: its block's probability
+//     mass need not sum to exactly 1.0 in floats, so pinning it would
+//     break bit-identity — it is resolved like any open tuple instead.)
 //   - Votes: a single-missing tuple's completion block is one voted CPD,
 //     read through derive.Engine.ResolveBlock from the engine's one block
 //     cache — the block, from the cache slot, full derivation would emit
@@ -381,54 +381,19 @@ func (q *Query) String() string {
 	return b.String()
 }
 
-// class is the evidence/structure classification of one tuple against
-// the query predicates.
-type class int
-
-const (
-	// refuted: satisfaction probability is exactly 0 — a known value
-	// fails a predicate, or an open attribute has an empty satisfying
-	// set.
-	refuted class = iota
-	// entailed: satisfaction probability is exactly 1 — every predicate
-	// is satisfied by known values or by the attribute's full domain.
-	entailed
-	// openSingle: the tuple has exactly one missing attribute and the
-	// predicates genuinely depend on it; the voted CPD decides it
-	// exactly.
-	openSingle
-	// openMulti: satisfaction depends on several missing values (or on
-	// one of several); only the joint distribution decides it.
-	openMulti
-)
-
-// classify decides t against the query predicates from evidence and
-// structure alone. open receives the effective open attributes —
-// constrained, missing in t, and not satisfied by their full domain —
-// appended to buf (reuse a buffer across calls to avoid allocation).
-func (q *Query) classify(t relation.Tuple, buf []int) (c class, open []int) {
-	open = buf[:0]
+// refutes reports whether evidence and structure alone refute t: a
+// known value fails a predicate, or a missing constrained attribute has
+// an empty satisfying set, so t satisfies the query with probability 0.
+func (q *Query) refutes(t relation.Tuple) bool {
 	for _, a := range q.constrained {
 		set := q.sat[a]
-		if t[a] != relation.Missing {
-			if !set.contains(t[a]) {
-				return refuted, nil
+		if t[a] == relation.Missing {
+			if set.empty() {
+				return true
 			}
-			continue
+		} else if !set.contains(t[a]) {
+			return true
 		}
-		if set.empty() {
-			return refuted, nil
-		}
-		if set.full() {
-			continue
-		}
-		open = append(open, a)
 	}
-	if len(open) == 0 {
-		return entailed, nil
-	}
-	if t.NumMissing() == 1 {
-		return openSingle, open
-	}
-	return openMulti, open
+	return false
 }

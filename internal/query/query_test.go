@@ -154,17 +154,17 @@ func TestCompileSatisfyingSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := q.classify(relation.Tuple{relation.Missing, 0, 0}, nil); c != refuted {
-		t.Errorf("empty satisfying set classifies as %v, want refuted", c)
+	if !q.refutes(relation.Tuple{relation.Missing, 0, 0}) {
+		t.Error("empty satisfying set does not refute a missing value")
 	}
 
-	// Full satisfying set entails regardless of the missing value.
+	// Full satisfying set holds whatever the missing value.
 	q, err = Compile(s, Spec{Op: Count, Where: "age>=20"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := q.classify(relation.Tuple{relation.Missing, 0, 0}, nil); c != entailed {
-		t.Errorf("full satisfying set classifies as %v, want entailed", c)
+	if !q.sat[0].full() || q.refutes(relation.Tuple{relation.Missing, 0, 0}) {
+		t.Errorf("age>=20 compiled to %+v, want the full domain, refuting nothing", q.sat[0])
 	}
 }
 
@@ -176,23 +176,20 @@ func TestClassify(t *testing.T) {
 	}
 	miss := relation.Missing
 	cases := []struct {
-		tuple relation.Tuple
-		want  class
-		open  int
+		tuple   relation.Tuple
+		refuted bool
 	}{
-		{relation.Tuple{1, 1, 0}, entailed, 0},
-		{relation.Tuple{0, 1, 0}, refuted, 0},       // known age fails
-		{relation.Tuple{1, 0, miss}, refuted, 0},    // known inc fails
-		{relation.Tuple{miss, 1, 0}, openSingle, 1}, // one missing, constrained
-		{relation.Tuple{1, 1, miss}, entailed, 0},   // missing attr unconstrained
-		{relation.Tuple{miss, miss, 0}, openMulti, 2},
-		{relation.Tuple{miss, 1, miss}, openMulti, 1}, // several missing, one open
+		{relation.Tuple{1, 1, 0}, false},
+		{relation.Tuple{0, 1, 0}, true},     // known age fails
+		{relation.Tuple{1, 0, miss}, true},  // known inc fails
+		{relation.Tuple{miss, 1, 0}, false}, // one missing, constrained
+		{relation.Tuple{1, 1, miss}, false}, // missing attr unconstrained
+		{relation.Tuple{miss, miss, 0}, false},
+		{relation.Tuple{miss, 1, miss}, false}, // several missing, one open
 	}
 	for _, c := range cases {
-		got, open := q.classify(c.tuple, nil)
-		if got != c.want || len(open) != c.open {
-			t.Errorf("classify(%v) = %v open %v, want %v with %d open",
-				c.tuple, got, open, c.want, c.open)
+		if got := q.refutes(c.tuple); got != c.refuted {
+			t.Errorf("refutes(%v) = %v, want %v", c.tuple, got, c.refuted)
 		}
 	}
 }

@@ -515,13 +515,8 @@ func (s *SPJ) analyzeSafety(spec SPJSpec, clones []*relation.Relation, finalProv
 		toModel[o.input][o.attr] = m
 	}
 	live := make([]bool, len(s.rel.Tuples))
-	var buf []int
 	for i, t := range s.rel.Tuples {
-		c, open := s.q.classify(t, buf)
-		if open != nil {
-			buf = open[:0]
-		}
-		live[i] = c != refuted
+		live[i] = !s.q.refutes(t)
 	}
 	s.shared = 0
 	for j := 1; j < len(clones); j++ {

@@ -13,11 +13,12 @@ import (
 // query over the dataset sees Bayesian-conditioned posterior blocks
 // instead of the priors. Coherence is exact: the engine's
 // content-keyed caches are never stale by construction, and the one
-// per-dataset artifact — the conditioned posterior of an observed
-// tuple — is invalidated exactly (only the touched tuple's entry) and
-// epoch-tagged, so a stale posterior is never served even under
-// races or eviction. See EngineStats.Observations,
-// EngineStats.InvalidatedEntries, and EngineStats.Watchers for the
+// per-dataset artifact, the conditioned posterior of an observed tuple,
+// belongs to the dataset: one block per observed tuple, replaced by each
+// observation of that tuple and copied by each snapshot, so a snapshot
+// runs no inference and never sees a superseded posterior. See
+// EngineStats.Observations, EngineStats.InvalidatedEntries (posteriors
+// superseded by a later observation), and EngineStats.Watchers for the
 // live-evidence counters.
 
 // Live-evidence types re-exported from the derive package.
@@ -32,9 +33,6 @@ type (
 	DatasetSnapshot = derive.DatasetSnapshot
 	// ObserveResult reports one applied observation delta.
 	ObserveResult = derive.ObserveResult
-	// Observation is one applied evidence delta: attribute Attr was seen
-	// to be value Val (a domain code).
-	Observation = derive.Obs
 )
 
 // RegisterDataset registers rel as a live dataset on this engine and
@@ -63,9 +61,9 @@ func (e *Engine) RegisterJoinInput(rel *Relation) (*Dataset, error) {
 func (e *Engine) Dataset(id string) (*Dataset, bool) { return e.eng.Dataset(id) }
 
 // DropDataset unregisters a dataset: watchers wake and observe the
-// closed Done channel, later observes fail, and the dataset's
-// conditioned blocks are invalidated out of the engine cache. Reports
-// whether the id was registered.
+// closed Done channel and later observes fail. The dataset's posteriors
+// stay with its handle, so a dropped dataset still snapshots its last
+// state. Reports whether the id was registered.
 func (e *Engine) DropDataset(id string) bool { return e.eng.DropDataset(id) }
 
 // DeriveSnapshot is Derive of a dataset snapshot.

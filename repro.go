@@ -181,14 +181,14 @@ type DeriveOptions struct {
 	// bit-identical for every pool size.
 	Workers int
 	// CacheEntries bounds each engine cache (the block cache, single- and
-	// multi-missing blocks together; live datasets' conditioned blocks;
-	// and the shared local-CPD memo) to that many entries with CLOCK
-	// eviction, so long-lived engines serving unbounded pattern diversity
-	// run in fixed memory. <= 0 leaves the block and conditioned-block
-	// caches unbounded and keeps the CPD memo at its large default cap.
-	// Eviction never changes the derived stream — cached values are
+	// multi-missing blocks together, and the shared local-CPD memo) to
+	// that many entries with CLOCK eviction, so long-lived engines serving
+	// unbounded pattern diversity run in fixed memory. <= 0 leaves the
+	// block cache unbounded and keeps the CPD memo at its large default
+	// cap. Eviction never changes the derived stream — cached values are
 	// deterministic functions of the model and their key — it only costs
-	// recomputation.
+	// recomputation. Live datasets' conditioned posteriors are not cached:
+	// each dataset owns one block per observed tuple.
 	CacheEntries int
 }
 
