@@ -74,10 +74,13 @@ bench-gate:
 	$(GO) run ./scripts/benchgate
 
 # Short fuzzing pass over the four external input parsers (CSV
-# relations, BN topology DSL, query predicate syntax, /observe bodies),
-# plus the NDJSON sink's byte appender against encoding/json.
+# relations, both readers against encoding/csv; BN topology DSL; query
+# predicate syntax; /observe bodies), plus the NDJSON sink's byte
+# appender against encoding/json. go test fuzzes one target per run, so
+# each -fuzz pattern is anchored.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/relation
+	$(GO) test -run=NONE -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/relation
+	$(GO) test -run=NONE -fuzz='^FuzzReadCSVInSchema$$' -fuzztime=10s ./internal/relation
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/bn
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=10s ./internal/query
 	$(GO) test -run=NONE -fuzz=FuzzParseObserve -fuzztime=10s ./cmd/mrslserve

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,7 +36,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*modelPath, *in, *samples, *burnin, *method, *top, *seed); err != nil {
+	if err := run(os.Stdout, *modelPath, *in, *samples, *burnin, *method, *top, *seed); err != nil {
 		fmt.Fprintf(os.Stderr, "mrslinfer: %v\n", err)
 		os.Exit(1)
 	}
@@ -54,7 +56,11 @@ func parseMethod(s string) (repro.Method, error) {
 	return repro.Method{}, fmt.Errorf("unknown method %q", s)
 }
 
-func run(modelPath, in string, samples, burnin int, methodName string, top int, seed int64) error {
+// run derives the relation in the CSV file in under the model in
+// modelPath and prints the database to out, through one buffer: a write
+// error, a full disk say, fails the run instead of truncating its output
+// silently.
+func run(out io.Writer, modelPath, in string, samples, burnin int, methodName string, top int, seed int64) error {
 	method, err := parseMethod(methodName)
 	if err != nil {
 		return err
@@ -91,20 +97,21 @@ func run(modelPath, in string, samples, burnin int, methodName string, top int, 
 	}
 
 	s := model.Schema
+	w := bufio.NewWriter(out)
 	header := strings.Join(s.SortedAttrNames(), ",")
-	fmt.Printf("# derived probabilistic database: %d certain tuples, %d blocks\n",
+	fmt.Fprintf(w, "# derived probabilistic database: %d certain tuples, %d blocks\n",
 		len(db.Certain), len(db.Blocks))
-	fmt.Printf("# %s,prob\n", header)
+	fmt.Fprintf(w, "# %s,prob\n", header)
 	for _, t := range db.Certain {
-		fmt.Printf("%s,1\n", renderTuple(s, t))
+		fmt.Fprintf(w, "%s,1\n", renderTuple(s, t))
 	}
 	for bi, b := range db.Blocks {
-		fmt.Printf("# block %d for %s\n", bi+1, b.Base.Format(s))
+		fmt.Fprintf(w, "# block %d for %s\n", bi+1, b.Base.Format(s))
 		for _, alt := range b.Alts {
-			fmt.Printf("%s,%.4f\n", renderTuple(s, alt.Tuple), alt.Prob)
+			fmt.Fprintf(w, "%s,%.4f\n", renderTuple(s, alt.Tuple), alt.Prob)
 		}
 	}
-	return nil
+	return w.Flush()
 }
 
 func renderTuple(s *repro.Schema, t repro.Tuple) string {

@@ -50,7 +50,7 @@
 //	               engine is about to wait on or compute a block that is
 //	               not ready, so clients read each block as soon as it is
 //	               inferred; lines served from the caches go out in
-//	               net/http's buffered writes. Query
+//	               writes of up to 64 KiB. Query
 //	               parameter workers overrides the request's pool size
 //	               (never the result). With
 //	               dataset=<id> the body is ignored and the registered
@@ -163,6 +163,7 @@
 package main
 
 import (
+	"bufio"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -682,12 +683,17 @@ func (s *server) fail(w http.ResponseWriter, code int, err error) {
 
 // handleDerive streams the derived database of the request's source —
 // the posted CSV, or with dataset=<id> a registered dataset's conditioned
-// snapshot — back as NDJSON, one line per item, written to the
-// ResponseWriter and flushed by the engine when it would otherwise wait
-// (see repro.Sink). The stream runs under the request context, so a client
-// disconnect cancels in-flight derivation work; a deadline budget that
-// runs out ends the stream with a terminal "truncated" record — the
-// lines already emitted are exact and usable.
+// snapshot — back as NDJSON, one line per item, written through a
+// responseBuffer and flushed by the engine when it would otherwise wait
+// (see repro.Sink). Lines served from the caches leave in writes of up to
+// 64 KiB, which net/http passes through to the connection instead of
+// cutting them at its own 2 KiB and 4 KiB buffers. The terminal records
+// go through the same buffer, after every line before them, and the
+// buffer is sent even when the handler panics, so the panic boundary's
+// error record still follows the emitted lines. The stream runs under the
+// request context, so a client disconnect cancels in-flight derivation
+// work; a deadline budget that runs out ends the stream with a terminal
+// "truncated" record — the lines already emitted are exact and usable.
 func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.front(w, r)
 	if !ok {
@@ -700,9 +706,11 @@ func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := c.ctx()
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	out := newResponseBuffer(w)
+	defer out.release()
+	enc := json.NewEncoder(out)
 	var mismatch *repro.SchemaMismatchError
-	switch err := s.eng.Derive(ctx, src, c.pools, repro.NewJSONLSink(w, s.model.Schema)); {
+	switch err := s.eng.Derive(ctx, src, c.pools, repro.NewJSONLSink(out, s.model.Schema)); {
 	case err == nil:
 		s.noteBudget(false)
 	case errors.As(err, &mismatch):
@@ -727,6 +735,49 @@ func (s *server) handleDerive(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(errRecord(c.r, err))
 	}
 	writeTrace(c.r.Context(), enc)
+}
+
+// responseBufferSize is the size of a /derive response's buffer: large
+// enough that net/http writes a cached stream to the connection in a few
+// system calls, small enough to pool one per in-flight stream.
+const responseBufferSize = 64 << 10
+
+var responseBuffers = sync.Pool{
+	New: func() any { return bufio.NewWriterSize(nil, responseBufferSize) },
+}
+
+// responseBuffer is a pooled bufio.Writer over a ResponseWriter. Its
+// Flush sends the buffer and then flushes the ResponseWriter, so a
+// JSONLSink over it flushes both whenever the engine flushes the stream.
+type responseBuffer struct {
+	*bufio.Writer
+	w http.ResponseWriter
+}
+
+func newResponseBuffer(w http.ResponseWriter) responseBuffer {
+	bw := responseBuffers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return responseBuffer{Writer: bw, w: w}
+}
+
+// Flush sends the buffered lines to the client.
+func (b responseBuffer) Flush() error {
+	if err := b.Writer.Flush(); err != nil {
+		return err
+	}
+	if f, ok := b.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return nil
+}
+
+// release writes what is still buffered to the ResponseWriter, which
+// net/http sends when the handler returns, and pools the buffer. A
+// write error means the client is gone and is not reported.
+func (b responseBuffer) release() {
+	_ = b.Writer.Flush()
+	b.Writer.Reset(nil)
+	responseBuffers.Put(b.Writer)
 }
 
 // writeTrace appends the {"kind":"trace"} record of the span recorder on

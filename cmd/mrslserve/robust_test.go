@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -284,6 +285,191 @@ func TestServeDeriveFirstRecordBeforeSlowChain(t *testing.T) {
 	}
 	if n := srv.eng.Stats().GibbsComputed; n != 1 {
 		t.Errorf("%d chains done after the stream, want 1", n)
+	}
+}
+
+// TestServeDeriveFlushesBeforeSlowChain is the HTTP twin of derive's
+// TestFlushBeforeSlowChain: the k items before a multi-missing tuple
+// whose chain the derive.chain fault slows all reach the client while
+// that chain runs, though they sit in the response buffer until the
+// engine flushes it.
+func TestServeDeriveFlushesBeforeSlowChain(t *testing.T) {
+	model, rel, _ := matchmakingFixture(t)
+	ts, srv := startServerInflight(t, model, 0)
+	const k = 5
+	body := repro.NewRelation(rel.Schema)
+	for _, tu := range rel.Tuples {
+		if tu.IsComplete() && body.Len() < k {
+			if err := body.Append(tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := body.Append(rel.Tuples[0]); err != nil { // t1 misses two values
+		t.Fatal(err)
+	}
+	var csvBody bytes.Buffer
+	if err := repro.WriteCSV(&csvBody, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Configure("derive.chain=sleep:1s/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+
+	resp, err := http.Post(ts.URL+"/derive", "text/csv", &csvBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for i := -1; i < k; i++ {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 0 && (rec["kind"] != "certain" || rec["index"] != float64(i)) {
+			t.Fatalf("line %d is %s, want the certain item %d", i+2, line, i)
+		}
+	}
+	if n := srv.eng.Stats().GibbsComputed; n != 0 {
+		t.Fatalf("the %d items before the slow chain arrived only after it returned (%d chains done)", k, n)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`{"kind":"block","index":%d,`, k); !strings.HasPrefix(string(rest), want) {
+		t.Errorf("after the first %d items: %s, want the block of item %d", k, rest, k)
+	}
+}
+
+// TestServeDeriveTruncatesPastBuffer: a /derive stream longer than its
+// 64 KiB response buffer that a spent timeout_ms budget cuts short, while
+// the derive.chain fault slows a chain, sends every line it emitted —
+// whole item records in input order — then the truncated record, and
+// with trace=1 the trace record last.
+func TestServeDeriveTruncatesPastBuffer(t *testing.T) {
+	model, rel, _ := matchmakingFixture(t)
+	// 1,500 complete tuples, about 90 KB of NDJSON, then t1, which misses
+	// two values, then complete tuples past the budget.
+	body := repro.NewRelation(rel.Schema)
+	var complete []repro.Tuple
+	for _, tu := range rel.Tuples {
+		if tu.IsComplete() {
+			complete = append(complete, tu)
+		}
+	}
+	for i := 0; i < 1510; i++ {
+		tu := complete[i%len(complete)]
+		if i == 1500 {
+			tu = rel.Tuples[0]
+		}
+		if err := body.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var csvBody bytes.Buffer
+	if err := repro.WriteCSV(&csvBody, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Configure("derive.chain=sleep:600ms/1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+
+	for _, trace := range []bool{false, true} {
+		ts := startServer(t, model) // cold caches, so t1's chain runs again
+		query := "?timeout_ms=300"
+		if trace {
+			query += "&trace=1"
+		}
+		out := postDerive(t, ts, csvBody.Bytes(), query)
+		if len(out) <= 64<<10 {
+			t.Fatalf("trace=%v: %d bytes of NDJSON, want more than the 64 KiB buffer", trace, len(out))
+		}
+		lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+		terminal := []string{"truncated"}
+		if trace {
+			terminal = append(terminal, "trace")
+		}
+		items := lines[1 : len(lines)-len(terminal)]
+		for i, kind := range terminal {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(lines[len(items)+1+i]), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec["kind"] != kind {
+				t.Fatalf("trace=%v: record %d from the end is %v, want kind %s", trace, len(terminal)-i, rec, kind)
+			}
+		}
+		if len(items) >= body.Len() {
+			t.Fatalf("trace=%v: all %d items arrived; the budget cut nothing", trace, len(items))
+		}
+		for i, line := range items {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("trace=%v: item line %d: %v", trace, i, err)
+			}
+			if k := rec["kind"]; k != "certain" && k != "block" || rec["index"] != float64(i) {
+				t.Fatalf("trace=%v: item line %d is %s, want the record of item %d", trace, i, line, i)
+			}
+		}
+	}
+}
+
+// TestServeDeriveHandlerPanicMidStream: a panic on the handler goroutine
+// partway through a /derive stream still ends the response with every
+// line emitted before it, then the panic boundary's error record. The
+// cache.storm fault panics inside the stream's cache lookup, outside the
+// engine's recovery; on warm caches the stream starts no prefetch pool,
+// so every lookup it counts is the stream's own.
+func TestServeDeriveHandlerPanicMidStream(t *testing.T) {
+	model, _, csvBody := matchmakingFixture(t)
+	ts, srv := startServerInflight(t, model, 0)
+	want := postDerive(t, ts, csvBody, "")
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+
+	// The fifth lookup is item 9's: the fifth incomplete tuple.
+	if err := faultinject.Configure("cache.storm=panic/5"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	resp, err := http.Post(ts.URL+"/derive", "text/csv", bytes.NewReader(csvBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mid-stream panic: status %d: %s", resp.StatusCode, out)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	var last map[string]any
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if last["kind"] != "error" || !strings.Contains(last["error"].(string), "panic") {
+		t.Fatalf("terminal record = %v, want the recovered-panic error record", last)
+	}
+	if got := len(lines) - 1; got != 10 {
+		t.Errorf("%d lines before the error record, want the schema and items 0 to 8", got)
+	}
+	for i, line := range lines[:len(lines)-1] {
+		if line != wantLines[i] {
+			t.Fatalf("line %d before the panic differs:\ngot:  %s\nwant: %s", i, line, wantLines[i])
+		}
+	}
+	if st := srv.panics.Load(); st != 1 {
+		t.Errorf("server panics = %d, want 1", st)
+	}
+	faultinject.Disable()
+	if got := postDerive(t, ts, csvBody, ""); !bytes.Equal(got, want) {
+		t.Fatalf("stream after the panic differs:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -51,15 +51,17 @@
 // EngineStats.ExactSolved counts the exact solves. InferJoint and the
 // Fig 10 and Fig 11 experiments (mrslbench) keep sampling.
 //
-// Distinct incomplete tuples are inferred once — one pool prefetches them
-// in first-appearance order, and duplicates are served from the shared,
+// Distinct incomplete tuples are inferred once — one pool, started at the
+// stream's first tuple whose block is not ready, prefetches the rest in
+// first-appearance order, and duplicates are served from the shared,
 // synchronized block cache keyed by the tuple's evidence — and the emitted
 // stream does not depend on the pool size: every Workers value produces a
 // bit-identical database, since votes and exact solves use no randomness
 // and chains are seeded by tuple content.
 // Relations must carry the model's schema; a mismatch fails up front
 // with *SchemaMismatchError, and ReadCSVInSchema parses serving-time
-// inputs against a model schema without re-inferring domains.
+// inputs against a model schema without re-inferring domains, on one
+// CSV scanner that accepts exactly what encoding/csv accepts.
 //
 // # Performance architecture
 //

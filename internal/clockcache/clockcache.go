@@ -7,11 +7,15 @@
 // hit path cheap enough for inference inner loops.
 //
 // A Map is NOT safe for concurrent use; callers provide locking (the
-// derivation engine probes under its own mutex, the CPD cache shards and
-// locks per shard). Get probes with a []byte key so hot paths can reuse a
-// scratch buffer — the compiler elides the string conversion inside the
-// map index expression, so a hit performs no allocation.
+// derivation engine probes under its own lock, the CPD cache shards and
+// locks per shard). Gets alone may run concurrently with each other, so a
+// caller may probe under a shared (read) lock. Get probes with a []byte
+// key so hot paths can reuse a scratch buffer — the compiler elides the
+// string conversion inside the map index expression, so a hit performs no
+// allocation.
 package clockcache
+
+import "sync/atomic"
 
 // Map is a bounded string-keyed map with CLOCK eviction. The zero Map is
 // not usable; construct with New.
@@ -20,7 +24,7 @@ type Map[V any] struct {
 	pos       map[string]int
 	keys      []string
 	vals      []V
-	ref       []bool
+	ref       []uint32 // reference bits; Get sets them atomically
 	hand      int
 	evictions int64
 	// evictable, when non-nil, guards slots from eviction (e.g. in-flight
@@ -40,14 +44,18 @@ func New[V any](capacity int, evictable func(V) bool) *Map[V] {
 }
 
 // Get returns the value stored under key and marks it recently used. The
-// []byte key is not retained; a hit does not allocate.
+// []byte key is not retained; a hit does not allocate. Get only reads the
+// map and sets the reference bit atomically, so Gets may run
+// concurrently with each other.
 func (m *Map[V]) Get(key []byte) (V, bool) {
 	i, ok := m.pos[string(key)]
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	m.ref[i] = true
+	if atomic.LoadUint32(&m.ref[i]) == 0 {
+		atomic.StoreUint32(&m.ref[i], 1)
+	}
 	return m.vals[i], true
 }
 
@@ -57,7 +65,7 @@ func (m *Map[V]) Put(b []byte, v V) {
 	key := string(b)
 	if i, ok := m.pos[key]; ok {
 		m.vals[i] = v
-		m.ref[i] = true
+		m.ref[i] = 1
 		return
 	}
 	if m.cap > 0 && len(m.keys) >= m.cap {
@@ -74,15 +82,15 @@ func (m *Map[V]) Put(b []byte, v V) {
 			if m.evictable != nil && !m.evictable(m.vals[h]) {
 				continue
 			}
-			if m.ref[h] {
-				m.ref[h] = false
+			if m.ref[h] != 0 {
+				m.ref[h] = 0
 				continue
 			}
 			delete(m.pos, m.keys[h])
 			m.evictions++
 			m.keys[h] = key
 			m.vals[h] = v
-			m.ref[h] = true
+			m.ref[h] = 1
 			m.pos[key] = h
 			return
 		}
@@ -90,7 +98,7 @@ func (m *Map[V]) Put(b []byte, v V) {
 	m.pos[key] = len(m.keys)
 	m.keys = append(m.keys, key)
 	m.vals = append(m.vals, v)
-	m.ref = append(m.ref, true)
+	m.ref = append(m.ref, 1)
 }
 
 // Invalidate removes the entry stored under key, reporting whether one
@@ -120,7 +128,7 @@ func (m *Map[V]) remove(i int) {
 	var zero V
 	m.keys[last] = ""
 	m.vals[last] = zero
-	m.ref[last] = false
+	m.ref[last] = 0
 	m.keys = m.keys[:last]
 	m.vals = m.vals[:last]
 	m.ref = m.ref[:last]

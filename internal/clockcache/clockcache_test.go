@@ -1,6 +1,9 @@
 package clockcache
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestUnboundedActsLikeMap(t *testing.T) {
 	m := New[int](0, nil)
@@ -165,4 +168,28 @@ func TestRemoveKeepsClockConsistent(t *testing.T) {
 	if v, ok := m.Get([]byte("z")); !ok || v != 999 {
 		t.Fatalf("post-churn put lost: %d, %v", v, ok)
 	}
+}
+
+// TestConcurrentGets: Gets alone may run at once, as under a shared lock;
+// run under -race this checks that a hit's reference bit is set without
+// a data race.
+func TestConcurrentGets(t *testing.T) {
+	m := New[int](0, nil)
+	for i := 0; i < 64; i++ {
+		m.Put([]byte{byte(i)}, i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 1000; n++ {
+				if v, ok := m.Get([]byte{byte(n % 64)}); !ok || v != n%64 {
+					t.Errorf("Get(%d) = %d, %v", n%64, v, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,10 +8,11 @@
 //
 //   - Inference is scheduled per block: each distinct incomplete tuple is
 //     one independent unit of work, prefetched ahead of the emitter by one
-//     worker pool through one single-flight block cache keyed by the
-//     tuple's canonical evidence (relation.Tuple.Key), so duplicates hit
-//     the cache and each block is ready as soon as its own unit has run —
-//     not when the whole batch has. A single-missing unit is Algorithm 2's
+//     worker pool, started at the stream's first cache miss, through one
+//     single-flight block cache keyed by the tuple's canonical evidence
+//     (relation.Tuple.Key), so duplicates hit the cache and each block is
+//     ready as soon as its own unit has run — not when the whole batch
+//     has. A single-missing unit is Algorithm 2's
 //     ensemble vote; a multi-missing one is gibbs.Infer, which solves small
 //     kernels exactly, as the stationary distribution of the chain's sweep
 //     kernel, and runs a content-seeded Gibbs chain for the rest.
@@ -38,6 +39,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"time"
 
@@ -177,7 +179,7 @@ type Source interface {
 // Stats instruments the engine's caches. With the exception of the live
 // gauges (Watchers, Datasets), all counters are monotonically
 // non-decreasing over the engine's lifetime; concurrent requests update
-// them atomically under the engine lock.
+// them atomically.
 type Stats struct {
 	// VotesComputed counts distinct single-missing evidence patterns that
 	// were actually voted (cache misses).
@@ -328,9 +330,17 @@ type Engine struct {
 	// locking.
 	cpd *gibbs.CPDCache
 
-	mu     sync.Mutex
-	blocks *clockcache.Map[*entry] // completion blocks by evidence key
-	stats  Stats
+	mu    sync.Mutex
+	stats Stats
+
+	// bmu guards blocks, the completion blocks by evidence key. lookup
+	// finds an existing entry under the read lock, so streams served from
+	// the cache at once do not queue on it, and bumps its counters —
+	// Stats' VotesComputed, SingleTuples, MultiTuples and GibbsCacheHits
+	// — atomically, outside mu.
+	bmu                               sync.RWMutex
+	blocks                            *clockcache.Map[*entry]
+	votes, singles, multis, multiHits atomic.Int64
 
 	// dsMu guards the live-dataset registry. Never held together with mu.
 	dsMu     sync.Mutex
@@ -389,11 +399,15 @@ func (e *Engine) Stats() Stats {
 	cpd := e.cpd.Stats()
 	e.mu.Lock()
 	st := e.stats
+	e.mu.Unlock()
+	e.bmu.Lock() // lookup bumps the counters under bmu: read them between its sections
 	st.Evictions = e.blocks.Evictions()
+	st.VotesComputed, st.SingleTuples = e.votes.Load(), e.singles.Load()
+	st.MultiTuples, st.GibbsCacheHits = e.multis.Load(), e.multiHits.Load()
+	e.bmu.Unlock()
 	st.CPDHits = cpd.Hits
 	st.CPDMisses = cpd.Misses
 	st.CPDEvictions = cpd.Evictions
-	e.mu.Unlock()
 	e.dsMu.Lock()
 	st.Datasets = int64(len(e.datasets))
 	e.dsMu.Unlock()
@@ -402,10 +416,11 @@ func (e *Engine) Stats() Stats {
 
 // lookup returns the block cache entry for key, creating and claiming it
 // if absent. claimed is true when the caller must compute the entry and
-// close ready. The nilable counters are bumped under the same lock —
-// computed on a claim, served once per call, hits once per found entry —
-// so resolve paths pay a single lock acquisition. The byte key is copied
-// only when a new entry is claimed; the hit path does not allocate.
+// close ready. The nilable counters are bumped under the block-cache lock
+// — computed on a claim, served once per call, hits once per found entry.
+// An existing entry is found under the read lock alone; only a claim
+// takes the write lock. The byte key is copied only when a new entry is
+// claimed; the hit path does not allocate.
 //
 // o is the calling stream or a ResolveBlock caller's idle hook (nil for
 // a prefetch worker). When key is absent and o has items to flush (or a
@@ -413,14 +428,13 @@ func (e *Engine) Stats() Stats {
 // released, and then looks again: a flush is a socket write that blocks
 // while the client is not reading, and every request that needs a
 // claimed slot waits for its claimer.
-func (e *Engine) lookup(key []byte, o *out, computed, served, hits *int64) (en *entry, claimed bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func (e *Engine) lookup(key []byte, o *out, computed, served, hits *atomic.Int64) (en *entry, claimed bool) {
 	if faultinject.Enabled() && faultinject.Fire("cache.storm") {
 		// Chaos harness: an eviction storm drops every completed entry of
 		// the block cache. In-flight single-flight slots are spared so a
 		// claimer's pending write is never orphaned mid-computation; the
 		// storm costs recomputation, never changes answers.
+		e.bmu.Lock()
 		var doomed []string
 		e.blocks.Range(func(k string, v *entry) bool {
 			if entryDone(v) {
@@ -431,29 +445,42 @@ func (e *Engine) lookup(key []byte, o *out, computed, served, hits *int64) (en *
 		for _, k := range doomed {
 			e.blocks.Invalidate(k)
 		}
+		e.bmu.Unlock()
 	}
-	if served != nil {
-		*served++
-	}
+	e.bmu.RLock()
+	count(served)
 	en, ok := e.blocks.Get(key)
+	if ok {
+		count(hits)
+	}
+	e.bmu.RUnlock()
+	if ok {
+		return en, false
+	}
+	e.bmu.Lock()
+	defer e.bmu.Unlock()
+	en, ok = e.blocks.Get(key)
 	if !ok && o.dirty() {
-		e.mu.Unlock()
+		e.bmu.Unlock()
 		o.idle() // recovers its own panics, so the lock is always retaken
-		e.mu.Lock()
+		e.bmu.Lock()
 		en, ok = e.blocks.Get(key)
 	}
 	if ok {
-		if hits != nil {
-			*hits++
-		}
+		count(hits)
 		return en, false
 	}
 	en = &entry{ready: make(chan struct{})}
 	e.blocks.Put(key, en)
-	if computed != nil {
-		*computed++
-	}
+	count(computed)
 	return en, true
+}
+
+// count adds one to the counter c, if any.
+func count(c *atomic.Int64) {
+	if c != nil {
+		c.Add(1)
+	}
 }
 
 // QueryRecord carries one query evaluation's pruning counters into
@@ -530,11 +557,11 @@ func (e *Engine) MarginalCPD(t relation.Tuple, attr int) (d dist.Dist, hit bool,
 // counts VotesComputed when claimed and SingleTuples when served; a
 // multi-missing one MultiTuples when served and GibbsCacheHits when
 // found (infer counts its GibbsComputed, on success only).
-func (e *Engine) counters(t relation.Tuple) (computed, served, hits *int64) {
+func (e *Engine) counters(t relation.Tuple) (computed, served, hits *atomic.Int64) {
 	if t.NumMissing() == 1 {
-		return &e.stats.VotesComputed, &e.stats.SingleTuples, nil
+		return &e.votes, &e.singles, nil
 	}
-	return nil, &e.stats.MultiTuples, &e.stats.GibbsCacheHits
+	return nil, &e.multis, &e.multiHits
 }
 
 // ResolveBlock returns the completion block of one incomplete tuple
@@ -556,7 +583,7 @@ func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple, idle func()
 		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
 	}
 	o := &out{e: e, flush: idle, pending: true}
-	b, hit, err = e.resolve(ctx, t, t.AppendKey(nil), o)
+	b, hit, err = e.resolve(ctx, t, t.AppendKey(nil), o, nil)
 	if o.err != nil {
 		return nil, hit, o.err
 	}
@@ -569,12 +596,15 @@ func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple, idle func()
 // computation otherwise (or until ctx is canceled). It is the fetch path
 // of streams and ResolveBlock, so it counts served tuples. key is t's
 // evidence key. hit reports whether the entry already existed. Before it
-// computes or waits it lets o, the calling stream or a ResolveBlock
-// caller's idle hook, flush what the stream has emitted so far (see
-// lookup and waitReady).
-func (e *Engine) resolve(ctx context.Context, t relation.Tuple, key []byte, o *out) (b *pdb.Block, hit bool, err error) {
+// computes or waits it calls miss (nil for none) and lets o, the calling
+// stream or a ResolveBlock caller's idle hook, flush what the stream has
+// emitted so far (see lookup and waitReady).
+func (e *Engine) resolve(ctx context.Context, t relation.Tuple, key []byte, o *out, miss func()) (b *pdb.Block, hit bool, err error) {
 	computed, served, hits := e.counters(t)
 	en, claimed := e.lookup(key, o, computed, served, hits)
+	if miss != nil && (claimed || !entryDone(en)) {
+		miss()
+	}
 	if claimed {
 		e.fill(en, t, key)
 	} else if err := waitReady(ctx, en.ready, o); err != nil {
@@ -692,8 +722,10 @@ func (e *Engine) recoverEntry(en *entry, key []byte, op string) {
 	en.err = &PanicError{Op: op, Value: r, Stack: debug.Stack()}
 	e.mu.Lock()
 	e.stats.PanicsRecovered++
-	e.blocks.Invalidate(string(key))
 	e.mu.Unlock()
+	e.bmu.Lock()
+	e.blocks.Invalidate(string(key))
+	e.bmu.Unlock()
 }
 
 // PrefetchBlocks warms the engine's block cache for the given tuples
@@ -711,52 +743,54 @@ func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, po
 	// quit is never closed here: the dispatcher runs to the end of its
 	// tuple list unless ctx cancels it.
 	var wg sync.WaitGroup
-	e.prefetch(ctx, &wg, make(chan struct{}), tuples, pools)
+	e.prefetch(ctx, &wg, make(chan struct{}), tuples, 0, nil, pools)
 	o := &out{e: e, flush: idle, pending: true}
 	o.idle()
 	wg.Wait()
 	return o.err
 }
 
-// prefetch starts one pool — a dispatcher plus workers goroutines, each
-// reusing one key buffer — that warms the distinct incomplete tuples of
-// tuples in first-appearance order until done, quit closes, or ctx is
-// canceled; wg tracks its goroutines. Only distinct damage patterns are
-// dispatched — duplicates would be single-probe no-ops, but even those
-// probes cost a channel handoff and an engine-lock acquisition each.
-func (e *Engine) prefetch(ctx context.Context, wg *sync.WaitGroup, quit chan struct{}, tuples []relation.Tuple, pools Pools) {
-	seen := make(map[string]bool, len(tuples))
-	var distinct []relation.Tuple
-	var keyBuf []byte
-	for _, t := range tuples {
-		if t.IsComplete() {
-			continue
-		}
-		keyBuf = t.AppendKey(keyBuf[:0])
-		if !seen[string(keyBuf)] {
-			seen[string(keyBuf)] = true
-			distinct = append(distinct, t)
-		}
-	}
-	if len(distinct) == 0 {
-		return
-	}
-	work := make(chan relation.Tuple)
-	for w := poolSize(pools.Workers, e.cfg.Workers, len(distinct)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var keyBuf []byte
-			for t := range work {
-				keyBuf = t.AppendKey(keyBuf[:0])
-				e.safeWarm(t, keyBuf)
-			}
-		}()
-	}
+// prefetch starts one pool that warms the distinct incomplete tuples of
+// tuples[from:] that overrides (nil for none) does not map, in
+// first-appearance order until done, quit closes, or ctx is canceled;
+// wg tracks its goroutines. Its dispatcher goroutine walks the tuples,
+// then starts the workers, each reusing one key buffer, and hands them
+// the tuples. Only distinct damage patterns are dispatched — duplicates
+// would be single-probe no-ops, but even those probes cost a channel
+// handoff and a block-cache lock acquisition each.
+func (e *Engine) prefetch(ctx context.Context, wg *sync.WaitGroup, quit chan struct{}, tuples []relation.Tuple, from int, overrides map[int]*pdb.Block, pools Pools) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		seen := make(map[string]bool, len(tuples)-from)
+		var distinct []relation.Tuple
+		var keyBuf []byte
+		for i, t := range tuples[from:] {
+			if t.IsComplete() || overrides[from+i] != nil {
+				continue
+			}
+			keyBuf = t.AppendKey(keyBuf[:0])
+			if !seen[string(keyBuf)] {
+				seen[string(keyBuf)] = true
+				distinct = append(distinct, t)
+			}
+		}
+		if len(distinct) == 0 {
+			return
+		}
+		work := make(chan relation.Tuple)
 		defer close(work)
+		for w := poolSize(pools.Workers, e.cfg.Workers, len(distinct)); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var keyBuf []byte
+				for t := range work {
+					keyBuf = t.AppendKey(keyBuf[:0])
+					e.safeWarm(t, keyBuf)
+				}
+			}()
+		}
 		for _, t := range distinct {
 			select {
 			case work <- t:
@@ -868,11 +902,12 @@ func (e *Engine) Unpack(src Source) (*relation.Relation, map[int]*pdb.Block, err
 // certain items, incomplete tuples arrive as blocks, and a snapshot's
 // observed tuples emit their conditioned posterior blocks (or pass
 // through as certain items once evidence has collapsed them).
-// Single-missing voting and multi-missing inference run on per-request
-// worker pools concurrently with emission; inference is scheduled per
-// block, so each block becomes available as soon as its own unit has
-// run. src's schema must match the model's, else a *SchemaMismatchError
-// is returned before any inference runs.
+// Single-missing voting and multi-missing inference run on a per-request
+// worker pool concurrently with emission, from the stream's first cache
+// miss on (a stream served from the caches starts no pool); inference is
+// scheduled per block, so each block becomes available as soon as its
+// own unit has run. src's schema must match the model's, else a
+// *SchemaMismatchError is returned before any inference runs.
 //
 // Stream calls the sink's Close once the last item is emitted. If the
 // stream or the sink fails, Stream returns that error after draining
@@ -921,21 +956,20 @@ func (e *Engine) Stream(ctx context.Context, src Source, pools Pools, sink Sink)
 // nor resolved.
 func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides map[int]*pdb.Block, pools Pools, o *out) error {
 	// The pool prefetches blocks ahead of the emitter, through the same
-	// single-flight cache the emitter resolves from. quit stops its
-	// dispatcher early when emission fails, and the loop returns only
+	// single-flight cache the emitter resolves from. It starts at the
+	// stream's first miss — the first tuple whose block the emitter must
+	// compute or wait for — and covers the tuples after it, so a stream
+	// served from the caches starts no goroutine. quit stops its
+	// dispatcher early when emission ends, and the loop returns only
 	// after it has drained.
-	work := tuples
-	if overrides != nil {
-		work = make([]relation.Tuple, 0, len(tuples))
-		for i, t := range tuples {
-			if overrides[i] == nil {
-				work = append(work, t)
-			}
-		}
-	}
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
-	e.prefetch(ctx, &wg, quit, work, pools)
+	var next int // the index after the tuple being resolved
+	var miss func()
+	miss = func() {
+		miss = nil
+		e.prefetch(ctx, &wg, quit, tuples, next, overrides, pools)
+	}
 
 	// Emit in input order. The emitter steals unclaimed work (resolve
 	// computes inline when the pool has not reached the entry yet), so it
@@ -955,7 +989,8 @@ func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides 
 			}
 		} else if !t.IsComplete() {
 			keyBuf = t.AppendKey(keyBuf[:0])
-			b, _, err = e.resolve(ctx, t, keyBuf, o)
+			next = i + 1
+			b, _, err = e.resolve(ctx, t, keyBuf, o, miss)
 		}
 		if err == nil {
 			err = o.put(Item{Index: i, Tuple: t, Block: b})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -148,6 +150,84 @@ func TestFlushBeforeSlowChain(t *testing.T) {
 				t.Errorf("last flush = %v, want every line after the chain", last)
 			}
 		})
+	}
+}
+
+// neverFires arms derive.prefetch with a period no test reaches, so
+// faultinject.Arrivals counts the prefetch items a stream dispatches.
+const neverFires = "derive.prefetch=panic/1000000000"
+
+// TestAllHitStreamStartsNoPool: a stream whose every vote and chain is a
+// cache hit starts no prefetch pool, so no prefetch item arrives — the
+// relation stream and the snapshot stream alike.
+func TestAllHitStreamStartsNoPool(t *testing.T) {
+	e, rel := matchmakingEngine(t)
+	if _, err := deriveDB(e, rel); err != nil { // warms every vote and chain
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	for _, tc := range []struct {
+		name   string
+		stream func(Sink) error
+	}{
+		{"relation", func(s Sink) error { return e.Stream(context.Background(), rel, Pools{}, s) }},
+		{"snapshot", snapshotStream(t, e, rel)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := faultinject.Configure(neverFires); err != nil {
+				t.Fatal(err)
+			}
+			// A slow emitter gives a pool, had one started, time to
+			// dispatch its items.
+			slow := EmitFunc(func(Item) error {
+				time.Sleep(200 * time.Microsecond)
+				return nil
+			})
+			if err := tc.stream(slow); err != nil {
+				t.Fatal(err)
+			}
+			if n := faultinject.Arrivals("derive.prefetch"); n != 0 {
+				t.Errorf("an all-hit stream dispatched %d prefetch items, want none", n)
+			}
+		})
+	}
+}
+
+// TestPoolStartsAtFirstMiss: a stream whose first uncached tuple is item
+// k starts its prefetch pool there, over the tuples after k only, and
+// emits the same bytes as a stream on cold caches.
+func TestPoolStartsAtFirstMiss(t *testing.T) {
+	e, rel := matchmakingEngine(t)
+	const k = 9 // t10; the incomplete tuples before it are items 0, 2, 4 and 7
+	after := make(map[string]bool)
+	for i, tu := range rel.Tuples {
+		switch {
+		case tu.IsComplete():
+		case i < k:
+			if _, _, err := e.ResolveBlock(context.Background(), tu, nil); err != nil {
+				t.Fatal(err)
+			}
+		case i > k:
+			after[tu.Key()] = true
+		}
+	}
+	if err := faultinject.Configure(neverFires); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	var buf bytes.Buffer
+	if err := e.Stream(context.Background(), rel, Pools{}, NewJSONLSink(&buf, rel.Schema)); err != nil {
+		t.Fatal(err)
+	}
+	if n := faultinject.Arrivals("derive.prefetch"); n > uint64(len(after)) {
+		t.Errorf("%d prefetch items, want at most the %d distinct incomplete tuples after item %d", n, len(after), k)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "matchmaking_derived.jsonl.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("stream differs from the golden file:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
 

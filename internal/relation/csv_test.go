@@ -2,6 +2,9 @@ package relation
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -95,5 +98,86 @@ func TestWriteCSVMatchmaking(t *testing.T) {
 	}
 	if lines[1] != "20,HS,?,?" {
 		t.Errorf("t1 = %q, want 20,HS,?,?", lines[1])
+	}
+}
+
+// TestScannerMatchesEncodingCSV reads random inputs record by record with
+// the scanner and with encoding/csv: both must return the same fields and
+// fail on the same record. The inputs mix quoted fields that span lines
+// and lines longer than the bufio.Reader's buffer, which a short fuzz
+// run rarely reaches.
+func TestScannerMatchesEncodingCSV(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pieces := []string{"a", "?", "50K", "é", " ", " ", "\t", ",", "\n", "\r\n", "\r", `"`, `""`}
+	field := func(long bool) string {
+		var b strings.Builder
+		n := rng.Intn(4)
+		if long {
+			n = 5000
+		}
+		for i := 0; i < n; i++ {
+			b.WriteString(pieces[rng.Intn(4)])
+		}
+		if rng.Intn(3) > 0 {
+			return b.String()
+		}
+		// A quoted field, with the pieces that need quoting, and now and
+		// then a malformed one.
+		var q strings.Builder
+		q.WriteString(`"`)
+		for i := 0; i < rng.Intn(6); i++ {
+			p := pieces[rng.Intn(len(pieces))]
+			if p == `"` && rng.Intn(20) > 0 {
+				p = `""`
+			}
+			q.WriteString(p)
+		}
+		q.WriteString(b.String())
+		if rng.Intn(30) > 0 {
+			q.WriteString(`"`)
+		}
+		return pieces[4+rng.Intn(3)][:rng.Intn(2)] + q.String()
+	}
+	for iter := 0; iter < 3000; iter++ {
+		var in strings.Builder
+		width := 1 + rng.Intn(4)
+		for r := 0; r < 1+rng.Intn(30); r++ {
+			w := width
+			if rng.Intn(40) == 0 {
+				w++
+			}
+			for f := 0; f < w; f++ {
+				if f > 0 {
+					in.WriteString(",")
+				}
+				in.WriteString(field(rng.Intn(200) == 0))
+			}
+			in.WriteString([]string{"\n", "\r\n", "\n\n", "\n \n", "\r\n\r\n"}[rng.Intn(5)])
+		}
+		data := in.String()
+		if rng.Intn(2) == 0 {
+			data = strings.TrimRight(data, "\n")
+		}
+		sc := newScanner(strings.NewReader(data), 0)
+		cr := csv.NewReader(strings.NewReader(data))
+		cr.TrimLeadingSpace = true
+		for rec := 1; ; rec++ {
+			got, err := sc.next()
+			want, wantErr := cr.Read()
+			if (err == nil) != (wantErr == nil) || (err == io.EOF) != (wantErr == io.EOF) {
+				t.Fatalf("input %d record %d: scanner error %v, encoding/csv error %v\ninput: %q", iter, rec, err, wantErr, data)
+			}
+			if err != nil {
+				break
+			}
+			if len(got) != len(want) {
+				t.Fatalf("input %d record %d: %d fields, encoding/csv read %d\ninput: %q", iter, rec, len(got), len(want), data)
+			}
+			for i := range got {
+				if string(got[i]) != want[i] {
+					t.Fatalf("input %d record %d field %d: %q, encoding/csv read %q\ninput: %q", iter, rec, i, got[i], want[i], data)
+				}
+			}
+		}
 	}
 }

@@ -55,7 +55,9 @@ func ReadCSV(r io.Reader) (*Relation, error) { return relation.ReadCSV(r) }
 // schema's attributes in order and every non-"?" cell must be a domain
 // label. Serving paths should prefer this over ReadCSV — inference-time
 // data rarely exercises every domain value, and re-inferring domains
-// would silently re-code values relative to the model.
+// would silently re-code values relative to the model. It reads records
+// with one scanner that slices fields in place and accepts exactly the
+// input encoding/csv accepts with TrimLeadingSpace set.
 func ReadCSVInSchema(r io.Reader, s *Schema) (*Relation, error) {
 	return relation.ReadCSVInSchema(r, s)
 }
