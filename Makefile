@@ -66,8 +66,8 @@ perfbench-smoke:
 
 # Time the change against its parent commit on this host: HEAD when the
 # working tree has changes, else HEAD^. Ten alternating pairs of the
-# concurrent-serving, cold-inference, planner, SPJ and adaptive-query
-# benchmarks; a metric fails only when the change loses at least 9 of the
+# concurrent-serving, cold-inference, planner, SPJ, adaptive-query and
+# warm live-read benchmarks; a metric fails only when the change loses at least 9 of the
 # 10 pairs, its median is more than 30% worse, and the medians differ by
 # more than the parent's interquartile range (scripts/benchgate).
 bench-gate:

@@ -314,7 +314,7 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 	model, rel, csvBody := matchmakingFixture(t)
 	ts := startServer(t, model)
 
-	post := func(params string) []map[string]any {
+	post := func(ts *httptest.Server, params string) []map[string]any {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/query?"+params, "text/csv", bytes.NewReader(csvBody))
 		if err != nil {
@@ -348,7 +348,7 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 	}
 	defer faultinject.Disable()
 	attr := model.Schema.Attrs[0].Name
-	recs := post("op=groupby&groupby=" + url.QueryEscape(attr))
+	recs := post(ts, "op=groupby&groupby="+url.QueryEscape(attr))
 	faultinject.Disable()
 	var partials, finals int
 	lastPartial, firstFinal := -1, -1
@@ -401,7 +401,7 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 
 	// The same groupby again is served from the caches: it never waits on
 	// inference, so it sends its final records and no partial one.
-	recs = post("op=groupby&groupby=" + url.QueryEscape(attr))
+	recs = post(ts, "op=groupby&groupby="+url.QueryEscape(attr))
 	finals = 0
 	for _, r := range recs {
 		switch {
@@ -415,8 +415,16 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 		t.Fatalf("warm groupby streamed %d final groups, want %d", finals, model.Schema.Attrs[0].Card())
 	}
 
-	// TopK: partial row snapshots stream ahead of the finals.
-	recs = post("op=topk&k=4&where=" + url.QueryEscape(attr+"!="+model.Schema.Attrs[0].Domain[0]))
+	// TopK: on a second, cold server, with every prefetch item panicking
+	// before it claims, the topk computes its blocks inline, and partial
+	// row snapshots stream ahead of the finals.
+	cold := startServer(t, model)
+	if err := faultinject.Configure("derive.prefetch=panic/1"); err != nil {
+		t.Fatal(err)
+	}
+	topk := "op=topk&k=4&where=" + url.QueryEscape(attr+"!="+model.Schema.Attrs[0].Domain[0])
+	recs = post(cold, topk)
+	faultinject.Disable()
 	var rowPartials, rowFinals int
 	for _, r := range recs {
 		switch {
@@ -442,6 +450,22 @@ func TestServeQueryStreamsIncrementally(t *testing.T) {
 	plan, ok := summary["plan"].(map[string]any)
 	if !ok || plan["tiers"] == nil {
 		t.Errorf("summary missing plan tiers: %v", summary)
+	}
+
+	// The same topk again is served from the caches: none of its waves
+	// waits on inference, so it sends its final rows and no partial one.
+	recs = post(cold, topk)
+	rowFinals = 0
+	for _, r := range recs {
+		switch {
+		case r["kind"] == "row" && r["partial"] == true:
+			t.Fatalf("warm topk streamed a partial row %v:\n%v", r, recs)
+		case r["kind"] == "row" && r["final"] == true:
+			rowFinals++
+		}
+	}
+	if rowFinals == 0 || rowFinals > 4 {
+		t.Fatalf("warm topk streamed %d final rows, want 1..4", rowFinals)
 	}
 }
 

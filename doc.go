@@ -159,8 +159,10 @@
 // and QueryBoundWidth, the summed width of the real intervals).
 // cmd/mrslserve exposes the same evaluation over HTTP
 // as POST /query (NDJSON: a query record, result records — streamed
-// incrementally with partial/final markers for topk and groupby — and a
-// summary with the plan and the pruning counters).
+// incrementally with partial/final markers for topk and groupby, the
+// partial ones only while the evaluation waits on inference, so a query
+// served from the caches sends its final records alone — and a summary
+// with the plan and the pruning counters).
 //
 // # Adaptive execution
 //
@@ -248,12 +250,14 @@
 // conditions and replaces (the derived database is disjoint-independent,
 // so conditioning one block touches no other). Snapshot copies the
 // posteriors under the dataset's lock: it runs no inference and never
-// sees a superseded posterior. The query planner classifies conditioned
-// tuples into an "observed" tier whose satisfying mass is exact and
-// free. After any sequence of deltas, answers are bit-identical to a
-// fresh engine evaluating the conditioned database naively — the
-// property the live-evidence tests re-check after every delta, on
-// unbounded engines and on engines whose caches hold one entry.
+// sees a superseded posterior. There is one snapshot per version, shared
+// by every read of it until an applied observation drops it. The query
+// planner classifies conditioned tuples into an "observed" tier whose
+// satisfying mass is exact and free. After any sequence of deltas,
+// answers are bit-identical to a fresh engine evaluating the conditioned
+// database naively — the property the live-evidence tests re-check after
+// every delta, on unbounded engines and on engines whose caches hold one
+// entry.
 // Dataset.Subscribe delivers a coalesced signal per applied observation
 // (the primitive behind mrslserve's watch queries), and EngineStats adds
 // Observations, InvalidatedEntries (posteriors a later observation

@@ -37,6 +37,9 @@ import (
 //     conditions the stored posterior (on a first observation, the block
 //     ResolveBlock serves) and replaces it; Snapshot copies the map, so
 //     it runs no inference and can never read a superseded posterior.
+//     The dataset keeps the last snapshot it built and hands it to every
+//     read until an applied observation drops it: one snapshot per
+//     version.
 
 // Dataset is a registered relation with live evidence. Create with
 // Engine.RegisterDataset; safe for concurrent use.
@@ -49,6 +52,7 @@ type Dataset struct {
 	mu        sync.Mutex
 	posterior map[int]*pdb.Block // conditioned block per observed source tuple index
 	version   uint64             // total observations applied
+	snap      *DatasetSnapshot   // the snapshot of version, once a read has built it
 	subs      map[int]chan struct{}
 	subSeq    int
 	closed    bool
@@ -78,7 +82,9 @@ type ObserveResult struct {
 // effective relation (observed values folded into the tuples) plus the
 // conditioned completion blocks of every tuple that has received
 // observations. Snapshots are immutable; concurrent observes produce
-// later versions, never mutate an issued snapshot.
+// later versions, never mutate an issued snapshot. A dataset builds one
+// snapshot per version and every read of that version shares it, so a
+// holder must not mutate its relation, tuples or overrides.
 type DatasetSnapshot struct {
 	// Rel holds the effective tuples: an observed tuple's entry is its
 	// conditioned block's base (observed values known, the rest still
@@ -272,6 +278,7 @@ func (d *Dataset) Observe(ctx context.Context, index, attr, val int) (ObserveRes
 		}
 		d.posterior[index] = cur
 		d.version++
+		d.snap = nil
 		d.eng.countObservation(observed)
 		// Subscription delivery is observed once per applied delta (the
 		// whole fan-out, not per subscriber): the sends are non-blocking,
@@ -292,13 +299,23 @@ func (d *Dataset) Observe(ctx context.Context, index, attr, val int) (ObserveRes
 	return res, nil
 }
 
-// Snapshot materializes a consistent view of the dataset: the effective
-// tuples plus the posterior of every observed tuple, copied under the
-// dataset's lock. It runs no inference and takes no engine lock; the
-// unobserved tuples resolve lazily at evaluation time. The context is
-// not used.
+// Snapshot returns a consistent view of the dataset: the effective
+// tuples plus the posterior of every observed tuple. It runs no inference
+// and takes no engine lock; the unobserved tuples resolve lazily at
+// evaluation time. The context is not used.
+//
+// There is one snapshot per version: the first read of a version copies
+// the posteriors under the dataset's lock, builds the effective relation
+// outside it, and keeps the result unless an observation was applied
+// meanwhile; every later read of that version returns the same snapshot,
+// shared and not to be mutated. An applied observation drops it; a no-op
+// keeps it.
 func (d *Dataset) Snapshot(context.Context) (*DatasetSnapshot, error) {
 	d.mu.Lock()
+	if s := d.snap; s != nil {
+		d.mu.Unlock()
+		return s, nil
+	}
 	overrides, version := maps.Clone(d.posterior), d.version
 	d.mu.Unlock()
 	rel := d.rel
@@ -310,7 +327,16 @@ func (d *Dataset) Snapshot(context.Context) (*DatasetSnapshot, error) {
 		}
 		rel = &relation.Relation{Schema: d.rel.Schema, Tuples: tuples}
 	}
-	return &DatasetSnapshot{Rel: rel, Overrides: overrides, Version: version}, nil
+	s := &DatasetSnapshot{Rel: rel, Overrides: overrides, Version: version}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.version == version {
+		if d.snap == nil {
+			d.snap = s
+		}
+		s = d.snap // a concurrent first read of this version may have kept its own
+	}
+	return s, nil
 }
 
 // countObservation counts one applied observation, and a superseded

@@ -302,8 +302,11 @@ func TestDatasetObserveSemantics(t *testing.T) {
 // TestDatasetConcurrentObserveSnapshot: observers and snapshot readers on
 // one dataset at once. Every snapshot is a consistent cut (never more
 // observed tuples than applied observations, versions never going back
-// for one reader), and once the observers are done the dataset derives
-// bit-identically to the cold oracle.
+// for one reader), one reader reads one snapshot per version, and once
+// the observers are done the dataset derives bit-identically to the cold
+// oracle. Then two snapshots with no applied observation between them
+// are one snapshot: a no-op observation keeps it, and an applied one
+// yields a new one.
 func TestDatasetConcurrentObserveSnapshot(t *testing.T) {
 	m, inst, rng := learnBN(t, "BN8", 2000, 79)
 	rel := dirtyRelation(t, inst, rng, 60)
@@ -339,6 +342,7 @@ func TestDatasetConcurrentObserveSnapshot(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			var last uint64
+			var prev *DatasetSnapshot
 			for {
 				snap, err := ds.Snapshot(ctx)
 				if err != nil {
@@ -349,7 +353,11 @@ func TestDatasetConcurrentObserveSnapshot(t *testing.T) {
 					t.Errorf("snapshot at version %d (after %d) with %d observed tuples", snap.Version, last, len(snap.Overrides))
 					return
 				}
-				last = snap.Version
+				if prev != nil && (snap.Version == prev.Version) != (snap == prev) {
+					t.Errorf("snapshots %p and %p at versions %d and %d: want one snapshot per version", prev, snap, prev.Version, snap.Version)
+					return
+				}
+				last, prev = snap.Version, snap
 				select {
 				case <-done:
 					return
@@ -362,6 +370,43 @@ func TestDatasetConcurrentObserveSnapshot(t *testing.T) {
 	close(done)
 	readers.Wait()
 	requireItemsIdentical(t, collectSnapshot(t, e, ds), conditionedOracle(t, m, cfg, rel, script), "after concurrent observes")
+
+	snapshot := func() *DatasetSnapshot {
+		t.Helper()
+		snap, err := ds.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	shared := snapshot()
+	if again := snapshot(); again != shared {
+		t.Fatalf("two snapshots of version %d with no observation between them differ", shared.Version)
+	}
+	if res, err := ds.Observe(ctx, script[0].index, script[0].attr, script[0].val); err != nil || !res.Noop {
+		t.Fatalf("re-observing %+v: %+v, %v; want a no-op", script[0], res, err)
+	}
+	if again := snapshot(); again != shared {
+		t.Fatal("a no-op observation replaced the snapshot")
+	}
+	for i, tu := range shared.Rel.Tuples {
+		if tu.IsComplete() || shared.Overrides[i] != nil {
+			continue
+		}
+		b, _, err := e.ResolveBlock(ctx, tu, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attr := tu.MissingAttrs()[0]
+		if res, err := ds.Observe(ctx, i, attr, b.Alts[0].Tuple[attr]); err != nil || res.Noop {
+			t.Fatalf("observing tuple %d: %+v, %v; want an applied observation", i, res, err)
+		}
+		break
+	}
+	if next := snapshot(); next == shared || next.Version != shared.Version+1 {
+		t.Fatalf("after an applied observation: snapshot at version %d (shared %v), want a new snapshot at version %d",
+			next.Version, next == shared, shared.Version+1)
+	}
 }
 
 // TestDatasetIsolation: two datasets over the same relation share every

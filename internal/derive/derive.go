@@ -564,12 +564,20 @@ func (e *Engine) counters(t relation.Tuple) (computed, served, hits *atomic.Int6
 	return nil, &e.multis, &e.multiHits
 }
 
+// keyBytes sizes the stack arrays evidence keys are built in: two
+// uvarints per known value, one byte each below 128, so 64 bytes hold
+// the key of any tuple with up to 32 known values, and a longer key
+// spills to the heap as append grows it.
+const keyBytes = 64
+
 // ResolveBlock returns the completion block of one incomplete tuple
 // through the engine's block cache, exactly as a Stream over a relation
 // containing t would emit it. hit reports whether the answer was served
 // from the cache rather than inferred by this call. It is the per-tuple
-// entry point of the query evaluator and of dataset snapshots; the
-// returned block is shared and must be treated as immutable.
+// entry point of the query evaluator and of a dataset's first
+// observation of a tuple; the returned block is shared and must be
+// treated as immutable. A cache hit builds t's evidence key in a stack
+// array and allocates nothing.
 //
 // idle (nil for none) is the caller's hook for the moment it would wait:
 // ResolveBlock calls it at most once, on the caller's goroutine, just
@@ -582,8 +590,9 @@ func (e *Engine) ResolveBlock(ctx context.Context, t relation.Tuple, idle func()
 	if t.IsComplete() {
 		return nil, false, fmt.Errorf("derive: tuple %v is complete", t)
 	}
+	var key [keyBytes]byte
 	o := &out{e: e, flush: idle, pending: true}
-	b, hit, err = e.resolve(ctx, t, t.AppendKey(nil), o, nil)
+	b, hit, err = e.resolve(ctx, t, t.AppendKey(key[:0]), o, nil)
 	if o.err != nil {
 		return nil, hit, o.err
 	}
@@ -730,24 +739,47 @@ func (e *Engine) recoverEntry(en *entry, key []byte, op string) {
 
 // PrefetchBlocks warms the engine's block cache for the given tuples
 // across the request's worker pool, in order, until every distinct
-// incomplete tuple is claimed or ctx is canceled. The pool size affects
-// scheduling only — a subsequent ResolveBlock serves bit-identical
-// results whether or not the prefetch ran. Complete tuples are skipped.
-// It blocks until its workers have drained.
+// incomplete tuple is claimed or ctx is canceled. Its pool starts at the
+// first miss: PrefetchBlocks first walks the tuples on the caller's
+// goroutine, probing the cache without claiming or counting, and starts
+// the pool at the first incomplete tuple whose block is absent or still
+// being computed, over that tuple and the ones after it. A worklist the
+// cache already holds starts no goroutine and returns at once. The pool
+// size affects scheduling only — a subsequent ResolveBlock serves
+// bit-identical results whether or not the prefetch ran. Complete tuples
+// are skipped. It blocks until its workers have drained.
 //
 // idle (nil for none) is ResolveBlock's hook: PrefetchBlocks calls it
-// once, on the caller's goroutine while the pool works, behind the same
-// panic boundary, and returns its error once the pool has drained. The
-// workers never call it.
+// once, when it has started the pool, on the caller's goroutine while the
+// pool works, behind the same panic boundary, and returns its error once
+// the pool has drained. A worklist served from the cache never calls it,
+// and the workers never call it.
 func (e *Engine) PrefetchBlocks(ctx context.Context, tuples []relation.Tuple, pools Pools, idle func() error) error {
-	// quit is never closed here: the dispatcher runs to the end of its
-	// tuple list unless ctx cancels it.
-	var wg sync.WaitGroup
-	e.prefetch(ctx, &wg, make(chan struct{}), tuples, 0, nil, pools)
-	o := &out{e: e, flush: idle, pending: true}
-	o.idle()
-	wg.Wait()
-	return o.err
+	var key [keyBytes]byte
+	for i, t := range tuples {
+		if t.IsComplete() || e.ready(t.AppendKey(key[:0])) {
+			continue
+		}
+		// quit is never closed here: the dispatcher runs to the end of its
+		// tuple list unless ctx cancels it.
+		var wg sync.WaitGroup
+		e.prefetch(ctx, &wg, make(chan struct{}), tuples, i, nil, pools)
+		o := &out{e: e, flush: idle, pending: true}
+		o.idle()
+		wg.Wait()
+		return o.err
+	}
+	return nil
+}
+
+// ready reports whether the block cache holds a finished entry for key,
+// probed under the read lock. It neither claims the slot nor counts the
+// probe.
+func (e *Engine) ready(key []byte) bool {
+	e.bmu.RLock()
+	en, ok := e.blocks.Get(key)
+	e.bmu.RUnlock()
+	return ok && entryDone(en)
 }
 
 // prefetch starts one pool that warms the distinct incomplete tuples of
@@ -974,11 +1006,19 @@ func (e *Engine) stream(ctx context.Context, tuples []relation.Tuple, overrides 
 	// Emit in input order. The emitter steals unclaimed work (resolve
 	// computes inline when the pool has not reached the entry yet), so it
 	// never idles behind the pool. Evidence keys are built into one reused
-	// buffer; cache hits never copy them.
+	// buffer; cache hits never copy them. Cancellation is polled on Done,
+	// captured once: Err locks the context's mutex on every call, and it
+	// is nil until Done closes.
 	var err error
 	var keyBuf []byte
+	done := ctx.Done()
 	for i, t := range tuples {
-		if err = ctx.Err(); err != nil {
+		select {
+		case <-done:
+			err = ctx.Err()
+		default:
+		}
+		if err != nil {
 			break
 		}
 		var b *pdb.Block

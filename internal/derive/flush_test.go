@@ -231,6 +231,103 @@ func TestPoolStartsAtFirstMiss(t *testing.T) {
 	}
 }
 
+// TestPrefetchBlocksStartsAtFirstMiss: a worklist the block cache holds
+// starts no pool and never calls idle, so even with every prefetch item
+// armed to panic none arrives and no panic is recovered. One uncached
+// tuple in the middle of the list starts the pool there, the pool
+// computes it, and idle is called once.
+func TestPrefetchBlocksStartsAtFirstMiss(t *testing.T) {
+	ctx := context.Background()
+	calls := 0
+	idle := func() error { calls++; return nil }
+	defer faultinject.Disable()
+
+	e, rel := matchmakingEngine(t)
+	if _, err := deriveDB(e, rel); err != nil { // warms every vote and chain
+		t.Fatal(err)
+	}
+	if err := faultinject.Configure("derive.prefetch=panic/1"); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats().PanicsRecovered
+	if err := e.PrefetchBlocks(ctx, rel.Tuples, Pools{}, idle); err != nil {
+		t.Fatal(err)
+	}
+	if n, p := faultinject.Arrivals("derive.prefetch"), e.Stats().PanicsRecovered-before; calls != 0 || n != 0 || p != 0 {
+		t.Errorf("a cached worklist called idle %d times, dispatched %d prefetch items and recovered %d panics; want none", calls, n, p)
+	}
+	faultinject.Disable()
+
+	e, _ = matchmakingEngine(t)
+	var incomplete []int
+	for i, tu := range rel.Tuples {
+		if !tu.IsComplete() {
+			incomplete = append(incomplete, i)
+		}
+	}
+	mid := incomplete[len(incomplete)/2]
+	key := rel.Tuples[mid].Key()
+	fromMid := map[string]bool{} // the distinct incomplete tuples from mid on
+	for _, i := range incomplete {
+		k := rel.Tuples[i].Key()
+		if i >= mid {
+			fromMid[k] = true
+		}
+		if k == key {
+			continue
+		}
+		if _, _, err := e.ResolveBlock(ctx, rel.Tuples[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := faultinject.Configure(neverFires); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	st := e.Stats()
+	computed := st.VotesComputed + st.GibbsComputed
+	if err := e.PrefetchBlocks(ctx, rel.Tuples, Pools{}, idle); err != nil {
+		t.Fatal(err)
+	}
+	if n := faultinject.Arrivals("derive.prefetch"); n == 0 || n > uint64(len(fromMid)) {
+		t.Errorf("%d prefetch items, want 1 to the %d distinct incomplete tuples from item %d on", n, len(fromMid), mid)
+	}
+	if calls != 1 {
+		t.Errorf("a worklist with one uncached tuple called idle %d times, want 1", calls)
+	}
+	st = e.Stats()
+	if n := st.VotesComputed + st.GibbsComputed - computed; n != 1 {
+		t.Errorf("the prefetch computed %d blocks, want the 1 uncached", n)
+	}
+	if _, hit, err := e.ResolveBlock(ctx, rel.Tuples[mid], nil); err != nil || !hit {
+		t.Errorf("ResolveBlock of the uncached tuple after the prefetch: hit %v, %v; want a cache hit", hit, err)
+	}
+}
+
+// TestResolveBlockHitAllocs: a ResolveBlock served from the block cache
+// allocates nothing, for single- and multi-missing tuples alike.
+func TestResolveBlockHitAllocs(t *testing.T) {
+	e, rel := matchmakingEngine(t)
+	if _, err := deriveDB(e, rel); err != nil { // warms every vote and chain
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	idle := func() error { return nil }
+	for i, tu := range rel.Tuples {
+		if tu.IsComplete() {
+			continue
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, hit, err := e.ResolveBlock(ctx, tu, idle); err != nil || !hit {
+				t.Fatalf("ResolveBlock of tuple %d: hit %v, %v; want a cache hit", i, hit, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a cache hit on tuple %d (%d missing) allocates %v times, want 0", i, tu.NumMissing(), allocs)
+		}
+	}
+}
+
 // snapshotStream registers rel as a dataset on e and returns a stream of
 // its snapshot into a sink.
 func snapshotStream(t *testing.T, e *Engine, rel *relation.Relation) func(Sink) error {

@@ -50,14 +50,14 @@ import (
 
 // ProgressFunc observes a TopK or GroupBy evaluation while it waits on
 // inference (other operators fold scalars and report nothing
-// incremental). The executor calls it only just before it blocks — before
-// it prefetches a non-empty worklist, and before a tuple's block must be
-// computed inline or waited on — and only when the result changed since
-// the last call, so an evaluation served from the engine's caches calls
-// it at most once per topk wave and never for a groupby. The *Result is
-// the live, partially filled result — read it synchronously, do not
-// retain it. Returning an error aborts the evaluation with that error; a
-// panic aborts it with a *derive.PanicError whose Op is "emit".
+// incremental). The executor calls it only before a wait — when a
+// prefetch starts its pool at a worklist's first uncached block, and
+// before a tuple's block must be computed inline or waited on — and only
+// when the result changed since the last call, so an evaluation served
+// from the engine's caches never calls it. The *Result is the live,
+// partially filled result — read it synchronously, do not retain it.
+// Returning an error aborts the evaluation with that error; a panic
+// aborts it with a *derive.PanicError whose Op is "emit".
 type ProgressFunc func(*Result) error
 
 // Options are the per-request settings of one Eval.
@@ -241,6 +241,14 @@ type executor struct {
 	changed bool
 	idle    func() error
 
+	// The evaluation context's Done channel, which the scans poll per
+	// tuple (see scanErr), and the context without its cancellation, which
+	// the vote tier reads under (see resolve). Both are taken once per
+	// evaluation: Err locks the context's mutex on every call, and
+	// WithoutCancel allocates.
+	done    <-chan struct{}
+	voteCtx context.Context
+
 	// Deadline budget (fail-soft degradation). When the evaluation context
 	// carries a deadline, the executor watches the remaining budget and —
 	// once it dips under the safety margin — answers the remaining
@@ -267,7 +275,8 @@ type executor struct {
 // remaining scan from intervals before the context actually expires.
 func newExecutor(ctx context.Context, q *Query, eng *derive.Engine, rel *relation.Relation,
 	pl *plan, opts Options) *executor {
-	ex := &executor{q: q, eng: eng, rel: rel, plan: pl, pools: opts.Pools, progress: opts.Progress}
+	ex := &executor{q: q, eng: eng, rel: rel, plan: pl, pools: opts.Pools, progress: opts.Progress,
+		done: ctx.Done(), voteCtx: context.WithoutCancel(ctx)}
 	if ex.progress != nil {
 		ex.idle = ex.report
 	}
@@ -302,12 +311,16 @@ func (ex *executor) budgetExhausted() bool {
 
 // scanErr is the in-loop cancellation check: a plain cancellation aborts
 // the scan, but a spent deadline budget does not — the operators degrade
-// to bounds instead of failing.
+// to bounds instead of failing. ctx is the evaluation's context; scanErr
+// reads its Err only once its Done channel, captured by newExecutor, has
+// closed, since Err is nil until then.
 func (ex *executor) scanErr(ctx context.Context) error {
-	err := ctx.Err()
-	if err == nil {
+	select {
+	case <-ex.done:
+	default:
 		return nil
 	}
+	err := ctx.Err()
 	if ex.hasDL && errors.Is(err, context.DeadlineExceeded) {
 		ex.exhausted = true
 		return nil
@@ -357,8 +370,8 @@ func (ex *executor) report() error {
 // is accounted degraded and ok is false, so the caller folds the tuple's
 // planned interval instead. A single-missing tuple has no interval to
 // fall back on, so it never degrades and never fails on the budget: its
-// block is read under context.WithoutCancel, since a wait on one vote is
-// short.
+// block is read under the evaluation context without its cancellation,
+// since a wait on one vote is short.
 func (ex *executor) resolve(ctx context.Context, i int, c *Counters, fold func(pdb.Alternative)) (ok bool, err error) {
 	act := ex.plan.acts[i]
 	switch act.tier {
@@ -376,7 +389,7 @@ func (ex *executor) resolve(ctx context.Context, i int, c *Counters, fold func(p
 		b, ns, n = act.blk, &ex.tm.observedNS, &ex.tm.observedN
 	case tierVote:
 		c.Bounded++
-		if b, _, err = ex.eng.ResolveBlock(context.WithoutCancel(ctx), ex.rel.Tuples[i], ex.idle); err != nil {
+		if b, _, err = ex.eng.ResolveBlock(ex.voteCtx, ex.rel.Tuples[i], ex.idle); err != nil {
 			return false, err
 		}
 		ns, n = &ex.tm.voteNS, &ex.tm.voteN

@@ -337,18 +337,23 @@ func (q *Query) newPlan(ctx context.Context, eng *derive.Engine, rel *relation.R
 		info.Adaptive = &AdaptiveInfo{}
 	}
 
+	// Cancellation is polled on Done, captured once: Err locks the
+	// context's mutex on every call, and it is nil until Done closes.
 	exhausted := false // deadline spent mid-plan: plan on, stop paying for envelopes
+	done := ctx.Done()
 	for i, t := range rel.Tuples {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
 			// A spent deadline budget degrades planning instead of failing
 			// it: the remaining tuples are planned without envelope votes
 			// (vacuous intervals — still sound), and the executor degrades
 			// from there. Plain cancellation still aborts.
-			if !hasDL || !errors.Is(err, context.DeadlineExceeded) {
+			if err := ctx.Err(); !hasDL || !errors.Is(err, context.DeadlineExceeded) {
 				p.release()
 				return nil, err
 			}
 			exhausted = true
+		default:
 		}
 		switch {
 		case q.refutes(t):

@@ -14,9 +14,10 @@ import (
 )
 
 // The progress rule: the executor reports the live result only just
-// before it blocks on inference — before it prefetches a non-empty
-// worklist, and before a block it must compute inline or wait on — and
-// only when a fold changed the result since the last report.
+// before it blocks on inference — when a prefetch starts its pool at a
+// worklist's first uncached block, and before a block it must compute
+// inline or wait on — and only when a fold changed the result since the
+// last report.
 
 // progressCase is the fixture of the progress tests: a BN8 relation, its
 // derive-everything oracle, an unselective groupby and a selective topk
@@ -65,6 +66,23 @@ func (pc progressCase) warmEngine(t *testing.T, q *Query) *derive.Engine {
 	return eng
 }
 
+// cheapWarmEngine returns an engine on which the block of every
+// single-missing tuple of the case's relation is cached and no
+// multi-missing one is, so a topk's cheap tiers are served from the
+// cache and its first wave's prefetch starts a pool.
+func (pc progressCase) cheapWarmEngine(t *testing.T) *derive.Engine {
+	t.Helper()
+	eng := pc.newEngine(t)
+	for _, tu := range pc.rel.Tuples {
+		if tu.NumMissing() == 1 {
+			if _, _, err := eng.ResolveBlock(context.Background(), tu, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return eng
+}
+
 // inlineFaults arms derive.prefetch=panic/1: every prefetch item panics
 // before it claims its slot, so the evaluation computes every block
 // inline, where the idle hook reports.
@@ -92,10 +110,10 @@ func TestWarmGroupByReportsNothing(t *testing.T) {
 	checkOracle(t, "warm groupby", pc.groupBy, res, pc.items, pc.rel.Schema)
 }
 
-// TestWarmTopKReportsOncePerWave: a topk served from the engine's caches
-// waits only on its wave prefetches, so it calls Progress at most once
-// per wave.
-func TestWarmTopKReportsOncePerWave(t *testing.T) {
+// TestWarmTopKReportsNothing: a topk served from the engine's caches
+// starts no prefetch pool for any of its waves, so it never waits and
+// never calls Progress.
+func TestWarmTopKReportsNothing(t *testing.T) {
 	pc := newProgressCase(t)
 	eng := pc.warmEngine(t, pc.topK)
 	calls := 0
@@ -111,8 +129,8 @@ func TestWarmTopKReportsOncePerWave(t *testing.T) {
 	if waves < 2 {
 		t.Fatalf("topk has %d candidates, %d wave(s): want at least 2 waves", cands, waves)
 	}
-	if calls > waves {
-		t.Errorf("warm topk called Progress %d times, want at most one per wave (%d)", calls, waves)
+	if calls != 0 {
+		t.Errorf("warm topk over %d waves called Progress %d times, want 0", waves, calls)
 	}
 	checkOracle(t, "warm topk", pc.topK, res, pc.items, pc.rel.Schema)
 }
@@ -160,14 +178,15 @@ func TestColdGroupByReportsPrefixes(t *testing.T) {
 
 // progressSites evaluates under each place the executor reports from: a
 // cold groupby whose blocks are computed inline (ResolveBlock's idle
-// hook) and a warm topk's wave prefetch (PrefetchBlocks').
+// hook) and a topk whose cheap tiers are cached, at its first wave's
+// prefetch, whose candidates are not (PrefetchBlocks').
 func progressSites(t *testing.T, pc progressCase, check func(t *testing.T, eng *derive.Engine, q *Query)) {
 	t.Run("inline", func(t *testing.T) {
 		inlineFaults(t)
 		check(t, pc.newEngine(t), pc.groupBy)
 	})
 	t.Run("prefetch", func(t *testing.T) {
-		check(t, pc.warmEngine(t, pc.topK), pc.topK)
+		check(t, pc.cheapWarmEngine(t), pc.topK)
 	})
 }
 
@@ -222,4 +241,42 @@ func TestProgressPanicBecomesEmitError(t *testing.T) {
 		}
 		checkOracle(t, "evaluation after the panic", q, res, pc.items, pc.rel.Schema)
 	})
+}
+
+// TestEvalCanceled: an evaluation whose context was canceled before the
+// call fails with context.Canceled, whatever its operator, and so does
+// one canceled from its progress hook mid-scan: the scan stops at its
+// next poll, so the hook is not called again.
+func TestEvalCanceled(t *testing.T) {
+	pc := newProgressCase(t)
+	preds := []Pred{{Attr: 1, Cmp: Eq, Value: 1}, {Attr: 2, Cmp: Eq, Value: 0}}
+	count, err := Compile(pc.model.Schema, Spec{Op: Count, MinProb: 0.5, Preds: preds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists, err := Compile(pc.model.Schema, Spec{Op: Exists, MinProb: 0.9, Preds: preds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []*Query{count, exists, pc.topK, pc.groupBy} {
+		if _, err := Eval(canceled, pc.newEngine(t), pc.rel, q, Options{}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v over a canceled context = %v, want context.Canceled", q.op, err)
+		}
+	}
+	inlineFaults(t)
+	for _, q := range []*Query{pc.topK, pc.groupBy} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		_, err := Eval(ctx, pc.newEngine(t), pc.rel, q, Options{Progress: func(*Result) error {
+			calls++
+			cancel()
+			return nil
+		}})
+		cancel()
+		if !errors.Is(err, context.Canceled) || calls != 1 {
+			t.Errorf("%v canceled from its progress hook = %v after %d calls, want context.Canceled after 1", q.op, err, calls)
+		}
+	}
 }

@@ -15,8 +15,9 @@ import (
 // content-keyed caches are never stale by construction, and the one
 // per-dataset artifact, the conditioned posterior of an observed tuple,
 // belongs to the dataset: one block per observed tuple, replaced by each
-// observation of that tuple and copied by each snapshot, so a snapshot
-// runs no inference and never sees a superseded posterior. See
+// observation of that tuple and copied into the dataset's snapshot, one
+// per version and shared by every read of it, so a snapshot runs no
+// inference and never sees a superseded posterior. See
 // EngineStats.Observations, EngineStats.InvalidatedEntries (posteriors
 // superseded by a later observation), and EngineStats.Watchers for the
 // live-evidence counters.
@@ -29,7 +30,8 @@ type (
 	Dataset = derive.Dataset
 	// DatasetSnapshot is a consistent, immutable view of a dataset for
 	// evaluation: the effective relation plus the conditioned posterior
-	// blocks of every observed tuple.
+	// blocks of every observed tuple. Every read of one dataset version
+	// shares one snapshot, so callers must not mutate it.
 	DatasetSnapshot = derive.DatasetSnapshot
 	// ObserveResult reports one applied observation delta.
 	ObserveResult = derive.ObserveResult

@@ -129,12 +129,13 @@ func CompileQuery(s *Schema, spec QuerySpec) (*CompiledQuery, error) {
 // opts.Pools sizes the prefetch pools (scheduling only, never the
 // answer). opts.Progress, for TopK and GroupBy, is called with the live,
 // partially filled result only while the evaluation waits on inference —
-// just before a prefetch or a block it must compute or wait on, when the
-// result changed since the last call — so serving paths can stream
-// partial rows and group histograms while the engine works, and a query
-// served from the caches reports at most once per topk wave and never
-// for a groupby; read the result synchronously inside the callback and
-// do not retain it, and a progress error aborts the evaluation. opts.PlanOnly
+// when a prefetch starts its pool at a worklist's first uncached block,
+// or just before a block it must compute or wait on, when the result
+// changed since the last call — so serving paths can stream partial rows
+// and group histograms while the engine works, and a query served from
+// the caches never reports; read the result synchronously inside the
+// callback and do not retain it, and a progress error aborts the
+// evaluation. opts.PlanOnly
 // returns the compiled plan without executing it. The plan summary is
 // attached to QueryResult.Plan. Canceling ctx aborts the evaluation.
 func (e *Engine) Query(ctx context.Context, src Source, q *CompiledQuery, opts QueryOptions) (*QueryResult, error) {

@@ -66,9 +66,10 @@ type invocation struct {
 
 // invocations time what perfbench cannot see: the streaming derivation
 // under overlapping streams (perfbench drives one closed-loop client),
-// first-contact votes and exact solves on fresh engines, and the
-// planner, the SPJ safe-join and dissociation paths, and the adaptive
-// topk and thresholded count on fresh engines.
+// first-contact votes and exact solves on fresh engines, the planner,
+// the SPJ safe-join and dissociation paths, the adaptive topk and
+// thresholded count on fresh engines, and warm reads of a live dataset
+// in query_live's four shapes apart from HTTP.
 var invocations = []invocation{
 	{`^BenchmarkEngineConcurrent$`, "5x", []metric{
 		{"BenchmarkEngineConcurrent/streams=1", "tuples/s"},
@@ -91,6 +92,10 @@ var invocations = []invocation{
 	{`^(BenchmarkQueryAdaptive|BenchmarkQueryAdversarial)$`, "100x", []metric{
 		{"BenchmarkQueryAdaptive/adaptive", "ns/op"},
 		{"BenchmarkQueryAdversarial/adaptive", "ns/op"},
+	}},
+	// Four warm reads take about a quarter of a millisecond.
+	{`^BenchmarkQueryLiveWarm$`, "1000x", []metric{
+		{"BenchmarkQueryLiveWarm", "ns/op"},
 	}},
 }
 

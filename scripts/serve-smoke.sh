@@ -3,8 +3,8 @@
 # learns a model from the checked-in matchmaking relation, boots the
 # server on a kernel-assigned port, POSTs one derivation and one query,
 # drives the live-evidence loop — register a dataset, query it, observe
-# a delta, derive it, re-query, and check that a groupby served from the
-# caches sends no partial record — holds a count watch on a second
+# a delta, derive it, re-query, and check that a groupby and a topk served
+# from the caches send no partial record — holds a count watch on a second
 # dataset through one observation and the dataset's drop, runs one
 # intensional join query
 # (multipart sql= statement over two CSV fragments), checks the stream
@@ -113,6 +113,16 @@ grep '"kind":"group"' "$tmp/groupby.ndjson" | grep -q '"final":true' || {
 ! grep -q '"partial":true' "$tmp/groupby.ndjson" || {
 	echo "serve-smoke: warm groupby sent a partial record"; cat "$tmp/groupby.ndjson"; exit 1; }
 
+# A topk reports partial rows only before a wave that waits on inference.
+# The dataset derive and the groupbys above resolved every block of the
+# dataset, so no wave of this topk starts a prefetch pool: it sends its
+# final rows and no partial one.
+curl -fsS -X POST "http://$addr/query?op=topk&k=2&where=inc%3D50K&dataset=$sid" >"$tmp/topk.ndjson"
+grep '"kind":"row"' "$tmp/topk.ndjson" | grep -q '"final":true' || {
+	echo "serve-smoke: warm topk sent no final row"; cat "$tmp/topk.ndjson"; exit 1; }
+! grep -q '"partial":true' "$tmp/topk.ndjson" || {
+	echo "serve-smoke: warm topk sent a partial record"; cat "$tmp/topk.ndjson"; exit 1; }
+
 # Watch round trip: a count watch on a second dataset, held open by a
 # background curl, sends its answer at version 0; an observation that
 # moves the count re-sends it as a partial record stamped version 1, and
@@ -174,11 +184,11 @@ grep -q '"join"' "$tmp/sql.ndjson" || { echo "serve-smoke: sql join query summar
 grep -q '"verdict"' "$tmp/sql.ndjson" || { echo "serve-smoke: join plan has no safety verdict"; cat "$tmp/sql.ndjson"; exit 1; }
 
 curl -fsS "http://$addr/stats" >"$tmp/stats.json"
-# 11 offered inference requests: derive, batch query, pre-query, observe,
-# dataset derive, re-query, two groupbys, watch, watch observe, sql join
-# query (dataset registration and drop run no inference and are not
+# 12 offered inference requests: derive, batch query, pre-query, observe,
+# dataset derive, re-query, two groupbys, topk, watch, watch observe, sql
+# join query (dataset registration and drop run no inference and are not
 # counted). The watched dataset is dropped, so one dataset remains.
-grep -q '"requests":11' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
+grep -q '"requests":12' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the requests"; cat "$tmp/stats.json"; exit 1; }
 grep -q '"Observations":2' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the observations"; cat "$tmp/stats.json"; exit 1; }
 grep -q '"Datasets":1' "$tmp/stats.json" || { echo "serve-smoke: stats did not count the dataset"; cat "$tmp/stats.json"; exit 1; }
 
